@@ -15,43 +15,46 @@ category generators, plain degree for module elements.
 
 Quadratic equations
 -------------------
-verify_bimodule checks, for every composable mixed tuple, a single
-uniform rule (equivalent to the usual three-family presentation by the
-block's position): each consecutive block contributes the term
-
-    (-1)^(sum of order degrees strictly below the block)
-        * op(..., inner(block), ...)
-
-where inner is the bimodule operation if the block contains the module
-slot and the category operation otherwise.  verify_bimodule_hom does the
-same for a degree-n morphism, with the inner-is-morphism terms weighted
-by (-1)^(n * below) and all other terms by (-1)^(below + n + 1).
+Every equation here applies the block rule of core.signed_blocks, with
+the module slots at plain degree (equivalent to the usual three-family
+presentation by the block's position).  verify_bimodule puts the
+bimodule operation inside a block that contains the module slot and the
+category operation inside any other block, with no further twist.
+verify_bimodule_hom does the same for a degree-n morphism, with the
+inner-is-morphism terms weighted by (-1)^(n * below) and all other terms
+by (-1)^(below + n + 1).
 
 The tensor-over-the-category complex of a right module R and left module
 L has words (q, a_1, ..., a_d, p) in boundary order (the reverse of the
-usual written order p (x) a_d (x) ... (x) q), integer grading
-deg(q) + sum(deg(a_i) - 1) + deg(p), and the three-family differential
-whose sign on a block is (-1)^(order degrees strictly below), with q and
-p carrying plain degree.  Its exact d^2 = 0 is the package's strongest
+usual written order p (x) a_d (x) ... (x) q) and integer grading
+deg(q) + sum(deg(a_i) - 1) + deg(p).  Its differential is the same rule
+on the word, with q and p the module slots: the left action on blocks
+containing q, the right action on blocks containing p, the category
+operation on the rest.  Its exact d^2 = 0 is the package's strongest
 sign-consistency check and is asserted for every shipped fixture.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, Mapping
 
 from .complexes import BasedComplex, GradedMap
 from .core import (
+    EMPTY,
+    RING_F2,
     AinfCategory,
     Gen,
     NonComposable,
     VerificationReport,
-    Violation,
     chain_add,
     chain_normalize,
+    collect_violations,
+    frozen_table,
     is_composable,
+    parity_sign,
     rdeg,
+    signed_blocks,
 )
 
 LEFT = "left"
@@ -85,10 +88,6 @@ class PairGen:
         return f"({self.p.name}(x){self.q.name})[{self.source}->{self.target};{self.degree}]"
 
 
-def order_degree(x, is_module: bool) -> int:
-    return x.degree if is_module else rdeg(x)
-
-
 # ---------------------------------------------------------------------------
 # one-sided modules
 
@@ -109,6 +108,7 @@ class SideModule:
         self.spaces = {obj: list(v) for obj, v in spaces.items()}
         self.actions = actions
         self._check()
+        self.actions = {arity: frozen_table(table, cat.ring) for arity, table in actions.items()}
 
     def _check(self):
         for obj, elems in self.spaces.items():
@@ -127,13 +127,9 @@ class SideModule:
                     if og.degree != want:
                         raise ValueError(f"action output degree {og.degree}, expected {want}")
 
-    def module_index(self, arity: int) -> int:
-        return 0 if self.side == LEFT else arity
-
-    def act(self, key: tuple) -> dict:
-        """Action on one boundary tuple (module element included)."""
-        table = self.actions.get(len(key) - 1, {})
-        return chain_normalize(dict(table.get(key, {})), self.cat.ring)
+    def act(self, key: tuple) -> Mapping:
+        """Action on one boundary tuple (module element included; read-only)."""
+        return self.actions.get(len(key) - 1, EMPTY).get(key, EMPTY)
 
     def basis(self, obj: str) -> list:
         return self.spaces.get(obj, [])
@@ -161,15 +157,9 @@ class YonedaModule(SideModule):
             spaces[L] = list(cat.hom.get(pair, []))
         super().__init__(cat, side, spaces, actions={})
 
-    def act(self, key: tuple) -> dict:
-        if self.side == LEFT:
-            parity = 1
-        else:
-            parity = 1 + sum(rdeg(x) for x in key[:-1])
-        sign = -1 if parity % 2 else 1
-        return chain_normalize(
-            {g: sign * c for g, c in self.cat.mu_key(key).items()}, self.cat.ring
-        )
+    def act(self, key: tuple) -> Mapping:
+        parity = 1 if self.side == LEFT else 1 + sum(rdeg(x) for x in key[:-1])
+        return signed_mu(self.cat, key, parity)
 
 
 def yoneda_module(cat: AinfCategory, K: str, side: str, objects=None) -> SideModule:
@@ -213,10 +203,8 @@ class DiagonalBimodule(Bimodule):
     def basis(self, source_obj, target_obj):
         return self.cat.hom.get((source_obj, target_obj), [])
 
-    def op(self, key: tuple, s: int) -> dict:
-        parity = 1 + sum(rdeg(x) for x in key[:s])
-        sign = -1 if parity % 2 else 1
-        return chain_normalize({g: sign * c for g, c in self.cat.mu_key(key).items()}, self.cat.ring)
+    def op(self, key: tuple, s: int) -> Mapping:
+        return signed_mu(self.cat, key, 1 + sum(rdeg(x) for x in key[:s]))
 
 
 def diagonal_bimodule(cat: AinfCategory) -> Bimodule:
@@ -254,7 +242,7 @@ class TensorBimodule(Bimodule):
                 chain_add(out, {PairGen(m.p, g): c})
         if s == 0:
             # the left module acts on p; the odd operator passes q first
-            sign = -1 if m.q.degree % 2 else 1
+            sign = parity_sign(m.q.degree)
             for g, c in self.left.act((m.p,) + key[1:]).items():
                 chain_add(out, {PairGen(g, m.q): sign * c})
         return chain_normalize(out, self.cat.ring)
@@ -274,7 +262,6 @@ class TableBimodule(Bimodule):
     def __init__(self, cat: AinfCategory, spaces: dict[tuple[str, str], list], ops: dict[tuple[int, int], dict]):
         super().__init__(cat)
         self.spaces = {k: list(v) for k, v in spaces.items()}
-        self.ops = ops
         for (r, s), table in ops.items():
             for key, out in table.items():
                 if len(key) != r + s + 1:
@@ -285,14 +272,13 @@ class TableBimodule(Bimodule):
                 for og, c in out.items():
                     if og.degree != want:
                         raise ValueError(f"op output degree {og.degree}, expected {want}")
+        self.ops = {rs: frozen_table(table, cat.ring) for rs, table in ops.items()}
 
     def basis(self, source_obj, target_obj):
         return self.spaces.get((source_obj, target_obj), [])
 
-    def op(self, key: tuple, s: int) -> dict:
-        r = len(key) - 1 - s
-        table = self.ops.get((r, s), {})
-        return chain_normalize(dict(table.get(key, {})), self.cat.ring)
+    def op(self, key: tuple, s: int) -> Mapping:
+        return self.ops.get((len(key) - 1 - s, s), EMPTY).get(key, EMPTY)
 
 
 def with_negated_bimodule_term(P: TableBimodule, r: int, s: int, key: tuple, out):
@@ -335,43 +321,36 @@ def mixed_tuples(cat: AinfCategory, P: Bimodule, r: int, s: int) -> Iterator[tup
 # the bimodule quadratic equation
 
 
+def slot_after(s: int, i: int, j: int) -> int:
+    """Index of the module slot once the block key[i:j] collapses to one entry."""
+    if i <= s < j:
+        return i
+    return s - (j - i) + 1 if j <= s else s
+
+
 def bimodule_residual(P: Bimodule, key: tuple, s: int) -> dict:
     cat = P.cat
-    n_total = len(key)
+
+    def inner(i, j):
+        return P.op(key[i:j], s - i) if i <= s < j else cat.mu_key(key[i:j])
+
     out: dict = {}
-    below = 0
-    for i in range(n_total):
-        for j in range(i + 1, n_total + 1):
-            block = key[i:j]
-            sign = -1 if below % 2 else 1
-            if i <= s < j:
-                inner = P.op(block, s - i)
-                new_s = i
-            else:
-                inner = cat.mu_key(block)
-                new_s = s - len(block) + 1 if j <= s else s
-            if not inner:
-                continue
-            for g, c in inner.items():
-                outer_key = key[:i] + (g,) + key[j:]
-                chain_add(out, P.op(outer_key, new_s), sign * c)
-        below += order_degree(key[i], is_module=(i == s))
+    for i, j, g, c, below in signed_blocks(key, inner, (s,)):
+        chain_add(out, P.op(key[:i] + (g,) + key[j:], slot_after(s, i, j)), parity_sign(below) * c)
     return chain_normalize(out, cat.ring)
+
+
+def all_mixed_tuples(P: Bimodule, max_inputs: int) -> Iterator[tuple[tuple, int]]:
+    """(key, s) for every mixed tuple with r + s <= max_inputs."""
+    for total in range(0, max_inputs + 1):
+        for s in range(0, total + 1):
+            for key in mixed_tuples(P.cat, P, total - s, s):
+                yield key, s
 
 
 def verify_bimodule(P: Bimodule, max_inputs: int = 4) -> VerificationReport:
     """Check the quadratic equation on all tuples with r + s <= max_inputs."""
-    violations = []
-    checked = 0
-    for total in range(0, max_inputs + 1):
-        for s in range(0, total + 1):
-            r = total - s
-            for key in mixed_tuples(P.cat, P, r, s):
-                checked += 1
-                res = bimodule_residual(P, key, s)
-                if res:
-                    violations.append(Violation(key, res))
-    return VerificationReport(checked=checked, violations=violations)
+    return collect_violations((key, bimodule_residual(P, key, s)) for key, s in all_mixed_tuples(P, max_inputs))
 
 
 # ---------------------------------------------------------------------------
@@ -405,11 +384,11 @@ class BimoduleHom:
                         raise ValueError(
                             f"component output degree {og.degree}, expected {want} on {key}"
                         )
+        ring = self.source.cat.ring
+        self.components = {rs: frozen_table(table, ring) for rs, table in self.components.items()}
 
-    def apply(self, key: tuple, s: int) -> dict:
-        r = len(key) - 1 - s
-        table = self.components.get((r, s), {})
-        return chain_normalize(dict(table.get(key, {})), self.source.cat.ring)
+    def apply(self, key: tuple, s: int) -> Mapping:
+        return self.components.get((len(key) - 1 - s, s), EMPTY).get(key, EMPTY)
 
 
 def identity_hom(P: Bimodule) -> BimoduleHom:
@@ -421,49 +400,31 @@ def hom_residual(phi: BimoduleHom, key: tuple, s: int) -> dict:
     """The four-sum morphism equation on one input tuple."""
     cat = phi.source.cat
     n = phi.n
-    n_total = len(key)
+
+    def inner(i, j):
+        # outputs tagged True when the morphism sits inside the block
+        block = key[i:j]
+        if not i <= s < j:
+            return {(False, g): c for g, c in cat.mu_key(block).items()}
+        terms = {(True, g): c for g, c in phi.apply(block, s - i).items()}
+        terms.update({(False, g): c for g, c in phi.source.op(block, s - i).items()})
+        return terms
+
     out: dict = {}
-    below = 0
-    for i in range(n_total):
-        for j in range(i + 1, n_total + 1):
-            block = key[i:j]
-            if i <= s < j:
-                new_s = i
-                # morphism inside, target operation outside
-                parity = n * below
-                sign = -1 if parity % 2 else 1
-                for g, c in phi.apply(block, s - i).items():
-                    outer_key = key[:i] + (g,) + key[j:]
-                    chain_add(out, phi.target.op(outer_key, new_s), sign * c)
-                # source operation inside, morphism outside
-                parity = below + n + 1
-                sign = -1 if parity % 2 else 1
-                for g, c in phi.source.op(block, s - i).items():
-                    outer_key = key[:i] + (g,) + key[j:]
-                    chain_add(out, phi.apply(outer_key, new_s), sign * c)
-            else:
-                new_s = s - len(block) + 1 if j <= s else s
-                parity = below + n + 1
-                sign = -1 if parity % 2 else 1
-                for g, c in cat.mu_key(block).items():
-                    outer_key = key[:i] + (g,) + key[j:]
-                    chain_add(out, phi.apply(outer_key, new_s), sign * c)
-        below += order_degree(key[i], is_module=(i == s))
+    for i, j, (phi_inside, g), c, below in signed_blocks(key, inner, (s,)):
+        outer_key = key[:i] + (g,) + key[j:]
+        new_s = slot_after(s, i, j)
+        if phi_inside:
+            chain_add(out, phi.target.op(outer_key, new_s), parity_sign(n * below) * c)
+        else:
+            chain_add(out, phi.apply(outer_key, new_s), parity_sign(below + n + 1) * c)
     return chain_normalize(out, cat.ring)
 
 
 def verify_bimodule_hom(phi: BimoduleHom, max_inputs: int = 4) -> VerificationReport:
-    violations = []
-    checked = 0
-    for total in range(0, max_inputs + 1):
-        for s in range(0, total + 1):
-            r = total - s
-            for key in mixed_tuples(phi.source.cat, phi.source, r, s):
-                checked += 1
-                res = hom_residual(phi, key, s)
-                if res:
-                    violations.append(Violation(key, res))
-    return VerificationReport(checked=checked, violations=violations)
+    return collect_violations(
+        (key, hom_residual(phi, key, s)) for key, s in all_mixed_tuples(phi.source, max_inputs)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -516,28 +477,20 @@ def tensor_words(R: SideModule, L: SideModule, max_length: int) -> list[TensorWo
 
 def tensor_differential(R: SideModule, L: SideModule, word: TensorWord) -> dict:
     """Differential of the tensor-over-the-category complex on one word."""
-    cat = R.cat
-    q, mid, p = word.q, word.mid, word.p
-    d = len(mid)
+    seq = (word.q,) + word.mid + (word.p,)
+    end = len(seq)
+
+    def inner(i, j):
+        if i == 0:
+            # the block holding both q and p is the full collapse, not a term
+            return L.act(seq[:j]) if j < end else EMPTY
+        return R.act(seq[i:]) if j == end else R.cat.mu_key(seq[i:j])
+
     out: dict = {}
-    # prefix blocks: left action swallowing (q, a_1..a_l); no sign
-    for l in range(0, d + 1):
-        for g, c in L.act((q,) + mid[:l]).items():
-            chain_add(out, {TensorWord(g, mid[l:], p): c})
-    # suffix and interior blocks carry (-1)^(deg q + reduced degrees below)
-    below = q.degree
-    for i in range(0, d + 1):
-        sign = -1 if below % 2 else 1
-        # suffix: right action swallowing (a_{i+1}..a_d, p)
-        for g, c in R.act(mid[i:] + (p,)).items():
-            chain_add(out, {TensorWord(q, mid[:i], g): sign * c})
-        # interior blocks starting at i+1
-        for j in range(i + 1, d + 1):
-            for g, c in cat.mu_key(mid[i:j]).items():
-                chain_add(out, {TensorWord(q, mid[:i] + (g,) + mid[j:], p): sign * c})
-        if i < d:
-            below += rdeg(mid[i])
-    return chain_normalize(out, cat.ring)
+    for i, j, g, c, below in signed_blocks(seq, inner, (0, end - 1)):
+        new = seq[:i] + (g,) + seq[j:]
+        chain_add(out, {TensorWord(new[0], new[1:-1], new[-1]): parity_sign(below) * c})
+    return chain_normalize(out, R.cat.ring)
 
 
 def tensor_over_category(R: SideModule, L: SideModule, max_length: int) -> BasedComplex:
@@ -557,12 +510,18 @@ def tensor_over_category(R: SideModule, L: SideModule, max_length: int) -> Based
     return cx
 
 
-def mu_composition_word(cat: AinfCategory, word: TensorWord) -> dict:
+def signed_mu(cat: AinfCategory, key: tuple, parity: int) -> Mapping:
+    """(-1)^parity * mu on one boundary tuple (read-only when the sign is +1)."""
+    out = cat.mu_key(key)
+    if parity % 2 and cat.ring != RING_F2:
+        return {g: -c for g, c in out.items()}
+    return out
+
+
+def mu_composition_word(cat: AinfCategory, word: TensorWord) -> Mapping:
     """Chain-level composition into hom(K, K): full collapse of one word."""
     parity = word.q.degree + sum(rdeg(a) for a in word.mid)
-    sign = -1 if parity % 2 else 1
-    key = (word.q,) + word.mid + (word.p,)
-    return chain_normalize({g: sign * c for g, c in cat.mu_key(key).items()}, cat.ring)
+    return signed_mu(cat, (word.q,) + word.mid + (word.p,), parity)
 
 
 def hom_complex(cat: AinfCategory, source_obj: str, target_obj: str) -> BasedComplex:

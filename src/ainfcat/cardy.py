@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .bimodules import BimoduleHom, hom_complex, mu_composition_map
-from .complexes import BasedComplex, GradedMap, VerificationReport, Violation, compose, verify_chain_map
-from .core import AinfCategory, chain_add, chain_normalize
+from .complexes import BasedComplex, GradedMap, VerificationReport, compose, verify_chain_map
+from .core import AinfCategory, Violation, chain_add, chain_normalize, collect_violations, parity_sign
 from .hochschild import bar_differential, cc_of_delta
 from .intlinalg import IntMatrix, RationalOnly, Unsolvable, solve_integer
 
@@ -83,8 +83,7 @@ def _homotopy_residual(data: OpenClosedData, mu_cc: GradedMap, H: HomotopyWitnes
     cat = data.cat
     n = data.n
     out: dict = {}
-    sign = -1 if n % 2 else 1
-    chain_add(out, cat.mu_boundary([H.chain(word)]), sign)
+    chain_add(out, cat.mu_boundary([H.chain(word)]), parity_sign(n))
     for w1, c in bar_differential(cat, word).items():
         chain_add(out, H.chain(w1), c)
     chain_add(out, mu_cc.chain(word), 1)
@@ -97,15 +96,9 @@ def verify_homotopy_equation(
 ) -> VerificationReport:
     """The four-term identity on every word of the truncation."""
     mu_cc = _mu_cc(data, phi, cc, tensor_cx)
-    violations = []
-    checked = 0
-    for k in cc.degrees():
-        for word in cc.basis[k]:
-            checked += 1
-            res = _homotopy_residual(data, mu_cc, H, word)
-            if res:
-                violations.append(Violation((word,), res))
-    return VerificationReport(checked=checked, violations=violations)
+    return collect_violations(
+        ((word,), _homotopy_residual(data, mu_cc, H, word)) for k in cc.degrees() for word in cc.basis[k]
+    )
 
 
 def _mu_cc(data: OpenClosedData, phi: BimoduleHom, cc: BasedComplex, tensor_cx: BasedComplex) -> GradedMap:
@@ -135,7 +128,7 @@ def solve_homotopy(data: OpenClosedData, phi: BimoduleHom, cc: BasedComplex, ten
 
     rows = []
     rhs = []
-    sign_n = -1 if n % 2 else 1
+    sign_n = parity_sign(n)
     for k in cc.degrees():
         for w in cc.basis[k]:
             target = hom_cx.basis.get(k + n, [])
@@ -195,8 +188,7 @@ def verify_cardy_on_homology(
     mu_cc = _mu_cc(data, phi, cc, tensor_cx)
     co_oc = compose(data.co, data.oc, name="CO o OC")
     hom_cx = mu_cc.target
-    global_parity = (n * (n + 1) // 2) % 2
-    gsign = -1 if global_parity else 1
+    gsign = parity_sign(n * (n + 1) // 2)
 
     degs = list(degrees) if degrees is not None else cc.degrees()
     violations = []

@@ -33,7 +33,7 @@ from .fileformat import (
     load_morphism,
     morphism_to_json,
 )
-from .generation import generation_test, replay_certificate, verify_cohomological_unit
+from .generation import NotACycle, generation_test, replay_certificate, verify_cohomological_unit
 from .hochschild import hochschild_homology, truncated_cc
 from .strata import (
     annulus,
@@ -212,7 +212,12 @@ def cmd_generate(args) -> int:
         _emit(report, args.json)
         return EXIT_PASS if out.generated else EXIT_FAIL
 
-    cert = generation_test(cat, B, K, e, args.max_length)
+    try:
+        cert = generation_test(cat, B, K, e, args.max_length)
+    except NotACycle as err:
+        raise InputError(str(err), path=f"/units/{K}")
+    except ValueError as err:
+        raise CliError(str(err), code=EXIT_FAIL)
     report = {
         "command": "generate",
         "inputs": loaded.digest,
@@ -426,21 +431,36 @@ def cmd_fixture(args) -> int:
     return EXIT_PASS
 
 
+def _at_least(minimum: int):
+    """argparse type: an integer bound that checks something."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="ainfcat", description="Exact checker for categories with higher products")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="schema plus structure verification")
     p.add_argument("path")
-    p.add_argument("--depth", type=int, default=4, help="largest relation arity checked")
-    p.add_argument("--bimodule-bound", type=int, default=3, help="bound on bimodule inputs r+s")
+    p.add_argument("--depth", type=_at_least(1), default=4, help="largest relation arity checked")
+    p.add_argument("--bimodule-bound", type=_at_least(0), default=3, help="bound on bimodule inputs r+s")
     p.add_argument("--ring", choices=("Z", "F2"), help="override the coefficient ring (Z data reduces mod 2)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("hh", help="truncated cyclic homology with stabilization flags")
     p.add_argument("path")
-    p.add_argument("--max-length", type=int, required=True)
+    p.add_argument("--max-length", type=_at_least(1), required=True)
     p.add_argument("--degrees", help="inclusive degree range a..b")
     p.add_argument("--ring", choices=("Z", "F2"), help="override the coefficient ring (Z data reduces mod 2)")
     p.add_argument("--json", action="store_true")
@@ -450,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path")
     p.add_argument("--object", required=True)
     p.add_argument("--subcategory", help="comma-separated objects (default: all)")
-    p.add_argument("--max-length", type=int, default=2)
+    p.add_argument("--max-length", type=_at_least(0), default=2)
     p.add_argument("--emit", help="write the certificate to this file")
     p.add_argument("--replay", help="re-verify a previously emitted certificate")
     p.add_argument("--json", action="store_true")
@@ -459,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cardy", help="verify the open/closed consistency square")
     p.add_argument("path")
     p.add_argument("--morphism", help="name of the coproduct-type morphism in the file")
-    p.add_argument("--max-length", type=int, default=3)
+    p.add_argument("--max-length", type=_at_least(1), default=3)
     p.add_argument("--solve", action="store_true", help="solve for the homotopy instead of assuming zero")
     p.add_argument("--co-sign", type=int, default=1, choices=(1, -1))
     p.add_argument("--telescoping", action="store_true", help="force the self-referential configuration even when map tables are present")

@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
-from .core import RING_F2, VerificationReport, Violation, chain_add, chain_normalize
-from .intlinalg import ChainComplexZ, FinAbGroup, HomologyData, IntMatrix, f2_rank
+from .core import RING_F2, VerificationReport, chain_add, chain_normalize, collect_violations, parity_sign
+from .intlinalg import FinAbGroup, HomologyData, IntMatrix, NotAComplex, f2_rank
 
 
 class BasedComplex:
@@ -24,7 +24,8 @@ class BasedComplex:
 
     `basis[k]` is an ordered list of labels; `d` sends a label to a chain
     (dict label -> coefficient) in the next degree.  The matrix form is
-    cached; validate() checks d o d = 0 exactly (mod 2 over F2).
+    cached; validate() checks d o d = 0 exactly (mod 2 over F2) and raises
+    NotAComplex where it fails.
     """
 
     def __init__(self, basis: dict[int, list], d: Callable[[object], Mapping], ring: str = "Z"):
@@ -85,12 +86,7 @@ class BasedComplex:
                         )
                     chain_add(acc, self.diff_chain(out), c)
                 if chain_normalize(acc, self.ring):
-                    raise ValueError(f"d o d != 0 at degree {k} on {label!r}")
-
-    def to_chain_complex(self) -> ChainComplexZ:
-        comps = {k: list(v) for k, v in self.basis.items()}
-        diffs = {k: self.matrix(k) for k in self.degrees()}
-        return ChainComplexZ(components=comps, diff=diffs)
+                    raise NotAComplex(f"d o d != 0 at degree {k} on {label!r}")
 
     def homology(self, k: int) -> FinAbGroup:
         if self.ring == RING_F2:
@@ -137,46 +133,22 @@ def compose(g: GradedMap, f: GradedMap, name: str | None = None) -> GradedMap:
     )
 
 
-def identity_map(C: BasedComplex) -> GradedMap:
-    return GradedMap(source=C, target=C, shift=0, apply=lambda label: {label: 1}, name="id")
-
-
 def zero_map(source: BasedComplex, target: BasedComplex, shift: int) -> GradedMap:
     return GradedMap(source=source, target=target, shift=shift, apply=lambda label: {}, name="0")
 
 
 def verify_chain_map(f: GradedMap) -> VerificationReport:
     """Check d o f - (-1)^shift f o d = 0 on every basis label."""
-    sign = -1 if f.shift % 2 else 1
-    violations = []
-    checked = 0
-    for k in f.source.degrees():
-        for label in f.source.basis[k]:
-            checked += 1
-            res: dict = {}
-            for out, c in f.chain(label).items():
-                chain_add(res, f.target.diff_chain(out), c)
-            for out, c in f.source.diff_chain(label).items():
-                chain_add(res, f.chain(out), -sign * c)
-            res = chain_normalize(res, f.target.ring)
-            if res:
-                violations.append(Violation((label,), res))
-    return VerificationReport(checked=checked, violations=violations)
+    sign = parity_sign(f.shift)
 
+    def residual(label) -> dict:
+        res: dict = {}
+        for out, c in f.chain(label).items():
+            chain_add(res, f.target.diff_chain(out), c)
+        for out, c in f.source.diff_chain(label).items():
+            chain_add(res, f.chain(out), -sign * c)
+        return chain_normalize(res, f.target.ring)
 
-def induced_on_homology(f: GradedMap, k: int):
-    """Matrix of the map induced by a chain map on homology at degree k.
-
-    Returns (source HomologyData, target HomologyData, columns), where
-    column j holds the target-coordinates of the image of the j-th source
-    class generator.
-    """
-    hs = f.source.homology_data(k)
-    ht = f.target.homology_data(k + f.shift)
-    cols = []
-    for gen_vec in hs.class_generators():
-        chain = {label: c for label, c in zip(f.source.basis.get(k, []), gen_vec) if c}
-        img = f.apply_to(chain)
-        vec = f.target.vector(img, k + f.shift)
-        cols.append(ht.coords(vec))
-    return hs, ht, cols
+    return collect_violations(
+        ((label,), residual(label)) for k in f.source.degrees() for label in f.source.basis[k]
+    )

@@ -20,14 +20,17 @@ where the reduced degree of x is deg(x) + 1.  Failures are collected as
 data (input tuple plus nonzero residual), not raised.
 
 Over Z/2 all coefficients are reduced mod 2, which makes every sign
-trivial; the same code path is used with a normalization hook.
+trivial.  Operation tables are normalized once, when the category is
+built (zero terms dropped, coefficients reduced mod 2 over Z/2), and
+stored read-only, so a lookup is a plain dictionary access.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Sequence
+from types import MappingProxyType
+from typing import Callable, Container, Iterable, Iterator, Mapping, Sequence
 
 RING_Z = "Z"
 RING_F2 = "F2"
@@ -59,6 +62,11 @@ def reduced_degree(g: Gen) -> int:
     return rdeg(g)
 
 
+def parity_sign(parity: int) -> int:
+    """(-1)^parity."""
+    return -1 if parity % 2 else 1
+
+
 def koszul_sign(degrees: Sequence[int], perm: Sequence[int]) -> int:
     """Sign accumulated when graded elements are reordered by `perm`.
 
@@ -74,7 +82,7 @@ def koszul_sign(degrees: Sequence[int], perm: Sequence[int]) -> int:
         for j in range(i + 1, len(perm)):
             if perm[i] > perm[j]:
                 parity += degrees[i] * degrees[j]
-    return -1 if parity % 2 else 1
+    return parity_sign(parity)
 
 
 # ---------------------------------------------------------------------------
@@ -92,12 +100,6 @@ def chain_add(target: dict, other: Mapping, scale: int = 1) -> dict:
     return target
 
 
-def chain_scale(ch: Mapping, scale: int) -> dict:
-    if scale == 0:
-        return {}
-    return {g: scale * c for g, c in ch.items()}
-
-
 def chain_normalize(ch: dict, ring: str) -> dict:
     if ring == RING_F2:
         out = {}
@@ -106,6 +108,19 @@ def chain_normalize(ch: dict, ring: str) -> dict:
                 out[g] = 1
         return out
     return {g: c for g, c in ch.items() if c}
+
+
+EMPTY = MappingProxyType({})  # the read-only result of a lookup that finds no term
+
+
+def frozen_table(table: Mapping, ring: str) -> dict:
+    """A term table with every output normalized once and made read-only."""
+    out = {}
+    for key, chain in table.items():
+        chain = chain_normalize(dict(chain), ring)
+        if chain:
+            out[key] = MappingProxyType(chain)
+    return out
 
 
 def is_composable(seq: Sequence) -> bool:
@@ -136,18 +151,11 @@ class AinfCategory:
 
     def __post_init__(self):
         self.validate_tables()
-
-    @property
-    def d_max(self) -> int:
-        live = [d for d, table in self.mu.items() if table]
-        return max(live) if live else 0
+        self.mu = {d: frozen_table(table, self.ring) for d, table in self.mu.items()}
 
     def generators(self) -> Iterator[Gen]:
         for pair in sorted(self.hom):
             yield from self.hom[pair]
-
-    def hom_basis(self, source: str, target: str) -> list[Gen]:
-        return self.hom.get((source, target), [])
 
     def validate_tables(self) -> None:
         declared = set()
@@ -184,13 +192,10 @@ class AinfCategory:
 
     # -- application ---------------------------------------------------
 
-    def mu_key(self, key: tuple) -> dict:
-        """mu^d on one boundary-ordered generator tuple."""
+    def mu_key(self, key: tuple) -> Mapping:
+        """mu^d on one boundary-ordered generator tuple (read-only)."""
         table = self.mu.get(len(key))
-        if not table:
-            return {}
-        out = table.get(key, {})
-        return chain_normalize(dict(out), self.ring)
+        return table.get(key, EMPTY) if table else EMPTY
 
     def mu_boundary(self, chains: Sequence[Mapping]) -> dict:
         """Multilinear extension of mu^d; inputs in boundary order."""
@@ -207,9 +212,6 @@ class AinfCategory:
                 raise NonComposable(f"non-composable tuple {key}")
             chain_add(out, self.mu_key(key), coeff)
         return chain_normalize(out, self.ring)
-
-    def differential(self, ch: Mapping) -> dict:
-        return self.mu_boundary([ch])
 
 
 def apply_mu(cat: AinfCategory, d: int, inputs: Sequence[Mapping]) -> dict:
@@ -280,35 +282,56 @@ class VerificationReport:
         return "\n".join(lines)
 
 
+def collect_violations(residuals: Iterable[tuple[tuple, dict]]) -> VerificationReport:
+    """Count every (inputs, residual) pair; keep the nonzero residuals."""
+    violations = []
+    checked = 0
+    for inputs, res in residuals:
+        checked += 1
+        if res:
+            violations.append(Violation(inputs, res))
+    return VerificationReport(checked=checked, violations=violations)
+
+
+def signed_blocks(
+    seq: tuple, inner: Callable[[int, int], Mapping], plain: Container[int]
+) -> Iterator[tuple[int, int, object, int, int]]:
+    """Every output term of an inner operation on every block of a tuple.
+
+    Walks the consecutive blocks seq[i:j] (by i, then j), applies
+    inner(i, j) to each and yields (i, j, g, c, below) for every term
+    c * g of the result.  `below` is the sum of the order degrees of
+    seq[:i]: the reduced degree deg + 1 of each entry, except that the
+    positions listed in `plain` (module elements) count their plain
+    degree.
+
+    This is the sign rule of every quadratic equation in the package:
+    substituting the block's output g back into the tuple contributes
+    (-1)^below.  Callers add only a constant twist for the operations
+    involved, except that a degree-n morphism inside the block counts
+    n * below in place of below.
+    """
+    below = 0
+    for i, x in enumerate(seq):
+        for j in range(i + 1, len(seq) + 1):
+            for g, c in inner(i, j).items():
+                yield i, j, g, c, below
+        below += x.degree if i in plain else x.degree + 1
+
+
 def ainf_residual(cat: AinfCategory, xs: tuple) -> dict:
     """Signed double sum of the structure relation on one input tuple."""
-    d = len(xs)
     out: dict = {}
-    below = 0  # running parity of reduced degrees of x_1..x_k
-    for k in range(d):
-        for m in range(1, d - k + 1):
-            inner = cat.mu_key(xs[k : k + m])
-            if not inner:
-                continue
-            sign = -1 if below % 2 else 1
-            for g, c in inner.items():
-                outer_key = xs[:k] + (g,) + xs[k + m :]
-                chain_add(out, cat.mu_key(outer_key), sign * c)
-        below += rdeg(xs[k])
+    for i, j, g, c, below in signed_blocks(xs, lambda i, j: cat.mu_key(xs[i:j]), ()):
+        chain_add(out, cat.mu_key(xs[:i] + (g,) + xs[j:]), parity_sign(below) * c)
     return chain_normalize(out, cat.ring)
 
 
 def verify_ainf(cat: AinfCategory, up_to: int) -> VerificationReport:
     """Check the structure relation on every composable tuple of length <= up_to."""
-    violations = []
-    checked = 0
-    for d in range(1, up_to + 1):
-        for xs in composable_tuples(cat, d):
-            checked += 1
-            res = ainf_residual(cat, xs)
-            if res:
-                violations.append(Violation(xs, res))
-    return VerificationReport(checked=checked, violations=violations)
+    return collect_violations(
+        (xs, ainf_residual(cat, xs)) for d in range(1, up_to + 1) for xs in composable_tuples(cat, d)
+    )
 
 
 # ---------------------------------------------------------------------------

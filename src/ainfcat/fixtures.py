@@ -14,7 +14,7 @@ suite before anything else consumes it.
 
 from __future__ import annotations
 
-from .core import RING_Z, AinfCategory, Gen
+from .core import RING_Z, AinfCategory, Gen, parity_sign
 
 OBJ = "*"
 
@@ -30,13 +30,13 @@ def _dga_category(objects, gens, diff, prod, ring=RING_Z, units=None):
         hom.setdefault((g.source, g.target), []).append(g)
     mu1 = {}
     for g, dg in diff.items():
-        sign = -1 if g.degree % 2 else 1
+        sign = parity_sign(g.degree)
         chain = {h: sign * c for h, c in dg.items() if c}
         if chain:
             mu1[(g,)] = chain
     mu2 = {}
     for (g1, g2), out in prod.items():
-        sign = -1 if g1.degree % 2 else 1
+        sign = parity_sign(g1.degree)
         chain = {h: sign * c for h, c in out.items() if c}
         if chain:
             mu2[(g1, g2)] = chain

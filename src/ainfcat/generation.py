@@ -29,11 +29,12 @@ from .bimodules import (
     TensorWord,
     hom_complex,
     mu_composition_word,
+    signed_mu,
     tensor_over_category,
     yoneda_module,
 )
 from .complexes import BasedComplex, GradedMap, verify_chain_map
-from .core import AinfCategory, Gen, chain_add, chain_normalize, rdeg, verify_ainf
+from .core import AinfCategory, Gen, chain_add, chain_normalize, parity_sign, rdeg, signed_blocks, verify_ainf
 from .intlinalg import IntMatrix, RationalOnly, Unsolvable, solve_integer
 
 
@@ -96,7 +97,7 @@ def verify_cohomological_unit(cat: AinfCategory, K: str, e: Mapping) -> UnitRepo
                     return cat.mu_boundary([e, {x: 1}])
             else:
                 def action(x, e=e):
-                    sign = -1 if x.degree % 2 else 1
+                    sign = parity_sign(x.degree)
                     out = cat.mu_boundary([{x: 1}, e])
                     return {g: sign * c for g, c in out.items()}
 
@@ -189,8 +190,7 @@ class TwistedComplex:
                 chain_add(out, {TensorWord(g, w.mid, w.p): -c})
             # scalar entries, with their deg(q)-parity flags
             for tgt, (coef, qflag) in by_src.get(sigma, []):
-                sign = -1 if (qflag * w.q.degree) % 2 else 1
-                chain_add(out, {TensorWord(w.q, tgt.mid, tgt.p): sign * coef})
+                chain_add(out, {TensorWord(w.q, tgt.mid, tgt.p): parity_sign(qflag * w.q.degree) * coef})
             # pop paths: swallow leading letters into the module action
             path: list = []
             cur = sigma
@@ -231,11 +231,9 @@ class TwistedComplex:
             cx = self.realization(X)
             target = hom_complex(cat, X, self.K)
 
-            def ev(w: TensorWord) -> dict:
+            def ev(w: TensorWord) -> Mapping:
                 parity = data[Summand(w.mid, w.p)] + w.q.degree
-                sign = -1 if parity % 2 else 1
-                key = (w.q,) + w.mid + (w.p,)
-                return {g: sign * c for g, c in cat.mu_key(key).items()}
+                return signed_mu(cat, (w.q,) + w.mid + (w.p,), parity)
 
             f = GradedMap(source=cx, target=target, shift=0, apply=ev, name="evaluation")
             report = verify_chain_map(f)
@@ -278,32 +276,23 @@ def build_universal_complex(cat: AinfCategory, B_objects: Sequence[str], K: str,
     summands.sort()
 
     tc = TwistedComplex(cat=cat, K=K, objects=sorted(keep), max_length=max_length, summands=summands)
+    yr = yoneda_module(cat, K, RIGHT)
     for sigma in summands:
         if sigma.mid:
             tc.pops[sigma] = {sigma.mid[0]: 1}
-        # scalar entries: collapses of blocks inside (mid, p), with the
-        # same signs as the bar-type differential (deg q enters via qflag)
-        below = 0
-        d = sigma.length
-        for i in range(d + 1):
-            # suffix block (mid[i:], p) through the right-module action,
-            # whose twist is (-1)^(1 + reduced degrees of its letter inputs)
-            parity = below + 1 + sum(rdeg(a) for a in sigma.mid[i:])
-            sign = -1 if parity % 2 else 1
-            for g, c in cat.mu_key(sigma.mid[i:] + (sigma.p,)).items():
-                tau = Summand(sigma.mid[:i], g)
-                prev = tc.scalars.get((sigma, tau), (0, 1))[0]
-                tc.scalars[(sigma, tau)] = (prev + sign * c, 1)
-            # interior blocks starting at i
-            sign2 = -1 if below % 2 else 1
-            for j in range(i + 1, d + 1):
-                block = sigma.mid[i:j]
-                for g, c in cat.mu_key(block).items():
-                    tau = Summand(sigma.mid[:i] + (g,) + sigma.mid[j:], sigma.p)
-                    prev = tc.scalars.get((sigma, tau), (0, 1))[0]
-                    tc.scalars[(sigma, tau)] = (prev + sign2 * c, 1)
-            if i < d:
-                below += rdeg(sigma.mid[i])
+        # scalar entries: the suffix and interior blocks of the bar-type
+        # differential on (mid, p), the suffix through the right Yoneda
+        # action; deg q enters the realization via qflag
+        seq = sigma.mid + (sigma.p,)
+
+        def inner(i, j):
+            return yr.act(seq[i:]) if j == len(seq) else cat.mu_key(seq[i:j])
+
+        for i, j, g, c, below in signed_blocks(seq, inner, (len(seq) - 1,)):
+            new = seq[:i] + (g,) + seq[j:]
+            tau = Summand(new[:-1], new[-1])
+            prev = tc.scalars.get((sigma, tau), (0, 1))[0]
+            tc.scalars[(sigma, tau)] = (prev + parity_sign(below) * c, 1)
     tc.scalars = {k: v for k, v in tc.scalars.items() if v[0]}
     tc.verify_maurer_cartan()
     return tc

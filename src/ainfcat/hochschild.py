@@ -13,8 +13,8 @@ block exactly once:
 
 * blocks not crossing the seam between a_1 and a_d are replaced in
   place (the output lands in the distinguished slot when the block ends
-  there), with sign (-1)^(1 + sum of reduced degrees of the letters
-  below); in particular b on a single letter is minus the differential;
+  there) by the block rule of core.signed_blocks with the constant twist
+  -1; in particular b on a single letter is minus the differential;
 * blocks containing the seam (nonempty high part a_hi..a_d and nonempty
   low part a_1..a_lo, allowing the full rotated word) produce the output
   in the distinguished slot of the shortened word, with sign
@@ -52,10 +52,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-
 from .bimodules import BimoduleHom, DiagonalBimodule, TensorBimodule, TensorWord
 from .complexes import BasedComplex, GradedMap, verify_chain_map
-from .core import AinfCategory, chain_add, chain_normalize, cyclic_tuples, rdeg
+from .core import AinfCategory, chain_add, chain_normalize, cyclic_tuples, parity_sign, rdeg, signed_blocks
 from .intlinalg import FinAbGroup
 
 CyclicWord = tuple  # tuple[Gen, ...] in boundary order, distinguished slot last
@@ -73,12 +72,6 @@ def word_degree(word: CyclicWord) -> int:
     return word[-1].degree + sum(g.degree - 1 for g in word[:-1])
 
 
-def is_cyclic(word: CyclicWord) -> bool:
-    from .core import is_composable
-
-    return bool(word) and is_composable(word) and word[-1].target == word[0].source
-
-
 def bar_differential(cat: AinfCategory, word: CyclicWord) -> dict:
     """Hochschild differential of one cyclic word; never increases length."""
     d = len(word)
@@ -88,17 +81,9 @@ def bar_differential(cat: AinfCategory, word: CyclicWord) -> dict:
     def rsum(i, j):  # sum of reduced degrees of a_i..a_j, 1-indexed inclusive
         return sum(red[i - 1 : j])
 
-    # non-wrapping blocks a_i..a_{i+m-1}
-    below = 0
-    for i in range(1, d + 1):
-        sign = 1 if below % 2 else -1  # (-1)^(below + 1)
-        for j in range(i, d + 1):
-            inner = cat.mu_key(word[i - 1 : j])
-            if inner:
-                for g, c in inner.items():
-                    new = word[: i - 1] + (g,) + word[j:]
-                    chain_add(out, {new: sign * c})
-        below += red[i - 1]
+    # non-wrapping blocks, replaced in place
+    for i, j, g, c, below in signed_blocks(word, lambda i, j: cat.mu_key(word[i:j]), ()):
+        chain_add(out, {word[:i] + (g,) + word[j:]: parity_sign(below + 1) * c})
 
     # wrapping blocks (a_hi..a_d, a_1..a_lo); output goes to the last slot
     for lo in range(1, d):
@@ -107,8 +92,7 @@ def bar_differential(cat: AinfCategory, word: CyclicWord) -> dict:
             inner = cat.mu_key(block)
             if not inner:
                 continue
-            parity = rsum(1, lo) * rsum(lo + 1, d) + rsum(lo + 1, hi - 1) + 1
-            sign = -1 if parity % 2 else 1
+            sign = parity_sign(rsum(1, lo) * rsum(lo + 1, d) + rsum(lo + 1, hi - 1) + 1)
             for g, c in inner.items():
                 new = word[lo : hi - 1] + (g,)
                 chain_add(out, {new: sign * c})
@@ -232,9 +216,7 @@ def cc_of_delta_word(phi: BimoduleHom, word: CyclicWord) -> dict:
                 # pg.p is the hom(K, L_r) factor, pg.q the hom(L_{d-s-1}, K)
                 # one; the reorder sign moves pg.p past the letters and pg.q
                 circ = pg.p.degree * (pg.q.degree + rsum(r + 1, d - s - 1))
-                parity = diamond + circ
-                sign = -1 if parity % 2 else 1
-                chain_add(out, {TensorWord(pg.p, mid, pg.q): sign * c})
+                chain_add(out, {TensorWord(pg.p, mid, pg.q): parity_sign(diamond + circ) * c})
     return chain_normalize(out, phi.source.cat.ring)
 
 

@@ -2,8 +2,9 @@
 
 Everything downstream (homology of bar-type complexes, homotopy solving,
 generation certificates) reduces to three primitives implemented here:
-Smith normal form with unimodular transforms, homology of a chain complex
-of free abelian groups, and solvability of A*x = b over Z (with the
+Smith normal form with unimodular transforms, homology at one spot of a
+complex given by its two differential matrices (complexes.BasedComplex
+supplies them), and solvability of A*x = b over Z (with the
 rational-only case distinguished from outright unsolvability).
 
 All arithmetic uses Python ints, so intermediate coefficient growth in the
@@ -17,12 +18,12 @@ chain complex raises degree by one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 
-class NotAComplex(Exception):
+class NotAComplex(ValueError):
     """Raised when consecutive differentials do not compose to zero."""
 
 
@@ -102,11 +103,6 @@ class IntMatrix:
 
     def is_zero(self) -> bool:
         return all(all(x == 0 for x in r) for r in self.data)
-
-    def hstack(self, other: "IntMatrix") -> "IntMatrix":
-        if self.rows != other.rows:
-            raise DimensionMismatch("hstack row mismatch")
-        return IntMatrix(tuple(self.data[i] + other.data[i] for i in range(self.rows)), cols=self.cols + other.cols)
 
 
 def matrix_from_columns(cols: Sequence[Sequence[int]], nrows: int) -> IntMatrix:
@@ -397,53 +393,6 @@ class HomologyData:
 
     def zero_class(self) -> tuple[int, ...]:
         return tuple(0 for m in self._moduli if m != 1)
-
-
-def homology_of_pair(d_out: IntMatrix, d_in: IntMatrix) -> FinAbGroup:
-    return HomologyData(d_out, d_in).group
-
-
-@dataclass
-class ChainComplexZ:
-    """A cochain complex of finitely generated free abelian groups.
-
-    `components[k]` is the list of basis labels in degree k; `diff[k]` maps
-    degree k to degree k+1 and has shape (len(components[k+1]),
-    len(components[k])).  Missing degrees are zero.  d o d = 0 is checked
-    on construction via validate().
-    """
-
-    components: dict[int, list]
-    diff: dict[int, IntMatrix] = field(default_factory=dict)
-
-    def dim(self, k: int) -> int:
-        return len(self.components.get(k, []))
-
-    def differential(self, k: int) -> IntMatrix:
-        d = self.diff.get(k)
-        if d is None:
-            return IntMatrix.zeros(self.dim(k + 1), self.dim(k))
-        return d
-
-    def degrees(self) -> list[int]:
-        return sorted(self.components)
-
-    def validate(self) -> None:
-        for k, d in self.diff.items():
-            if d.cols != self.dim(k) or d.rows != self.dim(k + 1):
-                raise DimensionMismatch(f"differential at degree {k} has wrong shape")
-        for k in self.degrees():
-            comp = self.differential(k + 1) @ self.differential(k)
-            if not comp.is_zero():
-                raise NotAComplex(f"d o d != 0 starting at degree {k}")
-
-    def homology_data(self, k: int) -> HomologyData:
-        return HomologyData(self.differential(k), self.differential(k - 1))
-
-
-def homology(C: ChainComplexZ, k: int) -> FinAbGroup:
-    """ker(d^k) / im(d^{k-1}) as (free rank, torsion divisors)."""
-    return C.homology_data(k).group
 
 
 def rational_rank(A: IntMatrix) -> int:

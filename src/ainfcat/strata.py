@@ -26,6 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from .core import parity_sign
+
 R_DISC = "R_d"
 R_BIMOD = "R_{r|1|s}"
 R_PUNCT = "R_d^1"
@@ -395,10 +397,6 @@ def strata_term_bijection(space: SpaceId, equation: str) -> BijectionReport:
 # sign formula evaluators (the recorded orientation comparisons)
 
 
-def _parity_sign(parity: int) -> int:
-    return -1 if parity % 2 else 1
-
-
 def sign_formula(tag: str, **kw) -> int:
     """Evaluate one of the recorded orientation-comparison parities.
 
@@ -421,7 +419,7 @@ def sign_formula(tag: str, **kw) -> int:
     """
     if tag == "dagger":
         degs = list(kw["degrees"])
-        return _parity_sign(sum((k + 1) * x for k, x in enumerate(degs)))
+        return parity_sign(sum((k + 1) * x for k, x in enumerate(degs)))
     if tag == "ddagger":
         left = list(kw["left"])
         right = list(kw["right"])
@@ -430,7 +428,7 @@ def sign_formula(tag: str, **kw) -> int:
         parity = sum((s - j) * x for j, x in enumerate(right))
         parity += s * module
         parity += sum((j + 1 + s) * x for j, x in enumerate(left))
-        return _parity_sign(parity)
+        return parity_sign(parity)
     if tag == "diamond":
         degs = list(kw["degrees"])
         r, s, n = kw["r"], kw["s"], kw["n"]
@@ -438,14 +436,14 @@ def sign_formula(tag: str, **kw) -> int:
         red = [x + 1 for x in degs]
         m1r = sum(red[:r])
         parity = m1r * (1 + sum(red[r:d])) + n * sum(red[r : d - s - 1])
-        return _parity_sign(parity)
+        return parity_sign(parity)
     if tag == "circ":
         letters = list(kw.get("letters", []))
         parity = kw["q"] * (kw["p"] + sum(x + 1 for x in letters))
-        return _parity_sign(parity)
+        return parity_sign(parity)
     if tag == "oc":
         degs = list(kw["degrees"])
-        return _parity_sign(degs[-1]) * sign_formula("dagger", degrees=degs)
+        return parity_sign(degs[-1]) * sign_formula("dagger", degrees=degs)
     if tag == "f":
         part = sign_formula("dagger", degrees=kw["degrees_product"])
         part *= sign_formula(
@@ -453,14 +451,14 @@ def sign_formula(tag: str, **kw) -> int:
         )
         part *= sign_formula("circ", p=kw["p"], q=kw["q"], letters=kw.get("letters", []))
         part *= sign_formula("diamond", degrees=kw["degrees"], r=kw["r"], s=kw["s"], n=kw["n"])
-        return _parity_sign(kw["degrees"][-1]) * part
+        return parity_sign(kw["degrees"][-1]) * part
     if tag == "cardy_global":
         n = kw["n"]
-        return _parity_sign(n * (n + 1) // 2)
+        return parity_sign(n * (n + 1) // 2)
     if tag == "delta_chain_1":
-        return _parity_sign(kw["module"])
+        return parity_sign(kw["module"])
     if tag == "delta_chain_2":
-        return _parity_sign(kw["module"] + kw["n"] + 1)
+        return parity_sign(kw["module"] + kw["n"] + 1)
     if tag == "oc_check":
-        return _parity_sign(1 + kw["x1"])
+        return parity_sign(1 + kw["x1"])
     raise ValueError(f"unknown sign formula tag {tag}")

@@ -165,3 +165,31 @@ def test_cyclic_tuples_close_up():
 def test_f2_ring_verifies():
     cat = dual_numbers(ring="F2")
     assert verify_ainf(cat, up_to=4).passed
+
+
+def test_lookups_are_read_only_and_leave_the_tables_unchanged():
+    from ainfcat.bimodules import LEFT, RIGHT, tensor_over_category, yoneda_module
+    from ainfcat.fixtures import coproduct_morphism
+    from ainfcat.hochschild import truncated_cc
+
+    phi = coproduct_morphism("cone_algebra", 0)
+    cat = phi.source.cat
+
+    def snapshot():
+        return {d: {key: dict(out) for key, out in table.items()} for d, table in cat.mu.items()}
+
+    before = snapshot()
+    verify_ainf(cat, 4)
+    truncated_cc(cat, 3)
+    tensor_over_category(yoneda_module(cat, "*", RIGHT), yoneda_module(cat, "*", LEFT), 3)
+    assert snapshot() == before
+
+    key, out = next(iter(cat.mu[2].items()))
+    g = next(iter(out))
+    (rs, table), = sorted(phi.components.items())
+    comp_key = next(iter(table))
+    missing = cat.mu_key((g, g, g, g, g, g, g))
+    for lookup in (cat.mu_key(key), phi.apply(comp_key, rs[1]), missing):
+        with pytest.raises(TypeError):
+            lookup[g] = 1
+    assert not missing

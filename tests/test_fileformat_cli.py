@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+from ainfcat import cli
 from ainfcat.cli import parse_space
-from ainfcat.core import verify_ainf
+from ainfcat.core import iter_terms, verify_ainf, with_negated_term
 from ainfcat.fileformat import (
     InputError,
     category_to_json,
@@ -17,7 +19,7 @@ from ainfcat.fileformat import (
     load_morphism,
     morphism_to_json,
 )
-from ainfcat.fixtures import FIXTURES, coproduct_morphism, dual_numbers, ground_ring
+from ainfcat.fixtures import FIXTURES, coproduct_morphism, dual_numbers, ground_ring, split_summand_pair
 from ainfcat.strata import annulus, bidisc, disc, interpolation, punctured_disc
 
 
@@ -244,9 +246,46 @@ def test_cli_threads_env_validated(tmp_path):
     path.write_bytes(dump(ground_ring()))
     proc = subprocess.run(
         [sys.executable, "-m", "ainfcat.cli", "validate", str(path)],
-        capture_output=True, text=True, env={"AINFCAT_THREADS": "bogus", "PATH": "/usr/bin:/bin"},
+        capture_output=True, text=True, env={**os.environ, "AINFCAT_THREADS": "bogus"},
     )
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "cat.json", "--depth", "0"],
+        ["validate", "cat.json", "--depth", "-1", "--bimodule-bound", "-1"],
+        ["validate", "cat.json", "--bimodule-bound", "-1"],
+        ["hh", "cat.json", "--max-length", "0"],
+        ["hh", "cat.json", "--max-length", "-3"],
+        ["cardy", "cat.json", "--max-length", "0"],
+        ["generate", "cat.json", "--object", "K", "--max-length", "-1", "--emit", "cert.json"],
+    ],
+)
+def test_cli_rejects_bounds_that_check_nothing(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "must be at least" in capsys.readouterr().err
+
+
+def test_cli_generate_broken_category_exit_1(tmp_path, capsys):
+    cat = split_summand_pair()
+    d, key, out, _ = next(iter_terms(cat))
+    path = tmp_path / "broken.json"
+    path.write_bytes(dump(with_negated_term(cat, d, key, out)))
+    assert cli.main(["generate", str(path), "--object", "K", "--subcategory", "L"]) == 1
+    assert "error: category fails the structure relations" in capsys.readouterr().err
+
+
+def test_cli_generate_unit_not_a_cycle_exit_2(tmp_path, capsys):
+    raw = category_to_json(split_summand_pair())
+    raw["units"]["K"] = [{"generator": ["K", "L", "f1"], "coefficient": 1}]
+    path = tmp_path / "unit.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main(["generate", str(path), "--object", "K", "--subcategory", "L"]) == 2
+    assert "input error: /units/K: " in capsys.readouterr().err
 
 
 def test_cli_hh_ring_override(tmp_path):

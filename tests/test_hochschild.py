@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from ainfcat.bimodules import LEFT, RIGHT, tensor_over_category, yoneda_module
+from ainfcat.bimodules import LEFT, RIGHT, BimoduleHom, tensor_over_category, yoneda_module
 from ainfcat.complexes import GradedMap, verify_chain_map, zero_map
 from ainfcat.core import chain_add, chain_normalize, cyclic_tuples
 from ainfcat.fixtures import (
@@ -188,11 +188,14 @@ def test_cc_of_delta_ground_ring_identity_like():
 
 def test_cc_of_delta_mutation_raises():
     phi = coproduct_morphism("cone_algebra", 0)
-    # flip one component coefficient
-    (rs, table) = next(iter(sorted(phi.components.items())))
+    # flip one component coefficient (component tables are read-only, so
+    # rebuild the morphism from a mutated copy)
+    comps = {rs: {k: dict(v) for k, v in t.items()} for rs, t in phi.components.items()}
+    (rs, table) = next(iter(sorted(comps.items())))
     key = next(iter(sorted(table, key=str)))
     pg = next(iter(table[key]))
     table[key][pg] = -table[key][pg]
+    phi = BimoduleHom(source=phi.source, target=phi.target, n=phi.n, components=comps)
     cat = phi.source.cat
     cc = truncated_cc(cat, 3)
     tensor_cx = tensor_over_category(yoneda_module(cat, "*", RIGHT), yoneda_module(cat, "*", LEFT), 3)
