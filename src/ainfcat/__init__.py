@@ -24,6 +24,7 @@ from .bimodules import (
 from .cardy import (
     HomotopyWitness,
     OpenClosedData,
+    mu_cc_map,
     solve_homotopy,
     telescoping_data,
     verify_cardy_on_homology,

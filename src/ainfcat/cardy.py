@@ -92,22 +92,41 @@ def _homotopy_residual(data: OpenClosedData, mu_cc: GradedMap, H: HomotopyWitnes
 
 
 def verify_homotopy_equation(
-    data: OpenClosedData, phi: BimoduleHom, H: HomotopyWitness, cc: BasedComplex, tensor_cx: BasedComplex
+    data: OpenClosedData,
+    phi: BimoduleHom,
+    H: HomotopyWitness,
+    cc: BasedComplex,
+    tensor_cx: BasedComplex,
+    mu_cc: GradedMap | None = None,
 ) -> VerificationReport:
-    """The four-term identity on every word of the truncation."""
-    mu_cc = _mu_cc(data, phi, cc, tensor_cx)
+    """The four-term identity on every word of the truncation.
+
+    mu_cc is mu o CC(phi) as built by mu_cc_map; it is built here when not
+    given.
+    """
+    if mu_cc is None:
+        mu_cc = mu_cc_map(data.cat, data.K, phi, cc, tensor_cx)
     return collect_violations(
         ((word,), _homotopy_residual(data, mu_cc, H, word)) for k in cc.degrees() for word in cc.basis[k]
     )
 
 
-def _mu_cc(data: OpenClosedData, phi: BimoduleHom, cc: BasedComplex, tensor_cx: BasedComplex) -> GradedMap:
+def mu_cc_map(cat: AinfCategory, K: str, phi: BimoduleHom, cc: BasedComplex, tensor_cx: BasedComplex) -> GradedMap:
+    """mu o CC(phi), from cyclic chains to hom(K, K); CC(phi) is verified
+    to be a chain map (cc_of_delta).  Build it once and pass it to the
+    checks below, which otherwise each build and verify their own."""
     f = cc_of_delta(phi, cc, tensor_cx)
-    mu = mu_composition_map(data.cat, data.K, tensor_cx)
+    mu = mu_composition_map(cat, K, tensor_cx)
     return compose(mu, f, name="mu o CC")
 
 
-def solve_homotopy(data: OpenClosedData, phi: BimoduleHom, cc: BasedComplex, tensor_cx: BasedComplex):
+def solve_homotopy(
+    data: OpenClosedData,
+    phi: BimoduleHom,
+    cc: BasedComplex,
+    tensor_cx: BasedComplex,
+    mu_cc: GradedMap | None = None,
+):
     """Solve the homotopy identity for H over the integers.
 
     Returns a HomotopyWitness, or NO_INTEGRAL_SOLUTION when the system is
@@ -115,7 +134,8 @@ def solve_homotopy(data: OpenClosedData, phi: BimoduleHom, cc: BasedComplex, ten
     """
     cat = data.cat
     n = data.n
-    mu_cc = _mu_cc(data, phi, cc, tensor_cx)
+    if mu_cc is None:
+        mu_cc = mu_cc_map(cat, data.K, phi, cc, tensor_cx)
     hom_cx = hom_complex(cat, data.K, data.K)
 
     variables: list = []  # (word, target generator)
@@ -131,13 +151,12 @@ def solve_homotopy(data: OpenClosedData, phi: BimoduleHom, cc: BasedComplex, ten
     sign_n = parity_sign(n)
     for k in cc.degrees():
         for w in cc.basis[k]:
+            # mu(CC(phi)(w)) - CO(OC(w)), the part of the identity without H
+            r = chain_add(dict(mu_cc.chain(w)), data.co.apply_to(data.oc.chain(w)), -1)
             target = hom_cx.basis.get(k + n, [])
             if not target:
                 # the equation in this degree still constrains nothing only
                 # if the right-hand side vanishes; check it
-                r = {}
-                chain_add(r, mu_cc.chain(w), 1)
-                chain_add(r, data.co.apply_to(data.oc.chain(w)), -1)
                 if chain_normalize(r, cat.ring):
                     return NO_SOLUTION
                 continue
@@ -155,8 +174,7 @@ def solve_homotopy(data: OpenClosedData, phi: BimoduleHom, cc: BasedComplex, ten
                     if j is not None:
                         row[j] += c
                 rows.append(row)
-                r = mu_cc.chain(w).get(y, 0) - data.co.apply_to(data.oc.chain(w)).get(y, 0)
-                rhs.append(-r)
+                rhs.append(-r.get(y, 0))
 
     A = IntMatrix(rows, cols=len(variables)) if rows else IntMatrix.zeros(0, len(variables))
     sol = solve_integer(A, rhs)
@@ -177,15 +195,16 @@ def verify_cardy_on_homology(
     cc: BasedComplex,
     tensor_cx: BasedComplex,
     degrees=None,
+    mu_cc: GradedMap | None = None,
 ) -> VerificationReport:
     """Compare the two induced compositions on truncated homology.
 
     Checks [mu o CC(phi)] = (-1)^(n(n+1)/2) [CO o OC] classwise in the
     requested degrees of the word complex.
     """
-    cat = data.cat
     n = data.n
-    mu_cc = _mu_cc(data, phi, cc, tensor_cx)
+    if mu_cc is None:
+        mu_cc = mu_cc_map(data.cat, data.K, phi, cc, tensor_cx)
     co_oc = compose(data.co, data.oc, name="CO o OC")
     hom_cx = mu_cc.target
     gsign = parity_sign(n * (n + 1) // 2)
@@ -214,14 +233,19 @@ def verify_cardy_on_homology(
 # standard configurations
 
 
-def telescoping_data(cat: AinfCategory, phi: BimoduleHom, cc: BasedComplex, tensor_cx: BasedComplex, co_sign: int = 1) -> OpenClosedData:
+def telescoping_data(
+    cat: AinfCategory,
+    phi: BimoduleHom,
+    cc: BasedComplex,
+    tensor_cx: BasedComplex,
+    co_sign: int = 1,
+    mu_cc: GradedMap | None = None,
+) -> OpenClosedData:
     """The self-referential configuration: the closed complex is the
     endomorphism complex, the closed-to-open map is (+-)identity, and the
-    open-to-closed map is the composed collapse itself."""
+    open-to-closed map is the composed collapse itself (mu_cc when given)."""
     K = phi.target.left.K
     hom_cx = hom_complex(cat, K, K)
-    f = cc_of_delta(phi, cc, tensor_cx)
-    mu = mu_composition_map(cat, K, tensor_cx)
-    oc = compose(mu, f, name="mu o CC")
+    oc = mu_cc_map(cat, K, phi, cc, tensor_cx) if mu_cc is None else mu_cc
     co = GradedMap(source=hom_cx, target=hom_cx, shift=0, apply=lambda g: {g: co_sign}, name="(+-)id")
     return OpenClosedData(cat=cat, K=K, n=phi.n, closed=hom_cx, oc=oc, co=co)

@@ -21,7 +21,17 @@ import time
 
 from . import fixtures as fixture_mod
 from .bimodules import RIGHT, LEFT, diagonal_bimodule, hom_complex, tensor_over_category, verify_bimodule, verify_bimodule_hom, yoneda_module
-from .cardy import HomotopyWitness, NoIntegralSolution, NoSolution, OpenClosedData, solve_homotopy, telescoping_data, verify_cardy_on_homology, verify_homotopy_equation
+from .cardy import (
+    HomotopyWitness,
+    NoIntegralSolution,
+    NoSolution,
+    OpenClosedData,
+    mu_cc_map,
+    solve_homotopy,
+    telescoping_data,
+    verify_cardy_on_homology,
+    verify_homotopy_equation,
+)
 from .complexes import BasedComplex, GradedMap
 from .core import verify_ainf, with_ring
 from .fileformat import (
@@ -132,7 +142,10 @@ def cmd_validate(args) -> int:
         ok &= rb.passed
 
     for obj in sorted(cat.units):
-        ur = verify_cohomological_unit(cat, obj, cat.units[obj])
+        try:
+            ur = verify_cohomological_unit(cat, obj, cat.units[obj])
+        except NotACycle as err:
+            raise InputError(str(err), path=f"/units/{obj}")
         report["checks"][f"unit[{obj}]"] = {"passed": ur.passed}
         if not ur.passed:
             witnesses += [str(f) for f in ur.failures[:3]]
@@ -199,7 +212,7 @@ def cmd_generate(args) -> int:
     e = cat.units[K]
 
     if args.replay:
-        cert = load_certificate(_read(args.replay), cat)
+        cert = load_certificate(_read(args.replay), cat, digest=loaded.digest)
         out = replay_certificate(cat, cert, e)
         report = {
             "command": "generate",
@@ -281,37 +294,25 @@ def cmd_cardy(args) -> int:
         yoneda_module(cat, K, RIGHT), yoneda_module(cat, K, LEFT), args.max_length
     )
 
+    # mu o CC(phi) is built and its CC(phi) part verified once, here
+    mu_cc = mu_cc_map(cat, K, phi, cc, tcx)
     section = loaded.raw.get("cardy")
+    maps = loaded.cardy_maps
     H = HomotopyWitness()
-    if section and "chain_maps" in section and not args.telescoping:
+    if maps is not None and not args.telescoping:
         closed = _closed_complex_from_tables(section["closed_complex"], cat)
-        refs_index = {(g.source, g.target, g.name): g for g in cat.generators()}
-
-        oc_table: dict = {}
-        for t in section["chain_maps"].get("oc", []):
-            word = tuple(refs_index[tuple(r)] for r in t["word"])
-            oc_table.setdefault(word, {})[t["output"]] = t["coefficient"]
-        co_table: dict = {}
-        for t in section["chain_maps"].get("co", []):
-            g = refs_index[tuple(t["output"])]
-            co_table.setdefault(t["input"], {})[g] = t["coefficient"]
         hom_cx = hom_complex(cat, K, K)
         data_obj = OpenClosedData(
             cat=cat,
             K=K,
             n=section["degree"],
             closed=closed,
-            oc=GradedMap(source=cc, target=closed, shift=section["degree"], apply=lambda w: oc_table.get(w, {})),
-            co=GradedMap(source=closed, target=hom_cx, shift=0, apply=lambda lb: co_table.get(lb, {})),
+            oc=GradedMap(source=cc, target=closed, shift=section["degree"], apply=lambda w: maps["oc"].get(w, {})),
+            co=GradedMap(source=closed, target=hom_cx, shift=0, apply=lambda lb: maps["co"].get(lb, {})),
         )
-        h_table: dict = {}
-        for t in section["chain_maps"].get("homotopy", []):
-            word = tuple(refs_index[tuple(r)] for r in t["word"])
-            g = refs_index[tuple(t["output"])]
-            h_table.setdefault(word, {})[g] = t["coefficient"]
-        H = HomotopyWitness(table=h_table)
+        H = HomotopyWitness(table=maps["homotopy"])
     else:
-        data_obj = telescoping_data(cat, phi, cc, tcx, co_sign=args.co_sign)
+        data_obj = telescoping_data(cat, phi, cc, tcx, co_sign=args.co_sign, mu_cc=mu_cc)
 
     report = {
         "command": "cardy",
@@ -323,7 +324,7 @@ def cmd_cardy(args) -> int:
     }
     ok = True
     if args.solve:
-        out = solve_homotopy(data_obj, phi, cc, tcx)
+        out = solve_homotopy(data_obj, phi, cc, tcx, mu_cc=mu_cc)
         if isinstance(out, NoSolution):
             report["homotopy"] = "no-solution"
             ok = False
@@ -333,11 +334,11 @@ def cmd_cardy(args) -> int:
         else:
             H = out
             report["homotopy"] = f"solved ({sum(len(v) for v in H.table.values())} entries)"
-    hr = verify_homotopy_equation(data_obj, phi, H, cc, tcx)
+    hr = verify_homotopy_equation(data_obj, phi, H, cc, tcx, mu_cc=mu_cc)
     report["homotopy_equation"] = {"checked": hr.checked, "passed": hr.passed}
     report["witnesses"] += _witnesses(hr)
     ok &= hr.passed
-    cr = verify_cardy_on_homology(data_obj, phi, cc, tcx)
+    cr = verify_cardy_on_homology(data_obj, phi, cc, tcx, mu_cc=mu_cc)
     report["homology_comparison"] = {"checked": cr.checked, "passed": cr.passed}
     report["witnesses"] += _witnesses(cr)
     ok &= cr.passed

@@ -257,6 +257,10 @@ class LoadedFile:
     category: AinfCategory
     raw: dict
     digest: str
+    # the cardy section's chain_maps with references resolved, or None:
+    # "oc" word -> {closed name: c}, "co" closed name -> {Gen: c},
+    # "homotopy" word -> {Gen: c}
+    cardy_maps: dict | None = None
 
 
 def file_digest(data: bytes) -> str:
@@ -339,7 +343,44 @@ def load_category(data: bytes) -> LoadedFile:
         cat = AinfCategory(objects=objects, hom=hom, mu=mu, ring=raw["ring"], units=units)
     except (ValueError, NonComposable) as err:
         raise InputError(str(err), path="/operations")
-    return LoadedFile(category=cat, raw=raw, digest=file_digest(data))
+    cardy_maps = _cardy_maps(raw.get("cardy", {}), refs_index)
+    return LoadedFile(category=cat, raw=raw, digest=file_digest(data), cardy_maps=cardy_maps)
+
+
+def _cardy_maps(section: dict, refs_index) -> dict | None:
+    """Resolve the chain-map tables of the cardy section.
+
+    Every generator reference must be declared, and every closed-complex
+    name must be in the section's closed complex.
+    """
+    if "chain_maps" not in section:
+        return None
+    if "closed_complex" not in section:
+        raise InputError("chain maps need a closed complex", path="/cardy")
+    closed = {b["name"] for b in section["closed_complex"]["basis"]}
+
+    def closed_name(name, path):
+        if name not in closed:
+            raise InputError(f"reference to undeclared closed-complex element {name!r}", path=path)
+        return name
+
+    def word(refs, path):
+        return tuple(_resolve(refs_index, r, path) for r in refs)
+
+    tables: dict = {"oc": {}, "co": {}, "homotopy": {}}
+    maps = section["chain_maps"]
+    for i, t in enumerate(maps.get("oc", [])):
+        path = f"/cardy/chain_maps/oc/{i}"
+        tables["oc"].setdefault(word(t["word"], path), {})[closed_name(t["output"], path)] = t["coefficient"]
+    for i, t in enumerate(maps.get("co", [])):
+        path = f"/cardy/chain_maps/co/{i}"
+        out = _resolve(refs_index, t["output"], path)
+        tables["co"].setdefault(closed_name(t["input"], path), {})[out] = t["coefficient"]
+    for i, t in enumerate(maps.get("homotopy", [])):
+        path = f"/cardy/chain_maps/homotopy/{i}"
+        out = _resolve(refs_index, t["output"], path)
+        tables["homotopy"].setdefault(word(t["word"], path), {})[out] = t["coefficient"]
+    return tables
 
 
 def load_morphism(loaded: LoadedFile, name: str):
@@ -464,7 +505,10 @@ def certificate_to_json(cert, digest: str) -> dict:
     }
 
 
-def load_certificate(data: bytes, cat: AinfCategory):
+def load_certificate(data: bytes, cat: AinfCategory, digest: str | None = None):
+    """Read a certificate for `cat`.  With `digest` (the category file's
+    digest), a certificate that records a different category_digest is
+    refused."""
     from .bimodules import TensorWord
     from .generation import GenerationCertificate
 
@@ -473,6 +517,8 @@ def load_certificate(data: bytes, cat: AinfCategory):
     except json.JSONDecodeError as err:
         raise InputError(f"not valid JSON: {err}")
     _schema_check(raw, CERTIFICATE_SCHEMA)
+    if digest is not None and raw.get("category_digest", digest) != digest:
+        raise InputError("certificate was emitted for a different category file", path="/category_digest")
     refs_index = {(g.source, g.target, g.name): g for g in cat.generators()}
     tau = {}
     for i, t in enumerate(raw["tau"]):

@@ -38,6 +38,10 @@ from .core import AinfCategory, Gen, chain_add, chain_normalize, parity_sign, rd
 from .intlinalg import IntMatrix, RationalOnly, Unsolvable, solve_integer
 
 
+# structure relations checked before a certificate is searched for or replayed
+VERIFY_DEPTH = 3
+
+
 class NotACycle(Exception):
     pass
 
@@ -337,7 +341,7 @@ def generation_test(
     K: str,
     e: Mapping,
     max_length: int,
-    verify_depth: int = 3,
+    verify_depth: int = VERIFY_DEPTH,
 ) -> GenerationCertificate:
     """Search for a unit factorization through length-bounded words.
 
@@ -392,7 +396,7 @@ def generation_test(
     tau = {w: c for w, c in zip(tau_basis, sol[: len(tau_basis)]) if c}
     h = {g: c for g, c in zip(h_basis, sol[len(tau_basis) :]) if c}
     cert = GenerationCertificate("generated", K, list(B_objects), max_length, tau=tau, h=h)
-    replay_certificate(cat, cert, e)  # build U, verify everything, raise-free
+    _verify_witness(cat, cert, e)  # build U, verify everything, raise-free
     return cert
 
 
@@ -404,27 +408,38 @@ def cat_mu_column(cat: AinfCategory, w: TensorWord, unit_rows) -> list[int]:
 def replay_certificate(cat: AinfCategory, cert: GenerationCertificate, e: Mapping) -> GenerationCertificate:
     """Re-verify a generated certificate through independent checkers.
 
-    Returns the certificate on success; on any failure returns a copy
-    with verdict "refuted-at-bound" describing what broke.
+    The category must pass the structure relations up to VERIFY_DEPTH
+    (generation_test's default depth), since a witness proves nothing in a
+    category that fails them.  Returns the certificate on success; on any
+    failure returns a copy with verdict "refuted-at-bound" describing what
+    broke.
     """
     if not cert.generated:
         return cert
+    if not verify_ainf(cat, VERIFY_DEPTH).passed:
+        return _refuted(cert, "category fails the structure relations")
+    return _verify_witness(cat, cert, e)
 
-    def refuted(why: str) -> GenerationCertificate:
-        return GenerationCertificate(
-            "refuted-at-bound", cert.K, cert.B_objects, cert.max_length,
-            tau=cert.tau, h=cert.h, detail=why,
-        )
 
+def _refuted(cert: GenerationCertificate, why: str) -> GenerationCertificate:
+    return GenerationCertificate(
+        "refuted-at-bound", cert.K, cert.B_objects, cert.max_length,
+        tau=cert.tau, h=cert.h, detail=why,
+    )
+
+
+def _verify_witness(cat: AinfCategory, cert: GenerationCertificate, e: Mapping) -> GenerationCertificate:
+    """replay_certificate's checks of tau, h and the universal complex, in a
+    category already known to pass the structure relations."""
     e = chain_normalize(dict(e), cat.ring)
     cx = _restricted_tensor_complex(cat, cert.B_objects, cert.K, cert.max_length)
     # tau lies in degree 0 and is a cycle
     try:
         vec = cx.vector(cert.tau, 0)
     except KeyError:
-        return refuted("tau is not supported on the truncation")
+        return _refuted(cert, "tau is not supported on the truncation")
     if any(cx.matrix(0).apply(vec)):
-        return refuted("tau is not a cycle")
+        return _refuted(cert, "tau is not a cycle")
     # mu(tau) - mu^1(h) = e exactly
     out: dict = {}
     for w, c in cert.tau.items():
@@ -433,7 +448,7 @@ def replay_certificate(cat: AinfCategory, cert: GenerationCertificate, e: Mappin
         chain_add(out, cat.mu_key((g,)), -c)
     chain_add(out, e, -1)
     if chain_normalize(out, cat.ring):
-        return refuted("mu(tau) - mu^1(h) != e")
+        return _refuted(cert, "mu(tau) - mu^1(h) != e")
     # the universal complex and its evaluation morphism verify
     tc = build_universal_complex(cat, cert.B_objects, cert.K, cert.max_length)
     evaluation_morphism(tc)

@@ -54,8 +54,8 @@ from dataclasses import dataclass
 
 from .bimodules import BimoduleHom, DiagonalBimodule, TensorBimodule, TensorWord
 from .complexes import BasedComplex, GradedMap, verify_chain_map
-from .core import AinfCategory, chain_add, chain_normalize, cyclic_tuples, parity_sign, rdeg, signed_blocks
-from .intlinalg import FinAbGroup
+from .core import RING_F2, AinfCategory, chain_add, chain_normalize, cyclic_tuples, parity_sign, rdeg, signed_blocks
+from .intlinalg import FinAbGroup, HomologyData, IntMatrix, smith_normal_form
 
 CyclicWord = tuple  # tuple[Gen, ...] in boundary order, distinguished slot last
 
@@ -120,12 +120,12 @@ class HochschildResult:
     max_length: int
 
 
-def _iso_under_inclusion(small: BasedComplex, big: BasedComplex, k: int) -> bool:
-    """Does the inclusion of the shorter truncation induce an iso at degree k?"""
-    if small.ring == "F2":
-        return small.homology(k) == big.homology(k)
+def _iso_under_inclusion(small: BasedComplex, big: BasedComplex, k: int, hb: HomologyData) -> bool:
+    """Does the inclusion of the shorter truncation induce an iso at degree k?
+
+    hb is the homology data of `big` at degree k.
+    """
     hs = small.homology_data(k)
-    hb = big.homology_data(k)
     if hs.group != hb.group:
         return False
     # surjectivity of the induced map between abstractly isomorphic finitely
@@ -139,8 +139,6 @@ def _iso_under_inclusion(small: BasedComplex, big: BasedComplex, k: int) -> bool
 
 
 def _spans(coord_list, hd) -> bool:
-    from .intlinalg import IntMatrix, smith_normal_form
-
     moduli = [m for m in hd._moduli if m != 1]
     if not moduli:
         return True
@@ -156,6 +154,18 @@ def _spans(coord_list, hd) -> bool:
     return all(x == 1 for x in smith_normal_form(mat).diagonal()[: len(moduli)])
 
 
+def length_filter(cx: BasedComplex, max_length: int) -> BasedComplex:
+    """The subcomplex of a truncation spanned by words of length <= max_length.
+
+    The differential never increases length, so the filtered basis is
+    closed under it; it reuses the parent's differential cache and is not
+    validated again (the parent's validate() already checked d o d on every
+    word it keeps).
+    """
+    basis = {k: [w for w in words if len(w) <= max_length] for k, words in cx.basis.items()}
+    return BasedComplex(basis, cx.diff_chain, ring=cx.ring)
+
+
 def hochschild_homology(cat: AinfCategory, max_length: int, degrees=None) -> HochschildResult:
     """Homology of the truncated cyclic bar complex with stabilization flags.
 
@@ -164,7 +174,7 @@ def hochschild_homology(cat: AinfCategory, max_length: int, degrees=None) -> Hoc
     stabilization, never a convergence claim.
     """
     big = truncated_cc(cat, max_length)
-    small = truncated_cc(cat, max_length - 1) if max_length >= 1 else big
+    small = length_filter(big, max_length - 1) if max_length >= 1 else big
     if degrees is None:
         degs = sorted(set(big.degrees()) | set(small.degrees()))
     else:
@@ -172,8 +182,13 @@ def hochschild_homology(cat: AinfCategory, max_length: int, degrees=None) -> Hoc
     groups = {}
     stable = {}
     for k in degs:
-        groups[k] = big.homology(k)
-        stable[k] = _iso_under_inclusion(small, big, k)
+        if big.ring == RING_F2:
+            groups[k] = big.homology(k)
+            stable[k] = small.homology(k) == groups[k]
+        else:
+            hb = big.homology_data(k)
+            groups[k] = hb.group
+            stable[k] = _iso_under_inclusion(small, big, k, hb)
     return HochschildResult(groups=groups, stable=stable, max_length=max_length)
 
 

@@ -7,6 +7,13 @@ complex given by its two differential matrices (complexes.BasedComplex
 supplies them), and solvability of A*x = b over Z (with the
 rational-only case distinguished from outright unsolvability).
 
+The Smith normal form U @ A @ V == D also carries the inverses U_inv and
+V_inv (U @ U_inv == I, V_inv @ V == I), updated by the same elementary
+operations, so each matrix is factored once: homology takes the kernel
+basis from columns r: of V, kernel coordinates from rows r: of V_inv
+(r = rank of d_out), and class generators from kernel @ U_inv of the
+relation matrix, with no further factorization or solve.
+
 All arithmetic uses Python ints, so intermediate coefficient growth in the
 Smith reduction is harmless.  Pivoting is deterministic: smallest nonzero
 absolute value, ties broken by lowest (row, col) index, so the transforms
@@ -51,6 +58,15 @@ class IntMatrix:
             raise ValueError("row count mismatch")
 
     @classmethod
+    def _wrap(cls, rows: Sequence[Sequence[int]], cols: int) -> "IntMatrix":
+        """A matrix over rows of ints already checked to have `cols` entries."""
+        m = cls.__new__(cls)
+        m.data = tuple(map(tuple, rows))
+        m.rows = len(m.data)
+        m.cols = cols
+        return m
+
+    @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
         return cls(tuple((0,) * cols for _ in range(rows)), cols=cols)
 
@@ -79,24 +95,28 @@ class IntMatrix:
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise DimensionMismatch(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        ocols = other.cols
+        # Row i of the product combines the rows of `other` picked out by
+        # the nonzero entries of row i, so zeros of `self` cost nothing.
+        zero = (0,) * other.cols
         out = []
-        for i in range(self.rows):
-            ri = self.data[i]
-            out.append(
-                tuple(sum(ri[k] * other.data[k][j] for k in range(self.cols)) for j in range(ocols))
-            )
-        return IntMatrix(tuple(out), cols=ocols)
+        for ri in self.data:
+            acc = zero
+            for a, orow in zip(ri, other.data):
+                if a:
+                    acc = [x + a * y for x, y in zip(acc, orow)]
+            out.append(acc)
+        return IntMatrix._wrap(out, other.cols)
 
     def apply(self, vec: Sequence[int]) -> list[int]:
         if len(vec) != self.cols:
             raise DimensionMismatch(f"matrix has {self.cols} cols, vector has {len(vec)}")
-        return [sum(r[k] * vec[k] for k in range(self.cols)) for r in self.data]
+        support = [(k, x) for k, x in enumerate(vec) if x]
+        return [sum(r[k] * x for k, x in support) for r in self.data]
 
     def transpose(self) -> "IntMatrix":
         if not self.data:
-            return IntMatrix(tuple(() for _ in range(self.cols)), cols=0)
-        return IntMatrix(tuple(zip(*self.data)), cols=self.rows)
+            return IntMatrix._wrap([()] * self.cols, 0)
+        return IntMatrix._wrap(zip(*self.data), self.rows)
 
     def column(self, j: int) -> list[int]:
         return [self.data[i][j] for i in range(self.rows)]
@@ -113,11 +133,19 @@ def matrix_from_columns(cols: Sequence[Sequence[int]], nrows: int) -> IntMatrix:
 
 @dataclass(frozen=True)
 class SmithDecomposition:
-    """U @ A @ V == D with U, V unimodular and D = diag(d_1 | d_2 | ...), d_i >= 0."""
+    """U @ A @ V == D with U, V unimodular and D = diag(d_1 | d_2 | ...), d_i >= 0.
+
+    U_inv and V_inv are the exact inverses, U @ U_inv == I and
+    V_inv @ V == I, built from the same elementary operations as U and V.
+    With r = rank(), columns r: of V are a basis of ker(A) and rows r: of
+    V_inv give the coordinates of a kernel vector in that basis.
+    """
 
     U: IntMatrix
     D: IntMatrix
     V: IntMatrix
+    U_inv: IntMatrix
+    V_inv: IntMatrix
 
     def diagonal(self) -> list[int]:
         n = min(self.D.rows, self.D.cols)
@@ -128,13 +156,18 @@ class SmithDecomposition:
 
 
 def _find_pivot(m: list[list[int]], t: int, rows: int, cols: int):
-    """Smallest |entry| > 0 in the trailing block, lowest (i, j) on ties."""
+    """Smallest |entry| > 0 in the trailing block, lowest (i, j) on ties.
+
+    Nothing is smaller than a unit, so the scan stops at the first one.
+    """
     best = None
     for i in range(t, rows):
         for j in range(t, cols):
             v = m[i][j]
             if v != 0 and (best is None or abs(v) < abs(m[best[0]][best[1]])):
                 best = (i, j)
+                if v == 1 or v == -1:
+                    return best
     return best
 
 
@@ -143,26 +176,35 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
     m = [list(r) for r in A.data]
     u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
     v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
+    # U^{-1} is kept transposed, so both inverses change by whole rows:
+    # U -> E U gives U^{-1} -> U^{-1} E^{-1}, and V -> V F gives
+    # V^{-1} -> F^{-1} V^{-1}.
+    u_inv_t = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
+    v_inv = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
 
-    def row_op(i, j, q):  # row_i -= q * row_j
+    def row_op(i, j, q):  # row_i -= q * row_j; column j of U^{-1} += q * column i
         m[i] = [a - q * b for a, b in zip(m[i], m[j])]
         u[i] = [a - q * b for a, b in zip(u[i], u[j])]
+        u_inv_t[j] = [a + q * b for a, b in zip(u_inv_t[j], u_inv_t[i])]
 
-    def col_op(i, j, q):  # col_i -= q * col_j
+    def col_op(i, j, q):  # col_i -= q * col_j; row j of V^{-1} += q * row i
         for r in m:
             r[i] -= q * r[j]
         for r in v:
             r[i] -= q * r[j]
+        v_inv[j] = [a + q * b for a, b in zip(v_inv[j], v_inv[i])]
 
     def row_swap(i, j):
         m[i], m[j] = m[j], m[i]
         u[i], u[j] = u[j], u[i]
+        u_inv_t[i], u_inv_t[j] = u_inv_t[j], u_inv_t[i]
 
     def col_swap(i, j):
         for r in m:
             r[i], r[j] = r[j], r[i]
         for r in v:
             r[i], r[j] = r[j], r[i]
+        v_inv[i], v_inv[j] = v_inv[j], v_inv[i]
 
     t = 0
     while True:
@@ -191,16 +233,12 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
                     dirty = True
         if dirty:
             continue
-        # Enforce divisibility of the remaining block by the pivot.
+        # Enforce divisibility of the remaining block by the pivot; a unit
+        # divides everything.
         d = m[t][t]
         offender = None
-        for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if m[i][j] % d != 0:
-                    offender = i
-                    break
-            if offender is not None:
-                break
+        if d not in (1, -1):
+            offender = next((i for i in range(t + 1, rows) if any(x % d for x in m[i][t + 1 :])), None)
         if offender is not None:
             row_op(t, offender, -1)  # add offending row into pivot row
             continue
@@ -210,8 +248,20 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
         if m[i][i] < 0:
             m[i] = [-x for x in m[i]]
             u[i] = [-x for x in u[i]]
+            u_inv_t[i] = [-x for x in u_inv_t[i]]
 
-    return SmithDecomposition(U=IntMatrix(u, cols=rows), D=IntMatrix(m, cols=cols), V=IntMatrix(v, cols=cols))
+    def frozen(lists, ncols):  # row by row, so no second copy is ever whole
+        for i, r in enumerate(lists):
+            lists[i] = tuple(r)
+        return IntMatrix._wrap(lists, ncols)
+
+    return SmithDecomposition(
+        U=frozen(u, rows),
+        D=frozen(m, cols),
+        V=frozen(v, cols),
+        U_inv=frozen(u_inv_t, rows).transpose(),
+        V_inv=frozen(v_inv, cols),
+    )
 
 
 class Unsolvable:
@@ -261,16 +311,27 @@ def solve_integer(A: IntMatrix, b: Sequence[int]):
     return snf.V.apply(y)
 
 
+def _kernel(A: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
+    """(K, P): the columns of K are a basis of ker(A), and P @ x is the
+    coordinate vector of a kernel vector x in that basis (P @ K == I).
+
+    Both come from one Smith normal form: K is columns r: of V and P is
+    rows r: of V^{-1}, r the rank.
+    """
+    snf = smith_normal_form(A)
+    r = snf.rank()
+    K = IntMatrix._wrap([row[r:] for row in snf.V.data], A.cols - r)
+    P = IntMatrix._wrap(snf.V_inv.data[r:], A.cols)
+    return K, P
+
+
 def kernel_basis(A: IntMatrix) -> IntMatrix:
     """Columns form a basis of ker(A) as a subgroup of Z^cols.
 
     Every integer vector in the kernel is an integer combination of these
     columns (the kernel of an integer matrix is a direct summand).
     """
-    snf = smith_normal_form(A)
-    r = snf.rank()
-    cols = [snf.V.column(j) for j in range(r, A.cols)]
-    return matrix_from_columns(cols, A.cols)
+    return _kernel(A)[0]
 
 
 @dataclass(frozen=True)
@@ -322,43 +383,26 @@ class HomologyData:
             raise NotAComplex("d o d != 0")
         self.d_out = d_out
         self.d_in = d_in
-        self.kernel = kernel_basis(d_out)  # n x z
-        self._snf_kernel = smith_normal_form(self.kernel)
+        self.kernel, self._kernel_rows = _kernel(d_out)  # n x z and z x n
         # Express im(d_in) in kernel coordinates.  im <= ker, and the kernel
-        # basis spans a direct summand, so the division below is exact.
+        # basis spans a direct summand, so the coordinates are integral.
         z = self.kernel.cols
-        img_in_ker = []
-        for j in range(d_in.cols):
-            img_in_ker.append(self._kernel_coords(d_in.column(j)))
-        rel = matrix_from_columns(img_in_ker, z)
-        self._rel_snf = smith_normal_form(rel)
-        diag = self._rel_snf.diagonal()
+        rel = matrix_from_columns([self._kernel_coords(d_in.column(j)) for j in range(d_in.cols)], z)
+        rel_snf = smith_normal_form(rel)
+        # coords() reads U and class_generators() U^{-1}; V and V^{-1} of
+        # the relations are never needed, so they are not kept.
+        self._rel_U = rel_snf.U
+        self._rel_U_inv = rel_snf.U_inv
+        diag = rel_snf.diagonal()
         rank_rel = sum(1 for d in diag if d != 0)
         self.group = _group_from_divisors(diag, free_rank=z - rank_rel)
-        self._moduli = []
-        for i in range(z):
-            d = diag[i] if i < len(diag) else 0
-            self._moduli.append(d)
+        self._moduli = [diag[i] if i < len(diag) else 0 for i in range(z)]
 
     def _kernel_coords(self, cycle: Sequence[int]) -> list[int]:
         """Coordinates of a cycle in the kernel basis (exact, integral)."""
         if self.d_out.cols and any(x != 0 for x in self.d_out.apply(list(cycle))):
             raise ValueError("vector is not a cycle")
-        snf = self._snf_kernel
-        c = snf.U.apply(list(cycle))
-        y = [0] * self.kernel.cols
-        diag = snf.diagonal()
-        for i in range(len(c)):
-            d = diag[i] if i < len(diag) else 0
-            if d == 0:
-                if c[i] != 0:
-                    raise ValueError("vector is not in the kernel lattice")
-            else:
-                q, r = divmod(c[i], d)
-                if r != 0:
-                    raise ValueError("vector is not in the kernel lattice")
-                y[i] = q
-        return snf.V.apply(y)
+        return self._kernel_rows.apply(list(cycle))
 
     def coords(self, cycle: Sequence[int]) -> tuple[int, ...]:
         """Canonical coordinates of the homology class of a cycle.
@@ -368,7 +412,7 @@ class HomologyData:
         invariant of the class.
         """
         y = self._kernel_coords(cycle)
-        t = self._rel_snf.U.apply(y)
+        t = self._rel_U.apply(y)
         out = []
         for i, val in enumerate(t):
             mod = self._moduli[i]
@@ -380,16 +424,12 @@ class HomologyData:
     def class_generators(self) -> list[list[int]]:
         """Cycles whose classes generate the homology group."""
         # Preimages of the presentation's standard generators: columns of
-        # kernel @ U^{-1}.  Solving U x = e_i is exact since U is unimodular.
-        z = self.kernel.cols
-        gens = []
-        for i in range(z):
-            if self._moduli[i] == 1:
-                continue
-            e = [1 if j == i else 0 for j in range(z)]
-            x = solve_integer(self._rel_snf.U, e)
-            gens.append(self.kernel.apply(x))
-        return gens
+        # kernel @ U^{-1}, skipping the trivial summands (modulus 1).
+        return [
+            self.kernel.apply(self._rel_U_inv.column(i))
+            for i, mod in enumerate(self._moduli)
+            if mod != 1
+        ]
 
     def zero_class(self) -> tuple[int, ...]:
         return tuple(0 for m in self._moduli if m != 1)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -305,3 +307,74 @@ def test_with_ring_reduction():
     assert verify_ainf(cat, 4).passed
     with pytest.raises(ValueError):
         with_ring(cat, "Z")
+
+
+def negated_unit_square(raw: dict) -> dict:
+    """The split_summand_pair file with its eK . eK -> eK constant negated."""
+    for op in raw["operations"]:
+        for t in op["terms"]:
+            if [r[2] for r in t["inputs"]] == ["eK", "eK"] and t["output"][2] == "eK":
+                t["coefficient"] = -t["coefficient"]
+    return raw
+
+
+def test_cli_replay_refuses_certificate_for_another_file(tmp_path, capsys):
+    raw = category_to_json(split_summand_pair())
+    good = tmp_path / "split.json"
+    good.write_text(json.dumps(raw))
+    cert = tmp_path / "split.cert.json"
+    args = ["--object", "K", "--subcategory", "L", "--max-length", "2"]
+    assert cli.main(["generate", str(good), *args, "--emit", str(cert)]) == 0
+    assert cli.main(["generate", str(good), "--object", "K", "--replay", str(cert)]) == 0
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(negated_unit_square(raw)))
+    capsys.readouterr()
+    assert cli.main(["generate", str(broken), "--object", "K", "--replay", str(cert)]) == 2
+    assert "input error: /category_digest: " in capsys.readouterr().err
+    assert cli.main(["validate", str(broken)]) == 1
+
+
+def test_cli_validate_unit_not_a_cycle_exit_2(tmp_path, capsys):
+    raw = category_to_json(split_summand_pair())
+    raw["units"]["K"] = [{"generator": ["K", "L", "f1"], "coefficient": 1}]
+    path = tmp_path / "unit.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main(["validate", str(path)]) == 2
+    assert "input error: /units/K: " in capsys.readouterr().err
+
+
+def test_cli_cardy_undeclared_generator_exit_2(tmp_path, capsys):
+    phi = coproduct_morphism("dual_numbers", 1)
+    raw = category_to_json(phi.source.cat, morphism_tables=[morphism_to_json("m", "*", phi)])
+    raw["cardy"] = {
+        "morphism": "m",
+        "degree": 1,
+        "closed_complex": {"basis": [{"name": "c", "degree": 0}], "differential": []},
+        "chain_maps": {"oc": [{"word": [["*", "*", "nosuch"]], "output": "c", "coefficient": 1}], "co": []},
+    }
+    path = tmp_path / "cardy.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main(["cardy", str(path), "--morphism", "m", "--max-length", "2"]) == 2
+    assert "input error: /cardy/chain_maps/oc/0: " in capsys.readouterr().err
+    assert cli.main(["validate", str(path)]) == 2
+
+
+def test_cli_cardy_verifies_each_chain_map_once(tmp_path, monkeypatch):
+    # CC(phi), OC and CO are each checked once, however many checks run
+    from ainfcat import cardy, complexes, hochschild
+
+    calls = []
+
+    def counting(f):
+        calls.append(f.name)
+        return complexes.verify_chain_map(f)
+
+    monkeypatch.setattr(hochschild, "verify_chain_map", counting)
+    monkeypatch.setattr(cardy, "verify_chain_map", counting)
+    path = tmp_path / "cone.json"
+    phi = coproduct_morphism("cone_algebra", 1)
+    path.write_bytes(dump(phi.source.cat, morphisms=[morphism_to_json("m", "*", phi)]))
+    argv = ["cardy", str(path), "--morphism", "m", "--max-length", "2", "--solve"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    assert sorted(calls) == sorted(["CC(morphism)", "mu o CC", "(+-)id"])

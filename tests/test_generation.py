@@ -206,3 +206,16 @@ def test_replay_detects_tampered_tau():
     )
     out = replay_certificate(cat, tampered, {e: 1})
     assert out.verdict == "refuted-at-bound"
+
+
+def test_replay_refutes_certificate_in_broken_category():
+    from ainfcat.core import with_negated_term
+
+    cat = split_summand_pair()
+    eK = gen_named(cat, "eK")
+    cert = generation_test(cat, ["L"], "K", {eK: 1}, max_length=2)
+    assert cert.generated
+    broken = with_negated_term(cat, 2, (eK, eK), eK)
+    out = replay_certificate(broken, cert, {eK: 1})
+    assert out.verdict == "refuted-at-bound"
+    assert out.detail == "category fails the structure relations"

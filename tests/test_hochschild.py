@@ -23,6 +23,7 @@ from ainfcat.hochschild import (
     cc_of_delta,
     cc_of_delta_word,
     hochschild_homology,
+    length_filter,
     truncated_cc,
     word_degree,
 )
@@ -91,6 +92,17 @@ def test_b_never_increases_length_and_raises_degree(make):
 def test_truncated_cc_validates():
     for make in ALL_FIXTURES:
         truncated_cc(make(), 3)
+
+
+@pytest.mark.parametrize("make", ALL_FIXTURES)
+def test_length_filter_is_the_shorter_truncation(make):
+    cat = make()
+    big = truncated_cc(cat, 3)
+    small = length_filter(big, 2)
+    direct = truncated_cc(cat, 2)
+    assert small.basis == direct.basis
+    for k in direct.degrees():
+        assert small.matrix(k) == direct.matrix(k)
 
 
 # -- homology ---------------------------------------------------------------

@@ -284,3 +284,10 @@ def test_class_generators_generate():
     assert len(gens) == len(hd.zero_class())
     seen = {hd.coords(g) for g in gens}
     assert hd.zero_class() not in seen
+
+
+def test_coords_refuse_a_non_cycle():
+    # Z --[1]--> Z: the generator of the source is not a cycle
+    hd = HomologyData(IntMatrix([[1]]), IntMatrix.zeros(1, 0))
+    with pytest.raises(ValueError, match="not a cycle"):
+        hd.coords([1])

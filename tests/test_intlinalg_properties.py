@@ -1,0 +1,151 @@
+"""Property tests of the exact linear algebra against a second oracle.
+
+Random integer matrices up to 8 x 8 are checked against sympy's Smith
+normal form, the transforms U, V and their inverses against the
+identities they must satisfy, and solve_integer against the
+invariant-factor criterion for integral solvability.  Random small complexes check the kernel
+coordinates and the class generators that HomologyData reads off those
+inverses.  The minors oracle of test_intlinalg.py stays as the first one.
+"""
+
+from __future__ import annotations
+
+import math
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy import Matrix, ZZ
+from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+from ainfcat.intlinalg import (
+    FinAbGroup,
+    HomologyData,
+    IntMatrix,
+    RationalOnly,
+    Unsolvable,
+    kernel_basis,
+    smith_normal_form,
+    solve_integer,
+)
+
+SETTINGS = settings(max_examples=150, deadline=None)
+
+entries = st.integers(min_value=-6, max_value=6)
+
+
+@st.composite
+def matrices(draw, max_dim=8):
+    rows = draw(st.integers(min_value=0, max_value=max_dim))
+    cols = draw(st.integers(min_value=0, max_value=max_dim))
+    data = draw(st.lists(st.lists(entries, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+    return IntMatrix(data, cols=cols)
+
+
+@st.composite
+def complexes(draw):
+    """(d_out, d_in) with d_out @ d_in == 0, both at most 5 x 5.
+
+    Rows of d_out are drawn from the lattice orthogonal to the columns of
+    d_in, so the pair composes to zero over Z.
+    """
+    n0 = draw(st.integers(min_value=0, max_value=5))
+    n1 = draw(st.integers(min_value=1, max_value=5))
+    n2 = draw(st.integers(min_value=0, max_value=5))
+    small = st.integers(min_value=-3, max_value=3)
+    d_in = IntMatrix(draw(st.lists(st.lists(small, min_size=n0, max_size=n0), min_size=n1, max_size=n1)), cols=n0)
+    K = kernel_basis(d_in.transpose())
+    rows = []
+    for _ in range(n2):
+        c = draw(st.lists(small, min_size=K.cols, max_size=K.cols))
+        rows.append([sum(K[i, j] * c[j] for j in range(K.cols)) for i in range(n1)])
+    return IntMatrix(rows, cols=n1), d_in
+
+
+def sympy_diagonal(A: IntMatrix) -> list[int]:
+    n = min(A.rows, A.cols)
+    if n == 0:
+        return []
+    D = sympy_snf(Matrix(A.rows, A.cols, [x for row in A.data for x in row]), domain=ZZ)
+    return [abs(int(D[i, i])) for i in range(n)]
+
+
+@SETTINGS
+@given(matrices())
+def test_transforms_and_their_inverses(A):
+    snf = smith_normal_form(A)
+    assert snf.U @ A @ snf.V == snf.D
+    assert snf.U @ snf.U_inv == IntMatrix.identity(A.rows)
+    assert snf.U_inv @ snf.U == IntMatrix.identity(A.rows)
+    assert snf.V_inv @ snf.V == IntMatrix.identity(A.cols)
+    assert snf.V @ snf.V_inv == IntMatrix.identity(A.cols)
+
+
+@SETTINGS
+@given(matrices())
+def test_diagonal_matches_sympy(A):
+    snf = smith_normal_form(A)
+    assert snf.diagonal() == sympy_diagonal(A)
+    off_diagonal = [snf.D[i, j] for i in range(A.rows) for j in range(A.cols) if i != j]
+    assert not any(off_diagonal)
+
+
+def nonzero_product(diagonal: list[int]) -> tuple[int, int]:
+    """(rank, product of the nonzero invariant factors)."""
+    nonzero = [d for d in diagonal if d]
+    return len(nonzero), math.prod(nonzero)
+
+
+@SETTINGS
+@given(matrices(max_dim=6), st.data())
+def test_solve_integer_matches_sympy(A, data):
+    # A x = b is solvable over Q iff [A | b] has the rank of A, and over Z
+    # iff moreover the product of the nonzero invariant factors is unchanged.
+    b = data.draw(st.lists(entries, min_size=A.rows, max_size=A.rows))
+    augmented = IntMatrix([list(row) + [c] for row, c in zip(A.data, b)], cols=A.cols + 1)
+    rank_a, prod_a = nonzero_product(sympy_diagonal(A))
+    rank_ab, prod_ab = nonzero_product(sympy_diagonal(augmented))
+    x = solve_integer(A, b)
+    if rank_ab > rank_a:
+        assert isinstance(x, Unsolvable)
+    elif prod_ab != prod_a:
+        assert isinstance(x, RationalOnly)
+    else:
+        assert A.apply(x) == b
+
+
+@SETTINGS
+@given(complexes(), st.data())
+def test_kernel_coordinates_invert_the_kernel_basis(pair, data):
+    d_out, d_in = pair
+    hd = HomologyData(d_out, d_in)
+    z = hd.kernel.cols
+    y = data.draw(st.lists(st.integers(min_value=-5, max_value=5), min_size=z, max_size=z))
+    x = hd.kernel.apply(y)  # an arbitrary cycle
+    assert hd._kernel_coords(x) == y
+    assert hd.kernel.apply(hd._kernel_coords(x)) == x
+
+
+@SETTINGS
+@given(complexes())
+def test_class_generators_have_unit_coordinates(pair):
+    d_out, d_in = pair
+    hd = HomologyData(d_out, d_in)
+    gens = hd.class_generators()
+    width = len(hd.zero_class())
+    assert len(gens) == width
+    for i, g in enumerate(gens):
+        assert hd.coords(g) == tuple(1 if j == i else 0 for j in range(width))
+    for j in range(d_in.cols):
+        assert hd.coords(d_in.column(j)) == hd.zero_class()
+
+
+@SETTINGS
+@given(complexes())
+def test_homology_group_matches_sympy(pair):
+    d_out, d_in = pair
+    n = d_out.cols
+    rank_out = Matrix(d_out.rows, n, [x for r in d_out.data for x in r]).rank() if d_out.rows else 0
+    diag_in = sympy_diagonal(d_in)
+    torsion = tuple(d for d in diag_in if d >= 2)
+    free = n - rank_out - sum(1 for d in diag_in if d)
+    assert HomologyData(d_out, d_in).group == FinAbGroup(free, torsion)
