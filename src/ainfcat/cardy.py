@@ -152,7 +152,7 @@ def solve_homotopy(
     for k in cc.degrees():
         for w in cc.basis[k]:
             # mu(CC(phi)(w)) - CO(OC(w)), the part of the identity without H
-            r = chain_add(dict(mu_cc.chain(w)), data.co.apply_to(data.oc.chain(w)), -1)
+            r = chain_add(mu_cc.chain(w), data.co.apply_to(data.oc.chain(w)), -1)
             target = hom_cx.basis.get(k + n, [])
             if not target:
                 # the equation in this degree still constrains nothing only

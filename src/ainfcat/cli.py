@@ -32,7 +32,7 @@ from .cardy import (
     verify_cardy_on_homology,
     verify_homotopy_equation,
 )
-from .complexes import BasedComplex, GradedMap
+from .complexes import GradedMap
 from .core import verify_ainf, with_ring
 from .fileformat import (
     InputError,
@@ -212,7 +212,7 @@ def cmd_generate(args) -> int:
     e = cat.units[K]
 
     if args.replay:
-        cert = load_certificate(_read(args.replay), cat, digest=loaded.digest)
+        cert = load_certificate(_read(args.replay), cat, loaded.digest)
         out = replay_certificate(cat, cert, e)
         report = {
             "command": "generate",
@@ -254,26 +254,6 @@ def cmd_generate(args) -> int:
     return EXIT_PASS if cert.generated else EXIT_FAIL
 
 
-def _closed_complex_from_tables(section, cat) -> BasedComplex:
-    basis: dict[int, list] = {}
-    names = {}
-    for b in section["basis"]:
-        if b["name"] in names:
-            raise InputError(f"duplicate closed-complex basis name {b['name']}", path="/cardy/closed_complex")
-        names[b["name"]] = b["degree"]
-        basis.setdefault(b["degree"], []).append(b["name"])
-    for k in basis:
-        basis[k].sort()
-    diff_table: dict[str, dict] = {}
-    for t in section["differential"]:
-        if t["input"] not in names or t["output"] not in names:
-            raise InputError("differential references undeclared basis element", path="/cardy/closed_complex")
-        diff_table.setdefault(t["input"], {})[t["output"]] = t["coefficient"]
-    cx = BasedComplex(basis, lambda label: diff_table.get(label, {}), ring=cat.ring)
-    cx.validate()
-    return cx
-
-
 def cmd_cardy(args) -> int:
     data = _read(args.path)
     loaded = load_category(data)
@@ -296,18 +276,18 @@ def cmd_cardy(args) -> int:
 
     # mu o CC(phi) is built and its CC(phi) part verified once, here
     mu_cc = mu_cc_map(cat, K, phi, cc, tcx)
-    section = loaded.raw.get("cardy")
     maps = loaded.cardy_maps
     H = HomotopyWitness()
     if maps is not None and not args.telescoping:
-        closed = _closed_complex_from_tables(section["closed_complex"], cat)
+        closed = loaded.cardy_closed
         hom_cx = hom_complex(cat, K, K)
+        degree = loaded.raw["cardy"]["degree"]
         data_obj = OpenClosedData(
             cat=cat,
             K=K,
-            n=section["degree"],
+            n=degree,
             closed=closed,
-            oc=GradedMap(source=cc, target=closed, shift=section["degree"], apply=lambda w: maps["oc"].get(w, {})),
+            oc=GradedMap(source=cc, target=closed, shift=degree, apply=lambda w: maps["oc"].get(w, {})),
             co=GradedMap(source=closed, target=hom_cx, shift=0, apply=lambda lb: maps["co"].get(lb, {})),
         )
         H = HomotopyWitness(table=maps["homotopy"])

@@ -12,7 +12,7 @@ checked entrywise by verify_chain_map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping
 
 from .core import RING_F2, VerificationReport, chain_add, chain_normalize, collect_violations, parity_sign
@@ -103,24 +103,16 @@ class BasedComplex:
 
 @dataclass
 class GradedMap:
-    """A degree-`shift` linear map between two BasedComplexes, label to chain.
-
-    Images are computed once per label and shared, like
-    BasedComplex.diff_chain; callers must not modify them.
-    """
+    """A degree-`shift` linear map between two BasedComplexes, label to chain."""
 
     source: BasedComplex
     target: BasedComplex
     shift: int
     apply: Callable[[object], Mapping]
     name: str = "map"
-    _images: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def chain(self, label) -> dict:
-        image = self._images.get(label)
-        if image is None:
-            image = self._images[label] = chain_normalize(dict(self.apply(label)), self.target.ring)
-        return image
+        return chain_normalize(dict(self.apply(label)), self.target.ring)
 
     def apply_to(self, chain: Mapping) -> dict:
         out: dict = {}

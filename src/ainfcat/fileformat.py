@@ -19,7 +19,9 @@ from dataclasses import dataclass
 
 import jsonschema
 
+from .complexes import BasedComplex
 from .core import RING_F2, RING_Z, AinfCategory, Gen, NonComposable
+from .intlinalg import NotAComplex
 
 FORMAT_TAG = "ainfcat-category/1"
 CERT_TAG = "ainfcat-certificate/1"
@@ -257,6 +259,8 @@ class LoadedFile:
     category: AinfCategory
     raw: dict
     digest: str
+    # the cardy section's closed complex, validated, or None
+    cardy_closed: BasedComplex | None = None
     # the cardy section's chain_maps with references resolved, or None:
     # "oc" word -> {closed name: c}, "co" closed name -> {Gen: c},
     # "homotopy" word -> {Gen: c}
@@ -343,11 +347,48 @@ def load_category(data: bytes) -> LoadedFile:
         cat = AinfCategory(objects=objects, hom=hom, mu=mu, ring=raw["ring"], units=units)
     except (ValueError, NonComposable) as err:
         raise InputError(str(err), path="/operations")
-    cardy_maps = _cardy_maps(raw.get("cardy", {}), refs_index)
-    return LoadedFile(category=cat, raw=raw, digest=file_digest(data), cardy_maps=cardy_maps)
+    section = raw.get("cardy", {})
+    closed = _closed_complex(section["closed_complex"], cat.ring) if "closed_complex" in section else None
+    return LoadedFile(
+        category=cat,
+        raw=raw,
+        digest=file_digest(data),
+        cardy_closed=closed,
+        cardy_maps=_cardy_maps(section, closed, refs_index),
+    )
 
 
-def _cardy_maps(section: dict, refs_index) -> dict | None:
+def _closed_complex(table: dict, ring: str) -> BasedComplex:
+    """The cardy section's closed complex: unique names, a differential of
+    degree +1 between declared elements, and d o d = 0."""
+    degree: dict[str, int] = {}
+    for j, b in enumerate(table["basis"]):
+        if b["name"] in degree:
+            raise InputError(
+                f"duplicate closed-complex basis name {b['name']!r}", path=f"/cardy/closed_complex/basis/{j}"
+            )
+        degree[b["name"]] = b["degree"]
+    diff_table: dict[str, dict] = {}
+    for i, t in enumerate(table["differential"]):
+        path = f"/cardy/closed_complex/differential/{i}"
+        for name in (t["input"], t["output"]):
+            if name not in degree:
+                raise InputError(f"reference to undeclared closed-complex element {name!r}", path=path)
+        if degree[t["output"]] != degree[t["input"]] + 1:
+            raise InputError("the differential must raise degree by one", path=path)
+        diff_table.setdefault(t["input"], {})[t["output"]] = t["coefficient"]
+    basis: dict[int, list] = {}
+    for name in sorted(degree):
+        basis.setdefault(degree[name], []).append(name)
+    cx = BasedComplex(basis, lambda name: diff_table.get(name, {}), ring=ring)
+    try:
+        cx.validate()
+    except NotAComplex as err:
+        raise InputError(str(err), path="/cardy/closed_complex")
+    return cx
+
+
+def _cardy_maps(section: dict, closed: BasedComplex | None, refs_index) -> dict | None:
     """Resolve the chain-map tables of the cardy section.
 
     Every generator reference must be declared, and every closed-complex
@@ -355,12 +396,12 @@ def _cardy_maps(section: dict, refs_index) -> dict | None:
     """
     if "chain_maps" not in section:
         return None
-    if "closed_complex" not in section:
+    if closed is None:
         raise InputError("chain maps need a closed complex", path="/cardy")
-    closed = {b["name"] for b in section["closed_complex"]["basis"]}
+    names = {name for labels in closed.basis.values() for name in labels}
 
     def closed_name(name, path):
-        if name not in closed:
+        if name not in names:
             raise InputError(f"reference to undeclared closed-complex element {name!r}", path=path)
         return name
 
@@ -505,10 +546,9 @@ def certificate_to_json(cert, digest: str) -> dict:
     }
 
 
-def load_certificate(data: bytes, cat: AinfCategory, digest: str | None = None):
-    """Read a certificate for `cat`.  With `digest` (the category file's
-    digest), a certificate that records a different category_digest is
-    refused."""
+def load_certificate(data: bytes, cat: AinfCategory, digest: str):
+    """Read a certificate for `cat`, whose file has digest `digest`; a
+    certificate that records no or another category_digest is refused."""
     from .bimodules import TensorWord
     from .generation import GenerationCertificate
 
@@ -517,8 +557,8 @@ def load_certificate(data: bytes, cat: AinfCategory, digest: str | None = None):
     except json.JSONDecodeError as err:
         raise InputError(f"not valid JSON: {err}")
     _schema_check(raw, CERTIFICATE_SCHEMA)
-    if digest is not None and raw.get("category_digest", digest) != digest:
-        raise InputError("certificate was emitted for a different category file", path="/category_digest")
+    if raw.get("category_digest") != digest:
+        raise InputError("certificate was not emitted for this category file", path="/category_digest")
     refs_index = {(g.source, g.target, g.name): g for g in cat.generators()}
     tau = {}
     for i, t in enumerate(raw["tau"]):

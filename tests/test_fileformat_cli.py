@@ -334,6 +334,20 @@ def test_cli_replay_refuses_certificate_for_another_file(tmp_path, capsys):
     assert cli.main(["validate", str(broken)]) == 1
 
 
+def test_cli_replay_refuses_certificate_without_digest(tmp_path, capsys):
+    path = tmp_path / "split.json"
+    path.write_bytes(dump(split_summand_pair()))
+    cert = tmp_path / "split.cert.json"
+    args = ["--object", "K", "--subcategory", "L", "--max-length", "2"]
+    assert cli.main(["generate", str(path), *args, "--emit", str(cert)]) == 0
+    raw = json.loads(cert.read_text())
+    del raw["category_digest"]
+    cert.write_text(json.dumps(raw))
+    capsys.readouterr()
+    assert cli.main(["generate", str(path), "--object", "K", "--replay", str(cert)]) == 2
+    assert "input error: /category_digest: " in capsys.readouterr().err
+
+
 def test_cli_validate_unit_not_a_cycle_exit_2(tmp_path, capsys):
     raw = category_to_json(split_summand_pair())
     raw["units"]["K"] = [{"generator": ["K", "L", "f1"], "coefficient": 1}]
@@ -357,6 +371,52 @@ def test_cli_cardy_undeclared_generator_exit_2(tmp_path, capsys):
     assert cli.main(["cardy", str(path), "--morphism", "m", "--max-length", "2"]) == 2
     assert "input error: /cardy/chain_maps/oc/0: " in capsys.readouterr().err
     assert cli.main(["validate", str(path)]) == 2
+
+
+@pytest.mark.parametrize(
+    "closed, path",
+    [
+        (  # a name declared twice
+            {"basis": [{"name": "c", "degree": 0}, {"name": "c", "degree": 1}], "differential": []},
+            "/cardy/closed_complex/basis/1",
+        ),
+        (  # a differential into an undeclared name
+            {"basis": [{"name": "c", "degree": 0}], "differential": [{"input": "c", "output": "x", "coefficient": 1}]},
+            "/cardy/closed_complex/differential/0",
+        ),
+        (  # a differential that does not raise degree by one
+            {
+                "basis": [{"name": "a", "degree": 0}, {"name": "c", "degree": 0}],
+                "differential": [{"input": "a", "output": "c", "coefficient": 1}],
+            },
+            "/cardy/closed_complex/differential/0",
+        ),
+        (  # a -> b -> c with d o d (a) = c
+            {
+                "basis": [{"name": "a", "degree": 0}, {"name": "b", "degree": 1}, {"name": "c", "degree": 2}],
+                "differential": [
+                    {"input": "a", "output": "b", "coefficient": 1},
+                    {"input": "b", "output": "c", "coefficient": 1},
+                ],
+            },
+            "/cardy/closed_complex",
+        ),
+    ],
+)
+def test_cli_cardy_bad_closed_complex_exit_2(tmp_path, capsys, monkeypatch, closed, path):
+    # refused while the file loads, before mu o CC(phi) is built
+    def not_reached(*args):
+        raise AssertionError("mu_cc_map called on a file with a bad closed complex")
+
+    monkeypatch.setattr(cli, "mu_cc_map", not_reached)
+    phi = coproduct_morphism("dual_numbers", 1)
+    raw = category_to_json(phi.source.cat, morphism_tables=[morphism_to_json("m", "*", phi)])
+    raw["cardy"] = {"morphism": "m", "degree": 1, "closed_complex": closed, "chain_maps": {"oc": [], "co": []}}
+    cat_path = tmp_path / "cardy.json"
+    cat_path.write_text(json.dumps(raw))
+    assert cli.main(["cardy", str(cat_path), "--morphism", "m", "--max-length", "2"]) == 2
+    assert f"input error: {path}: " in capsys.readouterr().err
+    assert cli.main(["validate", str(cat_path)]) == 2
 
 
 def test_cli_cardy_verifies_each_chain_map_once(tmp_path, monkeypatch):
