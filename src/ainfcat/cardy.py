@@ -13,6 +13,10 @@ compositions on truncated homology up to the global sign
 complexes' own differentials keep the module conventions documented
 elsewhere.
 
+Everything the checks need is one OpenClosedData: mu o CC(phi), built
+once by mu_cc_map, fixes the cyclic complex, hom(K, K) and n, and the
+two connecting maps are checked against it.
+
 All checks are exact; there are no tolerances anywhere.
 """
 
@@ -21,44 +25,38 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .bimodules import BimoduleHom, hom_complex, mu_composition_map
+from .bimodules import BimoduleHom, mu_composition_map
 from .complexes import BasedComplex, GradedMap, VerificationReport, compose, verify_chain_map
 from .core import AinfCategory, Violation, chain_add, chain_normalize, collect_violations, parity_sign
 from .hochschild import bar_differential, cc_of_delta
 from .intlinalg import IntMatrix, RationalOnly, Unsolvable, solve_integer
 
 
-class NoSolution:
-    def __repr__(self):
-        return "NoSolution"
-
-
-class NoIntegralSolution:
-    def __repr__(self):
-        return "NoIntegralSolution"
-
-
-NO_SOLUTION = NoSolution()
-NO_INTEGRAL_SOLUTION = NoIntegralSolution()
-
-
 @dataclass
 class OpenClosedData:
-    """User-supplied closed-sector complex and the two connecting maps.
+    """mu o CC(phi) and the two connecting maps.
 
-    `oc` maps the cyclic complex to the closed complex with degree shift
-    n; `co` maps the closed complex to the endomorphism complex of K with
-    shift 0.  Both are verified to be chain maps on construction.
+    `mu_cc` runs from the cyclic complex to hom(K, K) with shift n (see
+    mu_cc_map); `oc` maps the same cyclic complex to the closed complex
+    with shift n; `co` maps the closed complex to that same hom(K, K)
+    with shift 0.  The shifts and endpoints are checked, and oc and co
+    are verified to be chain maps, on construction.
     """
 
     cat: AinfCategory
-    K: str
-    n: int
-    closed: BasedComplex
+    mu_cc: GradedMap
     oc: GradedMap
     co: GradedMap
 
+    @property
+    def n(self) -> int:
+        return self.mu_cc.shift
+
     def __post_init__(self):
+        if self.oc.source is not self.mu_cc.source:
+            raise ValueError("open-to-closed map must start at the cyclic complex of mu o CC(phi)")
+        if self.co.target is not self.mu_cc.target:
+            raise ValueError("closed-to-open map must end on hom(K, K), the target of mu o CC(phi)")
         if self.oc.shift != self.n:
             raise ValueError(f"open-to-closed map must shift degree by n = {self.n}")
         if self.co.shift != 0:
@@ -79,64 +77,43 @@ class HomotopyWitness:
         return self.table.get(word, {})
 
 
-def _homotopy_residual(data: OpenClosedData, mu_cc: GradedMap, H: HomotopyWitness, word) -> dict:
+def _homotopy_residual(data: OpenClosedData, H: HomotopyWitness, word) -> dict:
     cat = data.cat
-    n = data.n
     out: dict = {}
-    chain_add(out, cat.mu_boundary([H.chain(word)]), parity_sign(n))
+    chain_add(out, cat.mu_boundary([H.chain(word)]), parity_sign(data.n))
     for w1, c in bar_differential(cat, word).items():
         chain_add(out, H.chain(w1), c)
-    chain_add(out, mu_cc.chain(word), 1)
+    chain_add(out, data.mu_cc.chain(word), 1)
     chain_add(out, data.co.apply_to(data.oc.chain(word)), -1)
     return chain_normalize(out, cat.ring)
 
 
-def verify_homotopy_equation(
-    data: OpenClosedData,
-    phi: BimoduleHom,
-    H: HomotopyWitness,
-    cc: BasedComplex,
-    tensor_cx: BasedComplex,
-    mu_cc: GradedMap | None = None,
-) -> VerificationReport:
-    """The four-term identity on every word of the truncation.
-
-    mu_cc is mu o CC(phi) as built by mu_cc_map; it is built here when not
-    given.
-    """
-    if mu_cc is None:
-        mu_cc = mu_cc_map(data.cat, data.K, phi, cc, tensor_cx)
+def verify_homotopy_equation(data: OpenClosedData, H: HomotopyWitness) -> VerificationReport:
+    """The four-term identity on every word of the truncation."""
+    cc = data.mu_cc.source
     return collect_violations(
-        ((word,), _homotopy_residual(data, mu_cc, H, word)) for k in cc.degrees() for word in cc.basis[k]
+        ((word,), _homotopy_residual(data, H, word)) for k in cc.degrees() for word in cc.basis[k]
     )
 
 
-def mu_cc_map(cat: AinfCategory, K: str, phi: BimoduleHom, cc: BasedComplex, tensor_cx: BasedComplex) -> GradedMap:
-    """mu o CC(phi), from cyclic chains to hom(K, K); CC(phi) is verified
-    to be a chain map (cc_of_delta).  Build it once and pass it to the
-    checks below, which otherwise each build and verify their own."""
+def mu_cc_map(phi: BimoduleHom, cc: BasedComplex, tensor_cx: BasedComplex) -> GradedMap:
+    """mu o CC(phi), from the cyclic complex cc to hom(K, K), where K is
+    phi's base object; CC(phi) is verified to be a chain map (cc_of_delta)."""
     f = cc_of_delta(phi, cc, tensor_cx)
-    mu = mu_composition_map(cat, K, tensor_cx)
+    mu = mu_composition_map(phi.source.cat, phi.target.left.K, tensor_cx)
     return compose(mu, f, name="mu o CC")
 
 
-def solve_homotopy(
-    data: OpenClosedData,
-    phi: BimoduleHom,
-    cc: BasedComplex,
-    tensor_cx: BasedComplex,
-    mu_cc: GradedMap | None = None,
-):
+def solve_homotopy(data: OpenClosedData) -> HomotopyWitness | Unsolvable | RationalOnly:
     """Solve the homotopy identity for H over the integers.
 
-    Returns a HomotopyWitness, or NO_INTEGRAL_SOLUTION when the system is
-    solvable over the rationals only, or NO_SOLUTION otherwise.
+    Returns a HomotopyWitness, or solve_integer's RationalOnly when the
+    system is solvable over the rationals only, or Unsolvable otherwise.
     """
     cat = data.cat
     n = data.n
-    if mu_cc is None:
-        mu_cc = mu_cc_map(cat, data.K, phi, cc, tensor_cx)
-    hom_cx = hom_complex(cat, data.K, data.K)
+    cc = data.mu_cc.source
+    hom_cx = data.mu_cc.target
 
     variables: list = []  # (word, target generator)
     var_index: dict = {}
@@ -152,13 +129,13 @@ def solve_homotopy(
     for k in cc.degrees():
         for w in cc.basis[k]:
             # mu(CC(phi)(w)) - CO(OC(w)), the part of the identity without H
-            r = chain_add(mu_cc.chain(w), data.co.apply_to(data.oc.chain(w)), -1)
+            r = chain_add(data.mu_cc.chain(w), data.co.apply_to(data.oc.chain(w)), -1)
             target = hom_cx.basis.get(k + n, [])
             if not target:
                 # the equation in this degree still constrains nothing only
                 # if the right-hand side vanishes; check it
                 if chain_normalize(r, cat.ring):
-                    return NO_SOLUTION
+                    return Unsolvable()
                 continue
             bw = bar_differential(cat, w)
             for y in target:
@@ -178,10 +155,8 @@ def solve_homotopy(
 
     A = IntMatrix(rows, cols=len(variables)) if rows else IntMatrix.zeros(0, len(variables))
     sol = solve_integer(A, rhs)
-    if isinstance(sol, Unsolvable):
-        return NO_SOLUTION
-    if isinstance(sol, RationalOnly):
-        return NO_INTEGRAL_SOLUTION
+    if isinstance(sol, (Unsolvable, RationalOnly)):
+        return sol
     table: dict = {}
     for (w, y), c in zip(variables, sol):
         if c:
@@ -189,24 +164,17 @@ def solve_homotopy(
     return HomotopyWitness(table=table)
 
 
-def verify_cardy_on_homology(
-    data: OpenClosedData,
-    phi: BimoduleHom,
-    cc: BasedComplex,
-    tensor_cx: BasedComplex,
-    degrees=None,
-    mu_cc: GradedMap | None = None,
-) -> VerificationReport:
+def verify_cardy_on_homology(data: OpenClosedData, degrees=None) -> VerificationReport:
     """Compare the two induced compositions on truncated homology.
 
     Checks [mu o CC(phi)] = (-1)^(n(n+1)/2) [CO o OC] classwise in the
     requested degrees of the word complex.
     """
     n = data.n
-    if mu_cc is None:
-        mu_cc = mu_cc_map(data.cat, data.K, phi, cc, tensor_cx)
-    co_oc = compose(data.co, data.oc, name="CO o OC")
+    mu_cc = data.mu_cc
+    cc = mu_cc.source
     hom_cx = mu_cc.target
+    co_oc = compose(data.co, data.oc, name="CO o OC")
     gsign = parity_sign(n * (n + 1) // 2)
 
     degs = list(degrees) if degrees is not None else cc.degrees()
@@ -233,19 +201,10 @@ def verify_cardy_on_homology(
 # standard configurations
 
 
-def telescoping_data(
-    cat: AinfCategory,
-    phi: BimoduleHom,
-    cc: BasedComplex,
-    tensor_cx: BasedComplex,
-    co_sign: int = 1,
-    mu_cc: GradedMap | None = None,
-) -> OpenClosedData:
-    """The self-referential configuration: the closed complex is the
-    endomorphism complex, the closed-to-open map is (+-)identity, and the
-    open-to-closed map is the composed collapse itself (mu_cc when given)."""
-    K = phi.target.left.K
-    hom_cx = hom_complex(cat, K, K)
-    oc = mu_cc_map(cat, K, phi, cc, tensor_cx) if mu_cc is None else mu_cc
+def telescoping_data(cat: AinfCategory, mu_cc: GradedMap, co_sign: int = 1) -> OpenClosedData:
+    """The self-referential configuration: the closed complex is hom(K, K),
+    the open-to-closed map is mu o CC(phi) itself, and the closed-to-open
+    map is (+-)identity."""
+    hom_cx = mu_cc.target
     co = GradedMap(source=hom_cx, target=hom_cx, shift=0, apply=lambda g: {g: co_sign}, name="(+-)id")
-    return OpenClosedData(cat=cat, K=K, n=phi.n, closed=hom_cx, oc=oc, co=co)
+    return OpenClosedData(cat=cat, mu_cc=mu_cc, oc=mu_cc, co=co)

@@ -20,11 +20,9 @@ import sys
 import time
 
 from . import fixtures as fixture_mod
-from .bimodules import RIGHT, LEFT, diagonal_bimodule, hom_complex, tensor_over_category, verify_bimodule, verify_bimodule_hom, yoneda_module
+from .bimodules import RIGHT, LEFT, diagonal_bimodule, tensor_over_category, verify_bimodule, verify_bimodule_hom, yoneda_module
 from .cardy import (
     HomotopyWitness,
-    NoIntegralSolution,
-    NoSolution,
     OpenClosedData,
     mu_cc_map,
     solve_homotopy,
@@ -45,6 +43,7 @@ from .fileformat import (
 )
 from .generation import NotACycle, generation_test, replay_certificate, verify_cohomological_unit
 from .hochschild import hochschild_homology, truncated_cc
+from .intlinalg import RationalOnly, Unsolvable
 from .strata import (
     annulus,
     bidisc,
@@ -264,6 +263,9 @@ def cmd_cardy(args) -> int:
         if len(morphisms) != 1:
             raise CliError("specify --morphism; the file declares " + str(len(morphisms)))
         name = morphisms[0]["name"]
+    maps = None if args.telescoping else loaded.cardy_maps
+    if maps is not None and name != loaded.raw["cardy"]["morphism"]:
+        raise InputError(f"the chain maps are for morphism {loaded.raw['cardy']['morphism']}", path="/cardy/morphism")
     phi = load_morphism(loaded, name)
     mr = verify_bimodule_hom(phi, max_inputs=3)
     if not mr.passed:
@@ -275,24 +277,18 @@ def cmd_cardy(args) -> int:
     )
 
     # mu o CC(phi) is built and its CC(phi) part verified once, here
-    mu_cc = mu_cc_map(cat, K, phi, cc, tcx)
-    maps = loaded.cardy_maps
+    mu_cc = mu_cc_map(phi, cc, tcx)
     H = HomotopyWitness()
-    if maps is not None and not args.telescoping:
+    if maps is not None:
         closed = loaded.cardy_closed
-        hom_cx = hom_complex(cat, K, K)
-        degree = loaded.raw["cardy"]["degree"]
         data_obj = OpenClosedData(
-            cat=cat,
-            K=K,
-            n=degree,
-            closed=closed,
-            oc=GradedMap(source=cc, target=closed, shift=degree, apply=lambda w: maps["oc"].get(w, {})),
-            co=GradedMap(source=closed, target=hom_cx, shift=0, apply=lambda lb: maps["co"].get(lb, {})),
+            cat=cat, mu_cc=mu_cc,
+            oc=GradedMap(source=cc, target=closed, shift=phi.n, apply=lambda w: maps["oc"].get(w, {})),
+            co=GradedMap(source=closed, target=mu_cc.target, shift=0, apply=lambda lb: maps["co"].get(lb, {})),
         )
         H = HomotopyWitness(table=maps["homotopy"])
     else:
-        data_obj = telescoping_data(cat, phi, cc, tcx, co_sign=args.co_sign, mu_cc=mu_cc)
+        data_obj = telescoping_data(cat, mu_cc, co_sign=args.co_sign)
 
     report = {
         "command": "cardy",
@@ -304,21 +300,21 @@ def cmd_cardy(args) -> int:
     }
     ok = True
     if args.solve:
-        out = solve_homotopy(data_obj, phi, cc, tcx, mu_cc=mu_cc)
-        if isinstance(out, NoSolution):
+        out = solve_homotopy(data_obj)
+        if isinstance(out, Unsolvable):
             report["homotopy"] = "no-solution"
             ok = False
-        elif isinstance(out, NoIntegralSolution):
+        elif isinstance(out, RationalOnly):
             report["homotopy"] = "no-integral-solution"
             ok = False
         else:
             H = out
             report["homotopy"] = f"solved ({sum(len(v) for v in H.table.values())} entries)"
-    hr = verify_homotopy_equation(data_obj, phi, H, cc, tcx, mu_cc=mu_cc)
+    hr = verify_homotopy_equation(data_obj, H)
     report["homotopy_equation"] = {"checked": hr.checked, "passed": hr.passed}
     report["witnesses"] += _witnesses(hr)
     ok &= hr.passed
-    cr = verify_cardy_on_homology(data_obj, phi, cc, tcx, mu_cc=mu_cc)
+    cr = verify_cardy_on_homology(data_obj)
     report["homology_comparison"] = {"checked": cr.checked, "passed": cr.passed}
     report["witnesses"] += _witnesses(cr)
     ok &= cr.passed

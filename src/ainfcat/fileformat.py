@@ -348,6 +348,12 @@ def load_category(data: bytes) -> LoadedFile:
     except (ValueError, NonComposable) as err:
         raise InputError(str(err), path="/operations")
     section = raw.get("cardy", {})
+    if section:
+        m = next((m for m in raw.get("morphisms", []) if m["name"] == section["morphism"]), None)
+        if m is None:
+            raise InputError(f"no morphism named {section['morphism']} in file", path="/cardy/morphism")
+        if m["degree"] != section["degree"]:
+            raise InputError(f"morphism {m['name']} has degree {m['degree']}", path="/cardy/degree")
     closed = _closed_complex(section["closed_complex"], cat.ring) if "closed_complex" in section else None
     return LoadedFile(
         category=cat,

@@ -228,8 +228,8 @@ class TwistedComplex:
         """Per-summand parity of the full-collapse evaluation sign."""
         return {sigma: sum(rdeg(a) for a in sigma.mid) % 2 for sigma in self.summands}
 
-    def verify_evaluation(self, eval_data: dict | None = None) -> None:
-        data = self.evaluation_data() if eval_data is None else eval_data
+    def verify_evaluation(self) -> None:
+        data = self.evaluation_data()
         cat = self.cat
         for X in self.cat.objects:
             cx = self.realization(X)
@@ -304,9 +304,8 @@ def build_universal_complex(cat: AinfCategory, B_objects: Sequence[str], K: str,
 
 def evaluation_morphism(tc: TwistedComplex) -> dict:
     """Closed degree-0 morphism data to the Yoneda module of K; verified."""
-    data = tc.evaluation_data()
-    tc.verify_evaluation(data)
-    return data
+    tc.verify_evaluation()
+    return tc.evaluation_data()
 
 
 # ---------------------------------------------------------------------------

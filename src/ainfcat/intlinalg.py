@@ -462,9 +462,9 @@ def rational_rank(A: IntMatrix) -> int:
 
 def f2_rank(A: IntMatrix) -> int:
     """Rank of A over the field with two elements."""
-    rows = [int("".join(str(x & 1) for x in row), 2) if row else 0 for row in A.data]
+    rows = [sum(1 << j for j, x in enumerate(row) if x & 1) for row in A.data]
     rank = 0
-    for bit in reversed(range(A.cols)):
+    for bit in range(A.cols):
         mask = 1 << bit
         piv = None
         for i in range(rank, len(rows)):

@@ -15,7 +15,7 @@ import sys
 import time
 
 from ainfcat.bimodules import LEFT, RIGHT, TensorWord, tensor_over_category, yoneda_module
-from ainfcat.cardy import HomotopyWitness, telescoping_data, verify_cardy_on_homology, verify_homotopy_equation
+from ainfcat.cardy import HomotopyWitness, mu_cc_map, telescoping_data, verify_cardy_on_homology, verify_homotopy_equation
 from ainfcat.core import chain_add, chain_normalize, cyclic_tuples, iter_terms, verify_ainf, with_negated_term
 from ainfcat.fileformat import category_to_json
 from ainfcat.fixtures import (
@@ -280,11 +280,11 @@ def test_criterion_6_cardy_telescoping():
         K = phi.target.left.K
         cc = truncated_cc(cat, 3)
         tcx = tensor_over_category(yoneda_module(cat, K, RIGHT), yoneda_module(cat, K, LEFT), 3)
-        data = telescoping_data(cat, phi, cc, tcx)
-        hr = verify_homotopy_equation(data, phi, HomotopyWitness(), cc, tcx)
+        data = telescoping_data(cat, mu_cc_map(phi, cc, tcx))
+        hr = verify_homotopy_equation(data, HomotopyWitness())
         if not hr.passed:
             problems.append(f"homotopy equation {fixture} n={n}")
-        cr = verify_cardy_on_homology(data, phi, cc, tcx)
+        cr = verify_cardy_on_homology(data)
         if not cr.passed:
             problems.append(f"homology comparison {fixture} n={n}")
     # the global sign genuinely discriminates: at n = 2 the negated
@@ -293,9 +293,10 @@ def test_criterion_6_cardy_telescoping():
     cat = phi.source.cat
     cc = truncated_cc(cat, 3)
     tcx = tensor_over_category(yoneda_module(cat, "*", RIGHT), yoneda_module(cat, "*", LEFT), 3)
-    if not verify_cardy_on_homology(telescoping_data(cat, phi, cc, tcx, co_sign=-1), phi, cc, tcx).passed:
+    mu_cc = mu_cc_map(phi, cc, tcx)
+    if not verify_cardy_on_homology(telescoping_data(cat, mu_cc, co_sign=-1)).passed:
         problems.append("signed comparison rejects the matching configuration")
-    if verify_cardy_on_homology(telescoping_data(cat, phi, cc, tcx, co_sign=1), phi, cc, tcx).passed:
+    if verify_cardy_on_homology(telescoping_data(cat, mu_cc, co_sign=1)).passed:
         problems.append("sign path not exercised: unsigned-equal configuration passed the signed check")
     report(6, not problems, "telescoping configurations pass at N<=3 for n in {0,1,2} on two fixtures "
                             "with the global sign applied at n=1,2, and the sign discriminates on the "

@@ -374,6 +374,46 @@ def test_cli_cardy_undeclared_generator_exit_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "section, path",
+    [
+        ({"morphism": "m", "degree": 0}, "/cardy/degree"),
+        ({"morphism": "m", "degree": 2}, "/cardy/degree"),
+        ({"morphism": "nosuch", "degree": 1}, "/cardy/morphism"),
+    ],
+)
+def test_cli_cardy_section_must_match_its_morphism(tmp_path, capsys, section, path):
+    # m has degree 1; the section must name a declared morphism and its degree
+    phi = coproduct_morphism("dual_numbers", 1)
+    raw = category_to_json(phi.source.cat, morphism_tables=[morphism_to_json("m", "*", phi)])
+    raw["cardy"] = section
+    cat_path = tmp_path / "cardy.json"
+    cat_path.write_text(json.dumps(raw))
+    for argv in (["cardy", str(cat_path), "--morphism", "m", "--max-length", "2"], ["validate", str(cat_path)]):
+        assert cli.main(argv) == 2
+        assert f"input error: {path}: " in capsys.readouterr().err
+
+
+def test_cli_cardy_chain_maps_refuse_another_morphism(tmp_path, capsys):
+    # the file's chain maps are for m; running them against m2 is an input
+    # error, while the telescoping configuration may use any morphism
+    phi = coproduct_morphism("dual_numbers", 1)
+    tables = [morphism_to_json("m", "*", phi), morphism_to_json("m2", "*", phi)]
+    raw = category_to_json(phi.source.cat, morphism_tables=tables)
+    raw["cardy"] = {
+        "morphism": "m",
+        "degree": 1,
+        "closed_complex": {"basis": [{"name": "c", "degree": 0}], "differential": []},
+        "chain_maps": {"oc": [], "co": []},
+    }
+    path = tmp_path / "cardy.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main(["cardy", str(path), "--morphism", "m2", "--max-length", "2"]) == 2
+    assert "input error: /cardy/morphism: " in capsys.readouterr().err
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["cardy", str(path), "--morphism", "m2", "--max-length", "2", "--telescoping"]) == 0
+
+
+@pytest.mark.parametrize(
     "closed, path",
     [
         (  # a name declared twice

@@ -2,8 +2,9 @@
 
 Random integer matrices up to 8 x 8 are checked against sympy's Smith
 normal form, the transforms U, V and their inverses against the
-identities they must satisfy, and solve_integer against the
-invariant-factor criterion for integral solvability.  Random small complexes check the kernel
+identities they must satisfy, solve_integer against the
+invariant-factor criterion for integral solvability, and f2_rank against
+plain mod-2 elimination.  Random small complexes check the kernel
 coordinates and the class generators that HomologyData reads off those
 inverses.  The minors oracle of test_intlinalg.py stays as the first one.
 """
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 import math
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy import Matrix, ZZ
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
@@ -23,6 +24,7 @@ from ainfcat.intlinalg import (
     IntMatrix,
     RationalOnly,
     Unsolvable,
+    f2_rank,
     kernel_basis,
     smith_normal_form,
     solve_integer,
@@ -149,3 +151,27 @@ def test_homology_group_matches_sympy(pair):
     torsion = tuple(d for d in diag_in if d >= 2)
     free = n - rank_out - sum(1 for d in diag_in if d)
     assert HomologyData(d_out, d_in).group == FinAbGroup(free, torsion)
+
+
+def f2_rank_by_elimination(rows: list[list[int]], cols: int) -> int:
+    rows = [[x % 2 for x in row] for row in rows]
+    rank = 0
+    for c in range(cols):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for i in range(len(rows)):
+            if i != rank and rows[i][c]:
+                rows[i] = [(a + b) % 2 for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+@SETTINGS
+@given(matrices(max_dim=10))
+@example(IntMatrix.zeros(0, 4))
+@example(IntMatrix.zeros(3, 0))
+@example(IntMatrix([[1, 1], [-1, 3], [2, 0]]))
+def test_f2_rank_matches_elimination(A):
+    assert f2_rank(A) == f2_rank_by_elimination([list(r) for r in A.data], A.cols)
