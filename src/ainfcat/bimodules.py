@@ -45,13 +45,11 @@ from .core import (
     RING_F2,
     AinfCategory,
     Gen,
-    NonComposable,
     VerificationReport,
     chain_add,
     chain_normalize,
     collect_violations,
     frozen_table,
-    is_composable,
     parity_sign,
     rdeg,
     signed_blocks,
@@ -92,50 +90,13 @@ class PairGen:
 # one-sided modules
 
 
-class SideModule:
-    """A left or right module presented by action tables.
-
-    Action keys are boundary tuples with the module element first (left
-    modules) or last (right modules); arity counts category inputs only,
-    so arity 0 is the module differential.
-    """
-
-    def __init__(self, cat: AinfCategory, side: str, spaces: dict[str, list], actions: dict[int, dict]):
-        if side not in (LEFT, RIGHT):
-            raise ValueError(side)
-        self.cat = cat
-        self.side = side
-        self.spaces = {obj: list(v) for obj, v in spaces.items()}
-        self.actions = actions
-        self._check()
-        self.actions = {arity: frozen_table(table, cat.ring) for arity, table in actions.items()}
-
-    def _check(self):
-        for obj, elems in self.spaces.items():
-            for m in elems:
-                ok = m.target == obj if self.side == LEFT else m.source == obj
-                if not ok:
-                    raise ValueError(f"module element {m} not attached to object {obj}")
-        for arity, table in self.actions.items():
-            for key, out in table.items():
-                if len(key) != arity + 1:
-                    raise ValueError("action key length mismatch")
-                if not is_composable(key):
-                    raise NonComposable(f"action key {key}")
-                want = 1 - arity + sum(x.degree for x in key)
-                for og, c in out.items():
-                    if og.degree != want:
-                        raise ValueError(f"action output degree {og.degree}, expected {want}")
-
-    def act(self, key: tuple) -> Mapping:
-        """Action on one boundary tuple (module element included; read-only)."""
-        return self.actions.get(len(key) - 1, EMPTY).get(key, EMPTY)
-
-    def basis(self, obj: str) -> list:
-        return self.spaces.get(obj, [])
+def signed_chain(chain: Mapping, parity: int) -> dict:
+    """(-1)^parity * chain."""
+    sign = parity_sign(parity)
+    return {g: sign * c for g, c in chain.items()}
 
 
-class YonedaModule(SideModule):
+class YonedaModule:
     """hom(K, -) as a left module or hom(-, K) as a right module.
 
     Elements are the hom generators themselves.  The actions are the
@@ -145,24 +106,45 @@ class YonedaModule(SideModule):
     degrees of the category inputs).  The unsigned maps do not satisfy
     the module equations (d^2 on the bar complex fails); the signed ones
     do, and in particular the module differential is -mu^1.
+
+    Action keys are boundary tuples with the module element first (left
+    modules) or last (right modules); the signed actions are stored as
+    tables keyed by tuple length, like mu.
     """
 
     def __init__(self, cat: AinfCategory, K: str, side: str, objects=None):
+        if side not in (LEFT, RIGHT):
+            raise ValueError(side)
         if K not in cat.objects:
             raise KeyError(f"unknown object {K}")
+        self.cat = cat
         self.K = K
-        spaces = {}
+        self.side = side
+        self.spaces = {}
         for L in objects if objects is not None else cat.objects:
-            pair = (K, L) if side == LEFT else (L, K)
-            spaces[L] = list(cat.hom.get(pair, []))
-        super().__init__(cat, side, spaces, actions={})
+            self.spaces[L] = list(cat.hom.get((K, L) if side == LEFT else (L, K), []))
+        self.actions = {}
+        for d, table in cat.mu.items():
+            if side == LEFT:
+                signed = {key: signed_chain(out, 1) for key, out in table.items() if key[0].source == K}
+            else:
+                signed = {
+                    key: signed_chain(out, 1 + sum(rdeg(x) for x in key[:-1]))
+                    for key, out in table.items()
+                    if key[-1].target == K
+                }
+            self.actions[d] = frozen_table(signed, cat.ring, d, 0)
 
     def act(self, key: tuple) -> Mapping:
-        parity = 1 if self.side == LEFT else 1 + sum(rdeg(x) for x in key[:-1])
-        return signed_mu(self.cat, key, parity)
+        """Action on one boundary tuple (module element included; read-only)."""
+        table = self.actions.get(len(key))
+        return table.get(key, EMPTY) if table else EMPTY
+
+    def basis(self, obj: str) -> list:
+        return self.spaces.get(obj, [])
 
 
-def yoneda_module(cat: AinfCategory, K: str, side: str, objects=None) -> SideModule:
+def yoneda_module(cat: AinfCategory, K: str, side: str, objects=None) -> YonedaModule:
     """hom(K, -) or hom(-, K), optionally restricted to a subset of objects."""
     return YonedaModule(cat, K, side, objects=objects)
 
@@ -193,18 +175,42 @@ class Bimodule:
         return [(a, b) for a in objs for b in objs]
 
 
-class DiagonalBimodule(Bimodule):
+class TableBimodule(Bimodule):
+    """Bimodule presented by explicit operation tables.
+
+    `ops[(r, s)]` maps boundary tuples (module slot at index s) to output
+    chains of module elements; each table is checked and frozen by
+    core.frozen_table.
+    """
+
+    def __init__(self, cat: AinfCategory, spaces: dict[tuple[str, str], list], ops: dict[tuple[int, int], dict]):
+        super().__init__(cat)
+        self.spaces = {k: list(v) for k, v in spaces.items()}
+        self.ops = {(r, s): frozen_table(table, cat.ring, r + s + 1, 0) for (r, s), table in ops.items()}
+
+    def basis(self, source_obj, target_obj):
+        return self.spaces.get((source_obj, target_obj), [])
+
+    def op(self, key: tuple, s: int) -> Mapping:
+        return self.ops.get((len(key) - 1 - s, s), EMPTY).get(key, EMPTY)
+
+
+class DiagonalBimodule(TableBimodule):
     """The category acting on its own hom spaces by signed higher products.
 
     op^{r|1|s} = (-1)^(1 + sum of reduced degrees of the s right inputs)
-    times the (r+s+1)-ary structure map on the same boundary tuple.
+    times the (r+s+1)-ary structure map on the same boundary tuple,
+    stored as one table per (r, s).
     """
 
-    def basis(self, source_obj, target_obj):
-        return self.cat.hom.get((source_obj, target_obj), [])
-
-    def op(self, key: tuple, s: int) -> Mapping:
-        return signed_mu(self.cat, key, 1 + sum(rdeg(x) for x in key[:s]))
+    def __init__(self, cat: AinfCategory):
+        ops = {}
+        for d, table in cat.mu.items():
+            for s in range(d):
+                ops[(d - 1 - s, s)] = {
+                    key: signed_chain(out, 1 + sum(rdeg(x) for x in key[:s])) for key, out in table.items()
+                }
+        super().__init__(cat, cat.hom, ops)
 
 
 def diagonal_bimodule(cat: AinfCategory) -> Bimodule:
@@ -214,7 +220,7 @@ def diagonal_bimodule(cat: AinfCategory) -> Bimodule:
 class TensorBimodule(Bimodule):
     """Y^l_K (x) Y^r_K with operations vanishing unless r = 0 or s = 0."""
 
-    def __init__(self, left: SideModule, right: SideModule):
+    def __init__(self, left: YonedaModule, right: YonedaModule):
         if left.side != LEFT or right.side != RIGHT:
             raise ValueError("expected a (left, right) pair of modules")
         if left.cat is not right.cat:
@@ -248,37 +254,8 @@ class TensorBimodule(Bimodule):
         return chain_normalize(out, self.cat.ring)
 
 
-def tensor_bimodule(left: SideModule, right: SideModule) -> Bimodule:
+def tensor_bimodule(left: YonedaModule, right: YonedaModule) -> Bimodule:
     return TensorBimodule(left, right)
-
-
-class TableBimodule(Bimodule):
-    """Bimodule presented by explicit operation tables (user-loaded data).
-
-    `ops[(r, s)]` maps boundary tuples (module slot at index s) to output
-    chains of module elements.
-    """
-
-    def __init__(self, cat: AinfCategory, spaces: dict[tuple[str, str], list], ops: dict[tuple[int, int], dict]):
-        super().__init__(cat)
-        self.spaces = {k: list(v) for k, v in spaces.items()}
-        for (r, s), table in ops.items():
-            for key, out in table.items():
-                if len(key) != r + s + 1:
-                    raise ValueError("op key length mismatch")
-                if not is_composable(key):
-                    raise NonComposable(f"op key {key}")
-                want = 1 - (r + s) + sum(x.degree for x in key)
-                for og, c in out.items():
-                    if og.degree != want:
-                        raise ValueError(f"op output degree {og.degree}, expected {want}")
-        self.ops = {rs: frozen_table(table, cat.ring) for rs, table in ops.items()}
-
-    def basis(self, source_obj, target_obj):
-        return self.spaces.get((source_obj, target_obj), [])
-
-    def op(self, key: tuple, s: int) -> Mapping:
-        return self.ops.get((len(key) - 1 - s, s), EMPTY).get(key, EMPTY)
 
 
 def with_negated_bimodule_term(P: TableBimodule, r: int, s: int, key: tuple, out):
@@ -328,16 +305,22 @@ def slot_after(s: int, i: int, j: int) -> int:
     return s - (j - i) + 1 if j <= s else s
 
 
-def bimodule_residual(P: Bimodule, key: tuple, s: int) -> dict:
+def block_operations(P: Bimodule, key: tuple, s: int):
+    """inner(i, j) for signed_blocks: P's operation on a block holding the
+    module slot, the category's on any other block."""
     cat = P.cat
 
     def inner(i, j):
         return P.op(key[i:j], s - i) if i <= s < j else cat.mu_key(key[i:j])
 
+    return inner
+
+
+def bimodule_residual(P: Bimodule, key: tuple, s: int) -> dict:
     out: dict = {}
-    for i, j, g, c, below in signed_blocks(key, inner, (s,)):
+    for i, j, g, c, below in signed_blocks(key, block_operations(P, key, s), (s,)):
         chain_add(out, P.op(key[:i] + (g,) + key[j:], slot_after(s, i, j)), parity_sign(below) * c)
-    return chain_normalize(out, cat.ring)
+    return chain_normalize(out, P.cat.ring)
 
 
 def all_mixed_tuples(P: Bimodule, max_inputs: int) -> Iterator[tuple[tuple, int]]:
@@ -374,18 +357,10 @@ class BimoduleHom:
     def __post_init__(self):
         if self.source.cat is not self.target.cat:
             raise ValueError("source and target live over different categories")
-        for (r, s), table in self.components.items():
-            for key, out in table.items():
-                if len(key) != r + s + 1:
-                    raise ValueError("component key length mismatch")
-                want = self.n - (r + s) + sum(x.degree for x in key)
-                for og, c in out.items():
-                    if og.degree != want:
-                        raise ValueError(
-                            f"component output degree {og.degree}, expected {want} on {key}"
-                        )
         ring = self.source.cat.ring
-        self.components = {rs: frozen_table(table, ring) for rs, table in self.components.items()}
+        self.components = {
+            (r, s): frozen_table(table, ring, r + s + 1, self.n - 1) for (r, s), table in self.components.items()
+        }
 
     def apply(self, key: tuple, s: int) -> Mapping:
         return self.components.get((len(key) - 1 - s, s), EMPTY).get(key, EMPTY)
@@ -398,27 +373,19 @@ def identity_hom(P: Bimodule) -> BimoduleHom:
 
 def hom_residual(phi: BimoduleHom, key: tuple, s: int) -> dict:
     """The four-sum morphism equation on one input tuple."""
-    cat = phi.source.cat
     n = phi.n
 
-    def inner(i, j):
-        # outputs tagged True when the morphism sits inside the block
-        block = key[i:j]
-        if not i <= s < j:
-            return {(False, g): c for g, c in cat.mu_key(block).items()}
-        terms = {(True, g): c for g, c in phi.apply(block, s - i).items()}
-        terms.update({(False, g): c for g, c in phi.source.op(block, s - i).items()})
-        return terms
+    def phi_block(i, j):
+        return phi.apply(key[i:j], s - i) if i <= s < j else EMPTY
 
     out: dict = {}
-    for i, j, (phi_inside, g), c, below in signed_blocks(key, inner, (s,)):
-        outer_key = key[:i] + (g,) + key[j:]
-        new_s = slot_after(s, i, j)
-        if phi_inside:
-            chain_add(out, phi.target.op(outer_key, new_s), parity_sign(n * below) * c)
-        else:
-            chain_add(out, phi.apply(outer_key, new_s), parity_sign(below + n + 1) * c)
-    return chain_normalize(out, cat.ring)
+    # the morphism inside the block, the target's operation outside
+    for i, j, g, c, below in signed_blocks(key, phi_block, (s,)):
+        chain_add(out, phi.target.op(key[:i] + (g,) + key[j:], slot_after(s, i, j)), parity_sign(n * below) * c)
+    # the source's operation or mu inside the block, the morphism outside
+    for i, j, g, c, below in signed_blocks(key, block_operations(phi.source, key, s), (s,)):
+        chain_add(out, phi.apply(key[:i] + (g,) + key[j:], slot_after(s, i, j)), parity_sign(below + n + 1) * c)
+    return chain_normalize(out, phi.source.cat.ring)
 
 
 def verify_bimodule_hom(phi: BimoduleHom, max_inputs: int = 4) -> VerificationReport:
@@ -452,7 +419,7 @@ class TensorWord:
         return f"<{self.q.name}|{letters}|{self.p.name}>"
 
 
-def tensor_words(R: SideModule, L: SideModule, max_length: int) -> list[TensorWord]:
+def tensor_words(R: YonedaModule, L: YonedaModule, max_length: int) -> list[TensorWord]:
     """All words (q, letters, p); letters stay between the modules' objects."""
     cat = R.cat
     allowed = set(R.spaces) & set(L.spaces)
@@ -475,7 +442,7 @@ def tensor_words(R: SideModule, L: SideModule, max_length: int) -> list[TensorWo
     return sorted(words)
 
 
-def tensor_differential(R: SideModule, L: SideModule, word: TensorWord) -> dict:
+def tensor_differential(R: YonedaModule, L: YonedaModule, word: TensorWord) -> dict:
     """Differential of the tensor-over-the-category complex on one word."""
     seq = (word.q,) + word.mid + (word.p,)
     end = len(seq)
@@ -493,7 +460,7 @@ def tensor_differential(R: SideModule, L: SideModule, word: TensorWord) -> dict:
     return chain_normalize(out, R.cat.ring)
 
 
-def tensor_over_category(R: SideModule, L: SideModule, max_length: int) -> BasedComplex:
+def tensor_over_category(R: YonedaModule, L: YonedaModule, max_length: int) -> BasedComplex:
     """The length-filtered bar-type complex computing R (x)_B L.
 
     Raises on d^2 != 0, which would signal inconsistent module data.
@@ -510,18 +477,13 @@ def tensor_over_category(R: SideModule, L: SideModule, max_length: int) -> Based
     return cx
 
 
-def signed_mu(cat: AinfCategory, key: tuple, parity: int) -> Mapping:
-    """(-1)^parity * mu on one boundary tuple (read-only when the sign is +1)."""
-    out = cat.mu_key(key)
-    if parity % 2 and cat.ring != RING_F2:
-        return {g: -c for g, c in out.items()}
-    return out
-
-
 def mu_composition_word(cat: AinfCategory, word: TensorWord) -> Mapping:
-    """Chain-level composition into hom(K, K): full collapse of one word."""
-    parity = word.q.degree + sum(rdeg(a) for a in word.mid)
-    return signed_mu(cat, (word.q,) + word.mid + (word.p,), parity)
+    """Chain-level composition into hom(K, K): full collapse of one word,
+    signed by (-1)^(deg q + sum of reduced degrees of the letters)."""
+    out = cat.mu_key((word.q,) + word.mid + (word.p,))
+    if (word.q.degree + sum(rdeg(a) for a in word.mid)) % 2 and cat.ring != RING_F2:
+        return signed_chain(out, 1)
+    return out
 
 
 def hom_complex(cat: AinfCategory, source_obj: str, target_obj: str) -> BasedComplex:

@@ -150,10 +150,9 @@ def cmd_validate(args) -> int:
             witnesses += [str(f) for f in ur.failures[:3]]
         ok &= ur.passed
 
-    for m in loaded.raw.get("morphisms", []):
-        phi = load_morphism(loaded, m["name"])
+    for name, phi in loaded.morphisms.items():
         mr = verify_bimodule_hom(phi, max_inputs=args.bimodule_bound)
-        report["checks"][f"morphism[{m['name']}]"] = {"checked": mr.checked, "passed": mr.passed}
+        report["checks"][f"morphism[{name}]"] = {"checked": mr.checked, "passed": mr.passed}
         witnesses += _witnesses(mr)
         ok &= mr.passed
 
@@ -257,12 +256,11 @@ def cmd_cardy(args) -> int:
     data = _read(args.path)
     loaded = load_category(data)
     cat = loaded.category
-    morphisms = loaded.raw.get("morphisms", [])
     name = args.morphism
     if name is None:
-        if len(morphisms) != 1:
-            raise CliError("specify --morphism; the file declares " + str(len(morphisms)))
-        name = morphisms[0]["name"]
+        if len(loaded.morphisms) != 1:
+            raise CliError("specify --morphism; the file declares " + str(len(loaded.morphisms)))
+        (name,) = loaded.morphisms
     maps = None if args.telescoping else loaded.cardy_maps
     if maps is not None and name != loaded.raw["cardy"]["morphism"]:
         raise InputError(f"the chain maps are for morphism {loaded.raw['cardy']['morphism']}", path="/cardy/morphism")

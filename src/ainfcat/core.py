@@ -36,7 +36,7 @@ RING_Z = "Z"
 RING_F2 = "F2"
 
 
-class NonComposable(Exception):
+class NonComposable(ValueError):
     pass
 
 
@@ -113,10 +113,27 @@ def chain_normalize(ch: dict, ring: str) -> dict:
 EMPTY = MappingProxyType({})  # the read-only result of a lookup that finds no term
 
 
-def frozen_table(table: Mapping, ring: str) -> dict:
-    """A term table with every output normalized once and made read-only."""
+def frozen_table(table: Mapping, ring: str, length: int, shift: int) -> dict:
+    """A checked term table, every output normalized once and made read-only.
+
+    Every key must be a composable tuple of `length` entries, and every
+    output must run from key[0].source to key[-1].target in degree
+    shift + 2 - length + (sum of the key's degrees).  The shift is 0 for
+    mu, module actions and bimodule operations, and n - 1 for the
+    components of a degree-n morphism.  Zero terms are dropped.
+    """
     out = {}
     for key, chain in table.items():
+        if len(key) != length:
+            raise ValueError(f"key of length {len(key)}, expected {length}: {key}")
+        if not is_composable(key):
+            raise NonComposable(f"key not composable: {key}")
+        want = shift + 2 - length + sum(x.degree for x in key)
+        for g in chain:
+            if g.source != key[0].source or g.target != key[-1].target:
+                raise NonComposable(f"output {g} has wrong endpoints for {key}")
+            if g.degree != want:
+                raise ValueError(f"output degree {g.degree}, expected {want} for {key}")
         chain = chain_normalize(dict(chain), ring)
         if chain:
             out[key] = MappingProxyType(chain)
@@ -151,13 +168,14 @@ class AinfCategory:
 
     def __post_init__(self):
         self.validate_tables()
-        self.mu = {d: frozen_table(table, self.ring) for d, table in self.mu.items()}
+        self.mu = {d: frozen_table(table, self.ring, d, 0) for d, table in self.mu.items()}
 
     def generators(self) -> Iterator[Gen]:
         for pair in sorted(self.hom):
             yield from self.hom[pair]
 
     def validate_tables(self) -> None:
+        """The category's own checks; frozen_table checks the shape of each term."""
         declared = set()
         for (src, tgt), gens in self.hom.items():
             names = set()
@@ -170,23 +188,12 @@ class AinfCategory:
                 declared.add(g)
         for d, table in self.mu.items():
             for key, out in table.items():
-                if len(key) != d:
-                    raise ValueError(f"mu^{d} key of length {len(key)}")
-                if not is_composable(key):
-                    raise NonComposable(f"mu^{d} key not composable: {key}")
                 for g in key:
                     if g not in declared:
                         raise ValueError(f"unknown generator {g} in mu^{d} key")
-                want = 2 - d + sum(g.degree for g in key)
                 for og, c in out.items():
                     if og not in declared:
                         raise ValueError(f"unknown output generator {og}")
-                    if og.source != key[0].source or og.target != key[-1].target:
-                        raise NonComposable(f"mu^{d} output {og} has wrong endpoints for {key}")
-                    if og.degree != want:
-                        raise ValueError(
-                            f"mu^{d} output degree {og.degree}, expected {want} for {key}"
-                        )
                     if c == 0:
                         raise ValueError("zero coefficient stored in term table")
 

@@ -19,8 +19,9 @@ from dataclasses import dataclass
 
 import jsonschema
 
+from .bimodules import LEFT, RIGHT, BimoduleHom, PairGen, diagonal_bimodule, tensor_bimodule, yoneda_module
 from .complexes import BasedComplex
-from .core import RING_F2, RING_Z, AinfCategory, Gen, NonComposable
+from .core import RING_F2, RING_Z, AinfCategory, Gen
 from .intlinalg import NotAComplex
 
 FORMAT_TAG = "ainfcat-category/1"
@@ -259,6 +260,8 @@ class LoadedFile:
     category: AinfCategory
     raw: dict
     digest: str
+    # every declared morphism by name, built and checked
+    morphisms: dict[str, BimoduleHom]
     # the cardy section's closed complex, validated, or None
     cardy_closed: BasedComplex | None = None
     # the cardy section's chain_maps with references resolved, or None:
@@ -345,20 +348,22 @@ def load_category(data: bytes) -> LoadedFile:
 
     try:
         cat = AinfCategory(objects=objects, hom=hom, mu=mu, ring=raw["ring"], units=units)
-    except (ValueError, NonComposable) as err:
+    except ValueError as err:
         raise InputError(str(err), path="/operations")
+    morphisms = _morphisms(raw.get("morphisms", []), cat, refs_index)
     section = raw.get("cardy", {})
     if section:
-        m = next((m for m in raw.get("morphisms", []) if m["name"] == section["morphism"]), None)
-        if m is None:
+        phi = morphisms.get(section["morphism"])
+        if phi is None:
             raise InputError(f"no morphism named {section['morphism']} in file", path="/cardy/morphism")
-        if m["degree"] != section["degree"]:
-            raise InputError(f"morphism {m['name']} has degree {m['degree']}", path="/cardy/degree")
+        if phi.n != section["degree"]:
+            raise InputError(f"morphism {section['morphism']} has degree {phi.n}", path="/cardy/degree")
     closed = _closed_complex(section["closed_complex"], cat.ring) if "closed_complex" in section else None
     return LoadedFile(
         category=cat,
         raw=raw,
         digest=file_digest(data),
+        morphisms=morphisms,
         cardy_closed=closed,
         cardy_maps=_cardy_maps(section, closed, refs_index),
     )
@@ -430,20 +435,17 @@ def _cardy_maps(section: dict, closed: BasedComplex | None, refs_index) -> dict 
     return tables
 
 
-def load_morphism(loaded: LoadedFile, name: str):
-    """Instantiate a named coproduct-type morphism from the file."""
-    from .bimodules import LEFT, RIGHT, BimoduleHom, PairGen, diagonal_bimodule, tensor_bimodule, yoneda_module
-
-    cat = loaded.category
-    refs_index = {(g.source, g.target, g.name): g for g in cat.generators()}
-    for i, m in enumerate(loaded.raw.get("morphisms", [])):
-        if m["name"] != name:
-            continue
+def _morphisms(entries: list, cat: AinfCategory, refs_index) -> dict[str, BimoduleHom]:
+    """Build every declared coproduct-type morphism, diagonal bimodule to
+    Y^l_K (x) Y^r_K; names must be unique."""
+    built: dict[str, BimoduleHom] = {}
+    source = diagonal_bimodule(cat)
+    for i, m in enumerate(entries):
+        if m["name"] in built:
+            raise InputError(f"duplicate morphism name {m['name']}", path=f"/morphisms/{i}/name")
         K = m["base_object"]
-        if K not in set(cat.objects):
+        if K not in cat.objects:
             raise InputError(f"morphism base object {K} not declared", path=f"/morphisms/{i}")
-        source = diagonal_bimodule(cat)
-        target = tensor_bimodule(yoneda_module(cat, K, LEFT), yoneda_module(cat, K, RIGHT))
         comps: dict = {}
         for j, c in enumerate(m["components"]):
             path = f"/morphisms/{i}/components/{j}"
@@ -453,11 +455,19 @@ def load_morphism(loaded: LoadedFile, name: str):
             key = tuple(_resolve(refs_index, ref, path) for ref in c["inputs"])
             pg = PairGen(_resolve(refs_index, c["output_left"], path), _resolve(refs_index, c["output_right"], path))
             comps.setdefault((r, s), {}).setdefault(key, {})[pg] = c["coefficient"]
+        target = tensor_bimodule(yoneda_module(cat, K, LEFT), yoneda_module(cat, K, RIGHT))
         try:
-            return BimoduleHom(source=source, target=target, n=m["degree"], components=comps)
+            built[m["name"]] = BimoduleHom(source=source, target=target, n=m["degree"], components=comps)
         except ValueError as err:
             raise InputError(str(err), path=f"/morphisms/{i}")
-    raise InputError(f"no morphism named {name} in file", path="/morphisms")
+    return built
+
+
+def load_morphism(loaded: LoadedFile, name: str) -> BimoduleHom:
+    """The file's coproduct-type morphism of that name."""
+    if name not in loaded.morphisms:
+        raise InputError(f"no morphism named {name} in file", path="/morphisms")
+    return loaded.morphisms[name]
 
 
 # ---------------------------------------------------------------------------

@@ -29,12 +29,11 @@ from .bimodules import (
     TensorWord,
     hom_complex,
     mu_composition_word,
-    signed_mu,
     tensor_over_category,
     yoneda_module,
 )
 from .complexes import BasedComplex, GradedMap, verify_chain_map
-from .core import AinfCategory, Gen, chain_add, chain_normalize, parity_sign, rdeg, signed_blocks, verify_ainf
+from .core import AinfCategory, Gen, chain_add, chain_normalize, parity_sign, signed_blocks, verify_ainf
 from .intlinalg import IntMatrix, RationalOnly, Unsolvable, solve_integer
 
 
@@ -224,22 +223,16 @@ class TwistedComplex:
             except ValueError as err:
                 raise MaurerCartanViolation(f"realization against {X} fails: {err}", witness=X)
 
-    def evaluation_data(self) -> dict:
-        """Per-summand parity of the full-collapse evaluation sign."""
-        return {sigma: sum(rdeg(a) for a in sigma.mid) % 2 for sigma in self.summands}
-
     def verify_evaluation(self) -> None:
-        data = self.evaluation_data()
         cat = self.cat
-        for X in self.cat.objects:
-            cx = self.realization(X)
-            target = hom_complex(cat, X, self.K)
-
-            def ev(w: TensorWord) -> Mapping:
-                parity = data[Summand(w.mid, w.p)] + w.q.degree
-                return signed_mu(cat, (w.q,) + w.mid + (w.p,), parity)
-
-            f = GradedMap(source=cx, target=target, shift=0, apply=ev, name="evaluation")
+        for X in cat.objects:
+            f = GradedMap(
+                source=self.realization(X),
+                target=hom_complex(cat, X, self.K),
+                shift=0,
+                apply=lambda w: mu_composition_word(cat, w),
+                name="evaluation",
+            )
             report = verify_chain_map(f)
             if not report.passed:
                 raise ClosednessViolation(
@@ -302,10 +295,10 @@ def build_universal_complex(cat: AinfCategory, B_objects: Sequence[str], K: str,
     return tc
 
 
-def evaluation_morphism(tc: TwistedComplex) -> dict:
-    """Closed degree-0 morphism data to the Yoneda module of K; verified."""
+def evaluation_morphism(tc: TwistedComplex) -> None:
+    """Verify that the full-collapse evaluation (mu_composition_word) to
+    the Yoneda module of K is a closed degree-0 morphism."""
     tc.verify_evaluation()
-    return tc.evaluation_data()
 
 
 # ---------------------------------------------------------------------------

@@ -393,6 +393,48 @@ def test_cli_cardy_section_must_match_its_morphism(tmp_path, capsys, section, pa
         assert f"input error: {path}: " in capsys.readouterr().err
 
 
+def _split_with_component(component: dict) -> dict:
+    """split_summand_pair with one more component on its coproduct_n0."""
+    raw = category_to_json(split_summand_pair(), morphism_tables=[
+        morphism_to_json("coproduct_n0", "K", coproduct_morphism("split_summand_pair", 0))
+    ])
+    raw["morphisms"][0]["components"].append(component)
+    return raw
+
+
+def _dual_numbers_with_two_morphisms_named_m() -> dict:
+    tables = [morphism_to_json("m", "*", coproduct_morphism("dual_numbers", n)) for n in (1, 0)]
+    return category_to_json(dual_numbers(), morphism_tables=tables)
+
+
+@pytest.mark.parametrize(
+    "raw, path",
+    [
+        (_dual_numbers_with_two_morphisms_named_m(), "/morphisms/1/name"),
+        (  # inputs f1, f1 do not compose (f1 runs K -> L)
+            _split_with_component({
+                "left_inputs": 1, "right_inputs": 0, "inputs": [["K", "L", "f1"], ["K", "L", "f1"]],
+                "output_left": ["K", "L", "f1"], "output_right": ["K", "K", "eK"], "coefficient": 1,
+            }),
+            "/morphisms/0",
+        ),
+        (  # f2 (x) g2 runs L -> L, the key eK runs K -> K
+            _split_with_component({
+                "left_inputs": 0, "right_inputs": 0, "inputs": [["K", "K", "eK"]],
+                "output_left": ["K", "L", "f2"], "output_right": ["L", "K", "g2"], "coefficient": 1,
+            }),
+            "/morphisms/0",
+        ),
+    ],
+    ids=["duplicate-name", "non-composable-inputs", "wrong-endpoints"],
+)
+def test_cli_malformed_morphism_exit_2(tmp_path, capsys, raw, path):
+    cat_path = tmp_path / "cat.json"
+    cat_path.write_text(json.dumps(raw))
+    assert cli.main(["validate", str(cat_path)]) == 2
+    assert f"input error: {path}: " in capsys.readouterr().err
+
+
 def test_cli_cardy_chain_maps_refuse_another_morphism(tmp_path, capsys):
     # the file's chain maps are for m; running them against m2 is an input
     # error, while the telescoping configuration may use any morphism
