@@ -43,7 +43,6 @@ from .core import (
 from .generation import (
     GenerationCertificate,
     build_universal_complex,
-    evaluation_morphism,
     generation_test,
     replay_certificate,
     verify_cohomological_unit,

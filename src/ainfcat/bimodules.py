@@ -478,8 +478,9 @@ def tensor_over_category(R: YonedaModule, L: YonedaModule, max_length: int) -> B
 
 
 def mu_composition_word(cat: AinfCategory, word: TensorWord) -> Mapping:
-    """Chain-level composition into hom(K, K): full collapse of one word,
-    signed by (-1)^(deg q + sum of reduced degrees of the letters)."""
+    """Chain-level composition: full collapse of one word into
+    hom(q.source, p.target), signed by (-1)^(deg q + sum of reduced
+    degrees of the letters)."""
     out = cat.mu_key((word.q,) + word.mid + (word.p,))
     if (word.q.degree + sum(rdeg(a) for a in word.mid)) % 2 and cat.ring != RING_F2:
         return signed_chain(out, 1)
@@ -506,11 +507,13 @@ def hom_complex(cat: AinfCategory, source_obj: str, target_obj: str) -> BasedCom
     )
 
 
-def mu_composition_map(cat: AinfCategory, K: str, tensor_cx: BasedComplex) -> GradedMap:
-    hom_cx = hom_complex(cat, K, K)
+def mu_composition_map(cat: AinfCategory, X: str, K: str, tensor_cx: BasedComplex) -> GradedMap:
+    """Full collapse (mu_composition_word) from tensor_cx, a complex
+    R (x)_B L for the Yoneda modules R = hom(-, K) and L = hom(X, -), into
+    hom(X, K)."""
     return GradedMap(
         source=tensor_cx,
-        target=hom_cx,
+        target=hom_complex(cat, X, K),
         shift=0,
         apply=lambda w: mu_composition_word(cat, w),
         name="mu",

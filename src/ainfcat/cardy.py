@@ -100,7 +100,8 @@ def mu_cc_map(phi: BimoduleHom, cc: BasedComplex, tensor_cx: BasedComplex) -> Gr
     """mu o CC(phi), from the cyclic complex cc to hom(K, K), where K is
     phi's base object; CC(phi) is verified to be a chain map (cc_of_delta)."""
     f = cc_of_delta(phi, cc, tensor_cx)
-    mu = mu_composition_map(phi.source.cat, phi.target.left.K, tensor_cx)
+    K = phi.target.left.K
+    mu = mu_composition_map(phi.source.cat, K, K, tensor_cx)
     return compose(mu, f, name="mu o CC")
 
 

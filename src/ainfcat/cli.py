@@ -20,7 +20,17 @@ import sys
 import time
 
 from . import fixtures as fixture_mod
-from .bimodules import RIGHT, LEFT, diagonal_bimodule, tensor_over_category, verify_bimodule, verify_bimodule_hom, yoneda_module
+from .bimodules import (
+    LEFT,
+    RIGHT,
+    BimoduleHom,
+    diagonal_bimodule,
+    tensor_bimodule,
+    tensor_over_category,
+    verify_bimodule,
+    verify_bimodule_hom,
+    yoneda_module,
+)
 from .cardy import (
     HomotopyWitness,
     OpenClosedData,
@@ -134,8 +144,9 @@ def cmd_validate(args) -> int:
     witnesses = _witnesses(r)
     ok &= r.passed
 
+    diagonal = diagonal_bimodule(cat)
     if ok:
-        rb = verify_bimodule(diagonal_bimodule(cat), max_inputs=args.bimodule_bound)
+        rb = verify_bimodule(diagonal, max_inputs=args.bimodule_bound)
         report["checks"]["diagonal_bimodule"] = {"checked": rb.checked, "passed": rb.passed}
         witnesses += _witnesses(rb)
         ok &= rb.passed
@@ -151,6 +162,12 @@ def cmd_validate(args) -> int:
         ok &= ur.passed
 
     for name, phi in loaded.morphisms.items():
+        if cat is not loaded.category:
+            # the same components, reduced, between the bimodules of the
+            # category the run checks
+            K = phi.target.left.K
+            target = tensor_bimodule(yoneda_module(cat, K, LEFT), yoneda_module(cat, K, RIGHT))
+            phi = BimoduleHom(diagonal, target, phi.n, phi.components)
         mr = verify_bimodule_hom(phi, max_inputs=args.bimodule_bound)
         report["checks"][f"morphism[{name}]"] = {"checked": mr.checked, "passed": mr.passed}
         witnesses += _witnesses(mr)

@@ -256,12 +256,11 @@ def test_mu_composition_empty_table():
 def test_mu_composition_is_chain_map(make):
     cat = make()
     for K in cat.objects:
-        yl = yoneda_module(cat, K, LEFT)
         yr = yoneda_module(cat, K, RIGHT)
-        cx = tensor_over_category(yr, yl, 3)
-        mu = mu_composition_map(cat, K, cx)
-        report = verify_chain_map(mu)
-        assert report.passed, (K, str(report))
+        for X in cat.objects:
+            cx = tensor_over_category(yr, yoneda_module(cat, X, LEFT), 3)
+            report = verify_chain_map(mu_composition_map(cat, X, K, cx))
+            assert report.passed, (X, K, str(report))
 
 
 def test_hom_complex_is_minus_mu1():

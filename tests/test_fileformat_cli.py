@@ -210,7 +210,7 @@ def test_cli_cardy_chain_map_tables(tmp_path):
     cat = phi.source.cat
     cc = truncated_cc(cat, 2)
     tcx = tensor_over_category(yoneda_module(cat, "*", "right"), yoneda_module(cat, "*", "left"), 2)
-    mucc = compose(mu_composition_map(cat, "*", tcx), cc_of_delta(phi, cc, tcx))
+    mucc = compose(mu_composition_map(cat, "*", "*", tcx), cc_of_delta(phi, cc, tcx))
     hom_cx = hom_complex(cat, "*", "*")
 
     closed = {
@@ -307,6 +307,50 @@ def test_with_ring_reduction():
     assert verify_ainf(cat, 4).passed
     with pytest.raises(ValueError):
         with_ring(cat, "Z")
+
+
+def _validate_json(path, *extra) -> tuple[int, dict]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["validate", str(path), "--json", *extra])
+    return code, json.loads(out.getvalue())
+
+
+def test_cli_validate_f2_checks_units(tmp_path):
+    path = tmp_path / "dual_numbers.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["fixture", "dual_numbers", "-o", str(path)]) == 0
+    code, payload = _validate_json(path, "--ring", "F2")
+    assert code == 0
+    assert payload["checks"]["unit[*]"] == {"passed": True}
+
+
+def test_cli_validate_f2_rejects_half_of_a_unit(tmp_path):
+    # E11 is an idempotent cycle but not a unit of L, over Z and mod 2
+    raw = category_to_json(split_summand_pair())
+    raw["units"]["L"] = [{"generator": ["L", "L", "E11"], "coefficient": 1}]
+    path = tmp_path / "split.json"
+    path.write_text(json.dumps(raw))
+    code, payload = _validate_json(path, "--ring", "F2")
+    assert code == 1
+    assert payload["checks"]["unit[L]"] == {"passed": False}
+    assert payload["checks"]["unit[K]"] == {"passed": True}
+
+
+def test_cli_validate_f2_checks_morphisms_mod_2(tmp_path):
+    # one coefficient of coproduct_n1 negated: a different morphism over Z,
+    # the same one mod 2
+    raw = category_to_json(dual_numbers(), morphism_tables=[
+        morphism_to_json("m", "*", coproduct_morphism("dual_numbers", 1))
+    ])
+    del raw["units"]
+    raw["morphisms"][0]["components"][0]["coefficient"] *= -1
+    path = tmp_path / "dn.json"
+    path.write_text(json.dumps(raw))
+    code, payload = _validate_json(path)
+    assert code == 1 and not payload["checks"]["morphism[m]"]["passed"]
+    code, payload = _validate_json(path, "--ring", "F2")
+    assert code == 0 and payload["checks"]["morphism[m]"]["passed"]
 
 
 def negated_unit_square(raw: dict) -> dict:

@@ -5,6 +5,8 @@ from __future__ import annotations
 import pytest
 
 from ainfcat.bimodules import TensorWord
+from ainfcat.complexes import BasedComplex, GradedMap, verify_chain_map
+from ainfcat.core import AinfCategory, iter_terms, with_negated_term, with_ring
 from ainfcat.fixtures import (
     cone_algebra,
     dual_numbers,
@@ -19,8 +21,8 @@ from ainfcat.generation import (
     GenerationCertificate,
     MaurerCartanViolation,
     NotACycle,
+    _identity_mod_2,
     build_universal_complex,
-    evaluation_morphism,
     generation_test,
     replay_certificate,
     verify_cohomological_unit,
@@ -70,12 +72,34 @@ def test_unit_wrong_degree_raises():
 
 
 def test_unit_half_of_unit_fails():
-    # q alone is idempotent but does not act as the identity on everything
-    cat = split_summand_pair()
-    eK = gen_named(cat, "eK")
-    assert verify_cohomological_unit(cat, "K", {eK: 1}).passed
-    E11 = gen_named(cat, "E11")
-    assert not verify_cohomological_unit(cat, "L", {E11: 1}).passed
+    # q alone is idempotent but does not act as the identity on everything,
+    # over Z or mod 2
+    for ring in ("Z", "F2"):
+        cat = with_ring(split_summand_pair(), ring)
+        eK = gen_named(cat, "eK")
+        assert verify_cohomological_unit(cat, "K", {eK: 1}).passed
+        E11 = gen_named(cat, "E11")
+        assert not verify_cohomological_unit(cat, "L", {E11: 1}).passed
+
+
+@pytest.mark.parametrize("make", [ground_ring, dual_numbers, path_category, cone_algebra, split_summand_pair])
+def test_units_pass_mod_2(make):
+    cat = with_ring(make(), "F2")
+    for K, e in cat.units.items():
+        assert verify_cohomological_unit(cat, K, e).passed, K
+
+
+def test_identity_mod_2_allows_boundaries():
+    # x spans H^0; z = d(y) is a boundary, so x -> x + z is the identity on
+    # H^0 and x -> z is not
+    cx = BasedComplex({-1: ["y"], 0: ["x", "z"]}, lambda label: {"z": 1} if label == "y" else {}, ring="F2")
+    shifted = {"x": {"x": 1, "z": 1}}
+    killed = {"x": {"z": 1}}
+    for images, expected in ((shifted, True), (killed, False)):
+        f = GradedMap(cx, cx, 0, lambda label, images=images: images.get(label, {label: 1}))
+        assert verify_chain_map(f).passed
+        assert _identity_mod_2(f, 0) is expected
+        assert _identity_mod_2(f, -1)
 
 
 # -- the universal twisted complex ------------------------------------------
@@ -92,54 +116,52 @@ def test_maurer_cartan_holds(make):
 
 def test_maurer_cartan_depth3_cone():
     cat = cone_algebra(2)
-    tc = build_universal_complex(cat, ["*"], "*", 3)
-    assert tc.max_length == 3
+    cx = build_universal_complex(cat, ["*"], "*", 3)
+    assert max(w.length for k in cx.degrees() for w in cx.basis[k]) == 3
 
 
 def test_universal_complex_n0_shape():
     cat = ground_ring()
-    tc = build_universal_complex(cat, ["*"], "*", 0)
-    assert [s.length for s in tc.summands] == [0]
-    # only the mu^2-style evaluation terms: no pops, and the only scalar
-    # entries would involve mu^1 which vanishes here
-    assert not tc.pops and not tc.scalars
-    evaluation_morphism(tc)
+    e = gen_named(cat, "e")
+    cx = build_universal_complex(cat, ["*"], "*", 0)
+    # one word <e||e>, and mu^1 = 0 leaves it a cycle
+    assert cx.basis == {0: [TensorWord(e, (), e)]}
+    assert cx.diff_chain(TensorWord(e, (), e)) == {}
 
 
 def test_universal_complex_empty_subcategory():
+    # Z0 is a zero object: no word passes through it
     cat = two_object_with_zero()
-    tc = build_universal_complex(cat, ["Z0"], "K", 2)
-    assert tc.summands == []
-    evaluation_morphism(tc)
+    cx = build_universal_complex(cat, ["Z0"], "K", 2)
+    assert cx.basis == {}
 
 
 def test_evaluation_closed_all_fixtures():
+    # build_universal_complex raises ClosednessViolation unless the
+    # evaluation into hom(X, K) is a chain map for every probe X
     for make in FIXTURES_FOR_MC:
         cat = make()
-        tc = build_universal_complex(cat, cat.objects, cat.objects[0], 2)
-        evaluation_morphism(tc)
+        for K in cat.objects:
+            build_universal_complex(cat, cat.objects, K, 2)
 
 
 def test_mutated_differential_detected():
-    cat = cone_algebra(2)
-    tc = build_universal_complex(cat, ["*"], "*", 2)
-    key = sorted(tc.scalars, key=str)[0]
-    coef, flag = tc.scalars[key]
-    tc.scalars[key] = (-coef, flag)
-    with pytest.raises((MaurerCartanViolation, ClosednessViolation)):
-        tc.verify_maurer_cartan()
-        tc.verify_evaluation()
+    # every single negated mu term breaks d^2 = 0 or the evaluation map on
+    # some realization
+    negated = 0
+    for make in (cone_algebra, dual_numbers, triple_product_algebra):
+        cat = make()
+        for d, key, out, _ in iter_terms(cat):
+            bad = with_negated_term(cat, d, key, out)
+            with pytest.raises((MaurerCartanViolation, ClosednessViolation)):
+                build_universal_complex(bad, bad.objects, bad.objects[0], 2)
+            negated += 1
+    assert negated == 43
 
 
-def test_mutated_pop_detected():
-    cat = dual_numbers()
-    tc = build_universal_complex(cat, ["*"], "*", 2)
-    sigma = next(s for s in tc.summands if s.length == 1)
-    (letter, c), = tc.pops[sigma].items()
-    tc.pops[sigma] = {letter: -c}
-    with pytest.raises((MaurerCartanViolation, ClosednessViolation)):
-        tc.verify_maurer_cartan()
-        tc.verify_evaluation()
+def test_violations_are_value_errors():
+    assert issubclass(MaurerCartanViolation, ValueError)
+    assert issubclass(ClosednessViolation, ValueError)
 
 
 # -- generation certificates -------------------------------------------------
@@ -209,8 +231,6 @@ def test_replay_detects_tampered_tau():
 
 
 def test_replay_refutes_certificate_in_broken_category():
-    from ainfcat.core import with_negated_term
-
     cat = split_summand_pair()
     eK = gen_named(cat, "eK")
     cert = generation_test(cat, ["L"], "K", {eK: 1}, max_length=2)
@@ -219,3 +239,17 @@ def test_replay_refutes_certificate_in_broken_category():
     out = replay_certificate(broken, cert, {eK: 1})
     assert out.verdict == "refuted-at-bound"
     assert out.detail == "category fails the structure relations"
+
+
+def test_replay_refutes_certificate_whose_universal_complex_fails():
+    # an extra mu^4 term leaves the relations up to depth 3 intact but
+    # breaks the evaluation map on words of length 2
+    cat = cone_algebra(2)
+    e = dict(cat.units["*"])
+    cert = generation_test(cat, ["*"], "*", e, max_length=2)
+    p, u, v = (gen_named(cat, name) for name in ("p", "u", "v"))
+    mu = {**cat.mu, 4: {(p, p, p, u): {v: 1}}}
+    broken = AinfCategory(objects=list(cat.objects), hom=dict(cat.hom), mu=mu, ring=cat.ring, units=dict(cat.units))
+    out = replay_certificate(broken, cert, e)
+    assert out.verdict == "refuted-at-bound"
+    assert out.detail == "evaluation fails to be a chain map against *"
