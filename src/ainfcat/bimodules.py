@@ -24,6 +24,12 @@ verify_bimodule_hom does the same for a degree-n morphism, with the
 inner-is-morphism terms weighted by (-1)^(n * below) and all other terms
 by (-1)^(below + n + 1).
 
+Both verifiers build every nonzero residual from pairs of operation terms
+(core.substitutions), like verify_ainf.  Each bimodule lists the keys on
+which its operation can be nonzero (op_keys) and finds them by the element
+in their module slot (op_keys_at): a TableBimodule from its tables, a
+TensorBimodule from the Yoneda action tables lifted to pairs p (x) q.
+
 The tensor-over-the-category complex of a right module R and left module
 L has words (q, a_1, ..., a_d, p) in boundary order (the reverse of the
 usual written order p (x) a_d (x) ... (x) q) and integer grading
@@ -36,8 +42,9 @@ sign-consistency check and is asserted for every shipped fixture.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, NamedTuple
 
 from .complexes import BasedComplex, GradedMap
 from .core import (
@@ -48,19 +55,20 @@ from .core import (
     VerificationReport,
     chain_add,
     chain_normalize,
-    collect_violations,
     frozen_table,
+    mu_terms,
     parity_sign,
     rdeg,
     signed_blocks,
+    substitutions,
+    term_report,
 )
 
 LEFT = "left"
 RIGHT = "right"
 
 
-@dataclass(frozen=True, order=True)
-class PairGen:
+class PairGen(NamedTuple):
     """Basis element p (x) q of the tensor bimodule Y^l (x) Y^r.
 
     p lies in hom(K, L) and q in hom(L_bar, K); as a bimodule element the
@@ -166,6 +174,15 @@ class Bimodule:
         """Operation on a boundary tuple whose module slot sits at index s."""
         raise NotImplementedError
 
+    def op_keys(self) -> list[tuple[tuple, int]]:
+        """(key, s) pairs that include every key with an element of this
+        bimodule in its slot on which op can be nonzero."""
+        raise NotImplementedError
+
+    def op_keys_at(self, m) -> list[tuple[tuple, int]]:
+        """Every (key, s) with key[s] == m on which op can be nonzero."""
+        raise NotImplementedError
+
     def elements(self) -> Iterator:
         for pair in sorted(self.space_pairs()):
             yield from self.basis(*pair)
@@ -187,12 +204,19 @@ class TableBimodule(Bimodule):
         super().__init__(cat)
         self.spaces = {k: list(v) for k, v in spaces.items()}
         self.ops = {(r, s): frozen_table(table, cat.ring, r + s + 1, 0) for (r, s), table in ops.items()}
+        self._at_slot = slot_index(table_keys(self.ops))
 
     def basis(self, source_obj, target_obj):
         return self.spaces.get((source_obj, target_obj), [])
 
     def op(self, key: tuple, s: int) -> Mapping:
         return self.ops.get((len(key) - 1 - s, s), EMPTY).get(key, EMPTY)
+
+    def op_keys(self):
+        return table_keys(self.ops)
+
+    def op_keys_at(self, m):
+        return self._at_slot.get(m, [])
 
 
 class DiagonalBimodule(TableBimodule):
@@ -228,6 +252,15 @@ class TensorBimodule(Bimodule):
         super().__init__(left.cat)
         self.left = left
         self.right = right
+        # the action keys by the factor of p (x) q they act on
+        self._right_by_q: dict = {}
+        for table in right.actions.values():
+            for key in table:
+                self._right_by_q.setdefault(key[-1], []).append(key)
+        self._left_by_p: dict = {}
+        for table in left.actions.values():
+            for key in table:
+                self._left_by_p.setdefault(key[0], []).append(key)
 
     def basis(self, source_obj, target_obj):
         return [
@@ -253,6 +286,26 @@ class TensorBimodule(Bimodule):
                 chain_add(out, {PairGen(g, m.q): sign * c})
         return chain_normalize(out, self.cat.ring)
 
+    def op_keys(self):
+        """The right action keys (b_1..b_s, q) lifted to (b_1..b_s, p (x) q)
+        for every element p of the left module, and the left action keys
+        (p, a_1..a_r) lifted to (p (x) q, a_1..a_r) for every q of the right."""
+        ps = list(itertools.chain(*self.left.spaces.values()))
+        qs = list(itertools.chain(*self.right.spaces.values()))
+        keys = {}  # a dict, because (p (x) q,) comes from both sides
+        for q, right_keys in self._right_by_q.items():
+            for key in right_keys:
+                keys.update(((key[:-1] + (PairGen(p, q),), len(key) - 1), None) for p in ps)
+        for p, left_keys in self._left_by_p.items():
+            for key in left_keys:
+                keys.update((((PairGen(p, q),) + key[1:], 0), None) for q in qs)
+        return list(keys)
+
+    def op_keys_at(self, m):
+        keys = [(key[:-1] + (m,), len(key) - 1) for key in self._right_by_q.get(m.q, [])]
+        keys += [((m,) + key[1:], 0) for key in self._left_by_p.get(m.p, [])]
+        return list(dict.fromkeys(keys))  # (m,) comes from both sides
+
 
 def tensor_bimodule(left: YonedaModule, right: YonedaModule) -> Bimodule:
     return TensorBimodule(left, right)
@@ -265,75 +318,36 @@ def with_negated_bimodule_term(P: TableBimodule, r: int, s: int, key: tuple, out
 
 
 # ---------------------------------------------------------------------------
-# tuple enumeration
-
-
-def mixed_tuples(cat: AinfCategory, P: Bimodule, r: int, s: int) -> Iterator[tuple]:
-    """Composable boundary tuples with s right inputs, module, r left inputs."""
-    gens = list(cat.generators())
-    by_source: dict[str, list[Gen]] = {}
-    for g in gens:
-        by_source.setdefault(g.source, []).append(g)
-
-    def chains(length: int, start: str | None) -> Iterator[tuple]:
-        if length == 0:
-            yield ()
-            return
-        pool = gens if start is None else by_source.get(start, [])
-        for g in pool:
-            for rest in chains(length - 1, g.target):
-                yield (g,) + rest
-
-    for right_part in chains(s, None):
-        start = right_part[-1].target if right_part else None
-        for pair in sorted(P.space_pairs()):
-            if start is not None and pair[0] != start:
-                continue
-            for m in P.basis(*pair):
-                for left_part in chains(r, m.target):
-                    yield right_part + (m,) + left_part
-
-
-# ---------------------------------------------------------------------------
 # the bimodule quadratic equation
 
 
-def slot_after(s: int, i: int, j: int) -> int:
-    """Index of the module slot once the block key[i:j] collapses to one entry."""
-    if i <= s < j:
-        return i
-    return s - (j - i) + 1 if j <= s else s
+def table_keys(tables: Mapping[tuple[int, int], Mapping]) -> list[tuple[tuple, int]]:
+    """(key, s) for every key of a family of tables indexed by (r, s)."""
+    return [(key, s) for (_, s), table in tables.items() for key in table]
 
 
-def block_operations(P: Bimodule, key: tuple, s: int):
-    """inner(i, j) for signed_blocks: P's operation on a block holding the
-    module slot, the category's on any other block."""
-    cat = P.cat
-
-    def inner(i, j):
-        return P.op(key[i:j], s - i) if i <= s < j else cat.mu_key(key[i:j])
-
-    return inner
+def slot_index(keys: list[tuple[tuple, int]]) -> dict:
+    """The keys (key, s) by the element in their module slot."""
+    index: dict = {}
+    for key, s in keys:
+        index.setdefault(key[s], []).append((key, s))
+    return index
 
 
-def bimodule_residual(P: Bimodule, key: tuple, s: int) -> dict:
-    out: dict = {}
-    for i, j, g, c, below in signed_blocks(key, block_operations(P, key, s), (s,)):
-        chain_add(out, P.op(key[:i] + (g,) + key[j:], slot_after(s, i, j)), parity_sign(below) * c)
-    return chain_normalize(out, P.cat.ring)
-
-
-def all_mixed_tuples(P: Bimodule, max_inputs: int) -> Iterator[tuple[tuple, int]]:
-    """(key, s) for every mixed tuple with r + s <= max_inputs."""
-    for total in range(0, max_inputs + 1):
-        for s in range(0, total + 1):
-            for key in mixed_tuples(P.cat, P, total - s, s):
-                yield key, s
+def slot_terms(keys: list[tuple[tuple, int]], op) -> list[tuple]:
+    """The inner terms (key, s, op(key, s)) of an operation with a module slot."""
+    return [(key, s, op(key, s)) for key, s in keys]
 
 
 def verify_bimodule(P: Bimodule, max_inputs: int = 4) -> VerificationReport:
-    """Check the quadratic equation on all tuples with r + s <= max_inputs."""
-    return collect_violations((key, bimodule_residual(P, key, s)) for key, s in all_mixed_tuples(P, max_inputs))
+    """Check the quadratic equation on all tuples with r + s <= max_inputs.
+
+    The nonzero residuals come from pairs of terms: P's operation or mu
+    inside a block, P's operation outside (core.substitutions).
+    """
+    keys = P.op_keys()
+    terms = substitutions(slot_terms(keys, P.op) + mu_terms(P.cat), keys, P.op_keys_at, max_inputs + 1)
+    return term_report([(terms, P.op, parity_sign)], P.cat, max_inputs, list(P.elements()))
 
 
 # ---------------------------------------------------------------------------
@@ -371,35 +385,32 @@ def identity_hom(P: Bimodule) -> BimoduleHom:
     return BimoduleHom(source=P, target=P, n=0, components={(0, 0): table})
 
 
-def hom_residual(phi: BimoduleHom, key: tuple, s: int) -> dict:
-    """The four-sum morphism equation on one input tuple."""
-    n = phi.n
-
-    def phi_block(i, j):
-        return phi.apply(key[i:j], s - i) if i <= s < j else EMPTY
-
-    out: dict = {}
-    # the morphism inside the block, the target's operation outside
-    for i, j, g, c, below in signed_blocks(key, phi_block, (s,)):
-        chain_add(out, phi.target.op(key[:i] + (g,) + key[j:], slot_after(s, i, j)), parity_sign(n * below) * c)
-    # the source's operation or mu inside the block, the morphism outside
-    for i, j, g, c, below in signed_blocks(key, block_operations(phi.source, key, s), (s,)):
-        chain_add(out, phi.apply(key[:i] + (g,) + key[j:], slot_after(s, i, j)), parity_sign(below + n + 1) * c)
-    return chain_normalize(out, phi.source.cat.ring)
-
-
 def verify_bimodule_hom(phi: BimoduleHom, max_inputs: int = 4) -> VerificationReport:
-    return collect_violations(
-        (key, hom_residual(phi, key, s)) for key, s in all_mixed_tuples(phi.source, max_inputs)
+    """Check the morphism equation on all tuples with r + s <= max_inputs.
+
+    Its terms come in two passes, as pairs of table terms: a component of
+    phi inside a block and the target's operation outside, then the
+    source's operation or mu inside and a component of phi outside.
+    """
+    n, source, length = phi.n, phi.source, max_inputs + 1
+    keys = table_keys(phi.components)
+    at_slot = slot_index(keys)
+    inside = substitutions(slot_terms(keys, phi.apply), [], phi.target.op_keys_at, length)
+    outside = substitutions(
+        slot_terms(source.op_keys(), source.op) + mu_terms(source.cat), keys, lambda m: at_slot.get(m, []), length
     )
+    passes = [
+        (inside, phi.target.op, lambda below: parity_sign(n * below)),
+        (outside, phi.apply, lambda below: parity_sign(below + n + 1)),
+    ]
+    return term_report(passes, source.cat, max_inputs, list(source.elements()))
 
 
 # ---------------------------------------------------------------------------
 # tensor product over the category
 
 
-@dataclass(frozen=True, order=True)
-class TensorWord:
+class TensorWord(NamedTuple):
     """Basis word of R (x)_B L, stored in boundary order (q, a_1..a_d, p)."""
 
     q: Gen

@@ -193,7 +193,10 @@ def cmd_hh(args) -> int:
     data = _read(args.path)
     loaded = load_category(data)
     cat = _apply_ring(loaded.category, args)
-    if not verify_ainf(cat, 3).passed:
+    # with m the largest arity of a term, a tuple longer than 2m - 1 holds
+    # no pair of terms, so checking to that length checks every tuple
+    arity = max((d for d, table in cat.mu.items() if table), default=1)
+    if not verify_ainf(cat, 2 * arity - 1).passed:
         raise CliError("category fails the structure relations", code=EXIT_FAIL)
     degrees = _parse_degree_range(args.degrees) if args.degrees else None
     res = hochschild_homology(cat, args.max_length, degrees)

@@ -19,6 +19,16 @@ for every composable (x_1, ..., x_d),
 where the reduced degree of x is deg(x) + 1.  Failures are collected as
 data (input tuple plus nonzero residual), not raised.
 
+The relation is checked on every composable tuple up to the bound, but
+computed from pairs of terms.  A summand is nonzero only where mu has a
+term on the block and another on the tuple with the block's output put
+back, so substitutions() walks the pairs of mu terms, and each tuple such
+a pair builds gets its full residual, summed in the order of the block
+walk; every other tuple has residual 0.  The bimodule and morphism
+equations are checked the same way.  The report's `checked` counts every
+tuple up to the bound (tuple_count, a path count in the quiver of
+generators), not just the tuples that were evaluated.
+
 Over Z/2 all coefficients are reduced mod 2, which makes every sign
 trivial.  Operation tables are normalized once, when the category is
 built (zero terms dropped, coefficients reduced mod 2 over Z/2), and
@@ -30,7 +40,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Callable, Container, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Container, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 RING_Z = "Z"
 RING_F2 = "F2"
@@ -40,8 +50,7 @@ class NonComposable(ValueError):
     pass
 
 
-@dataclass(frozen=True, order=True)
-class Gen:
+class Gen(NamedTuple):
     """A named basis generator of the hom space hom(source, target)."""
 
     source: str
@@ -326,19 +335,134 @@ def signed_blocks(
         below += x.degree if i in plain else x.degree + 1
 
 
-def ainf_residual(cat: AinfCategory, xs: tuple) -> dict:
-    """Signed double sum of the structure relation on one input tuple."""
-    out: dict = {}
-    for i, j, g, c, below in signed_blocks(xs, lambda i, j: cat.mu_key(xs[i:j]), ()):
-        chain_add(out, cat.mu_key(xs[:i] + (g,) + xs[j:]), parity_sign(below) * c)
-    return chain_normalize(out, cat.ring)
+def tuple_count(cat: AinfCategory, up_to: int, elements: Iterable | None = None) -> int:
+    """How many tuples a verifier checks, counted without listing them.
+
+    Without `elements`: the composable generator tuples of length 1..up_to.
+    With the elements of a bimodule: the mixed tuples
+    (b_s, .., b_1, m, a_1, .., a_r) with r + s <= up_to.  Both are path
+    counts in the quiver of generators, one transfer-matrix step per length.
+    """
+    gens = list(cat.generators())
+    # ending[l][obj] / starting[l][obj]: composable l-tuples that end / start
+    # at obj; None stands for the empty tuple, which fits everywhere
+    ending: list[dict | None] = [None]
+    starting: list[dict | None] = [None]
+
+    def fits(counts: dict | None, obj: str) -> int:
+        return 1 if counts is None else counts.get(obj, 0)
+
+    for _ in range(up_to):
+        end: dict = {}
+        start: dict = {}
+        for g in gens:
+            end[g.target] = end.get(g.target, 0) + fits(ending[-1], g.source)
+            start[g.source] = start.get(g.source, 0) + fits(starting[-1], g.target)
+        ending.append(end)
+        starting.append(start)
+    if elements is None:
+        return sum(n for end in ending[1:] for n in end.values())
+    elements = list(elements)
+    return sum(
+        fits(ending[s], m.source) * fits(starting[total - s], m.target)
+        for total in range(up_to + 1)
+        for s in range(total + 1)
+        for m in elements
+    )
+
+
+def substitutions(inner: Iterable, outer_keys: Iterable, outer_at: Callable, max_length: int) -> Iterator[tuple]:
+    """Every term of a quadratic equation that can be nonzero.
+
+    A term puts the output g (coefficient c, the k-th item of its chain) of
+    an inner operation on key1 into position p of an outer key key2 with
+    key2[p] = g.  It lives on the tuple xs = key2[:p] + key1 + key2[p+1:],
+    as the block (i, j) = (p, p + len(key1)) of signed_blocks; no other
+    block of any tuple has a nonzero term.
+
+    `inner` gives (key1, t, chain), t the module slot of key1 or None.  The
+    output of an operation with a slot is a module element and goes into
+    the slot of an outer key: the pairs (key2, s2) of outer_at(g).  Any
+    other output goes into a position p != s2 of one of `outer_keys`,
+    pairs (key2, s2) with s2 None where there is no module slot.
+
+    Yields ((xs, slot), (i, j, k), key2, s2, c, below), below as in
+    signed_blocks, for every xs of at most max_length entries.
+    """
+    elsewhere: dict = {}
+    for key2, s2 in outer_keys:
+        for p, x in enumerate(key2):
+            if p != s2:
+                elsewhere.setdefault(x, []).append((key2, s2, p))
+    for key1, t, chain in inner:
+        for k, (g, c) in enumerate(chain.items()):
+            places = elsewhere.get(g, []) if t is None else [(key2, s2, s2) for key2, s2 in outer_at(g)]
+            for key2, s2, p in places:
+                if len(key2) + len(key1) - 1 > max_length:
+                    continue
+                if t is not None:
+                    slot = p + t
+                elif s2 is None or s2 < p:
+                    slot = s2
+                else:
+                    slot = s2 + len(key1) - 1
+                below = sum(x.degree if n == s2 else x.degree + 1 for n, x in enumerate(key2[:p]))
+                yield (key2[:p] + key1 + key2[p + 1 :], slot), (p, p + len(key1), k), key2, s2, c, below
+
+
+def term_report(
+    passes: list[tuple], cat: AinfCategory, up_to: int, elements: list | None = None
+) -> VerificationReport:
+    """The report of a quadratic equation, from its possibly nonzero terms.
+
+    `passes` lists (terms, op, sign): each term of substitutions adds
+    sign(below) * c * op(key2, s2) to the residual of its tuple (xs, slot).
+    The terms of one tuple are added by (pass, i, j, k), the order in which
+    the block walk of signed_blocks meets them, so every residual comes out
+    exactly as that walk over the tuple builds it, insertion order included.
+
+    The checked tuples are those counted by tuple_count(cat, up_to,
+    elements), and the violations come in the order that lists them: by
+    length, module slot, then the indices of the entries (generators in
+    cat.generators() order, the slot's element in `elements` order).
+    """
+    gens = {g: n for n, g in enumerate(cat.generators())}
+    elems = {m: n for n, m in enumerate(elements or ())}
+    ops = [op for _, op, _ in passes]
+    by_tuple: dict = {}
+    for n, (terms, _, sign) in enumerate(passes):
+        for where, (i, j, k), key, s, c, below in terms:
+            by_tuple.setdefault(where, []).append((n, i, j, k, key, s, sign(below) * c))
+    found = []
+    for (xs, slot), group in by_tuple.items():
+        try:
+            rank = (len(xs), slot, tuple(elems[x] if i == slot else gens[x] for i, x in enumerate(xs)))
+        except KeyError:
+            continue  # an entry outside the lists: not a checked tuple
+        out: dict = {}
+        for n, _, _, _, key, s, scale in sorted(group):  # (n, i, j, k) is unique
+            chain_add(out, ops[n](key, s), scale)
+        residual = chain_normalize(out, cat.ring)
+        if residual:
+            found.append((rank, Violation(xs, residual)))
+    found.sort(key=lambda item: item[0])
+    return VerificationReport(checked=tuple_count(cat, up_to, elements), violations=[v for _, v in found])
+
+
+def mu_terms(cat: AinfCategory) -> list[tuple]:
+    """Every mu table term as an inner operation (key, None, chain)."""
+    return [(key, None, chain) for table in cat.mu.values() for key, chain in table.items()]
 
 
 def verify_ainf(cat: AinfCategory, up_to: int) -> VerificationReport:
-    """Check the structure relation on every composable tuple of length <= up_to."""
-    return collect_violations(
-        (xs, ainf_residual(cat, xs)) for d in range(1, up_to + 1) for xs in composable_tuples(cat, d)
-    )
+    """Check the structure relation on every composable tuple of length <= up_to.
+
+    Only the tuples built from a pair of mu terms can have a nonzero
+    residual; those are found by substitutions and evaluated in full.
+    """
+    outer = [(key, None) for table in cat.mu.values() for key in table]
+    terms = substitutions(mu_terms(cat), outer, None, up_to)
+    return term_report([(terms, lambda key, _: cat.mu_key(key), parity_sign)], cat, up_to)
 
 
 # ---------------------------------------------------------------------------

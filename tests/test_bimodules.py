@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from dense_verifiers import mixed_tuples
 
 from ainfcat.bimodules import (
     LEFT,
@@ -138,8 +139,6 @@ def test_table_bimodule_mutation_detected():
     diag = diagonal_bimodule(cat)
     spaces = {(a, b): list(diag.basis(a, b)) for a in cat.objects for b in cat.objects}
     ops: dict = {}
-    from ainfcat.bimodules import mixed_tuples
-
     for total in range(0, 4):
         for s in range(0, total + 1):
             r = total - s

@@ -5,11 +5,11 @@ from __future__ import annotations
 import random
 
 import pytest
+from dense_verifiers import ainf_residual
 
 from ainfcat.core import (
     Gen,
     NonComposable,
-    ainf_residual,
     apply_mu,
     chain_add,
     composable_tuples,

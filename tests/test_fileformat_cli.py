@@ -21,7 +21,14 @@ from ainfcat.fileformat import (
     load_morphism,
     morphism_to_json,
 )
-from ainfcat.fixtures import FIXTURES, coproduct_morphism, dual_numbers, ground_ring, split_summand_pair
+from ainfcat.fixtures import (
+    FIXTURES,
+    coproduct_morphism,
+    dual_numbers,
+    ground_ring,
+    split_summand_pair,
+    triple_product_algebra,
+)
 from ainfcat.strata import annulus, bidisc, disc, interpolation, punctured_disc
 
 
@@ -297,6 +304,20 @@ def test_cli_hh_ring_override(tmp_path):
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
     assert all("Z/2" in v or v == "0" for v in payload["groups"].values())
+
+
+@pytest.mark.parametrize("max_length", ["3", "4"])
+def test_cli_hh_checks_every_tuple_with_a_pair_of_terms(tmp_path, capsys, max_length):
+    # mu^4(u, u, p, p) = p first breaks the structure relation on 4-tuples,
+    # past any fixed depth 3; the complex then fails d o d from length 4
+    raw = category_to_json(triple_product_algebra())
+    assert 4 not in {op["arity"] for op in raw["operations"]}
+    u, p = ["*", "*", "u"], ["*", "*", "p"]
+    raw["operations"].append({"arity": 4, "terms": [{"inputs": [u, u, p, p], "output": p, "coefficient": 1}]})
+    path = tmp_path / "triple.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main(["hh", str(path), "--max-length", max_length]) == 1
+    assert "error: category fails the structure relations" in capsys.readouterr().err
 
 
 def test_with_ring_reduction():

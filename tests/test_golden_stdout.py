@@ -37,7 +37,29 @@ COMMANDS: list[list[str]] = [
      "--max-length", "2", "--emit", "split.cert.json"],
     ["generate", "split_summand_pair.json", "--object", "K", "--replay", "split.cert.json"],
     ["strata", "R_5", "--equation", "ainf"],
+    # failing cases: the witness lines print violations and residuals in order
+    ["validate", "triple_mu3_negated.json"],
+    ["validate", "triple_mu3_negated.json", "--depth", "2", "--bimodule-bound", "4"],
+    ["validate", "cone_n1_negated.json"],
 ]
+
+
+def write_mutants() -> None:
+    """Two broken files next to the fixtures: triple_product_algebra with its
+    first mu^3 constant negated, and cone_algebra with the (v,) -> p (x) q
+    component of coproduct_n1 negated (a two-term residual)."""
+    raw = json.loads(Path("triple_product_algebra.json").read_text())
+    (op,) = [op for op in raw["operations"] if op["arity"] == 3]
+    op["terms"][0]["coefficient"] *= -1
+    Path("triple_mu3_negated.json").write_text(json.dumps(raw, sort_keys=True, indent=2) + "\n")
+    raw = json.loads(Path("cone_algebra.json").read_text())
+    (m,) = [m for m in raw["morphisms"] if m["name"] == "coproduct_n1"]
+    (c,) = [
+        c for c in m["components"]
+        if c["inputs"] == [["*", "*", "v"]] and (c["output_left"][2], c["output_right"][2]) == ("p", "q")
+    ]
+    c["coefficient"] *= -1
+    Path("cone_n1_negated.json").write_text(json.dumps(raw, sort_keys=True, indent=2) + "\n")
 
 
 def _run(argv: list[str]) -> str:
@@ -54,6 +76,7 @@ def stdout_digests(workdir: Path) -> dict[str, str]:
     try:
         for name in sorted(FIXTURES):
             _run(["fixture", name, "-o", f"{name}.json"])
+        write_mutants()
         return {" ".join(argv): hashlib.sha256(_run(argv).encode()).hexdigest() for argv in COMMANDS}
     finally:
         os.chdir(cwd)
