@@ -41,7 +41,7 @@ from .cardy import (
     verify_homotopy_equation,
 )
 from .complexes import GradedMap
-from .core import verify_ainf, with_ring
+from .core import relation_depth, verify_ainf, with_ring
 from .fileformat import (
     InputError,
     category_to_json,
@@ -193,10 +193,7 @@ def cmd_hh(args) -> int:
     data = _read(args.path)
     loaded = load_category(data)
     cat = _apply_ring(loaded.category, args)
-    # with m the largest arity of a term, a tuple longer than 2m - 1 holds
-    # no pair of terms, so checking to that length checks every tuple
-    arity = max((d for d, table in cat.mu.items() if table), default=1)
-    if not verify_ainf(cat, 2 * arity - 1).passed:
+    if not verify_ainf(cat, relation_depth(cat)).passed:
         raise CliError("category fails the structure relations", code=EXIT_FAIL)
     degrees = _parse_degree_range(args.degrees) if args.degrees else None
     res = hochschild_homology(cat, args.max_length, degrees)
@@ -285,6 +282,8 @@ def cmd_cardy(args) -> int:
     if maps is not None and name != loaded.raw["cardy"]["morphism"]:
         raise InputError(f"the chain maps are for morphism {loaded.raw['cardy']['morphism']}", path="/cardy/morphism")
     phi = load_morphism(loaded, name)
+    if not verify_ainf(cat, relation_depth(cat)).passed:
+        raise CliError("category fails the structure relations", code=EXIT_FAIL)
     mr = verify_bimodule_hom(phi, max_inputs=3)
     if not mr.passed:
         raise CliError(f"morphism {name} fails the bimodule-map equation", code=EXIT_FAIL)

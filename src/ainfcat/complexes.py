@@ -34,7 +34,9 @@ class BasedComplex:
         self.index = {k: {label: i for i, label in enumerate(v)} for k, v in self.basis.items()}
         self._d = d
         self._matrices: dict[int, IntMatrix] = {}
+        self._composites: dict[int, IntMatrix] = {}
         self._diff_cache: dict = {}
+        self._labels = {label: label for v in self.basis.values() for label in v}
 
     def degrees(self) -> list[int]:
         return sorted(self.basis)
@@ -45,24 +47,25 @@ class BasedComplex:
     def diff_chain(self, label) -> dict:
         cached = self._diff_cache.get(label)
         if cached is None:
-            cached = self._diff_cache[label] = chain_normalize(dict(self._d(label)), self.ring)
+            # keyed by the basis's own label objects, not the equal copies
+            # `d` builds, so the cache holds one object per label
+            labels = self._labels
+            chain = chain_normalize(dict(self._d(label)), self.ring)
+            cached = self._diff_cache[label] = {labels.get(g, g): c for g, c in chain.items()}
         return cached
 
     def matrix(self, k: int) -> IntMatrix:
         if k not in self._matrices:
-            src = self.basis.get(k, [])
             tgt = self.index.get(k + 1, {})
-            rows = len(tgt)
-            cols = [[0] * len(src) for _ in range(rows)]
+            rows: list[dict] = [{} for _ in tgt]
+            src = self.basis.get(k, [])
             for j, label in enumerate(src):
                 for out, c in self.diff_chain(label).items():
                     i = tgt.get(out)
                     if i is None:
-                        if c:
-                            raise KeyError(f"differential of {label!r} leaves the declared basis at {out!r}")
-                        continue
-                    cols[i][j] = c
-            self._matrices[k] = IntMatrix(cols, cols=len(src)) if rows else IntMatrix.zeros(0, len(src))
+                        raise KeyError(f"differential of {label!r} leaves the declared basis at {out!r}")
+                    rows[i][j] = c
+            self._matrices[k] = IntMatrix.from_rows(rows, len(src))
         return self._matrices[k]
 
     def vector(self, chain: Mapping, k: int) -> list[int]:
@@ -73,32 +76,31 @@ class BasedComplex:
                 v[idx[label]] = c
         return v
 
+    def composite(self, k: int) -> IntMatrix:
+        """matrix(k + 1) @ matrix(k), the matrix of d o d leaving degree k."""
+        if k not in self._composites:
+            self._composites[k] = self.matrix(k + 1) @ self.matrix(k)
+        return self._composites[k]
+
     def validate(self) -> None:
-        """Check d o d = 0 exactly, one basis label at a time."""
+        """Check d o d = 0 exactly, naming the first label where it fails."""
+        odd = (lambda x: x % 2) if self.ring == RING_F2 else bool
         for k in self.degrees():
-            for label in self.basis[k]:
-                acc: dict = {}
-                image = self.diff_chain(label)
-                for out, c in image.items():
-                    if out not in self.index.get(k + 1, {}):
-                        raise KeyError(
-                            f"differential of {label!r} leaves the declared basis at {out!r}"
-                        )
-                    chain_add(acc, self.diff_chain(out), c)
-                if chain_normalize(acc, self.ring):
-                    raise NotAComplex(f"d o d != 0 at degree {k} on {label!r}")
+            bad = [j for row in self.composite(k).entries for j, x in row.items() if odd(x)]
+            if bad:
+                raise NotAComplex(f"d o d != 0 at degree {k} on {self.basis[k][min(bad)]!r}")
 
     def homology(self, k: int) -> FinAbGroup:
         if self.ring == RING_F2:
             n = self.dim(k)
             dim = (n - f2_rank(self.matrix(k))) - f2_rank(self.matrix(k - 1))
             return FinAbGroup(0, (2,) * dim)
-        return HomologyData(self.matrix(k), self.matrix(k - 1)).group
+        return self.homology_data(k).group
 
     def homology_data(self, k: int) -> HomologyData:
         if self.ring == RING_F2:
             raise ValueError("integral homology coordinates are not defined over F2")
-        return HomologyData(self.matrix(k), self.matrix(k - 1))
+        return HomologyData(self.matrix(k), self.matrix(k - 1), self.composite(k - 1))
 
 
 @dataclass

@@ -454,6 +454,16 @@ def mu_terms(cat: AinfCategory) -> list[tuple]:
     return [(key, None, chain) for table in cat.mu.values() for key, chain in table.items()]
 
 
+def relation_depth(cat: AinfCategory) -> int:
+    """The tuple length up to which verify_ainf checks every relation.
+
+    With m the largest arity of a term, a nonzero residual needs a pair of
+    terms, so it sits on a tuple of length at most 2m - 1.
+    """
+    arity = max((d for d, table in cat.mu.items() if table), default=1)
+    return 2 * arity - 1
+
+
 def verify_ainf(cat: AinfCategory, up_to: int) -> VerificationReport:
     """Check the structure relation on every composable tuple of length <= up_to.
 

@@ -35,12 +35,8 @@ from .bimodules import (
     yoneda_module,
 )
 from .complexes import BasedComplex, GradedMap, verify_chain_map
-from .core import RING_F2, AinfCategory, chain_add, chain_normalize, parity_sign, verify_ainf
+from .core import RING_F2, AinfCategory, chain_add, chain_normalize, parity_sign, relation_depth, verify_ainf
 from .intlinalg import IntMatrix, NotAComplex, RationalOnly, Unsolvable, f2_rank, solve_integer
-
-
-# structure relations checked before a certificate is searched for or replayed
-VERIFY_DEPTH = 3
 
 
 class NotACycle(Exception):
@@ -135,11 +131,16 @@ def _identity_mod_2(f: GradedMap, k: int) -> bool:
     """
     cx = f.source
     D, E = cx.matrix(k), cx.matrix(k - 1)
-    G = [list(row) for row in zip(*(cx.vector(f.chain(x), k) for x in cx.basis[k]))]
-    for j, row in enumerate(G):
-        row[j] -= 1
-    block = [g + list(e) for g, e in zip(G, E.data)] + [list(d) + [0] * E.cols for d in D.data]
-    return f2_rank(IntMatrix(block)) - f2_rank(D) == f2_rank(E)
+    n = cx.dim(k)
+    # row i of [G | E]: column j of G is f(x_j) - x_j, E shifted past it
+    block = [{n + j: c for j, c in e.items()} for e in E.entries]
+    for j, x in enumerate(cx.basis[k]):
+        image = dict(f.chain(x))
+        chain_add(image, {x: 1}, -1)
+        for y, c in image.items():
+            block[cx.index[k][y]][j] = c
+    block += D.entries
+    return f2_rank(IntMatrix.from_rows(block, n + E.cols)) - f2_rank(D) == f2_rank(E)
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +200,6 @@ def generation_test(
     K: str,
     e: Mapping,
     max_length: int,
-    verify_depth: int = VERIFY_DEPTH,
 ) -> GenerationCertificate:
     """Search for a unit factorization through length-bounded words.
 
@@ -210,7 +210,7 @@ def generation_test(
     """
     if cat.ring != "Z":
         raise ValueError("generation certificates are integral; use ring Z")
-    if not verify_ainf(cat, verify_depth).passed:
+    if not verify_ainf(cat, relation_depth(cat)).passed:
         raise ValueError("category fails the structure relations")
     unit_report = verify_cohomological_unit(cat, K, e)
     if not unit_report.passed:
@@ -225,19 +225,22 @@ def generation_test(
     cycle_rows = cx.basis.get(1, [])
     unit_rows = hom_cx.basis.get(0, [])
 
-    rows = []
-    # cycle condition rows
-    d0 = cx.matrix(0)
-    for i in range(len(cycle_rows)):
-        rows.append([d0[i, j] for j in range(len(tau_basis))] + [0] * len(h_basis))
-    # unit condition rows: mu(tau) - mu^1(h) = e
-    mu_cols = [[mu_composition_word(cat, w).get(y, 0) for y in unit_rows] for w in tau_basis]
-    h_cols = [[-cat.mu_key((g,)).get(y, 0) for y in unit_rows] for g in h_basis]
-    for i in range(len(unit_rows)):
-        rows.append([col[i] for col in mu_cols] + [col[i] for col in h_cols])
+    # cycle condition rows, then the unit condition mu(tau) - mu^1(h) = e;
+    # the h columns follow the tau columns
+    rows = list(cx.matrix(0).entries)
+    unit_at = {y: len(rows) + i for i, y in enumerate(unit_rows)}
+    rows += [{} for _ in unit_rows]
+    for j, w in enumerate(tau_basis):
+        for y, c in mu_composition_word(cat, w).items():
+            if y in unit_at:
+                rows[unit_at[y]][j] = c
+    for j, g in enumerate(h_basis, start=len(tau_basis)):
+        for y, c in cat.mu_key((g,)).items():
+            if y in unit_at:
+                rows[unit_at[y]][j] = -c
     rhs = [0] * len(cycle_rows) + [e.get(y, 0) for y in unit_rows]
 
-    A = IntMatrix(rows, cols=len(tau_basis) + len(h_basis)) if rows else IntMatrix.zeros(0, len(tau_basis) + len(h_basis))
+    A = IntMatrix.from_rows(rows, len(tau_basis) + len(h_basis))
     if any(rhs) and not rows:
         return GenerationCertificate("inconclusive", K, list(B_objects), max_length, detail="empty search space")
     sol = solve_integer(A, rhs)
@@ -257,15 +260,15 @@ def generation_test(
 def replay_certificate(cat: AinfCategory, cert: GenerationCertificate, e: Mapping) -> GenerationCertificate:
     """Re-verify a generated certificate through independent checkers.
 
-    The category must pass the structure relations up to VERIFY_DEPTH
-    (generation_test's default depth), since a witness proves nothing in a
-    category that fails them.  Returns the certificate on success; on any
+    The category must pass the structure relations on every tuple (as in
+    generation_test), since a witness proves nothing in a category that
+    fails them.  Returns the certificate on success; on any
     failure returns a copy with verdict "refuted-at-bound" describing what
     broke.
     """
     if not cert.generated:
         return cert
-    if not verify_ainf(cat, VERIFY_DEPTH).passed:
+    if not verify_ainf(cat, relation_depth(cat)).passed:
         return _refuted(cert, "category fails the structure relations")
     try:
         cx = build_universal_complex(cat, cert.B_objects, cert.K, cert.max_length)

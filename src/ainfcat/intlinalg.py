@@ -14,10 +14,21 @@ basis from columns r: of V, kernel coordinates from rows r: of V_inv
 (r = rank of d_out), and class generators from kernel @ U_inv of the
 relation matrix, with no further factorization or solve.
 
+Matrices are stored as sparse rows (a dict from column to nonzero entry
+per row); the dense tuple-of-tuples `IntMatrix.data` is only a view, built
+on first access.  The Smith reduction runs on that storage: the working
+matrix keeps, for each column, the set of rows that hold it, so clearing
+a pivot column touches only those rows and a column operation only the
+rows holding the pivot column (usually the pivot row alone).  V is
+updated by sparse columns and U, U_inv and V_inv by sparse rows.
+
 All arithmetic uses Python ints, so intermediate coefficient growth in the
 Smith reduction is harmless.  Pivoting is deterministic: smallest nonzero
 absolute value, ties broken by lowest (row, col) index, so the transforms
-U and V are reproducible across runs.
+U and V are reproducible across runs.  solve_integer's solutions are read
+off V, so the pivot rule fixes them too; tests/dense_snf.py runs the same
+rule on dense storage, and the tests require the same U, D, V, U_inv and
+V_inv from both, entry for entry.
 
 Degree conventions are cohomological throughout: the differential of a
 chain complex raises degree by one.
@@ -27,6 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Iterable, Sequence
 
 
@@ -39,55 +51,79 @@ class DimensionMismatch(Exception):
 
 
 class IntMatrix:
-    """Immutable dense integer matrix."""
+    """Immutable integer matrix stored as sparse rows.
 
-    __slots__ = ("rows", "cols", "data")
+    `entries[i]` maps a column j to the nonzero entry (i, j); zeros are
+    never stored.  `data`, the dense tuple of row tuples, and the sparse
+    columns that `apply` and `column` read are built on first access.
+    """
+
+    __slots__ = ("rows", "cols", "entries", "_data", "_columns")
 
     def __init__(self, data: Sequence[Sequence[int]], rows: int | None = None, cols: int | None = None):
-        rowtuples = tuple(tuple(int(x) for x in row) for row in data)
+        rowtuples = [tuple(row) for row in data]
         if rowtuples:
             ncols = len(rowtuples[0])
             if any(len(r) != ncols for r in rowtuples):
                 raise ValueError("ragged rows")
         else:
             ncols = cols if cols is not None else 0
-        self.data = rowtuples
-        self.rows = len(rowtuples) if rows is None else rows
-        self.cols = ncols
         if rows is not None and rows != len(rowtuples):
             raise ValueError("row count mismatch")
+        self.entries = tuple({j: int(x) for j, x in enumerate(r) if x} for r in rowtuples)
+        self.rows = len(rowtuples)
+        self.cols = ncols
+        self._data = None
+        self._columns = None
 
     @classmethod
-    def _wrap(cls, rows: Sequence[Sequence[int]], cols: int) -> "IntMatrix":
-        """A matrix over rows of ints already checked to have `cols` entries."""
+    def from_rows(cls, entries: Sequence[dict], cols: int) -> "IntMatrix":
+        """A matrix over sparse rows (column -> nonzero int, columns below
+        `cols`), taken as they are."""
         m = cls.__new__(cls)
-        m.data = tuple(map(tuple, rows))
-        m.rows = len(m.data)
+        m.entries = tuple(entries)
+        m.rows = len(m.entries)
         m.cols = cols
+        m._data = None
+        m._columns = None
         return m
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(tuple((0,) * cols for _ in range(rows)), cols=cols)
+        return cls.from_rows([{} for _ in range(rows)], cols)
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+        return cls.from_rows([{i: 1} for i in range(n)], n)
+
+    @property
+    def data(self) -> tuple[tuple[int, ...], ...]:
+        if self._data is None:
+            dense = []
+            for r in self.entries:
+                row = [0] * self.cols
+                for j, a in r.items():
+                    row[j] = a
+                dense.append(tuple(row))
+            self._data = tuple(dense)
+        return self._data
 
     def __getitem__(self, idx):
         i, j = idx
-        return self.data[i][j]
+        if not 0 <= j < self.cols:
+            raise IndexError(f"column {j} of a matrix with {self.cols} columns")
+        return self.entries[i].get(j, 0)
 
     def __eq__(self, other):
         return (
             isinstance(other, IntMatrix)
             and self.rows == other.rows
             and self.cols == other.cols
-            and self.data == other.data
+            and self.entries == other.entries
         )
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.data))
+        return hash((self.rows, self.cols, tuple(tuple(sorted(r.items())) for r in self.entries)))
 
     def __repr__(self):
         return f"IntMatrix({self.rows}x{self.cols})"
@@ -96,39 +132,54 @@ class IntMatrix:
         if self.cols != other.rows:
             raise DimensionMismatch(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         # Row i of the product combines the rows of `other` picked out by
-        # the nonzero entries of row i, so zeros of `self` cost nothing.
-        zero = (0,) * other.cols
+        # the nonzero entries of row i.
+        orows = other.entries
         out = []
-        for ri in self.data:
-            acc = zero
-            for a, orow in zip(ri, other.data):
-                if a:
-                    acc = [x + a * y for x, y in zip(acc, orow)]
-            out.append(acc)
-        return IntMatrix._wrap(out, other.cols)
+        for r in self.entries:
+            acc: dict = {}
+            for k, a in r.items():
+                for j, b in orows[k].items():
+                    acc[j] = acc.get(j, 0) + a * b
+            out.append({j: x for j, x in acc.items() if x})
+        return IntMatrix.from_rows(out, other.cols)
+
+    def _sparse_columns(self) -> list[dict]:
+        if self._columns is None:
+            self._columns = _transposed(self.entries, self.cols)
+        return self._columns
 
     def apply(self, vec: Sequence[int]) -> list[int]:
+        """A @ vec, summing the columns at the nonzeros of vec."""
         if len(vec) != self.cols:
             raise DimensionMismatch(f"matrix has {self.cols} cols, vector has {len(vec)}")
-        support = [(k, x) for k, x in enumerate(vec) if x]
-        return [sum(r[k] * x for k, x in support) for r in self.data]
+        out = [0] * self.rows
+        columns = self._sparse_columns()
+        for j in compress(range(len(vec)), vec):
+            x = vec[j]
+            for i, a in columns[j].items():
+                out[i] += a * x
+        return out
 
     def transpose(self) -> "IntMatrix":
-        if not self.data:
-            return IntMatrix._wrap([()] * self.cols, 0)
-        return IntMatrix._wrap(zip(*self.data), self.rows)
+        return IntMatrix.from_rows(_transposed(self.entries, self.cols), self.rows)
 
     def column(self, j: int) -> list[int]:
-        return [self.data[i][j] for i in range(self.rows)]
+        out = [0] * self.rows
+        for i, a in self._sparse_columns()[j].items():
+            out[i] = a
+        return out
 
     def is_zero(self) -> bool:
-        return all(all(x == 0 for x in r) for r in self.data)
+        return not any(self.entries)
 
 
-def matrix_from_columns(cols: Sequence[Sequence[int]], nrows: int) -> IntMatrix:
-    if not cols:
-        return IntMatrix.zeros(nrows, 0)
-    return IntMatrix(tuple(tuple(c[i] for c in cols) for i in range(nrows)), cols=len(cols))
+def _transposed(rows: Sequence[dict], ncols: int) -> list[dict]:
+    """The sparse rows of the transpose of a matrix with `ncols` columns."""
+    out: list[dict] = [{} for _ in range(ncols)]
+    for i, r in enumerate(rows):
+        for j, a in r.items():
+            out[j][i] = a
+    return out
 
 
 @dataclass(frozen=True)
@@ -149,118 +200,149 @@ class SmithDecomposition:
 
     def diagonal(self) -> list[int]:
         n = min(self.D.rows, self.D.cols)
-        return [self.D[i, i] for i in range(n)]
+        return [self.D.entries[i].get(i, 0) for i in range(n)]
 
     def rank(self) -> int:
         return sum(1 for d in self.diagonal() if d != 0)
 
 
-def _find_pivot(m: list[list[int]], t: int, rows: int, cols: int):
-    """Smallest |entry| > 0 in the trailing block, lowest (i, j) on ties.
-
-    Nothing is smaller than a unit, so the scan stops at the first one.
-    """
-    best = None
-    for i in range(t, rows):
-        for j in range(t, cols):
-            v = m[i][j]
-            if v != 0 and (best is None or abs(v) < abs(m[best[0]][best[1]])):
-                best = (i, j)
-                if v == 1 or v == -1:
-                    return best
-    return best
+def _add_scaled(dst: dict, src: dict, q: int) -> None:
+    """dst += q * src on sparse vectors, q != 0, in place, dropping zeros."""
+    for k, b in src.items():
+        v = dst.get(k, 0) + q * b
+        if v:
+            dst[k] = v
+        else:
+            del dst[k]
 
 
 def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
     rows, cols = A.rows, A.cols
-    m = [list(r) for r in A.data]
-    u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
-    v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
-    # U^{-1} is kept transposed, so both inverses change by whole rows:
-    # U -> E U gives U^{-1} -> U^{-1} E^{-1}, and V -> V F gives
-    # V^{-1} -> F^{-1} V^{-1}.
-    u_inv_t = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
-    v_inv = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
+    # m holds the working matrix by sparse rows; at[j] is the set of rows
+    # with a nonzero in column j, so a column operation visits only those.
+    m = [dict(r) for r in A.entries]
+    at: list[set] = [set() for _ in range(cols)]
+    for i, r in enumerate(m):
+        for j in r:
+            at[j].add(i)
+    u = [{i: 1} for i in range(rows)]
+    # V is kept by columns, and U^{-1} transposed, so every transform
+    # changes by whole sparse vectors: U -> E U gives U^{-1} -> U^{-1} E^{-1},
+    # and V -> V F gives V^{-1} -> F^{-1} V^{-1}.
+    v_t = [{j: 1} for j in range(cols)]
+    u_inv_t = [{i: 1} for i in range(rows)]
+    v_inv = [{j: 1} for j in range(cols)]
 
     def row_op(i, j, q):  # row_i -= q * row_j; column j of U^{-1} += q * column i
-        m[i] = [a - q * b for a, b in zip(m[i], m[j])]
-        u[i] = [a - q * b for a, b in zip(u[i], u[j])]
-        u_inv_t[j] = [a + q * b for a, b in zip(u_inv_t[j], u_inv_t[i])]
+        ri = m[i]
+        for k, b in m[j].items():
+            x = ri.get(k, 0) - q * b
+            if x:
+                if k not in ri:
+                    at[k].add(i)
+                ri[k] = x
+            else:
+                del ri[k]
+                at[k].discard(i)
+        _add_scaled(u[i], u[j], -q)
+        _add_scaled(u_inv_t[j], u_inv_t[i], q)
 
     def col_op(i, j, q):  # col_i -= q * col_j; row j of V^{-1} += q * row i
-        for r in m:
-            r[i] -= q * r[j]
-        for r in v:
-            r[i] -= q * r[j]
-        v_inv[j] = [a + q * b for a, b in zip(v_inv[j], v_inv[i])]
+        holders = at[i]
+        for r in at[j]:
+            row = m[r]
+            x = row.get(i, 0) - q * row[j]
+            if x:
+                row[i] = x
+                holders.add(r)
+            else:
+                del row[i]
+                holders.discard(r)
+        _add_scaled(v_t[i], v_t[j], -q)
+        _add_scaled(v_inv[j], v_inv[i], q)
 
     def row_swap(i, j):
-        m[i], m[j] = m[j], m[i]
+        a, b = m[i], m[j]
+        for k in a.keys() - b.keys():
+            at[k].discard(i)
+            at[k].add(j)
+        for k in b.keys() - a.keys():
+            at[k].discard(j)
+            at[k].add(i)
+        m[i], m[j] = b, a
         u[i], u[j] = u[j], u[i]
         u_inv_t[i], u_inv_t[j] = u_inv_t[j], u_inv_t[i]
 
     def col_swap(i, j):
-        for r in m:
-            r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
+        for r in at[i] | at[j]:
+            row = m[r]
+            a = row.pop(i, 0)
+            b = row.pop(j, 0)
+            if b:
+                row[i] = b
+            if a:
+                row[j] = a
+        at[i], at[j] = at[j], at[i]
+        v_t[i], v_t[j] = v_t[j], v_t[i]
         v_inv[i], v_inv[j] = v_inv[j], v_inv[i]
 
     t = 0
     while True:
-        piv = _find_pivot(m, t, rows, cols)
-        if piv is None:
+        # Rows below t hold only their pivot, and rows t: only columns t:,
+        # so the trailing block is rows t: whole.  Pivot: smallest |entry|,
+        # lowest (row, col) on ties; no later row can beat a unit.
+        best = None
+        for i in range(t, rows):
+            if m[i]:
+                size = min(map(abs, m[i].values()))
+                if best is None or size < best[0]:
+                    best = (size, i)
+                    if size == 1:
+                        break
+        if best is None:
             break
-        pi, pj = piv
+        size, pi = best
+        pj = min(j for j, x in m[pi].items() if abs(x) == size)
         if pi != t:
             row_swap(pi, t)
         if pj != t:
             col_swap(pj, t)
         # Clear row and column t; a failed exact division re-enters the loop
-        # with a strictly smaller pivot, so this terminates.
+        # with a strictly smaller pivot, so this terminates.  Operations
+        # against the same pivot row (column) commute, so their order is free;
+        # no entry is smaller than the pivot, so no quotient is 0.
+        p = m[t][t]
         dirty = False
-        for i in range(t + 1, rows):
-            if m[i][t] != 0:
-                q = m[i][t] // m[t][t]
-                row_op(i, t, q)
-                if m[i][t] != 0:
-                    dirty = True
-        for j in range(t + 1, cols):
-            if m[t][j] != 0:
-                q = m[t][j] // m[t][t]
-                col_op(j, t, q)
-                if m[t][j] != 0:
-                    dirty = True
+        for i in [i for i in at[t] if i != t]:
+            row_op(i, t, m[i][t] // p)
+            dirty = dirty or t in m[i]
+        for j in [j for j in m[t] if j != t]:
+            col_op(j, t, m[t][j] // p)
+            dirty = dirty or j in m[t]
         if dirty:
             continue
         # Enforce divisibility of the remaining block by the pivot; a unit
         # divides everything.
-        d = m[t][t]
         offender = None
-        if d not in (1, -1):
-            offender = next((i for i in range(t + 1, rows) if any(x % d for x in m[i][t + 1 :])), None)
+        if p not in (1, -1):
+            offender = next((i for i in range(t + 1, rows) if any(x % p for x in m[i].values())), None)
         if offender is not None:
             row_op(t, offender, -1)  # add offending row into pivot row
             continue
         t += 1
 
     for i in range(min(rows, cols)):
-        if m[i][i] < 0:
-            m[i] = [-x for x in m[i]]
-            u[i] = [-x for x in u[i]]
-            u_inv_t[i] = [-x for x in u_inv_t[i]]
-
-    def frozen(lists, ncols):  # row by row, so no second copy is ever whole
-        for i, r in enumerate(lists):
-            lists[i] = tuple(r)
-        return IntMatrix._wrap(lists, ncols)
+        if m[i].get(i, 0) < 0:
+            for vec in (m[i], u[i], u_inv_t[i]):
+                for k in vec:
+                    vec[k] = -vec[k]
 
     return SmithDecomposition(
-        U=frozen(u, rows),
-        D=frozen(m, cols),
-        V=frozen(v, cols),
-        U_inv=frozen(u_inv_t, rows).transpose(),
-        V_inv=frozen(v_inv, cols),
+        U=IntMatrix.from_rows(u, rows),
+        D=IntMatrix.from_rows(m, cols),
+        V=IntMatrix.from_rows(_transposed(v_t, cols), cols),
+        U_inv=IntMatrix.from_rows(_transposed(u_inv_t, rows), rows),
+        V_inv=IntMatrix.from_rows(v_inv, cols),
     )
 
 
@@ -320,8 +402,8 @@ def _kernel(A: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     """
     snf = smith_normal_form(A)
     r = snf.rank()
-    K = IntMatrix._wrap([row[r:] for row in snf.V.data], A.cols - r)
-    P = IntMatrix._wrap(snf.V_inv.data[r:], A.cols)
+    K = IntMatrix.from_rows([{j - r: a for j, a in row.items() if j >= r} for row in snf.V.entries], A.cols - r)
+    P = IntMatrix.from_rows(snf.V_inv.entries[r:], A.cols)
     return K, P
 
 
@@ -377,8 +459,9 @@ class HomologyData:
     coordinates agree.
     """
 
-    def __init__(self, d_out: IntMatrix, d_in: IntMatrix):
-        comp = d_out @ d_in  # raises DimensionMismatch if they do not meet
+    def __init__(self, d_out: IntMatrix, d_in: IntMatrix, composite: IntMatrix | None = None):
+        # `composite` is d_out @ d_in when the caller has already formed it
+        comp = d_out @ d_in if composite is None else composite  # raises DimensionMismatch if they do not meet
         if not comp.is_zero():
             raise NotAComplex("d o d != 0")
         self.d_out = d_out
@@ -387,7 +470,7 @@ class HomologyData:
         # Express im(d_in) in kernel coordinates.  im <= ker, and the kernel
         # basis spans a direct summand, so the coordinates are integral.
         z = self.kernel.cols
-        rel = matrix_from_columns([self._kernel_coords(d_in.column(j)) for j in range(d_in.cols)], z)
+        rel = self._kernel_rows @ d_in
         rel_snf = smith_normal_form(rel)
         # coords() reads U and class_generators() U^{-1}; V and V^{-1} of
         # the relations are never needed, so they are not kept.
@@ -462,7 +545,7 @@ def rational_rank(A: IntMatrix) -> int:
 
 def f2_rank(A: IntMatrix) -> int:
     """Rank of A over the field with two elements."""
-    rows = [sum(1 << j for j, x in enumerate(row) if x & 1) for row in A.data]
+    rows = [sum(1 << j for j, x in row.items() if x & 1) for row in A.entries]
     rank = 0
     for bit in range(A.cols):
         mask = 1 << bit

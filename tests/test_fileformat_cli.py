@@ -320,6 +320,29 @@ def test_cli_hh_checks_every_tuple_with_a_pair_of_terms(tmp_path, capsys, max_le
     assert "error: category fails the structure relations" in capsys.readouterr().err
 
 
+def test_cli_generate_checks_every_tuple_with_a_pair_of_terms(tmp_path, capsys):
+    # the mu^4 term of the hh test above: past depth 3, before any complex
+    raw = category_to_json(triple_product_algebra())
+    u, p = ["*", "*", "u"], ["*", "*", "p"]
+    raw["operations"].append({"arity": 4, "terms": [{"inputs": [u, u, p, p], "output": p, "coefficient": 1}]})
+    path = tmp_path / "triple.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main(["generate", str(path), "--object", "*"]) == 1
+    assert "error: category fails the structure relations" in capsys.readouterr().err
+
+
+def test_cli_cardy_checks_the_structure_relations(tmp_path, capsys):
+    # one mu^2 term negated: the relations fail, not only the morphism
+    phi = coproduct_morphism("cone_algebra", 1)
+    cat = phi.source.cat
+    d, key, out, _ = next(t for t in iter_terms(cat) if t[0] == 2)
+    raw = category_to_json(with_negated_term(cat, d, key, out), morphism_tables=[morphism_to_json("m", "*", phi)])
+    path = tmp_path / "cone.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main(["cardy", str(path), "--morphism", "m", "--max-length", "2"]) == 1
+    assert "error: category fails the structure relations" in capsys.readouterr().err
+
+
 def test_with_ring_reduction():
     from ainfcat.core import with_ring
 

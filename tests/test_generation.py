@@ -16,6 +16,7 @@ from ainfcat.fixtures import (
     triple_product_algebra,
     two_object_with_zero,
 )
+from ainfcat import generation
 from ainfcat.generation import (
     ClosednessViolation,
     GenerationCertificate,
@@ -241,7 +242,7 @@ def test_replay_refutes_certificate_in_broken_category():
     assert out.detail == "category fails the structure relations"
 
 
-def test_replay_refutes_certificate_whose_universal_complex_fails():
+def test_replay_refutes_certificate_whose_universal_complex_fails(monkeypatch):
     # an extra mu^4 term leaves the relations up to depth 3 intact but
     # breaks the evaluation map on words of length 2
     cat = cone_algebra(2)
@@ -250,6 +251,28 @@ def test_replay_refutes_certificate_whose_universal_complex_fails():
     p, u, v = (gen_named(cat, name) for name in ("p", "u", "v"))
     mu = {**cat.mu, 4: {(p, p, p, u): {v: 1}}}
     broken = AinfCategory(objects=list(cat.objects), hom=dict(cat.hom), mu=mu, ring=cat.ring, units=dict(cat.units))
+    # checked on every tuple, the relations fail first
+    out = replay_certificate(broken, cert, e)
+    assert out.verdict == "refuted-at-bound"
+    assert out.detail == "category fails the structure relations"
+    # checked only to depth 3, the universal complex is what refuses it
+    monkeypatch.setattr(generation, "relation_depth", lambda cat: 3)
     out = replay_certificate(broken, cert, e)
     assert out.verdict == "refuted-at-bound"
     assert out.detail == "evaluation fails to be a chain map against *"
+
+
+def test_generation_and_replay_check_relations_past_depth_3():
+    # mu^4(u, u, p, p) = p first breaks the structure relation on 4-tuples
+    cat = triple_product_algebra()
+    e = dict(cat.units["*"])
+    cert = generation_test(cat, ["*"], "*", e, max_length=2)
+    assert cert.generated
+    u, p = gen_named(cat, "u"), gen_named(cat, "p")
+    mu = {**cat.mu, 4: {(u, u, p, p): {p: 1}}}
+    broken = AinfCategory(objects=list(cat.objects), hom=dict(cat.hom), mu=mu, ring=cat.ring, units=dict(cat.units))
+    with pytest.raises(ValueError, match="category fails the structure relations"):
+        generation_test(broken, ["*"], "*", e, max_length=2)
+    out = replay_certificate(broken, cert, e)
+    assert out.verdict == "refuted-at-bound"
+    assert out.detail == "category fails the structure relations"

@@ -234,6 +234,26 @@ def test_not_a_complex_detected():
         C.validate()
 
 
+@pytest.mark.parametrize("ring, coefficient", [("Z", 1), ("Z", 2), ("F2", 1)])
+def test_not_a_complex_names_the_first_label(ring, coefficient):
+    # d o d vanishes on a (two paths cancel, mod 2 as well when doubled)
+    # and first fails on b
+    d = {"a": {"x": 1, "y": coefficient}, "b": {"x": 1}, "c": {"y": 1}, "x": {"z": 1}, "y": {"z": -1}}
+    C = BasedComplex({0: ["a", "b", "c"], 1: ["x", "y"], 2: ["z"]}, lambda label: d.get(label, {}), ring=ring)
+    if ring == "Z" and coefficient == 2:
+        with pytest.raises(NotAComplex, match="d o d != 0 at degree 0 on 'a'"):
+            C.validate()
+        return
+    with pytest.raises(NotAComplex, match="d o d != 0 at degree 0 on 'b'"):
+        C.validate()
+
+
+def test_differential_leaving_the_basis_is_refused():
+    C = BasedComplex({0: ["a"], 1: ["x"]}, lambda label: {"x": 1} if label == "a" else {"w": 1})
+    with pytest.raises(KeyError, match="differential of 'x' leaves the declared basis at 'w'"):
+        C.validate()
+
+
 def homology_oracle(d_out: IntMatrix, d_in: IntMatrix) -> FinAbGroup:
     """Free rank from rational ranks; torsion from coker(d_in) minors."""
     n = d_out.cols

@@ -4,9 +4,12 @@ Random integer matrices up to 8 x 8 are checked against sympy's Smith
 normal form, the transforms U, V and their inverses against the
 identities they must satisfy, solve_integer against the
 invariant-factor criterion for integral solvability, and f2_rank against
-plain mod-2 elimination.  Random small complexes check the kernel
-coordinates and the class generators that HomologyData reads off those
-inverses.  The minors oracle of test_intlinalg.py stays as the first one.
+plain mod-2 elimination.  The sparse Smith normal form must return the
+same U, D, V, U_inv and V_inv as the dense one of dense_snf.py, entry for
+entry, since solve_integer's solutions are read off V.  Random small
+complexes check the kernel coordinates and the class generators that
+HomologyData reads off those inverses.  The minors oracle of
+test_intlinalg.py stays as the first one.
 """
 
 from __future__ import annotations
@@ -17,6 +20,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy import Matrix, ZZ
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+from dense_snf import dense_smith_normal_form
 
 from ainfcat.intlinalg import (
     FinAbGroup,
@@ -89,6 +94,43 @@ def test_diagonal_matches_sympy(A):
     assert snf.diagonal() == sympy_diagonal(A)
     off_diagonal = [snf.D[i, j] for i in range(A.rows) for j in range(A.cols) if i != j]
     assert not any(off_diagonal)
+
+
+@st.composite
+def sparse_matrices(draw, max_rows=8, max_cols=40):
+    """Mostly-zero matrices, wide ones included, with empty rows and columns."""
+    rows = draw(st.integers(min_value=0, max_value=max_rows))
+    cols = draw(st.integers(min_value=0, max_value=max_cols))
+    cells = st.sampled_from((0,) * 20 + (1, -1, 2, -2, 3, -4))
+    data = draw(st.lists(st.lists(cells, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+    return IntMatrix(data, cols=cols)
+
+
+def wide_sparse(rows: int, cols: int, step: int) -> IntMatrix:
+    """About one entry in `step` nonzero, a fixed pattern of small values."""
+    return IntMatrix(
+        [[(i * cols + j) % 7 - 3 if (i * cols + j) % step == 0 else 0 for j in range(cols)] for i in range(rows)],
+        cols=cols,
+    )
+
+
+@SETTINGS
+@given(st.one_of(matrices(), sparse_matrices()))
+@example(IntMatrix.zeros(0, 5))
+@example(IntMatrix.zeros(5, 0))
+@example(IntMatrix([[0, 0, 0], [0, 2, 0], [0, 0, 0], [4, 0, 6]]))
+@example(wide_sparse(3, 40, 19))
+@example(IntMatrix([[2, 0], [0, 3]]))
+@example(IntMatrix([[4, 6], [6, 4]]))
+@example(IntMatrix([[1, 1, 0], [-1, 1, 0], [0, 0, 1]]))
+def test_sparse_transforms_match_the_dense_oracle(A):
+    snf = smith_normal_form(A)
+    dense = dense_smith_normal_form(A)
+    assert snf.U == dense.U
+    assert snf.D == dense.D
+    assert snf.V == dense.V
+    assert snf.U_inv == dense.U_inv
+    assert snf.V_inv == dense.V_inv
 
 
 def nonzero_product(diagonal: list[int]) -> tuple[int, int]:
