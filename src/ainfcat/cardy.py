@@ -28,7 +28,7 @@ from typing import Mapping
 from .bimodules import BimoduleHom, mu_composition_map
 from .complexes import BasedComplex, GradedMap, VerificationReport, compose, verify_chain_map
 from .core import AinfCategory, Violation, chain_add, chain_normalize, collect_violations, parity_sign
-from .hochschild import bar_differential, cc_of_delta
+from .hochschild import ChainMapViolation, cc_of_delta
 from .intlinalg import IntMatrix, RationalOnly, Unsolvable, solve_integer
 
 
@@ -40,13 +40,16 @@ class OpenClosedData:
     mu_cc_map); `oc` maps the same cyclic complex to the closed complex
     with shift n; `co` maps the closed complex to that same hom(K, K)
     with shift 0.  The shifts and endpoints are checked, and oc and co
-    are verified to be chain maps, on construction.
+    are verified to be chain maps, on construction; a map that is not one
+    raises ChainMapViolation naming it and the first failing label.
+    `co_oc` is CO o OC.
     """
 
     cat: AinfCategory
     mu_cc: GradedMap
     oc: GradedMap
     co: GradedMap
+    co_oc: GradedMap = field(init=False)
 
     @property
     def n(self) -> int:
@@ -64,7 +67,9 @@ class OpenClosedData:
         for name, f in (("open-to-closed", self.oc), ("closed-to-open", self.co)):
             report = verify_chain_map(f)
             if not report.passed:
-                raise ValueError(f"{name} map is not a chain map: {report.violations[0]}")
+                (bad,) = report.violations[0].inputs
+                raise ChainMapViolation(f"{name} map is not a chain map on {bad!r}", witness=bad, culprit=f)
+        self.co_oc = compose(self.co, self.oc, name="CO o OC")
 
 
 @dataclass
@@ -81,10 +86,10 @@ def _homotopy_residual(data: OpenClosedData, H: HomotopyWitness, word) -> dict:
     cat = data.cat
     out: dict = {}
     chain_add(out, cat.mu_boundary([H.chain(word)]), parity_sign(data.n))
-    for w1, c in bar_differential(cat, word).items():
+    for w1, c in data.mu_cc.source.diff_chain(word).items():
         chain_add(out, H.chain(w1), c)
     chain_add(out, data.mu_cc.chain(word), 1)
-    chain_add(out, data.co.apply_to(data.oc.chain(word)), -1)
+    chain_add(out, data.co_oc.chain(word), -1)
     return chain_normalize(out, cat.ring)
 
 
@@ -108,54 +113,44 @@ def mu_cc_map(phi: BimoduleHom, cc: BasedComplex, tensor_cx: BasedComplex) -> Gr
 def solve_homotopy(data: OpenClosedData) -> HomotopyWitness | Unsolvable | RationalOnly:
     """Solve the homotopy identity for H over the integers.
 
+    With H_k the block of H on words of degree k, the identity in degree k
+    is  (-1)^n mu^1 H_k + H_(k+1) b_k = CO o OC - mu o CC(phi)  on those
+    words; unknowns and equations run word by word, then by generator.
     Returns a HomotopyWitness, or solve_integer's RationalOnly when the
     system is solvable over the rationals only, or Unsolvable otherwise.
     """
-    cat = data.cat
     n = data.n
     cc = data.mu_cc.source
     hom_cx = data.mu_cc.target
+    sign = -parity_sign(n)  # hom_cx's differential is -mu^1
 
     variables: list = []  # (word, target generator)
-    var_index: dict = {}
+    first: dict[int, int] = {}  # where the entries of H_k start
     for k in cc.degrees():
-        for w in cc.basis[k]:
-            for y in hom_cx.basis.get(k + n - 1, []):
-                var_index[(w, y)] = len(variables)
-                variables.append((w, y))
+        first[k] = len(variables)
+        variables += [(w, y) for w in cc.basis[k] for y in hom_cx.basis.get(k + n - 1, [])]
 
-    rows = []
-    rhs = []
-    sign_n = parity_sign(n)
+    rows: list[dict] = []
+    rhs: list[int] = []
     for k in cc.degrees():
-        for w in cc.basis[k]:
-            # mu(CC(phi)(w)) - CO(OC(w)), the part of the identity without H
-            r = chain_add(data.mu_cc.chain(w), data.co.apply_to(data.oc.chain(w)), -1)
-            target = hom_cx.basis.get(k + n, [])
-            if not target:
-                # the equation in this degree still constrains nothing only
-                # if the right-hand side vanishes; check it
-                if chain_normalize(r, cat.ring):
-                    return Unsolvable()
-                continue
-            bw = bar_differential(cat, w)
-            for y in target:
-                row = [0] * len(variables)
-                # (-1)^n mu^1 (H(w)) contribution
-                for yp in hom_cx.basis.get(k + n - 1, []):
-                    coeff = cat.mu_key((yp,)).get(y, 0)
-                    if coeff:
-                        row[var_index[(w, yp)]] += sign_n * coeff
-                # H(b(w)) contribution
-                for w1, c in bw.items():
-                    j = var_index.get((w1, y))
-                    if j is not None:
-                        row[j] += c
-                rows.append(row)
-                rhs.append(-r.get(y, 0))
+        base, m, p = len(rows), hom_cx.dim(k + n), hom_cx.dim(k + n - 1)
+        rows += [{} for _ in range(cc.dim(k) * m)]
+        rhs += [0] * (cc.dim(k) * m)
+        # the equation on word j and generator i is row base + j * m + i
+        for i, entries in enumerate(hom_cx.matrix(k + n - 1).entries):
+            for q, c in entries.items():
+                for j in range(cc.dim(k)):
+                    rows[base + j * m + i][first[k] + j * p + q] = sign * c
+        for j1, entries in enumerate(cc.matrix(k).entries):
+            for j, c in entries.items():
+                for i in range(m):
+                    rows[base + j * m + i][first[k + 1] + j1 * m + i] = c
+        for M, scale in ((data.mu_cc.matrix(k), -1), (data.co_oc.matrix(k), 1)):
+            for i, entries in enumerate(M.entries):
+                for j, c in entries.items():
+                    rhs[base + j * m + i] += scale * c
 
-    A = IntMatrix(rows, cols=len(variables)) if rows else IntMatrix.zeros(0, len(variables))
-    sol = solve_integer(A, rhs)
+    sol = solve_integer(IntMatrix.from_rows(rows, len(variables)), rhs)
     if isinstance(sol, (Unsolvable, RationalOnly)):
         return sol
     table: dict = {}
@@ -172,10 +167,8 @@ def verify_cardy_on_homology(data: OpenClosedData, degrees=None) -> Verification
     requested degrees of the word complex.
     """
     n = data.n
-    mu_cc = data.mu_cc
-    cc = mu_cc.source
-    hom_cx = mu_cc.target
-    co_oc = compose(data.co, data.oc, name="CO o OC")
+    cc = data.mu_cc.source
+    hom_cx = data.mu_cc.target
     gsign = parity_sign(n * (n + 1) // 2)
 
     degs = list(degrees) if degrees is not None else cc.degrees()
@@ -186,14 +179,13 @@ def verify_cardy_on_homology(data: OpenClosedData, degrees=None) -> Verification
             continue
         hs = cc.homology_data(k)
         ht = hom_cx.homology_data(k + n)
+        lhs, rhs = data.mu_cc.matrix(k), data.co_oc.matrix(k)
         for gen_vec in hs.class_generators():
             checked += 1
-            chain = {w: c for w, c in zip(cc.basis[k], gen_vec) if c}
-            img1 = mu_cc.apply_to(chain)
-            img2 = co_oc.apply_to(chain)
-            coords1 = ht.coords(hom_cx.vector(img1, k + n))
-            coords2 = ht.coords(hom_cx.vector({g: gsign * c for g, c in img2.items()}, k + n))
+            coords1 = ht.coords(lhs.apply(gen_vec))
+            coords2 = ht.coords([gsign * x for x in rhs.apply(gen_vec)])
             if coords1 != coords2:
+                chain = {w: c for w, c in zip(cc.basis[k], gen_vec) if c}
                 violations.append(Violation((k, chain), {"lhs": coords1, "rhs": coords2}))
     return VerificationReport(checked=checked, violations=violations)
 

@@ -41,7 +41,7 @@ from .cardy import (
     verify_homotopy_equation,
 )
 from .complexes import GradedMap
-from .core import relation_depth, verify_ainf, with_ring
+from .core import RING_Z, morphism_depth, relation_depth, verify_ainf, with_ring
 from .fileformat import (
     InputError,
     category_to_json,
@@ -52,7 +52,7 @@ from .fileformat import (
     morphism_to_json,
 )
 from .generation import NotACycle, generation_test, replay_certificate, verify_cohomological_unit
-from .hochschild import hochschild_homology, truncated_cc
+from .hochschild import ChainMapViolation, hochschild_homology, truncated_cc
 from .intlinalg import RationalOnly, Unsolvable
 from .strata import (
     annulus,
@@ -273,6 +273,8 @@ def cmd_cardy(args) -> int:
     data = _read(args.path)
     loaded = load_category(data)
     cat = loaded.category
+    if cat.ring != RING_Z:
+        raise InputError("cardy compares integral homology classes; the ring must be Z", path="/ring")
     name = args.morphism
     if name is None:
         if len(loaded.morphisms) != 1:
@@ -284,7 +286,7 @@ def cmd_cardy(args) -> int:
     phi = load_morphism(loaded, name)
     if not verify_ainf(cat, relation_depth(cat)).passed:
         raise CliError("category fails the structure relations", code=EXIT_FAIL)
-    mr = verify_bimodule_hom(phi, max_inputs=3)
+    mr = verify_bimodule_hom(phi, max_inputs=morphism_depth(cat, phi.components))
     if not mr.passed:
         raise CliError(f"morphism {name} fails the bimodule-map equation", code=EXIT_FAIL)
     K = phi.target.left.K
@@ -298,11 +300,12 @@ def cmd_cardy(args) -> int:
     H = HomotopyWitness()
     if maps is not None:
         closed = loaded.cardy_closed
-        data_obj = OpenClosedData(
-            cat=cat, mu_cc=mu_cc,
-            oc=GradedMap(source=cc, target=closed, shift=phi.n, apply=lambda w: maps["oc"].get(w, {})),
-            co=GradedMap(source=closed, target=mu_cc.target, shift=0, apply=lambda lb: maps["co"].get(lb, {})),
-        )
+        oc = GradedMap(source=cc, target=closed, shift=phi.n, apply=lambda w: maps["oc"].get(w, {}), name="oc")
+        co = GradedMap(source=closed, target=mu_cc.target, shift=0, apply=lambda lb: maps["co"].get(lb, {}), name="co")
+        try:
+            data_obj = OpenClosedData(cat=cat, mu_cc=mu_cc, oc=oc, co=co)
+        except ChainMapViolation as err:
+            raise InputError(str(err), path=f"/cardy/chain_maps/{err.culprit.name}")
         H = HomotopyWitness(table=maps["homotopy"])
     else:
         data_obj = telescoping_data(cat, mu_cc, co_sign=args.co_sign)

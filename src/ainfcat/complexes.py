@@ -2,8 +2,9 @@
 
 A BasedComplex carries an ordered basis of hashable labels per degree and
 materializes dict-valued differentials into integer matrices, so homology
-questions reduce to intlinalg.  Chain maps are stored the same way; the
-commutation convention for a map f of degree `shift` is
+questions reduce to intlinalg.  A GradedMap is a matrix the same way: each
+image is computed once, and matrix(k) feeds every solve and homology
+comparison.  The commutation convention for a map f of degree `shift` is
 
     d_target o f == (-1)^shift * f o d_source
 
@@ -12,8 +13,10 @@ checked entrywise by verify_chain_map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Callable, Mapping
+from weakref import proxy
 
 from .core import RING_F2, VerificationReport, chain_add, chain_normalize, collect_violations, parity_sign
 from .intlinalg import FinAbGroup, HomologyData, IntMatrix, NotAComplex, f2_rank
@@ -23,8 +26,9 @@ class BasedComplex:
     """Cochain complex with explicit labelled bases.
 
     `basis[k]` is an ordered list of labels; `d` sends a label to a chain
-    (dict label -> coefficient) in the next degree.  The matrix form is
-    cached; validate() checks d o d = 0 exactly (mod 2 over F2) and raises
+    (dict label -> coefficient) in the next degree.  The differential is a
+    GradedMap of degree 1, so its chains and matrices are cached there;
+    validate() checks d o d = 0 exactly (mod 2 over F2) and raises
     NotAComplex where it fails.
     """
 
@@ -32,11 +36,11 @@ class BasedComplex:
         self.ring = ring
         self.basis = {k: list(v) for k, v in sorted(basis.items()) if v}
         self.index = {k: {label: i for i, label in enumerate(v)} for k, v in self.basis.items()}
-        self._d = d
-        self._matrices: dict[int, IntMatrix] = {}
         self._composites: dict[int, IntMatrix] = {}
-        self._diff_cache: dict = {}
         self._labels = {label: label for v in self.basis.values() for label in v}
+        # held by weak proxies: a complex that referred to itself through its
+        # differential would outlive its last use until the cyclic collector ran
+        self._differential = GradedMap(proxy(self), proxy(self), 1, d, name="differential")
 
     def degrees(self) -> list[int]:
         return sorted(self.basis)
@@ -44,29 +48,11 @@ class BasedComplex:
     def dim(self, k: int) -> int:
         return len(self.basis.get(k, []))
 
-    def diff_chain(self, label) -> dict:
-        cached = self._diff_cache.get(label)
-        if cached is None:
-            # keyed by the basis's own label objects, not the equal copies
-            # `d` builds, so the cache holds one object per label
-            labels = self._labels
-            chain = chain_normalize(dict(self._d(label)), self.ring)
-            cached = self._diff_cache[label] = {labels.get(g, g): c for g, c in chain.items()}
-        return cached
+    def diff_chain(self, label) -> Mapping:
+        return self._differential.chain(label)
 
     def matrix(self, k: int) -> IntMatrix:
-        if k not in self._matrices:
-            tgt = self.index.get(k + 1, {})
-            rows: list[dict] = [{} for _ in tgt]
-            src = self.basis.get(k, [])
-            for j, label in enumerate(src):
-                for out, c in self.diff_chain(label).items():
-                    i = tgt.get(out)
-                    if i is None:
-                        raise KeyError(f"differential of {label!r} leaves the declared basis at {out!r}")
-                    rows[i][j] = c
-            self._matrices[k] = IntMatrix.from_rows(rows, len(src))
-        return self._matrices[k]
+        return self._differential.matrix(k)
 
     def vector(self, chain: Mapping, k: int) -> list[int]:
         v = [0] * self.dim(k)
@@ -105,16 +91,42 @@ class BasedComplex:
 
 @dataclass
 class GradedMap:
-    """A degree-`shift` linear map between two BasedComplexes, label to chain."""
+    """A degree-`shift` linear map between two BasedComplexes, label to
+    chain; each image and each matrix(k) is computed once."""
 
     source: BasedComplex
     target: BasedComplex
     shift: int
     apply: Callable[[object], Mapping]
     name: str = "map"
+    _chains: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _matrices: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def chain(self, label) -> dict:
-        return chain_normalize(dict(self.apply(label)), self.target.ring)
+    def chain(self, label) -> Mapping:
+        cached = self._chains.get(label)
+        if cached is None:
+            # keyed by the target basis's own label objects, not the equal
+            # copies `apply` builds, so the cache holds one object per label
+            labels = self.target._labels
+            chain = chain_normalize(dict(self.apply(label)), self.target.ring)
+            cached = self._chains[label] = MappingProxyType({labels.get(g, g): c for g, c in chain.items()})
+        return cached
+
+    def matrix(self, k: int) -> IntMatrix:
+        """Column j is the image of source.basis[k][j] in the target's basis
+        of degree k + shift; an image outside that basis raises KeyError."""
+        if k not in self._matrices:
+            tgt = self.target.index.get(k + self.shift, {})
+            rows: list[dict] = [{} for _ in tgt]
+            src = self.source.basis.get(k, [])
+            for j, label in enumerate(src):
+                for out, c in self.chain(label).items():
+                    i = tgt.get(out)
+                    if i is None:
+                        raise KeyError(f"{self.name} of {label!r} leaves the declared basis at {out!r}")
+                    rows[i][j] = c
+            self._matrices[k] = IntMatrix.from_rows(rows, len(src))
+        return self._matrices[k]
 
     def apply_to(self, chain: Mapping) -> dict:
         out: dict = {}
@@ -154,3 +166,18 @@ def verify_chain_map(f: GradedMap) -> VerificationReport:
     return collect_violations(
         ((label,), residual(label)) for k in f.source.degrees() for label in f.source.basis[k]
     )
+
+
+def induced_rank_mod_2(f: GradedMap, k: int) -> int:
+    """Over F2, the rank of the map f induces from H^k of its source to
+    H^(k + shift) of its target.
+
+    With F = f.matrix(k), D the source's d_k and E the target's
+    d_(k + shift - 1), the map (x, y) -> (Fx + Ey, Dx) has rank
+    rank D + dim(F(ker D) + im E), so the induced map has rank
+    rank [[F, E], [D, 0]] - rank D - rank E.
+    """
+    F, D, E = f.matrix(k), f.source.matrix(k), f.target.matrix(k + f.shift - 1)
+    top = [{**row, **{F.cols + j: c for j, c in e.items()}} for row, e in zip(F.entries, E.entries)]
+    block = IntMatrix.from_rows(top + list(D.entries), F.cols + E.cols)
+    return f2_rank(block) - f2_rank(D) - f2_rank(E)

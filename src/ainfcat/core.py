@@ -454,14 +454,29 @@ def mu_terms(cat: AinfCategory) -> list[tuple]:
     return [(key, None, chain) for table in cat.mu.values() for key, chain in table.items()]
 
 
+def _largest_arity(cat: AinfCategory) -> int:
+    return max((d for d, table in cat.mu.items() if table), default=1)
+
+
 def relation_depth(cat: AinfCategory) -> int:
     """The tuple length up to which verify_ainf checks every relation.
 
     With m the largest arity of a term, a nonzero residual needs a pair of
     terms, so it sits on a tuple of length at most 2m - 1.
     """
-    arity = max((d for d, table in cat.mu.items() if table), default=1)
-    return 2 * arity - 1
+    return 2 * _largest_arity(cat) - 1
+
+
+def morphism_depth(cat: AinfCategory, components: Mapping) -> int:
+    """The bound on r + s up to which verify_bimodule_hom checks every
+    equation of a morphism with these component tables.
+
+    A nonzero residual needs a pair of terms, a component on at most a
+    inputs and an operation on at most m (the largest arity of mu), so it
+    sits at r + s <= a + m - 2.
+    """
+    longest = max((len(key) for table in components.values() for key in table), default=1)
+    return longest + _largest_arity(cat) - 2
 
 
 def verify_ainf(cat: AinfCategory, up_to: int) -> VerificationReport:

@@ -21,7 +21,8 @@ import jsonschema
 
 from .bimodules import LEFT, RIGHT, BimoduleHom, PairGen, diagonal_bimodule, tensor_bimodule, yoneda_module
 from .complexes import BasedComplex
-from .core import RING_F2, RING_Z, AinfCategory, Gen
+from .core import RING_F2, RING_Z, AinfCategory, Gen, is_composable
+from .hochschild import word_degree
 from .intlinalg import NotAComplex
 
 FORMAT_TAG = "ainfcat-category/1"
@@ -352,20 +353,23 @@ def load_category(data: bytes) -> LoadedFile:
         raise InputError(str(err), path="/operations")
     morphisms = _morphisms(raw.get("morphisms", []), cat, refs_index)
     section = raw.get("cardy", {})
+    closed = maps = None
     if section:
         phi = morphisms.get(section["morphism"])
         if phi is None:
             raise InputError(f"no morphism named {section['morphism']} in file", path="/cardy/morphism")
         if phi.n != section["degree"]:
             raise InputError(f"morphism {section['morphism']} has degree {phi.n}", path="/cardy/degree")
-    closed = _closed_complex(section["closed_complex"], cat.ring) if "closed_complex" in section else None
+        if "closed_complex" in section:
+            closed = _closed_complex(section["closed_complex"], cat.ring)
+        maps = _cardy_maps(section, closed, refs_index, phi)
     return LoadedFile(
         category=cat,
         raw=raw,
         digest=file_digest(data),
         morphisms=morphisms,
         cardy_closed=closed,
-        cardy_maps=_cardy_maps(section, closed, refs_index),
+        cardy_maps=maps,
     )
 
 
@@ -399,39 +403,57 @@ def _closed_complex(table: dict, ring: str) -> BasedComplex:
     return cx
 
 
-def _cardy_maps(section: dict, closed: BasedComplex | None, refs_index) -> dict | None:
+def _cardy_maps(section: dict, closed: BasedComplex | None, refs_index, phi: BimoduleHom) -> dict | None:
     """Resolve the chain-map tables of the cardy section.
 
     Every generator reference must be declared, and every closed-complex
-    name must be in the section's closed complex.
+    name must be in the section's closed complex.  With K the base object
+    and n the degree of phi, every oc and homotopy word must be a cyclic
+    word, and every entry must land in its map's target in the degree the
+    map's shift gives: oc in the closed complex at word degree + n, co in
+    hom(K, K) at its input's degree, homotopy in hom(K, K) at word degree
+    + n - 1.
     """
     if "chain_maps" not in section:
         return None
     if closed is None:
         raise InputError("chain maps need a closed complex", path="/cardy")
-    names = {name for labels in closed.basis.values() for name in labels}
+    degree = {name: k for k, labels in closed.basis.items() for name in labels}
+    K, n = phi.target.left.K, phi.n
 
     def closed_name(name, path):
-        if name not in names:
+        if name not in degree:
             raise InputError(f"reference to undeclared closed-complex element {name!r}", path=path)
         return name
 
     def word(refs, path):
-        return tuple(_resolve(refs_index, r, path) for r in refs)
+        w = tuple(_resolve(refs_index, r, path) for r in refs)
+        if not w or not is_composable(w + w[:1]):
+            raise InputError("the word is not a cyclic word", path=path)
+        return w
+
+    def end_K(ref, want, path):
+        g = _resolve(refs_index, ref, path)
+        if (g.source, g.target) != (K, K) or g.degree != want:
+            raise InputError(f"output {g} must lie in hom({K}, {K}) in degree {want}", path=path)
+        return g
 
     tables: dict = {"oc": {}, "co": {}, "homotopy": {}}
     maps = section["chain_maps"]
     for i, t in enumerate(maps.get("oc", [])):
         path = f"/cardy/chain_maps/oc/{i}"
-        tables["oc"].setdefault(word(t["word"], path), {})[closed_name(t["output"], path)] = t["coefficient"]
+        w, out = word(t["word"], path), closed_name(t["output"], path)
+        if degree[out] != word_degree(w) + n:
+            raise InputError(f"output {out!r} must lie in degree {word_degree(w) + n}", path=path)
+        tables["oc"].setdefault(w, {})[out] = t["coefficient"]
     for i, t in enumerate(maps.get("co", [])):
         path = f"/cardy/chain_maps/co/{i}"
-        out = _resolve(refs_index, t["output"], path)
-        tables["co"].setdefault(closed_name(t["input"], path), {})[out] = t["coefficient"]
+        name = closed_name(t["input"], path)
+        tables["co"].setdefault(name, {})[end_K(t["output"], degree[name], path)] = t["coefficient"]
     for i, t in enumerate(maps.get("homotopy", [])):
         path = f"/cardy/chain_maps/homotopy/{i}"
-        out = _resolve(refs_index, t["output"], path)
-        tables["homotopy"].setdefault(word(t["word"], path), {})[out] = t["coefficient"]
+        w = word(t["word"], path)
+        tables["homotopy"].setdefault(w, {})[end_K(t["output"], word_degree(w) + n - 1, path)] = t["coefficient"]
     return tables
 
 

@@ -34,9 +34,9 @@ from .bimodules import (
     tensor_over_category,
     yoneda_module,
 )
-from .complexes import BasedComplex, GradedMap, verify_chain_map
+from .complexes import BasedComplex, GradedMap, induced_rank_mod_2, verify_chain_map
 from .core import RING_F2, AinfCategory, chain_add, chain_normalize, parity_sign, relation_depth, verify_ainf
-from .intlinalg import IntMatrix, NotAComplex, RationalOnly, Unsolvable, f2_rank, solve_integer
+from .intlinalg import IntMatrix, NotAComplex, RationalOnly, Unsolvable, solve_integer
 
 
 class NotACycle(Exception):
@@ -106,41 +106,20 @@ def verify_cohomological_unit(cat: AinfCategory, K: str, e: Mapping) -> UnitRepo
             if not verify_chain_map(f).passed:
                 failures.append((L, side, "action is not a chain map"))
                 continue
+            # over F2, f acts as the identity where f - id induces zero
+            f_minus_id = GradedMap(cx, cx, 0, lambda x, f=f: chain_add(dict(f.chain(x)), {x: 1}, -1))
             for k in cx.degrees():
                 if cat.ring == RING_F2:
-                    if not _identity_mod_2(f, k):
+                    if induced_rank_mod_2(f_minus_id, k):
                         failures.append((L, side, k))
                     continue
                 hd = cx.homology_data(k)
+                F = f.matrix(k)
                 for gen_vec in hd.class_generators():
-                    chain = {g: c for g, c in zip(cx.basis[k], gen_vec) if c}
-                    image = f.apply_to(chain)
-                    if hd.coords(cx.vector(image, k)) != hd.coords(gen_vec):
+                    if hd.coords(F.apply(gen_vec)) != hd.coords(gen_vec):
                         failures.append((L, side, k))
                         break
     return UnitReport(passed=not failures, failures=failures)
-
-
-def _identity_mod_2(f: GradedMap, k: int) -> bool:
-    """Over F2, whether the chain map f acts as the identity on H^k.
-
-    With G the matrix of f - id on degree k, D = d_k and E = d_{k-1}, the
-    map (x, y) -> (Gx + Ey, Dx) has rank  rank D + dim(G(ker D) + im E),
-    so f - id sends every cycle to a boundary exactly when
-    rank [[G, E], [D, 0]] - rank D == rank E.
-    """
-    cx = f.source
-    D, E = cx.matrix(k), cx.matrix(k - 1)
-    n = cx.dim(k)
-    # row i of [G | E]: column j of G is f(x_j) - x_j, E shifted past it
-    block = [{n + j: c for j, c in e.items()} for e in E.entries]
-    for j, x in enumerate(cx.basis[k]):
-        image = dict(f.chain(x))
-        chain_add(image, {x: 1}, -1)
-        for y, c in image.items():
-            block[cx.index[k][y]][j] = c
-    block += D.entries
-    return f2_rank(IntMatrix.from_rows(block, n + E.cols)) - f2_rank(D) == f2_rank(E)
 
 
 # ---------------------------------------------------------------------------
@@ -218,26 +197,19 @@ def generation_test(
 
     e = chain_normalize(dict(e), cat.ring)
     cx = build_universal_complex(cat, B_objects, K, max_length)
-    hom_cx = hom_complex(cat, K, K)
+    mu = mu_composition_map(cat, K, K, cx)
+    hom_cx = mu.target
 
     tau_basis = cx.basis.get(0, [])
     h_basis = hom_cx.basis.get(-1, [])
     cycle_rows = cx.basis.get(1, [])
     unit_rows = hom_cx.basis.get(0, [])
 
-    # cycle condition rows, then the unit condition mu(tau) - mu^1(h) = e;
-    # the h columns follow the tau columns
+    # cycle condition rows, then the unit condition mu(tau) - mu^1(h) = e
+    # (hom_cx's differential is -mu^1); the h columns follow the tau columns
     rows = list(cx.matrix(0).entries)
-    unit_at = {y: len(rows) + i for i, y in enumerate(unit_rows)}
-    rows += [{} for _ in unit_rows]
-    for j, w in enumerate(tau_basis):
-        for y, c in mu_composition_word(cat, w).items():
-            if y in unit_at:
-                rows[unit_at[y]][j] = c
-    for j, g in enumerate(h_basis, start=len(tau_basis)):
-        for y, c in cat.mu_key((g,)).items():
-            if y in unit_at:
-                rows[unit_at[y]][j] = -c
+    for mu_row, d_row in zip(mu.matrix(0).entries, hom_cx.matrix(-1).entries):
+        rows.append({**mu_row, **{len(tau_basis) + j: c for j, c in d_row.items()}})
     rhs = [0] * len(cycle_rows) + [e.get(y, 0) for y in unit_rows]
 
     A = IntMatrix.from_rows(rows, len(tau_basis) + len(h_basis))

@@ -53,17 +53,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bimodules import BimoduleHom, DiagonalBimodule, TensorBimodule, TensorWord
-from .complexes import BasedComplex, GradedMap, verify_chain_map
+from .complexes import BasedComplex, GradedMap, induced_rank_mod_2, verify_chain_map
 from .core import RING_F2, AinfCategory, chain_add, chain_normalize, cyclic_tuples, parity_sign, rdeg, signed_blocks
 from .intlinalg import FinAbGroup, HomologyData, IntMatrix, smith_normal_form
 
 CyclicWord = tuple  # tuple[Gen, ...] in boundary order, distinguished slot last
 
 
-class ChainMapViolation(Exception):
-    def __init__(self, message, witness=None):
+class ChainMapViolation(ValueError):
+    """A map fails to be a chain map; `witness` is the first failing label
+    and `culprit` the failing GradedMap."""
+
+    def __init__(self, message, witness=None, culprit=None):
         super().__init__(message)
         self.witness = witness
+        self.culprit = culprit
 
 
 def word_degree(word: CyclicWord) -> int:
@@ -120,22 +124,18 @@ class HochschildResult:
     max_length: int
 
 
-def _iso_under_inclusion(small: BasedComplex, big: BasedComplex, k: int, hb: HomologyData) -> bool:
+def _iso_under_inclusion(inclusion: GradedMap, k: int, hb: HomologyData) -> bool:
     """Does the inclusion of the shorter truncation induce an iso at degree k?
 
-    hb is the homology data of `big` at degree k.
+    hb is the homology data of the inclusion's target at degree k.
     """
-    hs = small.homology_data(k)
+    hs = inclusion.source.homology_data(k)
     if hs.group != hb.group:
         return False
     # surjectivity of the induced map between abstractly isomorphic finitely
     # generated groups implies bijectivity
-    small_basis = small.basis.get(k, [])
-    image_coords = []
-    for gen_vec in hs.class_generators():
-        chain = {label: c for label, c in zip(small_basis, gen_vec) if c}
-        image_coords.append(hb.coords(big.vector(chain, k)))
-    return _spans(image_coords, hb)
+    F = inclusion.matrix(k)
+    return _spans([hb.coords(F.apply(gen)) for gen in hs.class_generators()], hb)
 
 
 def _spans(coord_list, hd) -> bool:
@@ -170,11 +170,13 @@ def hochschild_homology(cat: AinfCategory, max_length: int, degrees=None) -> Hoc
     """Homology of the truncated cyclic bar complex with stabilization flags.
 
     The flag at degree k records whether the inclusion of the (N-1)-
-    truncation induces an isomorphism there; it is a heuristic for
+    truncation induces an isomorphism there (over F2: the two dimensions
+    agree and the induced map has full rank); it is a heuristic for
     stabilization, never a convergence claim.
     """
     big = truncated_cc(cat, max_length)
     small = length_filter(big, max_length - 1) if max_length >= 1 else big
+    inclusion = GradedMap(small, big, 0, lambda w: {w: 1}, name="inclusion")
     if degrees is None:
         degs = sorted(set(big.degrees()) | set(small.degrees()))
     else:
@@ -184,11 +186,12 @@ def hochschild_homology(cat: AinfCategory, max_length: int, degrees=None) -> Hoc
     for k in degs:
         if big.ring == RING_F2:
             groups[k] = big.homology(k)
-            stable[k] = small.homology(k) == groups[k]
+            dim = len(groups[k].torsion)
+            stable[k] = small.homology(k) == groups[k] and induced_rank_mod_2(inclusion, k) == dim
         else:
             hb = big.homology_data(k)
             groups[k] = hb.group
-            stable[k] = _iso_under_inclusion(small, big, k, hb)
+            stable[k] = _iso_under_inclusion(inclusion, k, hb)
     return HochschildResult(groups=groups, stable=stable, max_length=max_length)
 
 

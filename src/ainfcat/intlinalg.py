@@ -544,21 +544,18 @@ def rational_rank(A: IntMatrix) -> int:
 
 
 def f2_rank(A: IntMatrix) -> int:
-    """Rank of A over the field with two elements."""
-    rows = [sum(1 << j for j, x in row.items() if x & 1) for row in A.entries]
-    rank = 0
-    for bit in range(A.cols):
-        mask = 1 << bit
-        piv = None
-        for i in range(rank, len(rows)):
-            if rows[i] & mask:
-                piv = i
+    """Rank of A over the field with two elements.
+
+    Rows are bit masks, reduced against a basis of pivots keyed by their
+    lowest set bit; a row with anything left becomes a new pivot.
+    """
+    pivots: dict[int, int] = {}
+    for row in A.entries:
+        mask = sum(1 << j for j, x in row.items() if x & 1)
+        while mask:
+            low = mask & -mask
+            if low not in pivots:
+                pivots[low] = mask
                 break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        for i in range(len(rows)):
-            if i != rank and rows[i] & mask:
-                rows[i] ^= rows[rank]
-        rank += 1
-    return rank
+            mask ^= pivots[low]
+    return len(pivots)

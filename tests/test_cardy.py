@@ -137,6 +137,18 @@ def test_solve_telescoping_roundtrip():
     assert verify_homotopy_equation(data, H).passed
 
 
+@pytest.mark.parametrize("N, y", [(2, "q"), (3, "q"), (4, "p")])
+def test_solve_cone_n1_table_is_pinned(N, y):
+    # the exact solution read off the Smith transforms (recorded before the
+    # system was built from matrices); at N = 2 and 4 the solution is not
+    # unique, so assembling the rows or unknowns in another order can move it
+    phi, cat, K, cc, tcx = setup("cone_algebra", 1, N)
+    H = solve_homotopy(telescoping_data(cat, mu_cc_map(phi, cc, tcx), co_sign=-1))
+    table = [(tuple(g.name for g in w), [(g.name, c) for g, c in chain.items()]) for w, chain in H.table.items()]
+    sign = -1 if y == "p" else 1
+    assert table == [(("p",), [(y, sign)]), (("q",), [(y, -sign)])]
+
+
 def test_solve_no_solution_homology_obstruction():
     phi, cat, K, cc, tcx = setup("cone_algebra", 2)
     data = scaled_composite_data(phi, zero_morphism_like(phi), cat, cc, tcx, scale=1)

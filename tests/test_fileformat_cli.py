@@ -608,3 +608,125 @@ def test_cli_cardy_verifies_each_chain_map_once(tmp_path, monkeypatch):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0
     assert sorted(calls) == sorted(["CC(morphism)", "mu o CC", "(+-)id"])
+
+
+def _dual_numbers_cardy(closed: dict, chain_maps: dict) -> dict:
+    """dual_numbers with its degree-1 coproduct m and a cardy section."""
+    phi = coproduct_morphism("dual_numbers", 1)
+    raw = category_to_json(phi.source.cat, morphism_tables=[morphism_to_json("m", "*", phi)])
+    raw["cardy"] = {"morphism": "m", "degree": 1, "closed_complex": closed, "chain_maps": chain_maps}
+    return raw
+
+
+E, EPS = ["*", "*", "e"], ["*", "*", "eps"]
+ONE_C = {"basis": [{"name": "c", "degree": 0}], "differential": []}
+Z_TO_C = {  # z -> c; oc(e) = z or co(c) = eps breaks the chain-map rule
+    "basis": [{"name": "z", "degree": 1}, {"name": "c", "degree": 2}],
+    "differential": [{"input": "z", "output": "c", "coefficient": 1}],
+}
+
+
+def _split_cardy_co_off_K() -> dict:
+    # co sends c into hom(K, L), not hom(K, K)
+    phi = coproduct_morphism("split_summand_pair", 0)
+    raw = category_to_json(phi.source.cat, morphism_tables=[morphism_to_json("m", "K", phi)])
+    raw["cardy"] = {
+        "morphism": "m",
+        "degree": 0,
+        "closed_complex": {"basis": [{"name": "c", "degree": 1}], "differential": []},
+        "chain_maps": {"oc": [], "co": [{"input": "c", "output": ["K", "L", "f1"], "coefficient": 1}]},
+    }
+    return raw
+
+
+@pytest.mark.parametrize(
+    "raw, path",
+    [
+        (  # e has degree 0 and n = 1, so oc(e) must lie in degree 1
+            _dual_numbers_cardy(ONE_C, {"oc": [{"word": [E], "output": "c", "coefficient": 1}]}),
+            "/cardy/chain_maps/oc/0",
+        ),
+        (  # the empty word is not a cyclic word
+            _dual_numbers_cardy(ONE_C, {"homotopy": [{"word": [], "output": E, "coefficient": 1}]}),
+            "/cardy/chain_maps/homotopy/0",
+        ),
+        (  # H(e) must lie in degree 0 + n - 1 = 0; eps has degree 1
+            _dual_numbers_cardy(ONE_C, {"homotopy": [{"word": [E], "output": EPS, "coefficient": 5}]}),
+            "/cardy/chain_maps/homotopy/0",
+        ),
+        (  # co preserves degree; c has degree 0, eps degree 1
+            _dual_numbers_cardy(ONE_C, {"co": [{"input": "c", "output": EPS, "coefficient": 1}]}),
+            "/cardy/chain_maps/co/0",
+        ),
+        (_split_cardy_co_off_K(), "/cardy/chain_maps/co/0"),
+        (
+            _dual_numbers_cardy(Z_TO_C, {"oc": [{"word": [E], "output": "z", "coefficient": 1}]}),
+            "/cardy/chain_maps/oc",
+        ),
+        (
+            _dual_numbers_cardy(
+                {
+                    "basis": [{"name": "z", "degree": 0}, {"name": "c", "degree": 1}],
+                    "differential": [{"input": "z", "output": "c", "coefficient": 1}],
+                },
+                {"co": [{"input": "c", "output": EPS, "coefficient": 1}]},
+            ),
+            "/cardy/chain_maps/co",
+        ),
+    ],
+    ids=["oc-degree", "homotopy-empty-word", "homotopy-degree", "co-degree", "co-off-K", "oc-not-chain-map",
+         "co-not-chain-map"],
+)
+def test_cli_cardy_bad_chain_map_entries_exit_2(tmp_path, capsys, raw, path):
+    cat_path = tmp_path / "cardy.json"
+    cat_path.write_text(json.dumps(raw))
+    assert cli.main(["cardy", str(cat_path), "--morphism", "m", "--max-length", "2"]) == 2
+    err = capsys.readouterr().err
+    assert f"input error: {path}: " in err
+    if path.endswith("/oc"):
+        assert "not a chain map on (e[*->*;0],)" in err
+
+
+def test_cli_cardy_refuses_an_f2_file(tmp_path, capsys, monkeypatch):
+    def not_reached(*args):
+        raise AssertionError("truncated_cc called on an F2 file")
+
+    monkeypatch.setattr(cli, "truncated_cc", not_reached)
+    raw = category_to_json(dual_numbers(), morphism_tables=[
+        morphism_to_json("m", "*", coproduct_morphism("dual_numbers", 1))
+    ])
+    raw["ring"] = "F2"
+    path = tmp_path / "f2.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main(["cardy", str(path), "--morphism", "m", "--max-length", "2"]) == 2
+    assert "input error: /ring: " in capsys.readouterr().err
+
+
+def test_cli_cardy_checks_the_morphism_to_its_longest_component(tmp_path, capsys):
+    # a (2, 2) component eps^5 -> eps (x) eps breaks the morphism equation
+    # only at r + s = 5, past the 3 a fixed bound would check
+    phi = coproduct_morphism("dual_numbers", 1)
+    raw = category_to_json(dual_numbers(), morphism_tables=[morphism_to_json("coproduct_n1", "*", phi)])
+    raw["morphisms"][0]["components"].append({
+        "left_inputs": 2, "right_inputs": 2, "inputs": [EPS] * 5,
+        "output_left": EPS, "output_right": EPS, "coefficient": 1,
+    })
+    path = tmp_path / "dual.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main(["cardy", str(path), "--morphism", "coproduct_n1", "--max-length", "5"]) == 1
+    assert "fails the bimodule-map equation" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name, degree",
+    [("cone_algebra", "1"), ("triple_product_algebra", "1")],
+)
+def test_cli_hh_f2_stable_flag_checks_the_induced_map(tmp_path, capsys, name, degree):
+    # H^1 of both truncations is Z/2, but the 1-truncation's inclusion
+    # induces zero on it, so the flag is false
+    path = tmp_path / f"{name}.json"
+    path.write_bytes(dump(FIXTURES[name]()))
+    assert cli.main(["hh", str(path), "--max-length", "2", "--ring", "F2", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["groups"][degree] == "Z/2"
+    assert report["stable"][degree] is False

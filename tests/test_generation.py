@@ -5,8 +5,8 @@ from __future__ import annotations
 import pytest
 
 from ainfcat.bimodules import TensorWord
-from ainfcat.complexes import BasedComplex, GradedMap, verify_chain_map
-from ainfcat.core import AinfCategory, iter_terms, with_negated_term, with_ring
+from ainfcat.complexes import BasedComplex, GradedMap, induced_rank_mod_2, verify_chain_map
+from ainfcat.core import AinfCategory, chain_add, iter_terms, with_negated_term, with_ring
 from ainfcat.fixtures import (
     cone_algebra,
     dual_numbers,
@@ -22,7 +22,6 @@ from ainfcat.generation import (
     GenerationCertificate,
     MaurerCartanViolation,
     NotACycle,
-    _identity_mod_2,
     build_universal_complex,
     generation_test,
     replay_certificate,
@@ -92,15 +91,16 @@ def test_units_pass_mod_2(make):
 
 def test_identity_mod_2_allows_boundaries():
     # x spans H^0; z = d(y) is a boundary, so x -> x + z is the identity on
-    # H^0 and x -> z is not
+    # H^0 (f - id induces zero) and x -> z is not (f - id induces x -> x)
     cx = BasedComplex({-1: ["y"], 0: ["x", "z"]}, lambda label: {"z": 1} if label == "y" else {}, ring="F2")
     shifted = {"x": {"x": 1, "z": 1}}
     killed = {"x": {"z": 1}}
-    for images, expected in ((shifted, True), (killed, False)):
+    for images, rank in ((shifted, 0), (killed, 1)):
         f = GradedMap(cx, cx, 0, lambda label, images=images: images.get(label, {label: 1}))
         assert verify_chain_map(f).passed
-        assert _identity_mod_2(f, 0) is expected
-        assert _identity_mod_2(f, -1)
+        f_minus_id = GradedMap(cx, cx, 0, lambda label, f=f: chain_add(dict(f.chain(label)), {label: 1}, -1))
+        assert induced_rank_mod_2(f_minus_id, 0) == rank
+        assert induced_rank_mod_2(f_minus_id, -1) == 0
 
 
 # -- the universal twisted complex ------------------------------------------

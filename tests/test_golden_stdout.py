@@ -33,6 +33,13 @@ COMMANDS: list[list[str]] = [
         ["cardy", f"{name}.json", "--morphism", f"coproduct_n{n}", "--max-length", "2"]
         for name, n in SHIPPED_MORPHISMS
     ),
+    # the homotopy solve's assembly: a nonzero solution and an unsolvable
+    # system; telescoping solves with co-sign +1 have the zero solution
+    ["cardy", "cone_algebra.json", "--morphism", "coproduct_n1", "--max-length", "3", "--solve",
+     "--co-sign", "-1"],
+    ["cardy", "split_summand_pair.json", "--morphism", "coproduct_n0", "--max-length", "2", "--solve",
+     "--co-sign", "-1"],
+    ["cardy", "cone_algebra.json", "--morphism", "coproduct_n2", "--max-length", "2", "--co-sign", "-1"],
     ["generate", "split_summand_pair.json", "--object", "K", "--subcategory", "L",
      "--max-length", "2", "--emit", "split.cert.json"],
     ["generate", "split_summand_pair.json", "--object", "K", "--replay", "split.cert.json"],

@@ -6,7 +6,7 @@ import pytest
 
 from ainfcat.bimodules import LEFT, RIGHT, BimoduleHom, tensor_over_category, yoneda_module
 from ainfcat.complexes import GradedMap, verify_chain_map, zero_map
-from ainfcat.core import chain_add, chain_normalize, cyclic_tuples
+from ainfcat.core import chain_add, chain_normalize, cyclic_tuples, with_ring
 from ainfcat.fixtures import (
     SHIPPED_MORPHISMS,
     cone_algebra,
@@ -134,6 +134,32 @@ def test_hochschild_dual_numbers_vs_rank_oracle():
         d_in = cx.matrix(k - 1)
         free = (cx.dim(k) - rational_rank(d_out)) - rational_rank(d_in)
         assert g.free_rank == free, (k, g, free)
+
+
+@pytest.mark.parametrize("make, N", [(cone_algebra, 2), (triple_product_algebra, 3), (split_summand_pair, 3)])
+def test_f2_stable_flags_match_a_gf2_oracle(make, N):
+    # the flag holds when the inclusion of the (N-1)-truncation is onto H^k
+    # of the N one and the dimensions agree: rank [E | F Z] - rank E, with
+    # Z a kernel basis of the small d_k, over sympy's GF(2)
+    from sympy import GF, Matrix
+    from sympy.polys.matrices import DomainMatrix
+
+    def gf2(rows, cols, entry):
+        return DomainMatrix.from_Matrix(Matrix(rows, cols, lambda i, j: entry(i, j) % 2)).convert_to(GF(2))
+
+    cat = with_ring(make(), "F2")
+    big = truncated_cc(cat, N)
+    small = length_filter(big, N - 1)
+    res = hochschild_homology(cat, N)
+    for k in big.degrees():
+        dim = len(res.groups[k].torsion)
+        E = big.matrix(k - 1)
+        Em = gf2(E.rows, E.cols, lambda i, j: E[i, j])
+        F = gf2(big.dim(k), small.dim(k), lambda i, j: int(big.basis[k][i] == small.basis[k][j]))
+        D = small.matrix(k)
+        Z = gf2(D.rows, D.cols, lambda i, j: D[i, j]).nullspace().transpose() if D.rows else F.eye(D.cols, GF(2))
+        onto = Em.hstack(F * Z).rank() - Em.rank() if small.dim(k) else 0
+        assert res.stable[k] == (len(small.homology(k).torsion) == dim and onto == dim), k
 
 
 def test_hochschild_cone_torsion_appears():
