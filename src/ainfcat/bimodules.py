@@ -49,7 +49,6 @@ from typing import Iterator, Mapping, NamedTuple
 from .complexes import BasedComplex, GradedMap
 from .core import (
     EMPTY,
-    RING_F2,
     AinfCategory,
     Gen,
     VerificationReport,
@@ -488,16 +487,6 @@ def tensor_over_category(R: YonedaModule, L: YonedaModule, max_length: int) -> B
     return cx
 
 
-def mu_composition_word(cat: AinfCategory, word: TensorWord) -> Mapping:
-    """Chain-level composition: full collapse of one word into
-    hom(q.source, p.target), signed by (-1)^(deg q + sum of reduced
-    degrees of the letters)."""
-    out = cat.mu_key((word.q,) + word.mid + (word.p,))
-    if (word.q.degree + sum(rdeg(a) for a in word.mid)) % 2 and cat.ring != RING_F2:
-        return signed_chain(out, 1)
-    return out
-
-
 def hom_complex(cat: AinfCategory, source_obj: str, target_obj: str) -> BasedComplex:
     """hom(source, target) as a complex with the module-convention
     differential -mu^1 (the diagonal bimodule acting on itself).
@@ -519,13 +508,14 @@ def hom_complex(cat: AinfCategory, source_obj: str, target_obj: str) -> BasedCom
 
 
 def mu_composition_map(cat: AinfCategory, X: str, K: str, tensor_cx: BasedComplex) -> GradedMap:
-    """Full collapse (mu_composition_word) from tensor_cx, a complex
-    R (x)_B L for the Yoneda modules R = hom(-, K) and L = hom(X, -), into
-    hom(X, K)."""
+    """Full collapse from tensor_cx, a complex R (x)_B L for the Yoneda
+    modules R = hom(-, K) and L = hom(X, -), into hom(X, K): the right
+    action of hom(-, K) on the whole word (q, a_1, .., a_d, p)."""
+    right = yoneda_module(cat, K, RIGHT)
     return GradedMap(
         source=tensor_cx,
         target=hom_complex(cat, X, K),
         shift=0,
-        apply=lambda w: mu_composition_word(cat, w),
+        apply=lambda w: right.act((w.q,) + w.mid + (w.p,)),
         name="mu",
     )

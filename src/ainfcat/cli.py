@@ -23,9 +23,7 @@ from . import fixtures as fixture_mod
 from .bimodules import (
     LEFT,
     RIGHT,
-    BimoduleHom,
     diagonal_bimodule,
-    tensor_bimodule,
     tensor_over_category,
     verify_bimodule,
     verify_bimodule_hom,
@@ -41,7 +39,7 @@ from .cardy import (
     verify_homotopy_equation,
 )
 from .complexes import GradedMap
-from .core import RING_Z, morphism_depth, relation_depth, verify_ainf, with_ring
+from .core import RING_Z, morphism_depth, relation_depth, verify_ainf
 from .fileformat import (
     InputError,
     category_to_json,
@@ -96,6 +94,14 @@ def _read(path: str) -> bytes:
         raise CliError(f"cannot read {path}: {err}")
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as err:
+        raise CliError(f"cannot write {path}: {err}")
+
+
 def _emit(report: dict, as_json: bool) -> None:
     if as_json:
         sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
@@ -123,19 +129,10 @@ def _witnesses(report) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def _apply_ring(cat, args):
-    if getattr(args, "ring", None) is None:
-        return cat
-    try:
-        return with_ring(cat, args.ring)
-    except ValueError as err:
-        raise CliError(str(err))
-
-
 def cmd_validate(args) -> int:
     data = _read(args.path)
-    loaded = load_category(data)
-    cat = _apply_ring(loaded.category, args)
+    loaded = load_category(data, ring=args.ring)
+    cat = loaded.category
     report = {"command": "validate", "inputs": loaded.digest, "checks": {}}
     ok = True
 
@@ -162,12 +159,6 @@ def cmd_validate(args) -> int:
         ok &= ur.passed
 
     for name, phi in loaded.morphisms.items():
-        if cat is not loaded.category:
-            # the same components, reduced, between the bimodules of the
-            # category the run checks
-            K = phi.target.left.K
-            target = tensor_bimodule(yoneda_module(cat, K, LEFT), yoneda_module(cat, K, RIGHT))
-            phi = BimoduleHom(diagonal, target, phi.n, phi.components)
         mr = verify_bimodule_hom(phi, max_inputs=args.bimodule_bound)
         report["checks"][f"morphism[{name}]"] = {"checked": mr.checked, "passed": mr.passed}
         witnesses += _witnesses(mr)
@@ -191,8 +182,8 @@ def _parse_degree_range(spec: str):
 
 def cmd_hh(args) -> int:
     data = _read(args.path)
-    loaded = load_category(data)
-    cat = _apply_ring(loaded.category, args)
+    loaded = load_category(data, ring=args.ring)
+    cat = loaded.category
     if not verify_ainf(cat, relation_depth(cat)).passed:
         raise CliError("category fails the structure relations", code=EXIT_FAIL)
     degrees = _parse_degree_range(args.degrees) if args.degrees else None
@@ -215,6 +206,8 @@ def cmd_generate(args) -> int:
     data = _read(args.path)
     loaded = load_category(data)
     cat = loaded.category
+    if cat.ring != RING_Z:
+        raise InputError("generation certificates are integral; the ring must be Z", path="/ring")
     K = args.object
     if K not in cat.objects:
         raise CliError(f"unknown object {K!r}")
@@ -261,9 +254,7 @@ def cmd_generate(args) -> int:
         report["tau_terms"] = len(cert.tau)
         report["h_terms"] = len(cert.h)
     if args.emit:
-        payload = json.dumps(certificate_to_json(cert, loaded.digest), sort_keys=True, indent=2)
-        with open(args.emit, "w") as fh:
-            fh.write(payload + "\n")
+        _write(args.emit, json.dumps(certificate_to_json(cert, loaded.digest), sort_keys=True, indent=2) + "\n")
         report["emitted"] = args.emit
     _emit(report, args.json)
     return EXIT_PASS if cert.generated else EXIT_FAIL
@@ -420,8 +411,7 @@ def cmd_fixture(args) -> int:
             tables.append(morphism_to_json(f"coproduct_n{n}", fixture_mod.MORPHISM_BASE_OBJECT[fname], phi))
     payload = json.dumps(category_to_json(cat, morphism_tables=tables or None), sort_keys=True, indent=2) + "\n"
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(payload)
+        _write(args.output, payload)
         sys.stdout.write(f"wrote {args.output}\n")
     else:
         sys.stdout.write(payload)

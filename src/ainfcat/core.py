@@ -497,24 +497,15 @@ def verify_ainf(cat: AinfCategory, up_to: int) -> VerificationReport:
 def with_ring(cat: AinfCategory, ring: str) -> AinfCategory:
     """The same category with coefficients in the requested ring.
 
-    Integral data reduces mod 2; the reverse direction has no canonical
-    lift and is rejected.
+    Integral data reduces mod 2 (frozen_table reduces every term and drops
+    the zeros); the reverse direction has no canonical lift and is rejected.
     """
     if ring == cat.ring:
         return cat
     if ring == RING_Z:
         raise ValueError("cannot lift mod-2 data to integral coefficients")
-    mu = {}
-    for d, table in cat.mu.items():
-        new_table = {}
-        for key, out in table.items():
-            chain = {g: 1 for g, c in out.items() if c % 2}
-            if chain:
-                new_table[key] = chain
-        if new_table:
-            mu[d] = new_table
-    units = {obj: {g: 1 for g, c in ch.items() if c % 2} for obj, ch in cat.units.items()}
-    return AinfCategory(objects=list(cat.objects), hom=dict(cat.hom), mu=mu, ring=RING_F2, units=units)
+    units = {obj: chain_normalize(ch, RING_F2) for obj, ch in cat.units.items()}
+    return AinfCategory(objects=list(cat.objects), hom=dict(cat.hom), mu=dict(cat.mu), ring=RING_F2, units=units)
 
 
 def subcategory(cat: AinfCategory, objects: Sequence[str]) -> AinfCategory:

@@ -21,7 +21,7 @@ import jsonschema
 
 from .bimodules import LEFT, RIGHT, BimoduleHom, PairGen, diagonal_bimodule, tensor_bimodule, yoneda_module
 from .complexes import BasedComplex
-from .core import RING_F2, RING_Z, AinfCategory, Gen, is_composable
+from .core import RING_F2, RING_Z, AinfCategory, Gen, is_composable, with_ring
 from .hochschild import word_degree
 from .intlinalg import NotAComplex
 
@@ -292,7 +292,10 @@ def _resolve(refs_index, ref, path):
     return g
 
 
-def load_category(data: bytes) -> LoadedFile:
+def load_category(data: bytes, ring: str | None = None) -> LoadedFile:
+    """Read a category file in its ring or in `ring`, chosen here once:
+    morphisms and cardy data are built over the category in that ring.
+    Integral data reduces mod 2; mod-2 data has no lift, refused at /ring."""
     try:
         raw = json.loads(data)
     except json.JSONDecodeError as err:
@@ -351,6 +354,10 @@ def load_category(data: bytes) -> LoadedFile:
         cat = AinfCategory(objects=objects, hom=hom, mu=mu, ring=raw["ring"], units=units)
     except ValueError as err:
         raise InputError(str(err), path="/operations")
+    try:
+        cat = with_ring(cat, ring or cat.ring)
+    except ValueError as err:
+        raise InputError(str(err), path="/ring")
     morphisms = _morphisms(raw.get("morphisms", []), cat, refs_index)
     section = raw.get("cardy", {})
     closed = maps = None

@@ -9,17 +9,18 @@ sign conventions:
 
 so strict associativity of * becomes the signed associativity the d = 3
 relation demands.  Every fixture is certified by verify_ainf in the test
-suite before anything else consumes it.
+suite before anything else consumes it.  Fixtures are integral; the mod-2
+one is core.with_ring(make(), "F2").
 """
 
 from __future__ import annotations
 
-from .core import RING_Z, AinfCategory, Gen, parity_sign
+from .core import AinfCategory, Gen, parity_sign
 
 OBJ = "*"
 
 
-def _dga_category(objects, gens, diff, prod, ring=RING_Z, units=None):
+def _dga_category(objects, gens, diff, prod, units=None):
     """Build a category from a strict dga presented on basis generators.
 
     `diff[g]` is a dict generator -> coefficient for d(g); `prod[(g1, g2)]`
@@ -45,26 +46,24 @@ def _dga_category(objects, gens, diff, prod, ring=RING_Z, units=None):
         mu[1] = mu1
     if mu2:
         mu[2] = mu2
-    return AinfCategory(objects=list(objects), hom=hom, mu=mu, ring=ring, units=units or {})
+    return AinfCategory(objects=list(objects), hom=hom, mu=mu, units=units or {})
 
 
-def ground_ring(ring=RING_Z) -> AinfCategory:
+def ground_ring() -> AinfCategory:
     """One object, hom = Z*e in degree 0, e*e = e."""
     e = Gen(OBJ, OBJ, "e", 0)
-    return _dga_category(
-        [OBJ], [e], diff={}, prod={(e, e): {e: 1}}, ring=ring, units={OBJ: {e: 1}}
-    )
+    return _dga_category([OBJ], [e], diff={}, prod={(e, e): {e: 1}}, units={OBJ: {e: 1}})
 
 
-def dual_numbers(eps_degree: int = 1, ring=RING_Z) -> AinfCategory:
+def dual_numbers(eps_degree: int = 1) -> AinfCategory:
     """Z[eps]/(eps^2) with deg(eps) configurable; strict unit e."""
     e = Gen(OBJ, OBJ, "e", 0)
     eps = Gen(OBJ, OBJ, "eps", eps_degree)
     prod = {(e, e): {e: 1}, (e, eps): {eps: 1}, (eps, e): {eps: 1}}
-    return _dga_category([OBJ], [e, eps], diff={}, prod=prod, ring=ring, units={OBJ: {e: 1}})
+    return _dga_category([OBJ], [e, eps], diff={}, prod=prod, units={OBJ: {e: 1}})
 
 
-def path_category(n: int = 3, ring=RING_Z) -> AinfCategory:
+def path_category(n: int = 3) -> AinfCategory:
     """Poset category of 1 < 2 < ... < n: one degree-0 arrow i -> j for i <= j."""
     objects = [str(i) for i in range(1, n + 1)]
     arrows = {}
@@ -77,10 +76,10 @@ def path_category(n: int = 3, ring=RING_Z) -> AinfCategory:
             for k in range(j, n + 1):
                 prod[(arrows[(i, j)], arrows[(j, k)])] = {arrows[(i, k)]: 1}
     units = {str(i): {arrows[(i, i)]: 1} for i in range(1, n + 1)}
-    return _dga_category(objects, list(arrows.values()), diff={}, prod=prod, ring=ring, units=units)
+    return _dga_category(objects, list(arrows.values()), diff={}, prod=prod, units=units)
 
 
-def cone_algebra(m: int = 2, ring=RING_Z) -> AinfCategory:
+def cone_algebra(m: int = 2) -> AinfCategory:
     """Endomorphism dga of the two-term complex Z --m--> Z (degrees 0, 1).
 
     Basis: the two diagonal idempotents p, q in degree 0, the degree 1 map
@@ -105,10 +104,10 @@ def cone_algebra(m: int = 2, ring=RING_Z) -> AinfCategory:
         (v, u): {q: 1},
     }
     units = {OBJ: {p: 1, q: 1}}
-    return _dga_category([OBJ], [p, q, u, v], diff=diff, prod=prod, ring=ring, units=units)
+    return _dga_category([OBJ], [p, q, u, v], diff=diff, prod=prod, units=units)
 
 
-def split_summand_pair(ring=RING_Z) -> AinfCategory:
+def split_summand_pair() -> AinfCategory:
     """Two objects K, L with Y^r_K a summand of two shifted copies of Y^r_L.
 
     Models the endomorphism category of {Z in degree 0, Z^2 in degree 1}:
@@ -142,17 +141,17 @@ def split_summand_pair(ring=RING_Z) -> AinfCategory:
                 prod[(E[(j, k)], E[(i, j)])] = {E[(i, k)]: 1}
     units = {"K": {eK: 1}, "L": {E[(1, 1)]: 1, E[(2, 2)]: 1}}
     gens = [eK, f1, f2, g1, g2] + list(E.values())
-    return _dga_category(["K", "L"], gens, diff={}, prod=prod, ring=ring, units=units)
+    return _dga_category(["K", "L"], gens, diff={}, prod=prod, units=units)
 
 
-def two_object_with_zero(ring=RING_Z) -> AinfCategory:
+def two_object_with_zero() -> AinfCategory:
     """Ground ring plus an extra object with all hom spaces involving it zero.
 
     The full subcategory on the extra object has no morphisms at all; it is
     the standard inconclusive-path input for the generation test.
     """
     e = Gen("K", "K", "e", 0)
-    cat = _dga_category(["K", "Z0"], [e], diff={}, prod={(e, e): {e: 1}}, ring=ring, units={"K": {e: 1}})
+    cat = _dga_category(["K", "Z0"], [e], diff={}, prod={(e, e): {e: 1}}, units={"K": {e: 1}})
     return cat
 
 
@@ -180,13 +179,13 @@ _TRIPLE_TERMS = [
 ]
 
 
-def triple_product_algebra(ring=RING_Z) -> AinfCategory:
+def triple_product_algebra() -> AinfCategory:
     """Cone algebra deformed by a nonzero triple product mu^3.
 
     The mu^3 table was solved exactly against the structure relations and is
     rigid: every single-coefficient sign flip is caught by verify_ainf.
     """
-    base = cone_algebra(2, ring=ring)
+    base = cone_algebra(2)
     byname = {g.name: g for g in base.hom[(OBJ, OBJ)]}
     mu3: dict = {}
     for names, out, c in _TRIPLE_TERMS:
@@ -194,10 +193,10 @@ def triple_product_algebra(ring=RING_Z) -> AinfCategory:
         mu3.setdefault(key, {})[byname[out]] = c
     mu = dict(base.mu)
     mu[3] = mu3
-    return AinfCategory(objects=[OBJ], hom=dict(base.hom), mu=mu, ring=ring, units=dict(base.units))
+    return AinfCategory(objects=[OBJ], hom=dict(base.hom), mu=mu, units=dict(base.units))
 
 
-def even_dual_numbers(ring=RING_Z) -> AinfCategory:
+def even_dual_numbers() -> AinfCategory:
     """Dual numbers with the nilpotent generator in degree 2.
 
     Its diagonal-decomposition morphism (see the shipped degree-2
@@ -205,7 +204,7 @@ def even_dual_numbers(ring=RING_Z) -> AinfCategory:
     giving an infinite-order class that the odd-degree fixtures cannot
     produce.
     """
-    return dual_numbers(eps_degree=2, ring=ring)
+    return dual_numbers(eps_degree=2)
 
 
 FIXTURES = {

@@ -30,12 +30,11 @@ from .bimodules import (
     RIGHT,
     hom_complex,
     mu_composition_map,
-    mu_composition_word,
     tensor_over_category,
     yoneda_module,
 )
 from .complexes import BasedComplex, GradedMap, induced_rank_mod_2, verify_chain_map
-from .core import RING_F2, AinfCategory, chain_add, chain_normalize, parity_sign, relation_depth, verify_ainf
+from .core import RING_F2, RING_Z, AinfCategory, chain_add, chain_normalize, parity_sign, relation_depth, verify_ainf
 from .intlinalg import IntMatrix, NotAComplex, RationalOnly, Unsolvable, solve_integer
 
 
@@ -187,7 +186,7 @@ def generation_test(
     an inconclusive verdict otherwise (with the rational-only case
     reported distinctly).
     """
-    if cat.ring != "Z":
+    if cat.ring != RING_Z:
         raise ValueError("generation certificates are integral; use ring Z")
     if not verify_ainf(cat, relation_depth(cat)).passed:
         raise ValueError("category fails the structure relations")
@@ -232,12 +231,14 @@ def generation_test(
 def replay_certificate(cat: AinfCategory, cert: GenerationCertificate, e: Mapping) -> GenerationCertificate:
     """Re-verify a generated certificate through independent checkers.
 
-    The category must pass the structure relations on every tuple (as in
-    generation_test), since a witness proves nothing in a category that
-    fails them.  Returns the certificate on success; on any
+    The category must be integral and pass the structure relations on
+    every tuple (as in generation_test), since a witness proves nothing in
+    a category that fails them.  Returns the certificate on success; on any
     failure returns a copy with verdict "refuted-at-bound" describing what
     broke.
     """
+    if cat.ring != RING_Z:
+        raise ValueError("generation certificates are integral; use ring Z")
     if not cert.generated:
         return cert
     if not verify_ainf(cat, relation_depth(cat)).passed:
@@ -268,9 +269,10 @@ def _verify_witness(cat: AinfCategory, cert: GenerationCertificate, e: Mapping, 
     if any(cx.matrix(0).apply(vec)):
         return _refuted(cert, "tau is not a cycle")
     # mu(tau) - mu^1(h) = e exactly
+    right = yoneda_module(cat, cert.K, RIGHT)
     out: dict = {}
     for w, c in cert.tau.items():
-        chain_add(out, mu_composition_word(cat, w), c)
+        chain_add(out, right.act((w.q,) + w.mid + (w.p,)), c)
     for g, c in cert.h.items():
         chain_add(out, cat.mu_key((g,)), -c)
     chain_add(out, e, -1)

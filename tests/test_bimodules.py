@@ -16,17 +16,17 @@ from ainfcat.bimodules import (
     hom_complex,
     identity_hom,
     mu_composition_map,
-    mu_composition_word,
     tensor_bimodule,
     tensor_differential,
     tensor_over_category,
+    tensor_words,
     verify_bimodule,
     verify_bimodule_hom,
     with_negated_bimodule_term,
     yoneda_module,
 )
 from ainfcat.complexes import verify_chain_map
-from ainfcat.core import verify_ainf
+from ainfcat.core import chain_normalize, parity_sign, verify_ainf, with_ring
 from ainfcat.fixtures import (
     cone_algebra,
     dual_numbers,
@@ -239,7 +239,7 @@ def test_mu_composition_ground_ring():
     cat = ground_ring()
     e = gen_named(cat, "e")
     w = TensorWord(e, (), e)
-    assert mu_composition_word(cat, w) == {e: 1}
+    assert yoneda_module(cat, "*", RIGHT).act((w.q,) + w.mid + (w.p,)) == {e: 1}
 
 
 def test_mu_composition_empty_table():
@@ -248,7 +248,23 @@ def test_mu_composition_empty_table():
     f11 = gen_named(cat, "f11")
     # no mu^3 table: length-1 words collapse to zero
     w = TensorWord(f11, (f12,), gen_named(cat, "f22"))
-    assert mu_composition_word(cat, w) == {}
+    assert yoneda_module(cat, "2", RIGHT).act((w.q,) + w.mid + (w.p,)) == {}
+
+
+@pytest.mark.parametrize("ring", ["Z", "F2"])
+@pytest.mark.parametrize("make", ALL_FIXTURES)
+def test_mu_composition_is_the_signed_full_collapse(make, ring):
+    # the right action of hom(-, K) on a whole word (q, a_1..a_d, p) is mu on
+    # it, signed by (-1)^(deg q + sum of the reduced degrees of the a_i)
+    cat = with_ring(make(), ring)
+    for K in cat.objects:
+        right = yoneda_module(cat, K, RIGHT)
+        for X in cat.objects:
+            for w in tensor_words(right, yoneda_module(cat, X, LEFT), 3):
+                key = (w.q,) + w.mid + (w.p,)
+                sign = parity_sign(w.q.degree + sum(a.degree + 1 for a in w.mid))
+                want = chain_normalize({g: sign * c for g, c in cat.mu_key(key).items()}, cat.ring)
+                assert dict(right.act(key)) == want, (ring, X, K, w)
 
 
 @pytest.mark.parametrize("make", ALL_FIXTURES)

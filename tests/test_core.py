@@ -19,6 +19,7 @@ from ainfcat.core import (
     reduced_degree,
     verify_ainf,
     with_negated_term,
+    with_ring,
 )
 from ainfcat.fixtures import (
     cone_algebra,
@@ -163,7 +164,7 @@ def test_cyclic_tuples_close_up():
 
 
 def test_f2_ring_verifies():
-    cat = dual_numbers(ring="F2")
+    cat = with_ring(dual_numbers(), "F2")
     assert verify_ainf(cat, up_to=4).passed
 
 

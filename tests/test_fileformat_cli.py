@@ -13,10 +13,11 @@ import pytest
 
 from ainfcat import cli
 from ainfcat.cli import parse_space
-from ainfcat.core import iter_terms, verify_ainf, with_negated_term
+from ainfcat.core import chain_normalize, iter_terms, verify_ainf, with_negated_term, with_ring
 from ainfcat.fileformat import (
     InputError,
     category_to_json,
+    file_digest,
     load_category,
     load_morphism,
     morphism_to_json,
@@ -730,3 +731,78 @@ def test_cli_hh_f2_stable_flag_checks_the_induced_map(tmp_path, capsys, name, de
     report = json.loads(capsys.readouterr().out)
     assert report["groups"][degree] == "Z/2"
     assert report["stable"][degree] is False
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_load_in_f2_is_the_mod_2_reduction(tmp_path, name):
+    path = tmp_path / f"{name}.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["fixture", name, "-o", str(path)]) == 0
+    integral = load_category(path.read_bytes())
+    loaded = load_category(path.read_bytes(), ring="F2")
+    reduced = with_ring(FIXTURES[name](), "F2")
+    assert loaded.category.ring == "F2"
+    assert loaded.category.mu == reduced.mu
+    assert loaded.category.units == reduced.units
+    assert loaded.morphisms.keys() == integral.morphisms.keys()
+    for m, phi in loaded.morphisms.items():
+        mod_2 = {
+            rs: {key: chain_normalize(dict(chain), "F2") for key, chain in table.items()}
+            for rs, table in integral.morphisms[m].components.items()
+        }
+        assert phi.components == {rs: {key: ch for key, ch in t.items() if ch} for rs, t in mod_2.items()}
+
+
+def f2_copy(tmp_path, raw: dict):
+    """A copy of a category file with "ring": "F2"."""
+    path = tmp_path / "f2.json"
+    path.write_text(json.dumps(dict(raw, ring="F2")))
+    return path
+
+
+@pytest.mark.parametrize("argv", [["validate"], ["hh", "--max-length", "2"]])
+def test_cli_lift_to_z_is_an_input_error_at_ring(tmp_path, capsys, argv):
+    path = f2_copy(tmp_path, category_to_json(dual_numbers()))
+    assert cli.main([argv[0], str(path), *argv[1:], "--ring", "Z"]) == 2
+    assert "input error: /ring: cannot lift" in capsys.readouterr().err
+
+
+def test_cli_generate_refuses_an_f2_file(tmp_path, capsys, monkeypatch):
+    def not_reached(*args):
+        raise AssertionError("generation_test called on an F2 file")
+
+    monkeypatch.setattr(cli, "generation_test", not_reached)
+    path = f2_copy(tmp_path, category_to_json(split_summand_pair()))
+    cert = tmp_path / "cert.json"
+    assert cli.main(["generate", str(path), "--object", "K", "--subcategory", "L", "--emit", str(cert)]) == 2
+    assert "input error: /ring: " in capsys.readouterr().err
+    assert not cert.exists()
+
+
+def test_cli_generate_replay_refuses_an_f2_file(tmp_path, capsys):
+    # an integral certificate that names the F2 copy of its file
+    raw = category_to_json(split_summand_pair())
+    path = tmp_path / "split.json"
+    path.write_text(json.dumps(raw))
+    cert = tmp_path / "cert.json"
+    assert cli.main(["generate", str(path), "--object", "K", "--subcategory", "L", "--emit", str(cert)]) == 0
+    f2 = f2_copy(tmp_path, raw)
+    cert.write_text(json.dumps(dict(json.loads(cert.read_text()), category_digest=file_digest(f2.read_bytes()))))
+    capsys.readouterr()
+    assert cli.main(["generate", str(f2), "--object", "K", "--replay", str(cert)]) == 2
+    assert "input error: /ring: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "{cat}", "--object", "K", "--subcategory", "L", "--emit", "{out}"],
+        ["fixture", "ground_ring", "-o", "{out}"],
+    ],
+)
+def test_cli_unwritable_output_exit_2(tmp_path, capsys, argv):
+    path = tmp_path / "split.json"
+    path.write_bytes(dump(split_summand_pair()))
+    out = tmp_path / "missing" / "out.json"
+    assert cli.main([a.format(cat=path, out=out) for a in argv]) == 2
+    assert f"error: cannot write {out}: " in capsys.readouterr().err

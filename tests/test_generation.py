@@ -231,6 +231,17 @@ def test_replay_detects_tampered_tau():
     assert out.verdict == "refuted-at-bound"
 
 
+def test_certificates_are_integral():
+    # generation_test and replay_certificate both refuse a mod-2 category
+    cat = split_summand_pair()
+    eK = gen_named(cat, "eK")
+    cert = generation_test(cat, ["L"], "K", {eK: 1}, max_length=1)
+    f2 = with_ring(cat, "F2")
+    for check in (lambda: generation_test(f2, ["L"], "K", {eK: 1}, 1), lambda: replay_certificate(f2, cert, {eK: 1})):
+        with pytest.raises(ValueError, match="integral"):
+            check()
+
+
 def test_replay_refutes_certificate_in_broken_category():
     cat = split_summand_pair()
     eK = gen_named(cat, "eK")
