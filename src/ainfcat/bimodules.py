@@ -310,12 +310,6 @@ def tensor_bimodule(left: YonedaModule, right: YonedaModule) -> Bimodule:
     return TensorBimodule(left, right)
 
 
-def with_negated_bimodule_term(P: TableBimodule, r: int, s: int, key: tuple, out):
-    ops = {rs: {k: dict(v) for k, v in t.items()} for rs, t in P.ops.items()}
-    ops[(r, s)][key][out] = -ops[(r, s)][key][out]
-    return TableBimodule(P.cat, P.spaces, ops)
-
-
 # ---------------------------------------------------------------------------
 # the bimodule quadratic equation
 
@@ -377,11 +371,6 @@ class BimoduleHom:
 
     def apply(self, key: tuple, s: int) -> Mapping:
         return self.components.get((len(key) - 1 - s, s), EMPTY).get(key, EMPTY)
-
-
-def identity_hom(P: Bimodule) -> BimoduleHom:
-    table = {(g,): {g: 1} for g in P.elements()}
-    return BimoduleHom(source=P, target=P, n=0, components={(0, 0): table})
 
 
 def verify_bimodule_hom(phi: BimoduleHom, max_inputs: int = 4) -> VerificationReport:

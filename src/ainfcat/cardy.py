@@ -17,6 +17,14 @@ Everything the checks need is one OpenClosedData: mu o CC(phi), built
 once by mu_cc_map, fixes the cyclic complex, hom(K, K) and n, and the
 two connecting maps are checked against it.
 
+CC(phi) sends a cyclic word of length d to tensor words with at most
+d - 1 middle letters, and the tensor differential never lengthens a word,
+so for cyclic words of length <= N the tensor complex truncated at N - 1
+holds every word the map reaches (`ainfcat cardy` builds it that way).
+The homology comparison reads one sparse induced matrix per map and
+degree (complexes.induced_on_homology), both sides sharing one
+factorization of each spot.
+
 All checks are exact; there are no tolerances anywhere.
 """
 
@@ -26,7 +34,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .bimodules import BimoduleHom, mu_composition_map
-from .complexes import BasedComplex, GradedMap, VerificationReport, compose, verify_chain_map
+from .complexes import BasedComplex, GradedMap, VerificationReport, compose, induced_on_homology, verify_chain_map
 from .core import AinfCategory, Violation, chain_add, chain_normalize, collect_violations, parity_sign
 from .hochschild import ChainMapViolation, cc_of_delta
 from .intlinalg import IntMatrix, RationalOnly, Unsolvable, solve_integer
@@ -164,12 +172,18 @@ def verify_cardy_on_homology(data: OpenClosedData, degrees=None) -> Verification
     """Compare the two induced compositions on truncated homology.
 
     Checks [mu o CC(phi)] = (-1)^(n(n+1)/2) [CO o OC] classwise in the
-    requested degrees of the word complex.
+    requested degrees of the word complex: the two induced matrices are
+    compared column by column, one column per class generator, and a
+    failing generator is reported as a chain with both coordinate tuples.
     """
     n = data.n
     cc = data.mu_cc.source
     hom_cx = data.mu_cc.target
-    gsign = parity_sign(n * (n + 1) // 2)
+    rhs_map = data.co_oc
+    if parity_sign(n * (n + 1) // 2) == -1:
+        rhs_map = GradedMap(
+            cc, hom_cx, n, lambda w: {g: -c for g, c in data.co_oc.chain(w).items()}, name="-CO o OC"
+        )
 
     degs = list(degrees) if degrees is not None else cc.degrees()
     violations = []
@@ -179,13 +193,13 @@ def verify_cardy_on_homology(data: OpenClosedData, degrees=None) -> Verification
             continue
         hs = cc.homology_data(k)
         ht = hom_cx.homology_data(k + n)
-        lhs, rhs = data.mu_cc.matrix(k), data.co_oc.matrix(k)
-        for gen_vec in hs.class_generators():
-            checked += 1
-            coords1 = ht.coords(lhs.apply(gen_vec))
-            coords2 = ht.coords([gsign * x for x in rhs.apply(gen_vec)])
-            if coords1 != coords2:
-                chain = {w: c for w, c in zip(cc.basis[k], gen_vec) if c}
+        lhs = induced_on_homology(data.mu_cc, k, hs, ht)
+        rhs = induced_on_homology(rhs_map, k, hs, ht)
+        checked += lhs.cols
+        for j, (col1, col2) in enumerate(zip(lhs.transpose().entries, rhs.transpose().entries)):
+            if col1 != col2:
+                coords1, coords2 = (tuple(col.get(i, 0) for i in range(lhs.rows)) for col in (col1, col2))
+                chain = {w: c for w, c in zip(cc.basis[k], hs.class_generator(j)) if c}
                 violations.append(Violation((k, chain), {"lhs": coords1, "rhs": coords2}))
     return VerificationReport(checked=checked, violations=violations)
 

@@ -282,8 +282,10 @@ def cmd_cardy(args) -> int:
         raise CliError(f"morphism {name} fails the bimodule-map equation", code=EXIT_FAIL)
     K = phi.target.left.K
     cc = truncated_cc(cat, args.max_length)
+    # CC(phi) sends a word of length d to tensor words with at most d - 1
+    # middle letters, and the tensor differential never lengthens a word
     tcx = tensor_over_category(
-        yoneda_module(cat, K, RIGHT), yoneda_module(cat, K, LEFT), args.max_length
+        yoneda_module(cat, K, RIGHT), yoneda_module(cat, K, LEFT), max(args.max_length - 1, 0)
     )
 
     # mu o CC(phi) is built and its CC(phi) part verified once, here

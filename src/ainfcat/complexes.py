@@ -147,10 +147,6 @@ def compose(g: GradedMap, f: GradedMap, name: str | None = None) -> GradedMap:
     )
 
 
-def zero_map(source: BasedComplex, target: BasedComplex, shift: int) -> GradedMap:
-    return GradedMap(source=source, target=target, shift=shift, apply=lambda label: {}, name="0")
-
-
 def verify_chain_map(f: GradedMap) -> VerificationReport:
     """Check d o f - (-1)^shift f o d = 0 on every basis label."""
     sign = parity_sign(f.shift)
@@ -166,6 +162,22 @@ def verify_chain_map(f: GradedMap) -> VerificationReport:
     return collect_violations(
         ((label,), residual(label)) for k in f.source.degrees() for label in f.source.basis[k]
     )
+
+
+def induced_on_homology(
+    f: GradedMap, k: int, source: HomologyData | None = None, target: HomologyData | None = None
+) -> IntMatrix:
+    """The sparse matrix of H^k(f), from the class generators of the
+    source's H^k to the class coordinates of the target's H^(k + shift).
+
+    Column j is the target's coords() of f applied to the source's j-th
+    class generator (see HomologyData.induced).  `source` and `target`,
+    when given, are those two HomologyData, so that a caller comparing
+    several maps between the same spots factors each spot once.
+    """
+    hs = f.source.homology_data(k) if source is None else source
+    ht = f.target.homology_data(k + f.shift) if target is None else target
+    return ht.induced(f.matrix(k), hs)
 
 
 def induced_rank_mod_2(f: GradedMap, k: int) -> int:

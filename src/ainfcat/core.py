@@ -527,20 +527,3 @@ def subcategory(cat: AinfCategory, objects: Sequence[str]) -> AinfCategory:
     units = {obj: dict(ch) for obj, ch in cat.units.items() if obj in keep}
     return AinfCategory(objects=[o for o in cat.objects if o in keep], hom=hom, mu=mu, ring=cat.ring, units=units)
 
-
-def with_negated_term(cat: AinfCategory, d: int, key: tuple, out_gen: Gen) -> AinfCategory:
-    """Copy of the category with one structure constant negated."""
-    table = cat.mu.get(d, {})
-    if key not in table or out_gen not in table[key]:
-        raise KeyError(f"no term mu^{d}{key} -> {out_gen}")
-    mu = {a: {k: dict(v) for k, v in t.items()} for a, t in cat.mu.items()}
-    mu[d][key][out_gen] = -mu[d][key][out_gen]
-    return AinfCategory(objects=list(cat.objects), hom=dict(cat.hom), mu=mu, ring=cat.ring, units=dict(cat.units))
-
-
-def iter_terms(cat: AinfCategory) -> Iterator[tuple[int, tuple, Gen, int]]:
-    """All stored structure constants as (arity, key, output, coefficient)."""
-    for d in sorted(cat.mu):
-        for key in sorted(cat.mu[d]):
-            for og in sorted(cat.mu[d][key]):
-                yield d, key, og, cat.mu[d][key][og]

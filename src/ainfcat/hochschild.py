@@ -53,7 +53,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bimodules import BimoduleHom, DiagonalBimodule, TensorBimodule, TensorWord
-from .complexes import BasedComplex, GradedMap, induced_rank_mod_2, verify_chain_map
+from .complexes import BasedComplex, GradedMap, induced_on_homology, induced_rank_mod_2, verify_chain_map
 from .core import RING_F2, AinfCategory, chain_add, chain_normalize, cyclic_tuples, parity_sign, rdeg, signed_blocks
 from .intlinalg import FinAbGroup, HomologyData, IntMatrix, smith_normal_form
 
@@ -134,23 +134,24 @@ def _iso_under_inclusion(inclusion: GradedMap, k: int, hb: HomologyData) -> bool
         return False
     # surjectivity of the induced map between abstractly isomorphic finitely
     # generated groups implies bijectivity
-    F = inclusion.matrix(k)
-    return _spans([hb.coords(F.apply(gen)) for gen in hs.class_generators()], hb)
+    return _spans(induced_on_homology(inclusion, k, hs, hb), hb)
 
 
-def _spans(coord_list, hd) -> bool:
+def _spans(M: IntMatrix, hd: HomologyData) -> bool:
+    """Do the columns of M, class coordinates in hd, generate its group?"""
     moduli = [m for m in hd._moduli if m != 1]
     if not moduli:
         return True
-    cols = [list(c) for c in coord_list]
+    # append the relation m_i * e_i of every torsion coordinate as a column
+    rows = [dict(row) for row in M.entries]
+    cols = M.cols
     for i, m in enumerate(moduli):
         if m:
-            e = [0] * len(moduli)
-            e[i] = m
-            cols.append(e)
+            rows[i][cols] = m
+            cols += 1
     if not cols:
         return False
-    mat = IntMatrix(tuple(tuple(col[i] for col in cols) for i in range(len(moduli))), cols=len(cols))
+    mat = IntMatrix.from_rows(rows, cols)
     return all(x == 1 for x in smith_normal_form(mat).diagonal()[: len(moduli)])
 
 

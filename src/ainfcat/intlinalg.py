@@ -12,7 +12,8 @@ V_inv (U @ U_inv == I, V_inv @ V == I), updated by the same elementary
 operations, so each matrix is factored once: homology takes the kernel
 basis from columns r: of V, kernel coordinates from rows r: of V_inv
 (r = rank of d_out), and class generators from kernel @ U_inv of the
-relation matrix, with no further factorization or solve.
+relation matrix, with no further factorization or solve; the map a chain
+map induces on homology is one sparse product of those matrices.
 
 Matrices are stored as sparse rows (a dict from column to nonzero entry
 per row); the dense tuple-of-tuples `IntMatrix.data` is only a view, built
@@ -37,7 +38,6 @@ chain complex raises degree by one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import compress
 from typing import Iterable, Sequence
 
@@ -407,15 +407,6 @@ def _kernel(A: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     return K, P
 
 
-def kernel_basis(A: IntMatrix) -> IntMatrix:
-    """Columns form a basis of ker(A) as a subgroup of Z^cols.
-
-    Every integer vector in the kernel is an integer combination of these
-    columns (the kernel of an integer matrix is a direct summand).
-    """
-    return _kernel(A)[0]
-
-
 @dataclass(frozen=True)
 class FinAbGroup:
     """A finitely generated abelian group: Z^free_rank + sum of Z/d_i.
@@ -472,8 +463,8 @@ class HomologyData:
         z = self.kernel.cols
         rel = self._kernel_rows @ d_in
         rel_snf = smith_normal_form(rel)
-        # coords() reads U and class_generators() U^{-1}; V and V^{-1} of
-        # the relations are never needed, so they are not kept.
+        # coords() reads U, the class generators U^{-1} and induced() both;
+        # V and V^{-1} of the relations are never needed, so they are not kept.
         self._rel_U = rel_snf.U
         self._rel_U_inv = rel_snf.U_inv
         diag = rel_snf.diagonal()
@@ -504,43 +495,45 @@ class HomologyData:
             out.append(val % mod if mod else val)
         return tuple(out)
 
+    def _nontrivial(self) -> list[int]:
+        """Indices of the presentation's summands whose modulus is not 1."""
+        return [i for i, mod in enumerate(self._moduli) if mod != 1]
+
+    def class_generator(self, j: int) -> list[int]:
+        """A cycle whose class is the j-th generator of the presentation."""
+        # the preimage of a standard generator: a column of kernel @ U^{-1},
+        # skipping the trivial summands (modulus 1)
+        return self.kernel.apply(self._rel_U_inv.column(self._nontrivial()[j]))
+
     def class_generators(self) -> list[list[int]]:
         """Cycles whose classes generate the homology group."""
-        # Preimages of the presentation's standard generators: columns of
-        # kernel @ U^{-1}, skipping the trivial summands (modulus 1).
-        return [
-            self.kernel.apply(self._rel_U_inv.column(i))
-            for i, mod in enumerate(self._moduli)
-            if mod != 1
-        ]
+        return [self.class_generator(j) for j in range(len(self._nontrivial()))]
+
+    def induced(self, F: IntMatrix, source: "HomologyData") -> IntMatrix:
+        """The matrix of the map F induces from source's homology to this one.
+
+        Column j holds coords(F @ g_j) for source's j-th class generator
+        g_j: the product rel_U · kernel_rows · F · kernel(source) ·
+        U^{-1}(source), kept on the summands whose modulus is not 1 on both
+        sides, each row reduced modulo its modulus.  F must send cycles to
+        cycles, checked as d_out · F · kernel(source) = 0.
+        """
+        FK = F @ source.kernel
+        if not (self.d_out @ FK).is_zero():
+            raise ValueError("vector is not a cycle")
+        rows = self._nontrivial()
+        cols = {i: j for j, i in enumerate(source._nontrivial())}
+        coords = IntMatrix.from_rows([self._rel_U.entries[i] for i in rows], self._rel_U.cols)
+        gens = IntMatrix.from_rows(
+            [{cols[i]: a for i, a in row.items() if i in cols} for row in source._rel_U_inv.entries], len(cols)
+        )
+        M = (coords @ (self._kernel_rows @ FK)) @ gens
+        moduli = [self._moduli[i] for i in rows]
+        reduced = [{j: x % m for j, x in row.items() if x % m} if m else row for row, m in zip(M.entries, moduli)]
+        return IntMatrix.from_rows(reduced, M.cols)
 
     def zero_class(self) -> tuple[int, ...]:
         return tuple(0 for m in self._moduli if m != 1)
-
-
-def rational_rank(A: IntMatrix) -> int:
-    """Rank over Q by fraction-free-ish Gaussian elimination (oracle helper)."""
-    m = [[Fraction(x) for x in row] for row in A.data]
-    rows, cols = A.rows, A.cols
-    rank = 0
-    for j in range(cols):
-        piv = None
-        for i in range(rank, rows):
-            if m[i][j] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        pv = m[rank][j]
-        for i in range(rank + 1, rows):
-            if m[i][j] != 0:
-                f = m[i][j] / pv
-                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
 
 
 def f2_rank(A: IntMatrix) -> int:

@@ -182,11 +182,6 @@ def enumerate_codim1(space: SpaceId) -> list[StratumLabel]:
     return strata
 
 
-def disc_facet_count_closed_form(d: int) -> int:
-    """Number of facets of the d-input disc space, summed in closed form."""
-    return sum(d - d2 + 1 for d2 in range(2, d))
-
-
 # ---------------------------------------------------------------------------
 # term enumerations for the supported equations
 

@@ -14,9 +14,11 @@ import subprocess
 import sys
 import time
 
+from helpers import disc_facet_count_closed_form, iter_terms, rational_rank, with_negated_term
+
 from ainfcat.bimodules import LEFT, RIGHT, TensorWord, tensor_over_category, yoneda_module
 from ainfcat.cardy import HomotopyWitness, mu_cc_map, telescoping_data, verify_cardy_on_homology, verify_homotopy_equation
-from ainfcat.core import chain_add, chain_normalize, cyclic_tuples, iter_terms, verify_ainf, with_negated_term
+from ainfcat.core import chain_add, chain_normalize, cyclic_tuples, verify_ainf
 from ainfcat.fileformat import category_to_json
 from ainfcat.fixtures import (
     FIXTURES,
@@ -29,12 +31,11 @@ from ainfcat.fixtures import (
 )
 from ainfcat.generation import generation_test, replay_certificate
 from ainfcat.hochschild import bar_differential, hochschild_homology, truncated_cc
-from ainfcat.intlinalg import FinAbGroup, IntMatrix, rational_rank, smith_normal_form
+from ainfcat.intlinalg import FinAbGroup, IntMatrix, smith_normal_form
 from ainfcat.strata import (
     bidisc,
     dimension,
     disc,
-    disc_facet_count_closed_form,
     enumerate_codim1,
     punctured_disc,
     strata_term_bijection,
@@ -374,7 +375,9 @@ def test_criterion_7_exact_linalg_oracle_equivalence():
         if not check_one(A):
             bad += 1
     # homology against the rational-rank + minors oracle on random complexes
-    from ainfcat.intlinalg import HomologyData, kernel_basis
+    from helpers import kernel_basis
+
+    from ainfcat.intlinalg import HomologyData
 
     checked_h = 0
     while checked_h < 300:

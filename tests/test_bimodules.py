@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 from dense_verifiers import mixed_tuples
+from helpers import identity_hom, with_negated_bimodule_term
 
 from ainfcat.bimodules import (
     LEFT,
@@ -14,7 +15,6 @@ from ainfcat.bimodules import (
     TensorWord,
     diagonal_bimodule,
     hom_complex,
-    identity_hom,
     mu_composition_map,
     tensor_bimodule,
     tensor_differential,
@@ -22,7 +22,6 @@ from ainfcat.bimodules import (
     tensor_words,
     verify_bimodule,
     verify_bimodule_hom,
-    with_negated_bimodule_term,
     yoneda_module,
 )
 from ainfcat.complexes import verify_chain_map

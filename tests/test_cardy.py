@@ -4,7 +4,9 @@ homology-level comparison."""
 from __future__ import annotations
 
 import pytest
+from helpers import coordinate_columns, induced_by_generators, zero_map
 
+from ainfcat import cli, intlinalg
 from ainfcat.bimodules import (
     LEFT,
     RIGHT,
@@ -22,9 +24,9 @@ from ainfcat.cardy import (
     verify_cardy_on_homology,
     verify_homotopy_equation,
 )
-from ainfcat.complexes import GradedMap, zero_map
-from ainfcat.fixtures import coproduct_morphism
-from ainfcat.hochschild import truncated_cc
+from ainfcat.complexes import GradedMap, induced_on_homology
+from ainfcat.fixtures import SHIPPED_MORPHISMS, coproduct_morphism
+from ainfcat.hochschild import cc_of_delta, truncated_cc
 from ainfcat.intlinalg import RationalOnly, Unsolvable
 
 
@@ -219,3 +221,67 @@ def test_sign_path_n1_exercised():
     data = telescoping_data(cat, mu_cc_map(phi, cc, tcx))
     report = verify_cardy_on_homology(data)
     assert report.passed
+
+
+@pytest.mark.parametrize("fixture,n", SHIPPED_MORPHISMS)
+def test_induced_on_homology_matches_the_per_generator_oracle(fixture, n):
+    phi, cat, K, cc, tcx = setup(fixture, n)
+    for f in (mu_cc_map(phi, cc, tcx), telescoping_data(cat, mu_cc_map(phi, cc, tcx), co_sign=-1).co_oc):
+        for k in cc.degrees():
+            hs, ht = cc.homology_data(k), f.target.homology_data(k + f.shift)
+            expected = induced_by_generators(f.matrix(k), hs, ht)
+            assert coordinate_columns(induced_on_homology(f, k)) == expected
+
+
+def test_cardy_comparison_factors_each_spot_once(monkeypatch):
+    """One HomologyData per complex and degree: the cyclic complex at k and
+    hom(K, K) at k + n, shared by both induced matrices."""
+    built = []
+    init = intlinalg.HomologyData.__init__
+
+    def counting(self, d_out, d_in, composite=None):
+        built.append((d_out, d_in))
+        init(self, d_out, d_in, composite)
+
+    phi, cat, K, cc, tcx = setup("cone_algebra", 1)
+    data = telescoping_data(cat, mu_cc_map(phi, cc, tcx), co_sign=-1)
+    monkeypatch.setattr(intlinalg.HomologyData, "__init__", counting)
+    report = verify_cardy_on_homology(data)
+    assert len(built) == 2 * len(cc.degrees())
+    assert report.checked > 0
+
+
+# -- the tensor complex one length shorter -------------------------------------
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+@pytest.mark.parametrize("fixture,n", SHIPPED_MORPHISMS)
+def test_mu_cc_over_the_tensor_complex_one_length_shorter(fixture, n, N):
+    """CC(phi) sends a word of length d to tensor words with at most d - 1
+    middle letters, so the (N - 1)-truncated tensor complex holds its image:
+    the map into it has every matrix (no KeyError), and mu o CC(phi) over it
+    equals mu o CC(phi) over the N-truncated one."""
+    phi, cat, K, cc, tcx = setup(fixture, n, N)
+    shorter = tensor_over_category(yoneda_module(cat, K, RIGHT), yoneda_module(cat, K, LEFT), N - 1)
+    cc_phi = cc_of_delta(phi, cc, shorter)
+    mu_cc, mu_cc_shorter = mu_cc_map(phi, cc, tcx), mu_cc_map(phi, cc, shorter)
+    for k in cc.degrees():
+        cc_phi.matrix(k)
+        assert mu_cc_shorter.matrix(k) == mu_cc.matrix(k)
+
+
+@pytest.mark.parametrize("fixture,n", SHIPPED_MORPHISMS)
+def test_cli_cardy_tensor_complex_holds_the_image_of_cc_phi(tmp_path, monkeypatch, capsys, fixture, n):
+    """The tensor complex `ainfcat cardy` builds and d o d-checks holds
+    every word that CC(phi) reaches: the map into it has every matrix."""
+    built = []
+    monkeypatch.setattr(
+        cli, "mu_cc_map", lambda phi, cc, tcx: built.append((phi, cc, tcx)) or mu_cc_map(phi, cc, tcx)
+    )
+    path = tmp_path / f"{fixture}.json"
+    cli.main(["fixture", fixture, "-o", str(path)])
+    cli.main(["cardy", str(path), "--morphism", f"coproduct_n{n}", "--max-length", "3"])
+    ((phi, cc, tcx),) = built
+    cc_phi = cc_of_delta(phi, cc, tcx)
+    for k in cc.degrees():
+        cc_phi.matrix(k)

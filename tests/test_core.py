@@ -6,6 +6,7 @@ import random
 
 import pytest
 from dense_verifiers import ainf_residual
+from helpers import iter_terms, with_negated_term
 
 from ainfcat.core import (
     Gen,
@@ -14,11 +15,9 @@ from ainfcat.core import (
     chain_add,
     composable_tuples,
     cyclic_tuples,
-    iter_terms,
     koszul_sign,
     reduced_degree,
     verify_ainf,
-    with_negated_term,
     with_ring,
 )
 from ainfcat.fixtures import (

@@ -10,10 +10,11 @@ import subprocess
 import sys
 
 import pytest
+from helpers import iter_terms, with_negated_term
 
 from ainfcat import cli
 from ainfcat.cli import parse_space
-from ainfcat.core import chain_normalize, iter_terms, verify_ainf, with_negated_term, with_ring
+from ainfcat.core import chain_normalize, verify_ainf, with_ring
 from ainfcat.fileformat import (
     InputError,
     category_to_json,

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import pytest
+from helpers import iter_terms, with_negated_term
 
 from ainfcat.bimodules import TensorWord
 from ainfcat.complexes import BasedComplex, GradedMap, induced_rank_mod_2, verify_chain_map
-from ainfcat.core import AinfCategory, chain_add, iter_terms, with_negated_term, with_ring
+from ainfcat.core import AinfCategory, chain_add, with_ring
 from ainfcat.fixtures import (
     cone_algebra,
     dual_numbers,

@@ -45,6 +45,11 @@ COMMANDS: list[list[str]] = [
     ["cardy", "split_summand_pair.json", "--morphism", "coproduct_n0", "--max-length", "2", "--solve",
      "--co-sign", "-1"],
     ["cardy", "cone_algebra.json", "--morphism", "coproduct_n2", "--max-length", "2", "--co-sign", "-1"],
+    # at scale: the tensor complex truncated one length shorter, the
+    # induced maps on homology read over many classes
+    ["cardy", "split_summand_pair.json", "--morphism", "coproduct_n0", "--max-length", "5", "--solve"],
+    ["cardy", "cone_algebra.json", "--morphism", "coproduct_n1", "--max-length", "5", "--solve",
+     "--co-sign", "-1"],
     ["generate", "split_summand_pair.json", "--object", "K", "--subcategory", "L",
      "--max-length", "2", "--emit", "split.cert.json"],
     ["generate", "split_summand_pair.json", "--object", "K", "--replay", "split.cert.json"],

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import pytest
+from helpers import rational_rank, zero_map
 
 from ainfcat.bimodules import LEFT, RIGHT, BimoduleHom, tensor_over_category, yoneda_module
-from ainfcat.complexes import GradedMap, verify_chain_map, zero_map
+from ainfcat.complexes import GradedMap, verify_chain_map
 from ainfcat.core import chain_add, chain_normalize, cyclic_tuples, with_ring
 from ainfcat.fixtures import (
     SHIPPED_MORPHISMS,
@@ -27,7 +28,7 @@ from ainfcat.hochschild import (
     truncated_cc,
     word_degree,
 )
-from ainfcat.intlinalg import FinAbGroup, rational_rank
+from ainfcat.intlinalg import FinAbGroup
 
 ALL_FIXTURES = [
     ground_ring,

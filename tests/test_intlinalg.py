@@ -13,6 +13,7 @@ import math
 import random
 
 import pytest
+from helpers import kernel_basis, rational_rank
 
 from ainfcat.complexes import BasedComplex
 from ainfcat.intlinalg import (
@@ -22,8 +23,6 @@ from ainfcat.intlinalg import (
     NotAComplex,
     RationalOnly,
     Unsolvable,
-    kernel_basis,
-    rational_rank,
     smith_normal_form,
     solve_integer,
 )

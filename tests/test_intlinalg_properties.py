@@ -8,20 +8,23 @@ plain mod-2 elimination.  The sparse Smith normal form must return the
 same U, D, V, U_inv and V_inv as the dense one of dense_snf.py, entry for
 entry, since solve_integer's solutions are read off V.  Random small
 complexes check the kernel coordinates and the class generators that
-HomologyData reads off those inverses.  The minors oracle of
-test_intlinalg.py stays as the first one.
+HomologyData reads off those inverses, and the map induced on homology,
+one sparse product, against the per-generator oracle of helpers.py.  The
+minors oracle of test_intlinalg.py stays as the first one.
 """
 
 from __future__ import annotations
 
 import math
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy import Matrix, ZZ
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from dense_snf import dense_smith_normal_form
+from helpers import coordinate_columns, induced_by_generators, kernel_basis
 
 from ainfcat.intlinalg import (
     FinAbGroup,
@@ -30,7 +33,6 @@ from ainfcat.intlinalg import (
     RationalOnly,
     Unsolvable,
     f2_rank,
-    kernel_basis,
     smith_normal_form,
     solve_integer,
 )
@@ -193,6 +195,64 @@ def test_homology_group_matches_sympy(pair):
     torsion = tuple(d for d in diag_in if d >= 2)
     free = n - rank_out - sum(1 for d in diag_in if d)
     assert HomologyData(d_out, d_in).group == FinAbGroup(free, torsion)
+
+
+def small_matrix(data, rows: int, cols: int) -> IntMatrix:
+    small = st.integers(min_value=-3, max_value=3)
+    rows = data.draw(st.lists(st.lists(small, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+    return IntMatrix(rows, cols=cols)
+
+
+def plus(A: IntMatrix, B: IntMatrix) -> IntMatrix:
+    return IntMatrix([[a + b for a, b in zip(r, s)] for r, s in zip(A.data, B.data)], cols=A.cols)
+
+
+@SETTINGS
+@given(complexes(), complexes(), st.booleans(), st.data())
+def test_induced_matches_the_per_generator_oracle(source, target, off_cycles, data):
+    """A map into the target's cycles (plus boundaries), or, with
+    off_cycles, one with an arbitrary summand: the induced matrix has the
+    oracle's coordinates column by column, and a map that sends a cycle
+    of the source off the target's cycles is refused."""
+    hs, ht = HomologyData(*source), HomologyData(*target)
+    n_s, n_t = hs.d_out.cols, ht.d_out.cols
+    F = plus(ht.kernel @ small_matrix(data, ht.kernel.cols, n_s), ht.d_in @ small_matrix(data, ht.d_in.cols, n_s))
+    if off_cycles:
+        F = plus(F, small_matrix(data, n_t, n_s))
+    if (ht.d_out @ F @ hs.kernel).is_zero():
+        assert coordinate_columns(ht.induced(F, hs)) == induced_by_generators(F, hs, ht)
+    else:
+        with pytest.raises(ValueError):
+            ht.induced(F, hs)
+
+
+def test_induced_on_torsion_and_modulus_one():
+    """Source H = Z/2 beside a summand of modulus 1; target H = Z/2 + Z
+    beside one of modulus 1: one column, two rows, the first reduced mod 2."""
+    hs = HomologyData(IntMatrix.zeros(0, 2), IntMatrix([[2, 1], [0, 1]]))
+    ht = HomologyData(IntMatrix.zeros(0, 3), IntMatrix([[2, 0], [0, 1], [0, 0]]))
+    F = IntMatrix([[1, 0], [1, 1], [0, 3]])
+    M = ht.induced(F, hs)
+    assert (M.rows, M.cols) == (2, 1)
+    assert coordinate_columns(M) == induced_by_generators(F, hs, ht)
+
+
+@SETTINGS
+@given(complexes(), st.integers(min_value=-4, max_value=4), st.data())
+def test_a_map_homotopic_to_c_times_identity_induces_c(pair, c, data):
+    """F = c + d_in S + T d_out is a chain map at the spot, homotopic to c
+    times the identity: its induced matrix is c on the diagonal, reduced
+    modulo each modulus, and agrees with the oracle."""
+    hd = HomologyData(*pair)
+    d_out, d_in = pair
+    n = d_out.cols
+    F = plus(
+        IntMatrix([[c if i == j else 0 for j in range(n)] for i in range(n)], cols=n),
+        plus(d_in @ small_matrix(data, d_in.cols, n), small_matrix(data, n, d_out.rows) @ d_out),
+    )
+    moduli = [m for m in hd._moduli if m != 1]
+    expected = [tuple((c % m if m else c) if i == j else 0 for i, m in enumerate(moduli)) for j in range(len(moduli))]
+    assert coordinate_columns(hd.induced(F, hd)) == expected == induced_by_generators(F, hd, hd)
 
 
 def f2_rank_by_elimination(rows: list[list[int]], cols: int) -> int:

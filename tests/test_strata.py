@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from helpers import disc_facet_count_closed_form
 
 from ainfcat.strata import (
     CODISC,
@@ -10,7 +11,6 @@ from ainfcat.strata import (
     bidisc,
     dimension,
     disc,
-    disc_facet_count_closed_form,
     enumerate_codim1,
     interpolation,
     punctured_disc,

@@ -13,6 +13,7 @@ import random
 
 import pytest
 from dense_verifiers import dense_verify_ainf, dense_verify_bimodule, dense_verify_bimodule_hom
+from helpers import iter_terms, with_negated_bimodule_term, with_negated_term
 
 from ainfcat.bimodules import (
     LEFT,
@@ -22,10 +23,9 @@ from ainfcat.bimodules import (
     tensor_bimodule,
     verify_bimodule,
     verify_bimodule_hom,
-    with_negated_bimodule_term,
     yoneda_module,
 )
-from ainfcat.core import iter_terms, tuple_count, verify_ainf, with_negated_term, with_ring
+from ainfcat.core import tuple_count, verify_ainf, with_ring
 from ainfcat.fixtures import FIXTURES, SHIPPED_MORPHISMS, coproduct_morphism
 
 
