@@ -22,8 +22,8 @@ d - 1 middle letters, and the tensor differential never lengthens a word,
 so for cyclic words of length <= N the tensor complex truncated at N - 1
 holds every word the map reaches (`ainfcat cardy` builds it that way).
 The homology comparison reads one sparse induced matrix per map and
-degree (complexes.induced_on_homology), both sides sharing one
-factorization of each spot.
+degree (HomologyData.induced), both sides sharing one factorization of
+each spot.
 
 All checks are exact; there are no tolerances anywhere.
 """
@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .bimodules import BimoduleHom, mu_composition_map
-from .complexes import BasedComplex, GradedMap, VerificationReport, compose, induced_on_homology, verify_chain_map
+from .complexes import BasedComplex, GradedMap, VerificationReport, compose, verify_chain_map
 from .core import AinfCategory, Violation, chain_add, chain_normalize, collect_violations, parity_sign
 from .hochschild import ChainMapViolation, cc_of_delta
 from .intlinalg import IntMatrix, RationalOnly, Unsolvable, solve_integer
@@ -179,11 +179,7 @@ def verify_cardy_on_homology(data: OpenClosedData, degrees=None) -> Verification
     n = data.n
     cc = data.mu_cc.source
     hom_cx = data.mu_cc.target
-    rhs_map = data.co_oc
-    if parity_sign(n * (n + 1) // 2) == -1:
-        rhs_map = GradedMap(
-            cc, hom_cx, n, lambda w: {g: -c for g, c in data.co_oc.chain(w).items()}, name="-CO o OC"
-        )
+    gsign = parity_sign(n * (n + 1) // 2)
 
     degs = list(degrees) if degrees is not None else cc.degrees()
     violations = []
@@ -193,8 +189,11 @@ def verify_cardy_on_homology(data: OpenClosedData, degrees=None) -> Verification
             continue
         hs = cc.homology_data(k)
         ht = hom_cx.homology_data(k + n)
-        lhs = induced_on_homology(data.mu_cc, k, hs, ht)
-        rhs = induced_on_homology(rhs_map, k, hs, ht)
+        F = data.co_oc.matrix(k)
+        if gsign == -1:
+            F = IntMatrix.from_rows([{j: -c for j, c in row.items()} for row in F.entries], F.cols)
+        lhs = ht.induced(data.mu_cc.matrix(k), hs)
+        rhs = ht.induced(F, hs)
         checked += lhs.cols
         for j, (col1, col2) in enumerate(zip(lhs.transpose().entries, rhs.transpose().entries)):
             if col1 != col2:

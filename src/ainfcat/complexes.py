@@ -164,22 +164,6 @@ def verify_chain_map(f: GradedMap) -> VerificationReport:
     )
 
 
-def induced_on_homology(
-    f: GradedMap, k: int, source: HomologyData | None = None, target: HomologyData | None = None
-) -> IntMatrix:
-    """The sparse matrix of H^k(f), from the class generators of the
-    source's H^k to the class coordinates of the target's H^(k + shift).
-
-    Column j is the target's coords() of f applied to the source's j-th
-    class generator (see HomologyData.induced).  `source` and `target`,
-    when given, are those two HomologyData, so that a caller comparing
-    several maps between the same spots factors each spot once.
-    """
-    hs = f.source.homology_data(k) if source is None else source
-    ht = f.target.homology_data(k + f.shift) if target is None else target
-    return ht.induced(f.matrix(k), hs)
-
-
 def induced_rank_mod_2(f: GradedMap, k: int) -> int:
     """Over F2, the rank of the map f induces from H^k of its source to
     H^(k + shift) of its target.

@@ -33,7 +33,7 @@ from .bimodules import (
     tensor_over_category,
     yoneda_module,
 )
-from .complexes import BasedComplex, GradedMap, induced_on_homology, induced_rank_mod_2, verify_chain_map
+from .complexes import BasedComplex, GradedMap, induced_rank_mod_2, verify_chain_map
 from .core import RING_F2, RING_Z, AinfCategory, chain_add, chain_normalize, parity_sign, relation_depth, verify_ainf
 from .intlinalg import IntMatrix, NotAComplex, RationalOnly, Unsolvable, solve_integer
 
@@ -113,7 +113,7 @@ def verify_cohomological_unit(cat: AinfCategory, K: str, e: Mapping) -> UnitRepo
                         failures.append((L, side, k))
                     continue
                 hd = cx.homology_data(k)
-                if not induced_on_homology(f_minus_id, k, hd, hd).is_zero():
+                if not hd.induced(f_minus_id.matrix(k), hd).is_zero():
                     failures.append((L, side, k))
     return UnitReport(passed=not failures, failures=failures)
 

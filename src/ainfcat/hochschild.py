@@ -53,7 +53,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bimodules import BimoduleHom, DiagonalBimodule, TensorBimodule, TensorWord
-from .complexes import BasedComplex, GradedMap, induced_on_homology, induced_rank_mod_2, verify_chain_map
+from .complexes import BasedComplex, GradedMap, induced_rank_mod_2, verify_chain_map
 from .core import RING_F2, AinfCategory, chain_add, chain_normalize, cyclic_tuples, parity_sign, rdeg, signed_blocks
 from .intlinalg import FinAbGroup, HomologyData, IntMatrix, smith_normal_form
 
@@ -134,7 +134,7 @@ def _iso_under_inclusion(inclusion: GradedMap, k: int, hb: HomologyData) -> bool
         return False
     # surjectivity of the induced map between abstractly isomorphic finitely
     # generated groups implies bijectivity
-    return _spans(induced_on_homology(inclusion, k, hs, hb), hb)
+    return _spans(hb.induced(inclusion.matrix(k), hs), hb)
 
 
 def _spans(M: IntMatrix, hd: HomologyData) -> bool:

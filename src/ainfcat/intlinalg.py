@@ -499,15 +499,15 @@ class HomologyData:
         """Indices of the presentation's summands whose modulus is not 1."""
         return [i for i, mod in enumerate(self._moduli) if mod != 1]
 
-    def class_generator(self, j: int) -> list[int]:
-        """A cycle whose class is the j-th generator of the presentation."""
-        # the preimage of a standard generator: a column of kernel @ U^{-1},
-        # skipping the trivial summands (modulus 1)
-        return self.kernel.apply(self._rel_U_inv.column(self._nontrivial()[j]))
-
     def class_generators(self) -> list[list[int]]:
         """Cycles whose classes generate the homology group."""
-        return [self.class_generator(j) for j in range(len(self._nontrivial()))]
+        # Preimages of the presentation's standard generators: columns of
+        # kernel @ U^{-1}, skipping the trivial summands (modulus 1).
+        return [self.kernel.apply(self._rel_U_inv.column(i)) for i in self._nontrivial()]
+
+    def class_generator(self, j: int) -> list[int]:
+        """The j-th of class_generators(), built alone."""
+        return self.kernel.apply(self._rel_U_inv.column(self._nontrivial()[j]))
 
     def induced(self, F: IntMatrix, source: "HomologyData") -> IntMatrix:
         """The matrix of the map F induces from source's homology to this one.
@@ -531,9 +531,6 @@ class HomologyData:
         moduli = [self._moduli[i] for i in rows]
         reduced = [{j: x % m for j, x in row.items() if x % m} if m else row for row, m in zip(M.entries, moduli)]
         return IntMatrix.from_rows(reduced, M.cols)
-
-    def zero_class(self) -> tuple[int, ...]:
-        return tuple(0 for m in self._moduli if m != 1)
 
 
 def f2_rank(A: IntMatrix) -> int:

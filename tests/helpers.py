@@ -4,7 +4,7 @@ Nothing under `src/` calls these.  The mutants negate one stored term so
 that the verifiers can be shown to notice; `rational_rank` and
 `kernel_basis` check the integral linear algebra from outside; and
 `induced_by_generators` is the per-generator oracle for
-`complexes.induced_on_homology`: it pushes each class generator through
+`HomologyData.induced`: it pushes each class generator through
 the chain map as a dense vector and reads its class coordinates one at a
 time, the way the homology comparisons did before the induced map became
 one sparse product.
@@ -97,6 +97,11 @@ def induced_by_generators(F: IntMatrix, source, target) -> list[tuple[int, ...]]
     """coords() in `target` of F applied to each class generator of
     `source`, one dense vector at a time (both are HomologyData)."""
     return [target.coords(F.apply(gen)) for gen in source.class_generators()]
+
+
+def zero_class(hd) -> tuple[int, ...]:
+    """The class coordinates of 0 in a HomologyData."""
+    return tuple(0 for m in hd._moduli if m != 1)
 
 
 def coordinate_columns(M: IntMatrix) -> list[tuple[int, ...]]:

@@ -13,7 +13,7 @@ import math
 import random
 
 import pytest
-from helpers import kernel_basis, rational_rank
+from helpers import kernel_basis, rational_rank, zero_class
 
 from ainfcat.complexes import BasedComplex
 from ainfcat.intlinalg import (
@@ -291,8 +291,8 @@ def test_homology_coords_detect_boundaries():
     hd = HomologyData(d_out, d_in)
     assert hd.group == FinAbGroup(0, (6,))
     # (2, 3) is a boundary, (1, 1) is not
-    assert hd.coords([2, 3]) == hd.zero_class()
-    assert hd.coords([1, 1]) != hd.zero_class()
+    assert hd.coords([2, 3]) == zero_class(hd)
+    assert hd.coords([1, 1]) != zero_class(hd)
 
 
 def test_class_generators_generate():
@@ -300,9 +300,9 @@ def test_class_generators_generate():
     d_out = IntMatrix.zeros(0, 2)
     hd = HomologyData(d_out, d_in)
     gens = hd.class_generators()
-    assert len(gens) == len(hd.zero_class())
+    assert len(gens) == len(zero_class(hd))
     seen = {hd.coords(g) for g in gens}
-    assert hd.zero_class() not in seen
+    assert zero_class(hd) not in seen
 
 
 def test_coords_refuse_a_non_cycle():
