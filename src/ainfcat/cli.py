@@ -5,16 +5,12 @@ byte-identical stdout (timing goes to stderr).  Exit codes: 0 for a
 passing/successful verdict, 1 for a mathematical failure (a violated
 equation, a failed comparison, an inconclusive or refuted certificate),
 2 for input errors (unreadable files, schema violations, bad flags).
-The environment variable AINFCAT_THREADS is accepted for compatibility
-with parallel runners and validated, but every computation here is
-deterministic and single-threaded regardless of its value.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 import time
@@ -53,6 +49,7 @@ from .generation import NotACycle, generation_test, replay_certificate, verify_c
 from .hochschild import ChainMapViolation, hochschild_homology, truncated_cc
 from .intlinalg import RationalOnly, Unsolvable
 from .strata import (
+    EQUATIONS,
     annulus,
     bidisc,
     dimension,
@@ -72,18 +69,6 @@ class CliError(Exception):
     def __init__(self, message, code=EXIT_INPUT):
         super().__init__(message)
         self.code = code
-
-
-def _check_threads_env():
-    val = os.environ.get("AINFCAT_THREADS")
-    if val is None:
-        return
-    try:
-        n = int(val)
-    except ValueError:
-        raise CliError(f"AINFCAT_THREADS must be an integer, got {val!r}")
-    if n < 1:
-        raise CliError("AINFCAT_THREADS must be >= 1")
 
 
 def _read(path: str) -> bytes:
@@ -357,9 +342,6 @@ def parse_space(spec: str):
     return interpolation(int(m.group("pd")))
 
 
-EQUATION_NAMES = {"ainf", "bimodule_hom", "hochschild", "homotopy"}
-
-
 def cmd_strata(args) -> int:
     try:
         space = parse_space(args.space)
@@ -385,8 +367,10 @@ def cmd_strata(args) -> int:
     ]
     ok = True
     if args.equation:
-        if args.equation not in EQUATION_NAMES:
-            raise CliError(f"unknown equation {args.equation!r}; choose from {sorted(EQUATION_NAMES)}")
+        supported = EQUATIONS.get(space.kind)
+        if args.equation != supported:
+            only = f"only --equation {supported}" if supported else "no --equation"
+            raise CliError(f"space {args.space} supports {only}")
         bij = strata_term_bijection(space, args.equation)
         report["bijection"] = {
             "equation": args.equation,
@@ -477,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("strata", help="boundary strata tables and term bijections")
     p.add_argument("space", help="R_4, R_2|1|1, R_3^1, C_2^-, P_3, ...")
-    p.add_argument("--equation", help="ainf | bimodule_hom | hochschild | homotopy")
+    p.add_argument("--equation", help=" | ".join(EQUATIONS.values()))
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_strata)
 
@@ -493,7 +477,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     t0 = time.monotonic()
     try:
-        _check_threads_env()
         code = args.func(args)
     except InputError as err:
         sys.stderr.write(f"input error: {err}\n")

@@ -148,7 +148,14 @@ def compose(g: GradedMap, f: GradedMap, name: str | None = None) -> GradedMap:
 
 
 def verify_chain_map(f: GradedMap) -> VerificationReport:
-    """Check d o f - (-1)^shift f o d = 0 on every basis label."""
+    """Check d o f - (-1)^shift f o d = 0 on every basis label.
+
+    Every matrix(k) is built first, so an image outside the target's
+    declared basis raises matrix's KeyError, naming the label and the
+    image, instead of passing a check that never indexes the target.
+    """
+    for k in f.source.degrees():
+        f.matrix(k)
     sign = parity_sign(f.shift)
 
     def residual(label) -> dict:

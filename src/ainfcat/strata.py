@@ -183,99 +183,83 @@ def enumerate_codim1(space: SpaceId) -> list[StratumLabel]:
 
 
 # ---------------------------------------------------------------------------
-# term enumerations for the supported equations
+# the equations and their terms
+
+EQUATIONS = {R_DISC: "ainf", R_BIMOD: "bimodule_hom", R_PUNCT: "hochschild", C_ANNULUS: "homotopy"}
 
 
-def ainf_terms(d: int, stable_only: bool = True) -> list[tuple]:
-    """(d1, d2, k)-indices of the structure-relation terms at arity d."""
-    out = []
-    for d2 in range(1, d + 1):
-        d1 = d + 1 - d2
-        for k in range(0, d1):
-            if stable_only and (d1 < 2 or d2 < 2):
-                continue
-            out.append((d1, d2, k))
-    return out
+def equation_terms(space: SpaceId) -> list[tuple[tuple, Optional[tuple]]]:
+    """Every term of the equation on `space`, as (term, stratum) pairs.
 
+    `stratum` is the (family, data) of the codimension-1 stratum the term
+    matches, or None for a strip-type term.  The terms, by equation:
 
-def bimodule_hom_terms(r: int, s: int, stable_only: bool = True) -> list[tuple]:
-    """Index data of the four-sum morphism-equation terms at window (r, s).
-
-    Terms are tagged by their sum: ("target", m, l) for target-operation-
-    outside terms (stable ones have the outer operation one-sided, since
-    the mixed operations of a tensor-type target vanish), ("source", m, l)
-    for source-operation-inside, ("right", k, l) and ("left", k, m) for
-    the one-sided collapses.
+    * ainf on R_d: (d1, d2, k), an arity-d2 operation substituted at slot
+      k of an arity-d1 one; stable when both arities are at least 2.
+    * bimodule_hom on R_{r|1|s}, tagged by sum: ("target", m, l) for the
+      target operation outside (stable ones have it one-sided, since the
+      mixed operations of a tensor-type target vanish), ("source", m, l)
+      for the source operation inside, ("right", k, l) and ("left", k, m)
+      for the one-sided collapses.
+    * hochschild on R_d^1: ("inplace", i, m), the block a_i..a_{i+m-1}
+      away from the top slot, and ("top", k, m), the block of length m
+      containing the top letter with k letters wrapped past the seam
+      (k = 0 ends at the top without crossing it; for m = d the k > 0
+      blocks are the word's cyclic rotations).
+    * homotopy on C_d^-: ("co_oc",), the closed-sector composite;
+      ("pair", r, s), the window terms of the induced coproduct map
+      followed by the collapse; ("bar", d1, k), the cyclic-differential
+      terms feeding the homotopy, all top-touching blocks of one length
+      grouped as k = d1; ("differential",), the mu^1 o H term.
     """
-    out = []
-    for m in range(0, r + 1):
+    out: list[tuple[tuple, Optional[tuple]]] = []
+    if space.kind == R_DISC:
+        d = space.d
+        for d2 in range(1, d + 1):
+            d1 = d + 1 - d2
+            stable = d1 >= 2 and d2 >= 2
+            for k in range(0, d1):
+                out.append(((d1, d2, k), ("disc", (d1, d2, k)) if stable else None))
+    elif space.kind == R_BIMOD:
+        r, s = space.r, space.s
+        for m in range(0, r + 1):
+            for l in range(0, s + 1):
+                if l == s and m < r:
+                    stratum = ("output1", (m,))
+                elif m == r and l < s:
+                    stratum = ("output2", (l,))
+                else:
+                    stratum = None
+                out.append((("target", m, l), stratum))
+        for m in range(0, r + 1):
+            for l in range(0, s + 1):
+                out.append((("source", m, l), ("middle", (m, l)) if (m, l) != (0, 0) else None))
         for l in range(0, s + 1):
-            if stable_only:
-                one_sided_stable = (l == s and m < r) or (m == r and l < s)
-                if one_sided_stable:
-                    out.append(("target", m, l))
-            else:
-                out.append(("target", m, l))
-    for m in range(0, r + 1):
-        for l in range(0, s + 1):
-            if stable_only and (m, l) == (0, 0):
-                continue
-            out.append(("source", m, l))
-    for l in range(0, s + 1):
-        for k in range(0, l + 1):
-            if l == k:
-                continue
-            if stable_only and l - k < 2:
-                continue
-            out.append(("right", k, l))
-    for m in range(0, r + 1):
-        for k in range(0, m + 1):
-            if m == k:
-                continue
-            if stable_only and m - k < 2:
-                continue
-            out.append(("left", k, m))
-    return out
-
-
-def hochschild_terms(d: int, stable_only: bool = True) -> list[tuple]:
-    """Index data of the cyclic-differential terms on words of length d.
-
-    ("inplace", i, m): the block a_i..a_{i+m-1} away from the top slot;
-    ("top", k, m): the block of length m containing the top letter with k
-    letters wrapped past the seam (k = 0 is the non-wrapping top block).
-    """
-    out = []
-    for m in range(1, d + 1):
-        if stable_only and m < 2:
-            continue
-        for i in range(1, d - m + 1):
-            out.append(("inplace", i, m))
-        # blocks containing the top letter, by the wrapped length k
-        # (k = 0 ends at the top without crossing the seam; for the full
-        # word, m = d, the k > 0 entries are its cyclic rotations)
-        for k in range(0, m):
-            out.append(("top", k, m))
-    return out
-
-
-def homotopy_terms(d: int) -> list[tuple]:
-    """Term groups of the four-term homotopy equation on length-d words.
-
-    ("co_oc",): the closed-sector composite; ("pair", r, s): the window
-    terms of the composition of the induced coproduct map with the
-    collapse; ("bar", d1, k): the cyclic-differential terms feeding the
-    homotopy, grouped so that all top-touching blocks of one length form
-    the single group k = d1.  The differential-side term has no stable
-    stratum and is listed by the bijection separately.
-    """
-    out = [("co_oc",)]
-    for r in range(0, d):
-        for s in range(0, d - r):
-            out.append(("pair", r, s))
-    for d1 in range(1, d):
-        for k in range(1, d1 + 1):
-            out.append(("bar", d1, k))
+            for k in range(0, l):
+                out.append((("right", k, l), ("right", (k, l)) if l - k >= 2 else None))
+        for m in range(0, r + 1):
+            for k in range(0, m):
+                out.append((("left", k, m), ("left", (k, m)) if m - k >= 2 else None))
+    elif space.kind == R_PUNCT:
+        d = space.d
+        for m in range(1, d + 1):
+            stable = m >= 2
+            for i in range(1, d - m + 1):
+                out.append((("inplace", i, m), ("inner", (d - m + 1, m, i - 1)) if stable else None))
+            for k in range(0, m):
+                out.append((("top", k, m), ("seam", (d - m + 1, m, k)) if stable else None))
+    elif space.kind == C_ANNULUS:
+        d = space.d
+        out.append((("co_oc",), ("interior", ())))
+        for r in range(0, d):
+            for s in range(0, d - r):
+                out.append((("pair", r, s), ("pair", (r, s))))
+        for d1 in range(1, d):
+            for k in range(1, d1 + 1):
+                out.append((("bar", d1, k), ("bubble", (d1, k))))
+        out.append((("differential",), None))
+    else:
+        raise ValueError(f"no equation on {space.kind} spaces")
     return out
 
 
@@ -303,89 +287,26 @@ def strata_term_bijection(space: SpaceId, equation: str) -> BijectionReport:
     """Explicit bijection between codimension-1 strata and stable equation
     terms; strip breakings (differential-type terms) are reported
     separately since they correspond to semistable degenerations."""
-    if space.kind == R_DISC and equation == "ainf":
-        strata = enumerate_codim1(space)
-        terms = ainf_terms(space.d)
-        smap = {lab.data: lab for lab in strata}
-        if sorted(smap) != sorted(terms):
-            return BijectionReport(space, equation, [], mismatch=f"{sorted(smap)} vs {sorted(terms)}")
-        strips = [t for t in ainf_terms(space.d, stable_only=False) if t not in terms]
-        return BijectionReport(space, equation, [(smap[t], t) for t in sorted(terms)], strip_terms=strips)
-
-    if space.kind == R_BIMOD and equation == "bimodule_hom":
-        strata = enumerate_codim1(space)
-        terms = bimodule_hom_terms(space.r, space.s)
-        family_of_tag = {"target": ("output1", "output2"), "source": ("middle",), "right": ("right",), "left": ("left",)}
-        pairs = []
-        used = set()
-        for term in terms:
-            tag = term[0]
-            if tag == "target":
-                m, l = term[1], term[2]
-                fam, data = ("output1", (m,)) if l == space.s else ("output2", (l,))
-            elif tag == "source":
-                fam, data = "middle", (term[1], term[2])
-            elif tag == "right":
-                fam, data = "right", (term[1], term[2])
-            else:
-                fam, data = "left", (term[1], term[2])
-            match = [lab for lab in strata if lab.family == fam and lab.data == data]
-            if len(match) != 1:
-                return BijectionReport(space, equation, [], mismatch=f"term {term} matched {len(match)} strata")
-            pairs.append((match[0], term))
-            used.add(match[0])
-        if len(used) != len(strata):
-            missing = [lab for lab in strata if lab not in used]
-            return BijectionReport(space, equation, [], mismatch=f"unmatched strata {missing}")
-        strips = [t for t in bimodule_hom_terms(space.r, space.s, stable_only=False) if t not in terms]
-        return BijectionReport(space, equation, pairs, strip_terms=strips)
-
-    if space.kind == R_PUNCT and equation == "hochschild":
-        d = space.d
-        strata = enumerate_codim1(space)
-        terms = hochschild_terms(d)
-        pairs = []
-        used = set()
-        for term in terms:
-            if term[0] == "inplace":
-                i, m = term[1], term[2]
-                fam, data = "inner", (d - m + 1, m, i - 1)
-            else:
-                k, m = term[1], term[2]
-                fam, data = "seam", (d - m + 1, m, k)
-            match = [lab for lab in strata if lab.family == fam and lab.data == data]
-            if len(match) != 1:
-                return BijectionReport(space, equation, [], mismatch=f"term {term} matched {len(match)} strata")
-            pairs.append((match[0], term))
-            used.add(match[0])
-        if len(used) != len(strata):
-            return BijectionReport(space, equation, [], mismatch="unmatched strata remain")
-        strips = [t for t in hochschild_terms(d, stable_only=False) if t not in terms]
-        return BijectionReport(space, equation, pairs, strip_terms=strips)
-
-    if space.kind == C_ANNULUS and equation == "homotopy":
-        d = space.d
-        strata = enumerate_codim1(space)
-        terms = homotopy_terms(d)
-        pairs = []
-        used = set()
-        for term in terms:
-            if term[0] == "co_oc":
-                match = [lab for lab in strata if lab.family == "interior"]
-            elif term[0] == "pair":
-                match = [lab for lab in strata if lab.family == "pair" and lab.data == (term[1], term[2])]
-            else:
-                match = [lab for lab in strata if lab.family == "bubble" and lab.data == (term[1], term[2])]
-            if len(match) != 1:
-                return BijectionReport(space, equation, [], mismatch=f"term {term} matched {len(match)} strata")
-            pairs.append((match[0], term))
-            used.add(match[0])
-        if len(used) != len(strata):
-            return BijectionReport(space, equation, [], mismatch="unmatched strata remain")
-        # the mu^1 o H term is strip-type; note it for the reader
-        return BijectionReport(space, equation, pairs, strip_terms=[("differential",)])
-
-    raise ValueError(f"unsupported pairing ({space.kind}, {equation})")
+    if EQUATIONS.get(space.kind) != equation:
+        raise ValueError(f"unsupported pairing ({space.kind}, {equation})")
+    strata: dict[tuple, StratumLabel] = {}
+    for lab in enumerate_codim1(space):
+        key = (lab.family, lab.data)
+        if key in strata:
+            return BijectionReport(space, equation, [], mismatch=f"strata {strata[key]} and {lab} share {key}")
+        strata[key] = lab
+    pairs = []
+    strips = []
+    for term, key in equation_terms(space):
+        if key is None:
+            strips.append(term)
+        elif key in strata:
+            pairs.append((strata.pop(key), term))
+        else:
+            return BijectionReport(space, equation, [], mismatch=f"term {term} matched no unmatched stratum")
+    if strata:
+        return BijectionReport(space, equation, [], mismatch=f"unmatched strata {list(strata.values())}")
+    return BijectionReport(space, equation, pairs, strip_terms=strips)
 
 
 # ---------------------------------------------------------------------------
@@ -399,14 +320,8 @@ def sign_formula(tag: str, **kw) -> int:
 
     * dagger(degrees): sum of k * deg(x_k) over the inputs of a product
     * ddagger(left, module, right): the two-output operation twist
-    * diamond(degrees, r, s, n): the splitting sign of the induced map
-      on cyclic chains in the cross-term convention (the chain-level
-      engine uses the oracle-corrected variant documented in the
-      cyclic-complex module)
     * circ(p, q, letters): the reorder sign of the two output factors
     * oc(degrees): deg(x_d) + dagger
-    * f(degrees, r, s, n, p, q): deg(x_d) + dagger_1 + ddagger_2 + circ
-      + diamond for the glued-composition count
     * cardy_global(n): (-1)^(n(n+1)/2)
     * delta_chain_1(module): deg of the input, the first chain-map check
     * delta_chain_2(module, n): deg + n + 1, the second one
@@ -424,14 +339,6 @@ def sign_formula(tag: str, **kw) -> int:
         parity += s * module
         parity += sum((j + 1 + s) * x for j, x in enumerate(left))
         return parity_sign(parity)
-    if tag == "diamond":
-        degs = list(kw["degrees"])
-        r, s, n = kw["r"], kw["s"], kw["n"]
-        d = len(degs)
-        red = [x + 1 for x in degs]
-        m1r = sum(red[:r])
-        parity = m1r * (1 + sum(red[r:d])) + n * sum(red[r : d - s - 1])
-        return parity_sign(parity)
     if tag == "circ":
         letters = list(kw.get("letters", []))
         parity = kw["q"] * (kw["p"] + sum(x + 1 for x in letters))
@@ -439,14 +346,6 @@ def sign_formula(tag: str, **kw) -> int:
     if tag == "oc":
         degs = list(kw["degrees"])
         return parity_sign(degs[-1]) * sign_formula("dagger", degrees=degs)
-    if tag == "f":
-        part = sign_formula("dagger", degrees=kw["degrees_product"])
-        part *= sign_formula(
-            "ddagger", left=kw["left"], module=kw["module"], right=kw["right"]
-        )
-        part *= sign_formula("circ", p=kw["p"], q=kw["q"], letters=kw.get("letters", []))
-        part *= sign_formula("diamond", degrees=kw["degrees"], r=kw["r"], s=kw["s"], n=kw["n"])
-        return parity_sign(kw["degrees"][-1]) * part
     if tag == "cardy_global":
         n = kw["n"]
         return parity_sign(n * (n + 1) // 2)

@@ -285,3 +285,13 @@ def test_cli_cardy_tensor_complex_holds_the_image_of_cc_phi(tmp_path, monkeypatc
     cc_phi = cc_of_delta(phi, cc, tcx)
     for k in cc.degrees():
         cc_phi.matrix(k)
+
+
+@pytest.mark.parametrize("fixture,n", [("split_summand_pair", 0), ("cone_algebra", 1)])
+def test_cc_of_delta_refuses_a_tensor_complex_too_short_for_its_image(fixture, n):
+    """At N = 3, CC(phi) reaches tensor words of length 2; a tensor complex
+    truncated at N - 2 lacks them, and the chain-map check says so."""
+    phi, cat, K, cc, _ = setup(fixture, n, 3)
+    short = tensor_over_category(yoneda_module(cat, K, RIGHT), yoneda_module(cat, K, LEFT), 1)
+    with pytest.raises(KeyError, match="CC\\(morphism\\) of .* leaves the declared basis"):
+        cc_of_delta(phi, cc, short)

@@ -5,7 +5,6 @@ from __future__ import annotations
 import contextlib
 import io
 import json
-import os
 import subprocess
 import sys
 
@@ -250,16 +249,6 @@ def test_cli_cardy_chain_map_tables(tmp_path):
     proc = run_cli(["cardy", str(path), "--morphism", "m", "--max-length", "2", "--json"])
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["verdict"] == "pass"
-
-
-def test_cli_threads_env_validated(tmp_path):
-    path = tmp_path / "g.json"
-    path.write_bytes(dump(ground_ring()))
-    proc = subprocess.run(
-        [sys.executable, "-m", "ainfcat.cli", "validate", str(path)],
-        capture_output=True, text=True, env={**os.environ, "AINFCAT_THREADS": "bogus"},
-    )
-    assert proc.returncode == 2
 
 
 @pytest.mark.parametrize(

@@ -54,6 +54,8 @@ COMMANDS: list[list[str]] = [
      "--max-length", "2", "--emit", "split.cert.json"],
     ["generate", "split_summand_pair.json", "--object", "K", "--replay", "split.cert.json"],
     ["strata", "R_5", "--equation", "ainf"],
+    ["strata", "R_2|1|3", "--equation", "bimodule_hom"],
+    ["strata", "R_4^1", "--equation", "hochschild"],
     # failing cases: the witness lines print violations and residuals in order
     ["validate", "triple_mu3_negated.json"],
     ["validate", "triple_mu3_negated.json", "--depth", "2", "--bimodule-bound", "4"],

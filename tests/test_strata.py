@@ -2,16 +2,25 @@
 
 from __future__ import annotations
 
+from collections import Counter
+from types import SimpleNamespace
+
 import pytest
 from helpers import disc_facet_count_closed_form
 
+from ainfcat import cli
+from ainfcat.bimodules import PairGen
+from ainfcat.core import Gen, signed_blocks
+from ainfcat.hochschild import bar_differential, cc_of_delta_word
 from ainfcat.strata import (
     CODISC,
+    EQUATIONS,
     annulus,
     bidisc,
     dimension,
     disc,
     enumerate_codim1,
+    equation_terms,
     interpolation,
     punctured_disc,
     sign_formula,
@@ -134,6 +143,121 @@ def test_bijection_homotopy(d):
 def test_bijection_unsupported():
     with pytest.raises(ValueError):
         strata_term_bijection(disc(3), "homotopy")
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["strata", "R_4", "--equation", "homotopy"], "space R_4 supports only --equation ainf"),
+        (["strata", "C_2^-", "--equation", "ainf"], "space C_2^- supports only --equation homotopy"),
+        (["strata", "P_3", "--equation", "ainf"], "space P_3 supports no --equation"),
+        (["strata", "R_4", "--equation", "foo"], "space R_4 supports only --equation ainf"),
+    ],
+)
+def test_cli_strata_unsupported_pairing_exits_2(argv, message, capsys):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {message}\n" in captured.err
+
+
+def test_bijection_reports_each_kind_of_mismatch(monkeypatch):
+    import ainfcat.strata as strata
+
+    space = disc(4)
+    labels = enumerate_codim1(space)
+    terms = equation_terms(space)
+    stable = [t for t in terms if t[1] is not None]
+    cases = [
+        (labels + labels[:1], terms, "share ('disc', (3, 2, 0))"),
+        (labels[1:], terms, "term (3, 2, 0) matched no unmatched stratum"),
+        (labels, terms + stable[-1:], "term (2, 3, 1) matched no unmatched stratum"),
+        (labels, [t for t in terms if t != stable[-1]], "unmatched strata [StratumLabel(family='disc', outer=R(2), inner=R(3)"),
+    ]
+    for strata_list, term_list, message in cases:
+        monkeypatch.setattr(strata, "enumerate_codim1", lambda _, xs=strata_list: xs)
+        monkeypatch.setattr(strata, "equation_terms", lambda _, xs=term_list: xs)
+        report = strata.strata_term_bijection(space, "ainf")
+        assert not report.passed and report.pairs == []
+        assert message in report.mismatch, report.mismatch
+
+
+def test_every_equation_has_its_space_kind():
+    assert sorted(EQUATIONS.values()) == ["ainf", "bimodule_hom", "hochschild", "homotopy"]
+    for space in (disc(3), bidisc(1, 1), punctured_disc(3), annulus(3)):
+        assert strata_term_bijection(space, EQUATIONS[space.kind]).passed
+    with pytest.raises(ValueError):
+        equation_terms(interpolation(2))
+
+
+# -- the engine's block walks visit exactly the listed terms ------------------
+#
+# Each walk is driven by a stub that records which block it asks for and
+# returns a marker; the recorded blocks, as positions 1..d of the input,
+# must be the blocks of equation_terms, stable and unstable, each once.
+
+
+def letters(d: int) -> tuple:
+    return tuple(Gen("*", "*", f"a{i}", 0) for i in range(1, d + 1))
+
+
+def positions(key) -> tuple:
+    return tuple(int(g.name[1:]) for g in key)
+
+
+MARKER = Gen("*", "*", "marker", 0)
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_signed_blocks_visits_the_ainf_terms(d):
+    visited = []
+
+    def inner(i, j):
+        visited.append((d + 1 - (j - i), j - i, i))
+        return {MARKER: 1}
+
+    assert len(list(signed_blocks(letters(d), inner, ()))) == len(visited)
+    assert Counter(visited) == Counter(term for term, _ in equation_terms(disc(d)))
+
+
+def hochschild_block(d: int, term: tuple) -> tuple:
+    """Positions of the letters a term of hochschild_terms feeds to mu."""
+    tag, x, m = term
+    if tag == "inplace":
+        return tuple(range(x, x + m))
+    return tuple(range(d - m + x + 1, d + 1)) + tuple(range(1, x + 1))
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_bar_differential_visits_the_hochschild_terms(d):
+    visited = []
+
+    def mu_key(key):
+        visited.append(positions(key))
+        return {MARKER: 1}
+
+    bar_differential(SimpleNamespace(mu_key=mu_key, ring="Z"), letters(d))
+    expected = [hochschild_block(d, term) for term, _ in equation_terms(punctured_disc(d))]
+    assert Counter(visited) == Counter(expected)
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_cc_of_delta_word_visits_the_annulus_pair_terms(d):
+    visited = []
+
+    def apply(key, s):
+        visited.append((positions(key), s))
+        return {PairGen(MARKER, MARKER): 1}
+
+    phi = SimpleNamespace(n=0, apply=apply, source=SimpleNamespace(cat=SimpleNamespace(ring="Z")))
+    cc_of_delta_word(phi, letters(d))
+    expected = [
+        (tuple(range(d - s, d + 1)) + tuple(range(1, r + 1)), s)
+        for (tag, *rs), _ in equation_terms(annulus(d))
+        if tag == "pair"
+        for r, s in [rs]
+    ]
+    assert Counter(visited) == Counter(expected)
 
 
 # -- sign formulas -------------------------------------------------------------
