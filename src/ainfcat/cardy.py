@@ -38,6 +38,7 @@ from .complexes import BasedComplex, GradedMap, VerificationReport, compose, ver
 from .core import AinfCategory, Violation, chain_add, chain_normalize, collect_violations, parity_sign
 from .hochschild import ChainMapViolation, cc_of_delta
 from .intlinalg import IntMatrix, RationalOnly, Unsolvable, solve_integer
+from .strata import sign_formula
 
 
 @dataclass
@@ -179,7 +180,7 @@ def verify_cardy_on_homology(data: OpenClosedData, degrees=None) -> Verification
     n = data.n
     cc = data.mu_cc.source
     hom_cx = data.mu_cc.target
-    gsign = parity_sign(n * (n + 1) // 2)
+    gsign = sign_formula("cardy_global", n=n)
 
     degs = list(degrees) if degrees is not None else cc.degrees()
     violations = []

@@ -152,7 +152,7 @@ def _spans(M: IntMatrix, hd: HomologyData) -> bool:
     if not cols:
         return False
     mat = IntMatrix.from_rows(rows, cols)
-    return all(x == 1 for x in smith_normal_form(mat).diagonal()[: len(moduli)])
+    return all(x == 1 for x in smith_normal_form(mat, left=False, right=False).diagonal()[: len(moduli)])
 
 
 def length_filter(cx: BasedComplex, max_length: int) -> BasedComplex:

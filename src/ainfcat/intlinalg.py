@@ -7,13 +7,17 @@ complex given by its two differential matrices (complexes.BasedComplex
 supplies them), and solvability of A*x = b over Z (with the
 rational-only case distinguished from outright unsolvability).
 
-The Smith normal form U @ A @ V == D also carries the inverses U_inv and
+The Smith normal form U @ A @ V == D can carry the inverses U_inv and
 V_inv (U @ U_inv == I, V_inv @ V == I), updated by the same elementary
 operations, so each matrix is factored once: homology takes the kernel
 basis from columns r: of V, kernel coordinates from rows r: of V_inv
 (r = rank of d_out), and class generators from kernel @ U_inv of the
 relation matrix, with no further factorization or solve; the map a chain
-map induces on homology is one sparse product of those matrices.
+map induces on homology is one sparse product of those matrices.  Each
+caller tracks only the side it reads: the kernel builds V and V_inv, the
+relation matrix U and U_inv, the stabilization check in hochschild
+neither (it reads the diagonal), and solve_integer both (U for the
+right-hand side, V for the solution).
 
 Matrices are stored as sparse rows (a dict from column to nonzero entry
 per row); the dense tuple-of-tuples `IntMatrix.data` is only a view, built
@@ -29,7 +33,13 @@ absolute value, ties broken by lowest (row, col) index, so the transforms
 U and V are reproducible across runs.  solve_integer's solutions are read
 off V, so the pivot rule fixes them too; tests/dense_snf.py runs the same
 rule on dense storage, and the tests require the same U, D, V, U_inv and
-V_inv from both, entry for entry.
+V_inv from both, entry for entry.  The search for that pivot keeps a
+divisor floor g: once a pivot has passed the divisibility check, every
+entry below it is a multiple of its absolute value g, and integer row and
+column operations keep them so.  No entry can then be smaller than g, so
+the search stops at the first row whose smallest entry is g, and a pivot
+of size g needs no divisibility scan; both skip only work whose answer is
+known, so every pivot, and with it every transform, stays as it was.
 
 Degree conventions are cohomological throughout: the differential of a
 chain complex raises degree by one.
@@ -189,7 +199,9 @@ class SmithDecomposition:
     U_inv and V_inv are the exact inverses, U @ U_inv == I and
     V_inv @ V == I, built from the same elementary operations as U and V.
     With r = rank(), columns r: of V are a basis of ker(A) and rows r: of
-    V_inv give the coordinates of a kernel vector in that basis.
+    V_inv give the coordinates of a kernel vector in that basis.  A side
+    the factorization was asked not to track (U and U_inv, or V and V_inv)
+    is an empty 0 x 0 matrix, which `apply` and `@` refuse.
     """
 
     U: IntMatrix
@@ -216,7 +228,10 @@ def _add_scaled(dst: dict, src: dict, q: int) -> None:
             del dst[k]
 
 
-def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
+def smith_normal_form(A: IntMatrix, left: bool = True, right: bool = True) -> SmithDecomposition:
+    """U @ A @ V == D, building U and U_inv only when `left` and V and V_inv
+    only when `right`.  Neither flag changes a pivot, so D and every built
+    transform are those of the two-sided factorization."""
     rows, cols = A.rows, A.cols
     # m holds the working matrix by sparse rows; at[j] is the set of rows
     # with a nonzero in column j, so a column operation visits only those.
@@ -225,13 +240,13 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
     for i, r in enumerate(m):
         for j in r:
             at[j].add(i)
-    u = [{i: 1} for i in range(rows)]
     # V is kept by columns, and U^{-1} transposed, so every transform
     # changes by whole sparse vectors: U -> E U gives U^{-1} -> U^{-1} E^{-1},
     # and V -> V F gives V^{-1} -> F^{-1} V^{-1}.
-    v_t = [{j: 1} for j in range(cols)]
-    u_inv_t = [{i: 1} for i in range(rows)]
-    v_inv = [{j: 1} for j in range(cols)]
+    u = [{i: 1} for i in range(rows)] if left else []
+    u_inv_t = [{i: 1} for i in range(rows)] if left else []
+    v_t = [{j: 1} for j in range(cols)] if right else []
+    v_inv = [{j: 1} for j in range(cols)] if right else []
 
     def row_op(i, j, q):  # row_i -= q * row_j; column j of U^{-1} += q * column i
         ri = m[i]
@@ -244,8 +259,9 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
             else:
                 del ri[k]
                 at[k].discard(i)
-        _add_scaled(u[i], u[j], -q)
-        _add_scaled(u_inv_t[j], u_inv_t[i], q)
+        if left:
+            _add_scaled(u[i], u[j], -q)
+            _add_scaled(u_inv_t[j], u_inv_t[i], q)
 
     def col_op(i, j, q):  # col_i -= q * col_j; row j of V^{-1} += q * row i
         holders = at[i]
@@ -258,8 +274,9 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
             else:
                 del row[i]
                 holders.discard(r)
-        _add_scaled(v_t[i], v_t[j], -q)
-        _add_scaled(v_inv[j], v_inv[i], q)
+        if right:
+            _add_scaled(v_t[i], v_t[j], -q)
+            _add_scaled(v_inv[j], v_inv[i], q)
 
     def row_swap(i, j):
         a, b = m[i], m[j]
@@ -270,8 +287,9 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
             at[k].discard(j)
             at[k].add(i)
         m[i], m[j] = b, a
-        u[i], u[j] = u[j], u[i]
-        u_inv_t[i], u_inv_t[j] = u_inv_t[j], u_inv_t[i]
+        if left:
+            u[i], u[j] = u[j], u[i]
+            u_inv_t[i], u_inv_t[j] = u_inv_t[j], u_inv_t[i]
 
     def col_swap(i, j):
         for r in at[i] | at[j]:
@@ -283,21 +301,25 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
             if a:
                 row[j] = a
         at[i], at[j] = at[j], at[i]
-        v_t[i], v_t[j] = v_t[j], v_t[i]
-        v_inv[i], v_inv[j] = v_inv[j], v_inv[i]
+        if right:
+            v_t[i], v_t[j] = v_t[j], v_t[i]
+            v_inv[i], v_inv[j] = v_inv[j], v_inv[i]
 
+    # g, the divisor floor of the module docstring: every entry of the
+    # trailing block is a multiple of g, so none is smaller.
+    g = 1
     t = 0
     while True:
         # Rows below t hold only their pivot, and rows t: only columns t:,
         # so the trailing block is rows t: whole.  Pivot: smallest |entry|,
-        # lowest (row, col) on ties; no later row can beat a unit.
+        # lowest (row, col) on ties; no later row can beat one of size g.
         best = None
         for i in range(t, rows):
             if m[i]:
                 size = min(map(abs, m[i].values()))
                 if best is None or size < best[0]:
                     best = (size, i)
-                    if size == 1:
+                    if size == g:
                         break
         if best is None:
             break
@@ -321,28 +343,30 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
             dirty = dirty or j in m[t]
         if dirty:
             continue
-        # Enforce divisibility of the remaining block by the pivot; a unit
-        # divides everything.
+        # Enforce divisibility of the remaining block by the pivot; a pivot
+        # of size g divides everything there already.
         offender = None
-        if p not in (1, -1):
+        if abs(p) != g:
             offender = next((i for i in range(t + 1, rows) if any(x % p for x in m[i].values())), None)
         if offender is not None:
             row_op(t, offender, -1)  # add offending row into pivot row
             continue
+        g = abs(p)
         t += 1
 
     for i in range(min(rows, cols)):
         if m[i].get(i, 0) < 0:
-            for vec in (m[i], u[i], u_inv_t[i]):
+            for vec in (m[i], u[i], u_inv_t[i]) if left else (m[i],):
                 for k in vec:
                     vec[k] = -vec[k]
 
+    empty = IntMatrix.zeros(0, 0)
     return SmithDecomposition(
-        U=IntMatrix.from_rows(u, rows),
+        U=IntMatrix.from_rows(u, rows) if left else empty,
         D=IntMatrix.from_rows(m, cols),
-        V=IntMatrix.from_rows(_transposed(v_t, cols), cols),
-        U_inv=IntMatrix.from_rows(_transposed(u_inv_t, rows), rows),
-        V_inv=IntMatrix.from_rows(v_inv, cols),
+        V=IntMatrix.from_rows(_transposed(v_t, cols), cols) if right else empty,
+        U_inv=IntMatrix.from_rows(_transposed(u_inv_t, rows), rows) if left else empty,
+        V_inv=IntMatrix.from_rows(v_inv, cols) if right else empty,
     )
 
 
@@ -400,7 +424,7 @@ def _kernel(A: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     Both come from one Smith normal form: K is columns r: of V and P is
     rows r: of V^{-1}, r the rank.
     """
-    snf = smith_normal_form(A)
+    snf = smith_normal_form(A, left=False)
     r = snf.rank()
     K = IntMatrix.from_rows([{j - r: a for j, a in row.items() if j >= r} for row in snf.V.entries], A.cols - r)
     P = IntMatrix.from_rows(snf.V_inv.entries[r:], A.cols)
@@ -462,9 +486,9 @@ class HomologyData:
         # basis spans a direct summand, so the coordinates are integral.
         z = self.kernel.cols
         rel = self._kernel_rows @ d_in
-        rel_snf = smith_normal_form(rel)
         # coords() reads U, the class generators U^{-1} and induced() both;
-        # V and V^{-1} of the relations are never needed, so they are not kept.
+        # V and V^{-1} of the relations are never needed, so they are not built.
+        rel_snf = smith_normal_form(rel, right=False)
         self._rel_U = rel_snf.U
         self._rel_U_inv = rel_snf.U_inv
         diag = rel_snf.diagonal()

@@ -321,7 +321,6 @@ def sign_formula(tag: str, **kw) -> int:
     * dagger(degrees): sum of k * deg(x_k) over the inputs of a product
     * ddagger(left, module, right): the two-output operation twist
     * circ(p, q, letters): the reorder sign of the two output factors
-    * oc(degrees): deg(x_d) + dagger
     * cardy_global(n): (-1)^(n(n+1)/2)
     * delta_chain_1(module): deg of the input, the first chain-map check
     * delta_chain_2(module, n): deg + n + 1, the second one
@@ -343,9 +342,6 @@ def sign_formula(tag: str, **kw) -> int:
         letters = list(kw.get("letters", []))
         parity = kw["q"] * (kw["p"] + sum(x + 1 for x in letters))
         return parity_sign(parity)
-    if tag == "oc":
-        degs = list(kw["degrees"])
-        return parity_sign(degs[-1]) * sign_formula("dagger", degrees=degs)
     if tag == "cardy_global":
         n = kw["n"]
         return parity_sign(n * (n + 1) // 2)

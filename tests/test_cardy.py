@@ -6,7 +6,7 @@ from __future__ import annotations
 import pytest
 from helpers import coordinate_columns, induced_by_generators, zero_map
 
-from ainfcat import cli, intlinalg
+from ainfcat import cardy, cli, intlinalg
 from ainfcat.bimodules import (
     LEFT,
     RIGHT,
@@ -28,6 +28,7 @@ from ainfcat.complexes import GradedMap
 from ainfcat.fixtures import SHIPPED_MORPHISMS, coproduct_morphism
 from ainfcat.hochschild import cc_of_delta, truncated_cc
 from ainfcat.intlinalg import RationalOnly, Unsolvable
+from ainfcat.strata import sign_formula
 
 
 def setup(fixture, n, N=3):
@@ -211,6 +212,22 @@ def test_sign_path_unsigned_fails_signed_passes():
     data_plus = telescoping_data(cat, mu_cc, co_sign=1)
     unsigned_equiv = verify_cardy_on_homology(data_plus)
     assert not unsigned_equiv.passed
+
+
+def test_global_sign_is_the_recorded_evaluator(monkeypatch):
+    # the comparison reads (-1)^(n(n+1)/2) from sign_formula("cardy_global"),
+    # so flipping that evaluator turns the signed pass into a failure
+    phi, cat, K, cc, tcx = setup("even_dual_numbers", 2)
+    data = telescoping_data(cat, mu_cc_map(phi, cc, tcx), co_sign=-1)
+    calls = []
+
+    def flipped(tag, **kw):
+        calls.append((tag, kw))
+        return -sign_formula(tag, **kw)
+
+    monkeypatch.setattr(cardy, "sign_formula", flipped)
+    assert not verify_cardy_on_homology(data).passed
+    assert calls == [("cardy_global", {"n": 2})]
 
 
 def test_sign_path_n1_exercised():

@@ -6,7 +6,10 @@ identities they must satisfy, solve_integer against the
 invariant-factor criterion for integral solvability, and f2_rank against
 plain mod-2 elimination.  The sparse Smith normal form must return the
 same U, D, V, U_inv and V_inv as the dense one of dense_snf.py, entry for
-entry, since solve_integer's solutions are read off V.  Random small
+entry, since solve_integer's solutions are read off V; scaled matrices and
+a unit block beside an even one make its divisor floor rise above 1.  A
+factorization that tracks one side or none must give the two-sided D and
+the two-sided transforms on the sides it tracks.  Random small
 complexes check the kernel coordinates and the class generators that
 HomologyData reads off those inverses, and the map induced on homology,
 one sparse product, against the per-generator oracle of helpers.py.  The
@@ -16,6 +19,8 @@ minors oracle of test_intlinalg.py stays as the first one.
 from __future__ import annotations
 
 import math
+import signal
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import example, given, settings
@@ -27,6 +32,7 @@ from dense_snf import dense_smith_normal_form
 from helpers import coordinate_columns, induced_by_generators, kernel_basis, zero_class
 
 from ainfcat.intlinalg import (
+    DimensionMismatch,
     FinAbGroup,
     HomologyData,
     IntMatrix,
@@ -116,8 +122,50 @@ def wide_sparse(rows: int, cols: int, step: int) -> IntMatrix:
     )
 
 
+@contextmanager
+def time_limit(seconds: float):
+    """Fail, rather than hang, when a factorization does not end: a pivot
+    that is not the smallest entry can leave a quotient of 0 and stall the
+    clearing loop.  A factorization here takes milliseconds."""
+
+    def stop(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@st.composite
+def scaled_matrices(draw):
+    """k * A for k in {2, 3, 4, 6}: every pivot, and so the floor, is a multiple of k."""
+    k = draw(st.sampled_from((2, 3, 4, 6)))
+    A = draw(matrices(max_dim=6))
+    return IntMatrix([[k * x for x in row] for row in A.data], cols=A.cols)
+
+
+@st.composite
+def unit_and_even_blocks(draw):
+    """A beside 2 * B on the block diagonal, rows and columns shuffled: the
+    floor stays 1 through A's unit pivots, then rises to 2 or more in B."""
+    A = draw(matrices(max_dim=4))
+    B = draw(matrices(max_dim=4))
+    cols = A.cols + B.cols
+    block = [list(r) + [0] * B.cols for r in A.data] + [[0] * A.cols + [2 * x for x in r] for r in B.data]
+    row_order = draw(st.permutations(range(len(block))))
+    col_order = draw(st.permutations(range(cols)))
+    return IntMatrix([[block[i][j] for j in col_order] for i in row_order], cols=cols)
+
+
+any_matrices = st.one_of(matrices(), sparse_matrices(), scaled_matrices(), unit_and_even_blocks())
+
+
 @SETTINGS
-@given(st.one_of(matrices(), sparse_matrices()))
+@given(any_matrices)
 @example(IntMatrix.zeros(0, 5))
 @example(IntMatrix.zeros(5, 0))
 @example(IntMatrix([[0, 0, 0], [0, 2, 0], [0, 0, 0], [4, 0, 6]]))
@@ -125,14 +173,34 @@ def wide_sparse(rows: int, cols: int, step: int) -> IntMatrix:
 @example(IntMatrix([[2, 0], [0, 3]]))
 @example(IntMatrix([[4, 6], [6, 4]]))
 @example(IntMatrix([[1, 1, 0], [-1, 1, 0], [0, 0, 1]]))
+@example(IntMatrix([[2, 0, 0], [0, 4, 0], [0, 0, 6]]))
+@example(IntMatrix([[1, 0, 0], [0, 2, 0], [0, 0, 6]]))
+@example(IntMatrix([[4, 4], [0, 6], [8, 10]]))
 def test_sparse_transforms_match_the_dense_oracle(A):
-    snf = smith_normal_form(A)
+    with time_limit(2):
+        snf = smith_normal_form(A)
     dense = dense_smith_normal_form(A)
     assert snf.U == dense.U
     assert snf.D == dense.D
     assert snf.V == dense.V
     assert snf.U_inv == dense.U_inv
     assert snf.V_inv == dense.V_inv
+
+
+@pytest.mark.parametrize("left,right", [(True, False), (False, True), (False, False)])
+@SETTINGS
+@given(A=any_matrices)
+def test_one_sided_factorizations_match_the_two_sided_one(left, right, A):
+    with time_limit(2):
+        both = smith_normal_form(A)
+        snf = smith_normal_form(A, left=left, right=right)
+    empty = IntMatrix.zeros(0, 0)
+    assert snf.D == both.D
+    assert (snf.U, snf.U_inv) == ((both.U, both.U_inv) if left else (empty, empty))
+    assert (snf.V, snf.V_inv) == ((both.V, both.V_inv) if right else (empty, empty))
+    if not left and A.rows:
+        with pytest.raises(DimensionMismatch):
+            snf.U.apply([0] * A.rows)
 
 
 def nonzero_product(diagonal: list[int]) -> tuple[int, int]:

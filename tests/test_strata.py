@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections import Counter
+from itertools import product
 from types import SimpleNamespace
 
 import pytest
@@ -10,7 +11,7 @@ from helpers import disc_facet_count_closed_form
 
 from ainfcat import cli
 from ainfcat.bimodules import PairGen
-from ainfcat.core import Gen, signed_blocks
+from ainfcat.core import Gen, signed_blocks, substitutions
 from ainfcat.hochschild import bar_differential, cc_of_delta_word
 from ainfcat.strata import (
     CODISC,
@@ -217,6 +218,24 @@ def test_signed_blocks_visits_the_ainf_terms(d):
         return {MARKER: 1}
 
     assert len(list(signed_blocks(letters(d), inner, ()))) == len(visited)
+    assert Counter(visited) == Counter(term for term, _ in equation_terms(disc(d)))
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_substitutions_visits_the_ainf_terms(d):
+    """Inner and outer operations hold a term at every word of length at
+    most d over {a, marker}, the inner one with output the marker: the
+    terms that land on a^d are the blocks of disc(d), each once, with
+    the signed_blocks sign."""
+    a = Gen("*", "*", "a", 0)
+    words = [w for n in range(1, d + 1) for w in product((a, MARKER), repeat=n)]
+    terms = substitutions([(w, None, {MARKER: 1}) for w in words], [(w, None) for w in words], None, d)
+    visited = []
+    for (xs, slot), (i, j, k), key2, s2, c, below in terms:
+        assert len(xs) <= d
+        if xs == (a,) * d:
+            assert (slot, k, s2, c, below) == (None, 0, None, 1, i)
+            visited.append((len(key2), j - i, i))
     assert Counter(visited) == Counter(term for term, _ in equation_terms(disc(d)))
 
 
