@@ -12,14 +12,14 @@ from .bimodules import (
     LEFT,
     RIGHT,
     BimoduleHom,
+    DiagonalBimodule,
     PairGen,
+    TensorBimodule,
     TensorWord,
-    diagonal_bimodule,
-    tensor_bimodule,
+    YonedaModule,
     tensor_over_category,
     verify_bimodule,
     verify_bimodule_hom,
-    yoneda_module,
 )
 from .cardy import (
     HomotopyWitness,
@@ -34,10 +34,6 @@ from .complexes import BasedComplex, GradedMap, verify_chain_map
 from .core import (
     AinfCategory,
     Gen,
-    apply_mu,
-    koszul_sign,
-    reduced_degree,
-    subcategory,
     verify_ainf,
 )
 from .generation import (

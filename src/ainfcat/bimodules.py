@@ -25,10 +25,12 @@ inner-is-morphism terms weighted by (-1)^(n * below) and all other terms
 by (-1)^(below + n + 1).
 
 Both verifiers build every nonzero residual from pairs of operation terms
-(core.substitutions), like verify_ainf.  Each bimodule lists the keys on
-which its operation can be nonzero (op_keys) and finds them by the element
-in their module slot (op_keys_at): a TableBimodule from its tables, a
-TensorBimodule from the Yoneda action tables lifted to pairs p (x) q.
+(core.substitutions), like verify_ainf.  There is one bimodule type,
+Bimodule, presented by operation tables that core.frozen_table checks
+once; it lists the keys on which its operation can be nonzero (op_keys)
+and finds them by the element in their module slot (op_keys_at).  The
+diagonal bimodule's tables are the signed structure maps, the tensor
+bimodule's the Yoneda action tables lifted to pairs p (x) q.
 
 The tensor-over-the-category complex of a right module R and left module
 L has words (q, a_1, ..., a_d, p) in boundary order (the reverse of the
@@ -151,74 +153,46 @@ class YonedaModule:
         return self.spaces.get(obj, [])
 
 
-def yoneda_module(cat: AinfCategory, K: str, side: str, objects=None) -> YonedaModule:
-    """hom(K, -) or hom(-, K), optionally restricted to a subset of objects."""
-    return YonedaModule(cat, K, side, objects=objects)
-
-
 # ---------------------------------------------------------------------------
 # bimodules
 
 
 class Bimodule:
-    """Base bimodule interface: spaces plus one operation per (r, s)."""
+    """A bimodule presented by explicit operation tables.
 
-    def __init__(self, cat: AinfCategory):
-        self.cat = cat
-
-    def basis(self, source_obj: str, target_obj: str) -> list:
-        raise NotImplementedError
-
-    def op(self, key: tuple, s: int) -> dict:
-        """Operation on a boundary tuple whose module slot sits at index s."""
-        raise NotImplementedError
-
-    def op_keys(self) -> list[tuple[tuple, int]]:
-        """(key, s) pairs that include every key with an element of this
-        bimodule in its slot on which op can be nonzero."""
-        raise NotImplementedError
-
-    def op_keys_at(self, m) -> list[tuple[tuple, int]]:
-        """Every (key, s) with key[s] == m on which op can be nonzero."""
-        raise NotImplementedError
-
-    def elements(self) -> Iterator:
-        for pair in sorted(self.space_pairs()):
-            yield from self.basis(*pair)
-
-    def space_pairs(self) -> list[tuple[str, str]]:
-        objs = self.cat.objects
-        return [(a, b) for a in objs for b in objs]
-
-
-class TableBimodule(Bimodule):
-    """Bimodule presented by explicit operation tables.
-
-    `ops[(r, s)]` maps boundary tuples (module slot at index s) to output
-    chains of module elements; each table is checked and frozen by
-    core.frozen_table.
+    `spaces[(source, target)]` lists the elements running between two
+    objects; `ops[(r, s)]` maps boundary tuples (module slot at index s)
+    to output chains of module elements.  Each table is checked and
+    frozen by core.frozen_table, so a lookup is a plain dictionary access.
     """
 
     def __init__(self, cat: AinfCategory, spaces: dict[tuple[str, str], list], ops: dict[tuple[int, int], dict]):
-        super().__init__(cat)
+        self.cat = cat
         self.spaces = {k: list(v) for k, v in spaces.items()}
         self.ops = {(r, s): frozen_table(table, cat.ring, r + s + 1, 0) for (r, s), table in ops.items()}
         self._at_slot = slot_index(table_keys(self.ops))
 
-    def basis(self, source_obj, target_obj):
+    def basis(self, source_obj: str, target_obj: str) -> list:
         return self.spaces.get((source_obj, target_obj), [])
 
+    def elements(self) -> Iterator:
+        for pair in sorted(self.spaces):
+            yield from self.spaces[pair]
+
     def op(self, key: tuple, s: int) -> Mapping:
+        """Operation on a boundary tuple whose module slot sits at index s (read-only)."""
         return self.ops.get((len(key) - 1 - s, s), EMPTY).get(key, EMPTY)
 
-    def op_keys(self):
+    def op_keys(self) -> list[tuple[tuple, int]]:
+        """Every (key, s) on which op can be nonzero."""
         return table_keys(self.ops)
 
-    def op_keys_at(self, m):
+    def op_keys_at(self, m) -> list[tuple[tuple, int]]:
+        """Every (key, s) with key[s] == m on which op can be nonzero."""
         return self._at_slot.get(m, [])
 
 
-class DiagonalBimodule(TableBimodule):
+class DiagonalBimodule(Bimodule):
     """The category acting on its own hom spaces by signed higher products.
 
     op^{r|1|s} = (-1)^(1 + sum of reduced degrees of the s right inputs)
@@ -236,78 +210,41 @@ class DiagonalBimodule(TableBimodule):
         super().__init__(cat, cat.hom, ops)
 
 
-def diagonal_bimodule(cat: AinfCategory) -> Bimodule:
-    return DiagonalBimodule(cat)
-
-
 class TensorBimodule(Bimodule):
-    """Y^l_K (x) Y^r_K with operations vanishing unless r = 0 or s = 0."""
+    """Y^l_K (x) Y^r_K, its operations tabulated once from the Yoneda actions.
+
+    The right action on (b_1..b_s, q) lifts to (b_1..b_s, p (x) q) for
+    every p, with p riding along untouched; the left action on
+    (p, a_1..a_r) lifts to (p (x) q, a_1..a_r) for every q, with sign
+    (-1)^deg q (the odd operator passes q first).  On (p (x) q,) the two
+    add, right first.  Every operation with r, s > 0 vanishes.
+    """
 
     def __init__(self, left: YonedaModule, right: YonedaModule):
         if left.side != LEFT or right.side != RIGHT:
             raise ValueError("expected a (left, right) pair of modules")
         if left.cat is not right.cat:
             raise ValueError("modules over different categories")
-        super().__init__(left.cat)
         self.left = left
         self.right = right
-        # the action keys by the factor of p (x) q they act on
-        self._right_by_q: dict = {}
-        for table in right.actions.values():
-            for key in table:
-                self._right_by_q.setdefault(key[-1], []).append(key)
-        self._left_by_p: dict = {}
-        for table in left.actions.values():
-            for key in table:
-                self._left_by_p.setdefault(key[0], []).append(key)
-
-    def basis(self, source_obj, target_obj):
-        return [
-            PairGen(p, q)
-            for p in self.left.basis(target_obj)
-            for q in self.right.basis(source_obj)
-        ]
-
-    def op(self, key: tuple, s: int) -> dict:
-        m = key[s]
-        if not isinstance(m, PairGen):
-            raise TypeError(f"module slot holds {m!r}")
-        r = len(key) - 1 - s
-        out: dict = {}
-        if r == 0:
-            # the right module acts on the q factor; p rides along untouched
-            for g, c in self.right.act(key[:s] + (m.q,)).items():
-                chain_add(out, {PairGen(m.p, g): c})
-        if s == 0:
-            # the left module acts on p; the odd operator passes q first
-            sign = parity_sign(m.q.degree)
-            for g, c in self.left.act((m.p,) + key[1:]).items():
-                chain_add(out, {PairGen(g, m.q): sign * c})
-        return chain_normalize(out, self.cat.ring)
-
-    def op_keys(self):
-        """The right action keys (b_1..b_s, q) lifted to (b_1..b_s, p (x) q)
-        for every element p of the left module, and the left action keys
-        (p, a_1..a_r) lifted to (p (x) q, a_1..a_r) for every q of the right."""
-        ps = list(itertools.chain(*self.left.spaces.values()))
-        qs = list(itertools.chain(*self.right.spaces.values()))
-        keys = {}  # a dict, because (p (x) q,) comes from both sides
-        for q, right_keys in self._right_by_q.items():
-            for key in right_keys:
-                keys.update(((key[:-1] + (PairGen(p, q),), len(key) - 1), None) for p in ps)
-        for p, left_keys in self._left_by_p.items():
-            for key in left_keys:
-                keys.update((((PairGen(p, q),) + key[1:], 0), None) for q in qs)
-        return list(keys)
-
-    def op_keys_at(self, m):
-        keys = [(key[:-1] + (m,), len(key) - 1) for key in self._right_by_q.get(m.q, [])]
-        keys += [((m,) + key[1:], 0) for key in self._left_by_p.get(m.p, [])]
-        return list(dict.fromkeys(keys))  # (m,) comes from both sides
-
-
-def tensor_bimodule(left: YonedaModule, right: YonedaModule) -> Bimodule:
-    return TensorBimodule(left, right)
+        ps = list(itertools.chain(*left.spaces.values()))
+        qs = list(itertools.chain(*right.spaces.values()))
+        ops: dict = {}
+        for d, table in right.actions.items():
+            lifted = ops.setdefault((0, d - 1), {})
+            for key, out in table.items():
+                for p in ps:
+                    row = lifted.setdefault(key[:-1] + (PairGen(p, key[-1]),), {})
+                    chain_add(row, {PairGen(p, g): c for g, c in out.items()})
+        for d, table in left.actions.items():
+            lifted = ops.setdefault((d - 1, 0), {})
+            for key, out in table.items():
+                for q in qs:
+                    row = lifted.setdefault((PairGen(key[0], q),) + key[1:], {})
+                    chain_add(row, {PairGen(g, q): c for g, c in out.items()}, parity_sign(q.degree))
+        objs = left.cat.objects
+        spaces = {(a, b): [PairGen(p, q) for p in left.basis(b) for q in right.basis(a)] for a in objs for b in objs}
+        super().__init__(left.cat, spaces, ops)
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +437,7 @@ def mu_composition_map(cat: AinfCategory, X: str, K: str, tensor_cx: BasedComple
     """Full collapse from tensor_cx, a complex R (x)_B L for the Yoneda
     modules R = hom(-, K) and L = hom(X, -), into hom(X, K): the right
     action of hom(-, K) on the whole word (q, a_1, .., a_d, p)."""
-    right = yoneda_module(cat, K, RIGHT)
+    right = YonedaModule(cat, K, RIGHT)
     return GradedMap(
         source=tensor_cx,
         target=hom_complex(cat, X, K),

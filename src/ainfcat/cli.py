@@ -19,11 +19,11 @@ from . import fixtures as fixture_mod
 from .bimodules import (
     LEFT,
     RIGHT,
-    diagonal_bimodule,
+    DiagonalBimodule,
+    YonedaModule,
     tensor_over_category,
     verify_bimodule,
     verify_bimodule_hom,
-    yoneda_module,
 )
 from .cardy import (
     HomotopyWitness,
@@ -126,7 +126,7 @@ def cmd_validate(args) -> int:
     witnesses = _witnesses(r)
     ok &= r.passed
 
-    diagonal = diagonal_bimodule(cat)
+    diagonal = DiagonalBimodule(cat)
     if ok:
         rb = verify_bimodule(diagonal, max_inputs=args.bimodule_bound)
         report["checks"]["diagonal_bimodule"] = {"checked": rb.checked, "passed": rb.passed}
@@ -270,7 +270,7 @@ def cmd_cardy(args) -> int:
     # CC(phi) sends a word of length d to tensor words with at most d - 1
     # middle letters, and the tensor differential never lengthens a word
     tcx = tensor_over_category(
-        yoneda_module(cat, K, RIGHT), yoneda_module(cat, K, LEFT), max(args.max_length - 1, 0)
+        YonedaModule(cat, K, RIGHT), YonedaModule(cat, K, LEFT), max(args.max_length - 1, 0)
     )
 
     # mu o CC(phi) is built and its CC(phi) part verified once, here

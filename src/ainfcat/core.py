@@ -5,8 +5,7 @@ Conventions
 Operation tables are stored in *boundary order*: the key of a term of
 mu^d is the tuple (x_1, ..., x_d) where x_1 composes first, i.e.
 x_k in hom(L_{k-1}, L_k) and consecutive entries match head to tail.
-Written algebraically the same operation reads mu^d(x_d, ..., x_1); the
-public apply_mu takes arguments in that algebraic order and reverses.
+Written algebraically the same operation reads mu^d(x_d, ..., x_1).
 
 The structure relation verified by verify_ainf is, in boundary order:
 for every composable (x_1, ..., x_d),
@@ -67,31 +66,9 @@ def rdeg(g) -> int:
     return g.degree + 1
 
 
-def reduced_degree(g: Gen) -> int:
-    return rdeg(g)
-
-
 def parity_sign(parity: int) -> int:
     """(-1)^parity."""
     return -1 if parity % 2 else 1
-
-
-def koszul_sign(degrees: Sequence[int], perm: Sequence[int]) -> int:
-    """Sign accumulated when graded elements are reordered by `perm`.
-
-    `perm[i]` is the new position of the element originally at position i;
-    each inverted pair (i, j) contributes (-1)^(deg_i * deg_j).
-    """
-    if len(degrees) != len(perm):
-        raise ValueError("degrees and permutation have different lengths")
-    if sorted(perm) != list(range(len(perm))):
-        raise ValueError("not a permutation")
-    parity = 0
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                parity += degrees[i] * degrees[j]
-    return parity_sign(parity)
 
 
 # ---------------------------------------------------------------------------
@@ -228,13 +205,6 @@ class AinfCategory:
                 raise NonComposable(f"non-composable tuple {key}")
             chain_add(out, self.mu_key(key), coeff)
         return chain_normalize(out, self.ring)
-
-
-def apply_mu(cat: AinfCategory, d: int, inputs: Sequence[Mapping]) -> dict:
-    """mu^d applied to chains given in algebraic order (x_d, ..., x_1)."""
-    if len(inputs) != d:
-        raise ValueError(f"expected {d} inputs, got {len(inputs)}")
-    return cat.mu_boundary(list(reversed(inputs)))
 
 
 # ---------------------------------------------------------------------------
@@ -506,24 +476,4 @@ def with_ring(cat: AinfCategory, ring: str) -> AinfCategory:
         raise ValueError("cannot lift mod-2 data to integral coefficients")
     units = {obj: chain_normalize(ch, RING_F2) for obj, ch in cat.units.items()}
     return AinfCategory(objects=list(cat.objects), hom=dict(cat.hom), mu=dict(cat.mu), ring=RING_F2, units=units)
-
-
-def subcategory(cat: AinfCategory, objects: Sequence[str]) -> AinfCategory:
-    """The full subcategory on the given objects (operation tables restricted)."""
-    keep = set(objects)
-    unknown = keep - set(cat.objects)
-    if unknown:
-        raise KeyError(f"unknown objects {sorted(unknown)}")
-    hom = {pair: gens for pair, gens in cat.hom.items() if pair[0] in keep and pair[1] in keep}
-    mu = {}
-    for d, table in cat.mu.items():
-        sub = {
-            key: dict(out)
-            for key, out in table.items()
-            if all(g.source in keep and g.target in keep for g in key)
-        }
-        if sub:
-            mu[d] = sub
-    units = {obj: dict(ch) for obj, ch in cat.units.items() if obj in keep}
-    return AinfCategory(objects=[o for o in cat.objects if o in keep], hom=hom, mu=mu, ring=cat.ring, units=units)
 

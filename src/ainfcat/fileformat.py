@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import jsonschema
 
-from .bimodules import LEFT, RIGHT, BimoduleHom, PairGen, diagonal_bimodule, tensor_bimodule, yoneda_module
+from .bimodules import LEFT, RIGHT, BimoduleHom, DiagonalBimodule, PairGen, TensorBimodule, YonedaModule
 from .complexes import BasedComplex
 from .core import RING_F2, RING_Z, AinfCategory, Gen, is_composable, with_ring
 from .hochschild import word_degree
@@ -284,6 +284,11 @@ def _schema_check(instance, schema):
         raise InputError(err.message, path=path)
 
 
+def _add_term(chain: dict, g, coefficient: int) -> None:
+    """chain += coefficient * g: a term listed twice counts twice."""
+    chain[g] = chain.get(g, 0) + coefficient
+
+
 def _resolve(refs_index, ref, path):
     key = tuple(ref)
     g = refs_index.get(key)
@@ -334,8 +339,7 @@ def load_category(data: bytes, ring: str | None = None) -> LoadedFile:
             out = _resolve(refs_index, term["output"], path)
             if term["coefficient"] == 0:
                 raise InputError("zero coefficient stored", path=path)
-            table.setdefault(key, {})
-            table[key][out] = table[key].get(out, 0) + term["coefficient"]
+            _add_term(table.setdefault(key, {}), out, term["coefficient"])
     for d in list(mu):
         mu[d] = {k: {g: c for g, c in v.items() if c} for k, v in mu[d].items()}
         mu[d] = {k: v for k, v in mu[d].items() if v}
@@ -346,9 +350,9 @@ def load_category(data: bytes, ring: str | None = None) -> LoadedFile:
     for obj, chain in raw.get("units", {}).items():
         if obj not in obj_set:
             raise InputError(f"unit for undeclared object {obj}", path="/units")
-        units[obj] = {
-            _resolve(refs_index, t["generator"], f"/units/{obj}"): t["coefficient"] for t in chain
-        }
+        units[obj] = {}
+        for t in chain:
+            _add_term(units[obj], _resolve(refs_index, t["generator"], f"/units/{obj}"), t["coefficient"])
 
     try:
         cat = AinfCategory(objects=objects, hom=hom, mu=mu, ring=raw["ring"], units=units)
@@ -398,7 +402,7 @@ def _closed_complex(table: dict, ring: str) -> BasedComplex:
                 raise InputError(f"reference to undeclared closed-complex element {name!r}", path=path)
         if degree[t["output"]] != degree[t["input"]] + 1:
             raise InputError("the differential must raise degree by one", path=path)
-        diff_table.setdefault(t["input"], {})[t["output"]] = t["coefficient"]
+        _add_term(diff_table.setdefault(t["input"], {}), t["output"], t["coefficient"])
     basis: dict[int, list] = {}
     for name in sorted(degree):
         basis.setdefault(degree[name], []).append(name)
@@ -452,23 +456,26 @@ def _cardy_maps(section: dict, closed: BasedComplex | None, refs_index, phi: Bim
         w, out = word(t["word"], path), closed_name(t["output"], path)
         if degree[out] != word_degree(w) + n:
             raise InputError(f"output {out!r} must lie in degree {word_degree(w) + n}", path=path)
-        tables["oc"].setdefault(w, {})[out] = t["coefficient"]
+        _add_term(tables["oc"].setdefault(w, {}), out, t["coefficient"])
     for i, t in enumerate(maps.get("co", [])):
         path = f"/cardy/chain_maps/co/{i}"
         name = closed_name(t["input"], path)
-        tables["co"].setdefault(name, {})[end_K(t["output"], degree[name], path)] = t["coefficient"]
+        _add_term(tables["co"].setdefault(name, {}), end_K(t["output"], degree[name], path), t["coefficient"])
     for i, t in enumerate(maps.get("homotopy", [])):
         path = f"/cardy/chain_maps/homotopy/{i}"
         w = word(t["word"], path)
-        tables["homotopy"].setdefault(w, {})[end_K(t["output"], word_degree(w) + n - 1, path)] = t["coefficient"]
+        out = end_K(t["output"], word_degree(w) + n - 1, path)
+        _add_term(tables["homotopy"].setdefault(w, {}), out, t["coefficient"])
     return tables
 
 
 def _morphisms(entries: list, cat: AinfCategory, refs_index) -> dict[str, BimoduleHom]:
     """Build every declared coproduct-type morphism, diagonal bimodule to
-    Y^l_K (x) Y^r_K; names must be unique."""
+    Y^l_K (x) Y^r_K; names must be unique.  The morphisms on one base
+    object share one target."""
     built: dict[str, BimoduleHom] = {}
-    source = diagonal_bimodule(cat)
+    source = DiagonalBimodule(cat)
+    targets: dict[str, TensorBimodule] = {}
     for i, m in enumerate(entries):
         if m["name"] in built:
             raise InputError(f"duplicate morphism name {m['name']}", path=f"/morphisms/{i}/name")
@@ -483,10 +490,11 @@ def _morphisms(entries: list, cat: AinfCategory, refs_index) -> dict[str, Bimodu
                 raise InputError("component input count does not match (r, s)", path=path)
             key = tuple(_resolve(refs_index, ref, path) for ref in c["inputs"])
             pg = PairGen(_resolve(refs_index, c["output_left"], path), _resolve(refs_index, c["output_right"], path))
-            comps.setdefault((r, s), {}).setdefault(key, {})[pg] = c["coefficient"]
-        target = tensor_bimodule(yoneda_module(cat, K, LEFT), yoneda_module(cat, K, RIGHT))
+            _add_term(comps.setdefault((r, s), {}).setdefault(key, {}), pg, c["coefficient"])
+        if K not in targets:
+            targets[K] = TensorBimodule(YonedaModule(cat, K, LEFT), YonedaModule(cat, K, RIGHT))
         try:
-            built[m["name"]] = BimoduleHom(source=source, target=target, n=m["degree"], components=comps)
+            built[m["name"]] = BimoduleHom(source=source, target=targets[K], n=m["degree"], components=comps)
         except ValueError as err:
             raise InputError(str(err), path=f"/morphisms/{i}")
     return built
@@ -613,8 +621,10 @@ def load_certificate(data: bytes, cat: AinfCategory, digest: str):
             tuple(_resolve(refs_index, a, path) for a in t["letters"]),
             _resolve(refs_index, t["p"], path),
         )
-        tau[w] = t["coefficient"]
-    h = {_resolve(refs_index, t["generator"], "/h"): t["coefficient"] for t in raw["h"]}
+        _add_term(tau, w, t["coefficient"])
+    h: dict = {}
+    for t in raw["h"]:
+        _add_term(h, _resolve(refs_index, t["generator"], "/h"), t["coefficient"])
     return GenerationCertificate(
         verdict=raw["verdict"],
         K=raw["object"],

@@ -295,15 +295,15 @@ MORPHISM_BASE_OBJECT = {
 
 def coproduct_morphism(fixture_name: str, n: int):
     """A shipped degree-n morphism: diagonal bimodule -> Y^l_K (x) Y^r_K."""
-    from .bimodules import LEFT, RIGHT, BimoduleHom, PairGen, diagonal_bimodule, tensor_bimodule, yoneda_module
+    from .bimodules import LEFT, RIGHT, BimoduleHom, DiagonalBimodule, PairGen, TensorBimodule, YonedaModule
 
     if (fixture_name, n) not in _MORPHISM_TABLES:
         raise KeyError(f"no shipped morphism for {fixture_name} at degree {n}")
     cat = FIXTURES[fixture_name]()
     byname = {g.name: g for g in cat.generators()}
     K = MORPHISM_BASE_OBJECT[fixture_name]
-    source = diagonal_bimodule(cat)
-    target = tensor_bimodule(yoneda_module(cat, K, LEFT), yoneda_module(cat, K, RIGHT))
+    source = DiagonalBimodule(cat)
+    target = TensorBimodule(YonedaModule(cat, K, LEFT), YonedaModule(cat, K, RIGHT))
     comps: dict = {}
     for r, s, key_names, (pn, qn), c in _MORPHISM_TABLES[(fixture_name, n)]:
         key = tuple(byname[nm] for nm in key_names)

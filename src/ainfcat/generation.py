@@ -28,10 +28,10 @@ from typing import Mapping, Sequence
 from .bimodules import (
     LEFT,
     RIGHT,
+    YonedaModule,
     hom_complex,
     mu_composition_map,
     tensor_over_category,
-    yoneda_module,
 )
 from .complexes import BasedComplex, GradedMap, induced_rank_mod_2, verify_chain_map
 from .core import RING_F2, RING_Z, AinfCategory, chain_add, chain_normalize, parity_sign, relation_depth, verify_ainf
@@ -132,10 +132,10 @@ def build_universal_complex(cat: AinfCategory, B_objects: Sequence[str], K: str,
     map; neither can happen when the structure relations hold in every
     arity the words reach.
     """
-    yr = yoneda_module(cat, K, RIGHT, objects=B_objects)
+    yr = YonedaModule(cat, K, RIGHT, objects=B_objects)
     for X in cat.objects:
         try:
-            cx = tensor_over_category(yr, yoneda_module(cat, X, LEFT, objects=B_objects), max_length)
+            cx = tensor_over_category(yr, YonedaModule(cat, X, LEFT, objects=B_objects), max_length)
         except NotAComplex as err:
             raise MaurerCartanViolation(f"realization against {X} fails: {err}", witness=X) from err
         report = verify_chain_map(mu_composition_map(cat, X, K, cx))
@@ -266,7 +266,7 @@ def _verify_witness(cat: AinfCategory, cert: GenerationCertificate, e: Mapping, 
     if any(cx.matrix(0).apply(vec)):
         return _refuted(cert, "tau is not a cycle")
     # mu(tau) - mu^1(h) = e exactly
-    right = yoneda_module(cat, cert.K, RIGHT)
+    right = YonedaModule(cat, cert.K, RIGHT)
     out: dict = {}
     for w, c in cert.tau.items():
         chain_add(out, right.act((w.q,) + w.mid + (w.p,)), c)

@@ -318,37 +318,9 @@ def sign_formula(tag: str, **kw) -> int:
 
     Tags and their keyword arguments:
 
-    * dagger(degrees): sum of k * deg(x_k) over the inputs of a product
-    * ddagger(left, module, right): the two-output operation twist
-    * circ(p, q, letters): the reorder sign of the two output factors
     * cardy_global(n): (-1)^(n(n+1)/2)
-    * delta_chain_1(module): deg of the input, the first chain-map check
-    * delta_chain_2(module, n): deg + n + 1, the second one
-    * oc_check(x1): 1 + deg(x_1), the single-input seam check
     """
-    if tag == "dagger":
-        degs = list(kw["degrees"])
-        return parity_sign(sum((k + 1) * x for k, x in enumerate(degs)))
-    if tag == "ddagger":
-        left = list(kw["left"])
-        right = list(kw["right"])
-        module = kw["module"]
-        s = len(right)
-        parity = sum((s - j) * x for j, x in enumerate(right))
-        parity += s * module
-        parity += sum((j + 1 + s) * x for j, x in enumerate(left))
-        return parity_sign(parity)
-    if tag == "circ":
-        letters = list(kw.get("letters", []))
-        parity = kw["q"] * (kw["p"] + sum(x + 1 for x in letters))
-        return parity_sign(parity)
     if tag == "cardy_global":
         n = kw["n"]
         return parity_sign(n * (n + 1) // 2)
-    if tag == "delta_chain_1":
-        return parity_sign(kw["module"])
-    if tag == "delta_chain_2":
-        return parity_sign(kw["module"] + kw["n"] + 1)
-    if tag == "oc_check":
-        return parity_sign(1 + kw["x1"])
     raise ValueError(f"unknown sign formula tag {tag}")

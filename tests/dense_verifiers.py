@@ -60,7 +60,7 @@ def mixed_tuples(cat: AinfCategory, P: Bimodule, r: int, s: int) -> Iterator[tup
 
     for right_part in chains(s, None):
         start = right_part[-1].target if right_part else None
-        for pair in sorted(P.space_pairs()):
+        for pair in sorted(P.spaces):
             if start is not None and pair[0] != start:
                 continue
             for m in P.basis(*pair):

@@ -7,17 +7,19 @@ that the verifiers can be shown to notice; `rational_rank` and
 `HomologyData.induced`: it pushes each class generator through
 the chain map as a dense vector and reads its class coordinates one at a
 time, the way the homology comparisons did before the induced map became
-one sparse product.
+one sparse product.  `apply_mu` and `koszul_sign` are small conveniences
+that only the tests use, and `tensor_op_oracle` is the tensor bimodule's
+operation computed on the fly, the oracle for its tabulated `op`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, Mapping, Sequence
 
-from ainfcat.bimodules import Bimodule, BimoduleHom, TableBimodule
+from ainfcat.bimodules import Bimodule, BimoduleHom, PairGen, YonedaModule
 from ainfcat.complexes import BasedComplex, GradedMap
-from ainfcat.core import AinfCategory, Gen
+from ainfcat.core import AinfCategory, Gen, chain_add, chain_normalize, parity_sign
 from ainfcat.intlinalg import IntMatrix, _kernel
 
 
@@ -39,10 +41,10 @@ def iter_terms(cat: AinfCategory) -> Iterator[tuple[int, tuple, Gen, int]]:
                 yield d, key, og, cat.mu[d][key][og]
 
 
-def with_negated_bimodule_term(P: TableBimodule, r: int, s: int, key: tuple, out):
+def with_negated_bimodule_term(P: Bimodule, r: int, s: int, key: tuple, out):
     ops = {rs: {k: dict(v) for k, v in t.items()} for rs, t in P.ops.items()}
     ops[(r, s)][key][out] = -ops[(r, s)][key][out]
-    return TableBimodule(P.cat, P.spaces, ops)
+    return Bimodule(P.cat, P.spaces, ops)
 
 
 def identity_hom(P: Bimodule) -> BimoduleHom:
@@ -107,3 +109,49 @@ def zero_class(hd) -> tuple[int, ...]:
 def coordinate_columns(M: IntMatrix) -> list[tuple[int, ...]]:
     """The columns of M as tuples, in the form induced_by_generators returns."""
     return [tuple(M[i, j] for i in range(M.rows)) for j in range(M.cols)]
+
+
+def apply_mu(cat: AinfCategory, d: int, inputs: Sequence[Mapping]) -> dict:
+    """mu^d applied to chains given in algebraic order (x_d, ..., x_1)."""
+    if len(inputs) != d:
+        raise ValueError(f"expected {d} inputs, got {len(inputs)}")
+    return cat.mu_boundary(list(reversed(inputs)))
+
+
+def koszul_sign(degrees: Sequence[int], perm: Sequence[int]) -> int:
+    """Sign accumulated when graded elements are reordered by `perm`.
+
+    `perm[i]` is the new position of the element originally at position i;
+    each inverted pair (i, j) contributes (-1)^(deg_i * deg_j).
+    """
+    if len(degrees) != len(perm):
+        raise ValueError("degrees and permutation have different lengths")
+    if sorted(perm) != list(range(len(perm))):
+        raise ValueError("not a permutation")
+    parity = 0
+    for i in range(len(perm)):
+        for j in range(i + 1, len(perm)):
+            if perm[i] > perm[j]:
+                parity += degrees[i] * degrees[j]
+    return parity_sign(parity)
+
+
+def tensor_op_oracle(left: YonedaModule, right: YonedaModule, key: tuple, s: int) -> dict:
+    """The operation of Y^l (x) Y^r on one key, computed from the Yoneda
+    actions: the right action on the q factor when r = 0, the left action
+    on p, with sign (-1)^deg q, when s = 0, and 0 for r, s > 0."""
+    m = key[s]
+    if not isinstance(m, PairGen):
+        raise TypeError(f"module slot holds {m!r}")
+    r = len(key) - 1 - s
+    out: dict = {}
+    if r == 0:
+        # the right module acts on the q factor; p rides along untouched
+        for g, c in right.act(key[:s] + (m.q,)).items():
+            chain_add(out, {PairGen(m.p, g): c})
+    if s == 0:
+        # the left module acts on p; the odd operator passes q first
+        sign = parity_sign(m.q.degree)
+        for g, c in left.act((m.p,) + key[1:]).items():
+            chain_add(out, {PairGen(g, m.q): sign * c})
+    return chain_normalize(out, left.cat.ring)

@@ -16,7 +16,7 @@ import time
 
 from helpers import disc_facet_count_closed_form, iter_terms, rational_rank, with_negated_term
 
-from ainfcat.bimodules import LEFT, RIGHT, TensorWord, tensor_over_category, yoneda_module
+from ainfcat.bimodules import LEFT, RIGHT, TensorWord, YonedaModule, tensor_over_category
 from ainfcat.cardy import HomotopyWitness, mu_cc_map, telescoping_data, verify_cardy_on_homology, verify_homotopy_equation
 from ainfcat.core import chain_add, chain_normalize, cyclic_tuples, verify_ainf
 from ainfcat.fileformat import category_to_json
@@ -67,7 +67,7 @@ def sign_suites_pass(cat, *, ainf_depth=4, word_length=5, tensor_length=3, short
     try:
         for K in cat.objects:
             tensor_over_category(
-                yoneda_module(cat, K, RIGHT), yoneda_module(cat, K, LEFT), tensor_length
+                YonedaModule(cat, K, RIGHT), YonedaModule(cat, K, LEFT), tensor_length
             )
     except ValueError:
         return False
@@ -93,7 +93,7 @@ def test_criterion_1_sign_consistency_master_suite():
         try:
             for K in cat.objects:
                 tensor_over_category(
-                    yoneda_module(cat, K, RIGHT), yoneda_module(cat, K, LEFT), 3
+                    YonedaModule(cat, K, RIGHT), YonedaModule(cat, K, LEFT), 3
                 )
         except ValueError as err:
             failures.append(f"{name}: tensor complex {err}")
@@ -280,7 +280,7 @@ def test_criterion_6_cardy_telescoping():
         cat = phi.source.cat
         K = phi.target.left.K
         cc = truncated_cc(cat, 3)
-        tcx = tensor_over_category(yoneda_module(cat, K, RIGHT), yoneda_module(cat, K, LEFT), 3)
+        tcx = tensor_over_category(YonedaModule(cat, K, RIGHT), YonedaModule(cat, K, LEFT), 3)
         data = telescoping_data(cat, mu_cc_map(phi, cc, tcx))
         hr = verify_homotopy_equation(data, HomotopyWitness())
         if not hr.passed:
@@ -293,7 +293,7 @@ def test_criterion_6_cardy_telescoping():
     phi = coproduct_morphism("even_dual_numbers", 2)
     cat = phi.source.cat
     cc = truncated_cc(cat, 3)
-    tcx = tensor_over_category(yoneda_module(cat, "*", RIGHT), yoneda_module(cat, "*", LEFT), 3)
+    tcx = tensor_over_category(YonedaModule(cat, "*", RIGHT), YonedaModule(cat, "*", LEFT), 3)
     mu_cc = mu_cc_map(phi, cc, tcx)
     if not verify_cardy_on_homology(telescoping_data(cat, mu_cc, co_sign=-1)).passed:
         problems.append("signed comparison rejects the matching configuration")

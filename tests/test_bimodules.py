@@ -4,29 +4,30 @@ from __future__ import annotations
 
 import pytest
 from dense_verifiers import mixed_tuples
-from helpers import identity_hom, with_negated_bimodule_term
+from helpers import identity_hom, tensor_op_oracle, with_negated_bimodule_term
 
 from ainfcat.bimodules import (
     LEFT,
     RIGHT,
+    Bimodule,
     BimoduleHom,
+    DiagonalBimodule,
     PairGen,
-    TableBimodule,
+    TensorBimodule,
     TensorWord,
-    diagonal_bimodule,
+    YonedaModule,
     hom_complex,
     mu_composition_map,
-    tensor_bimodule,
     tensor_differential,
     tensor_over_category,
     tensor_words,
     verify_bimodule,
     verify_bimodule_hom,
-    yoneda_module,
 )
 from ainfcat.complexes import verify_chain_map
 from ainfcat.core import chain_normalize, parity_sign, verify_ainf, with_ring
 from ainfcat.fixtures import (
+    FIXTURES,
     cone_algebra,
     dual_numbers,
     ground_ring,
@@ -54,7 +55,7 @@ def gen_named(cat, name):
 
 def test_yoneda_ground_ring():
     cat = ground_ring()
-    m = yoneda_module(cat, "*", LEFT)
+    m = YonedaModule(cat, "*", LEFT)
     e = gen_named(cat, "e")
     assert m.basis("*") == [e]
     # left actions restrict the diagonal bimodule: constant extra sign -1
@@ -63,21 +64,21 @@ def test_yoneda_ground_ring():
 
 def test_yoneda_two_object_spaces():
     cat = path_category(2)
-    yr = yoneda_module(cat, "2", RIGHT)
+    yr = YonedaModule(cat, "2", RIGHT)
     f12 = gen_named(cat, "f12")
     assert yr.basis("1") == [f12]
 
 
 def test_yoneda_dual_numbers_ranks():
     cat = dual_numbers()
-    yl = yoneda_module(cat, "*", LEFT)
+    yl = YonedaModule(cat, "*", LEFT)
     degrees = sorted(g.degree for g in yl.basis("*"))
     assert degrees == [0, 1]
 
 
 def test_yoneda_unknown_object():
     with pytest.raises(KeyError):
-        yoneda_module(ground_ring(), "missing", LEFT)
+        YonedaModule(ground_ring(), "missing", LEFT)
 
 
 # -- diagonal bimodule ------------------------------------------------------
@@ -86,14 +87,14 @@ def test_yoneda_unknown_object():
 def test_diagonal_zero_differential():
     cat = ground_ring()
     e = gen_named(cat, "e")
-    assert diagonal_bimodule(cat).op((e,), 0) == {}
+    assert DiagonalBimodule(cat).op((e,), 0) == {}
 
 
 def test_diagonal_left_action_sign():
     # with no right inputs the sign is (-1)^(0 + 1) = -1
     cat = ground_ring()
     e = gen_named(cat, "e")
-    P = diagonal_bimodule(cat)
+    P = DiagonalBimodule(cat)
     assert P.op((e, e), 0) == {e: -1}
 
 
@@ -101,7 +102,7 @@ def test_diagonal_left_action_sign():
 def test_diagonal_bimodule_satisfies_equation(make):
     cat = make()
     assert verify_ainf(cat, 4).passed
-    report = verify_bimodule(diagonal_bimodule(cat), max_inputs=4)
+    report = verify_bimodule(DiagonalBimodule(cat), max_inputs=4)
     assert report.passed, str(report)
 
 
@@ -110,7 +111,7 @@ def test_diagonal_bimodule_satisfies_equation(make):
 
 def test_tensor_bimodule_differential_ground_ring():
     cat = ground_ring()
-    P = tensor_bimodule(yoneda_module(cat, "*", LEFT), yoneda_module(cat, "*", RIGHT))
+    P = TensorBimodule(YonedaModule(cat, "*", LEFT), YonedaModule(cat, "*", RIGHT))
     e = gen_named(cat, "e")
     assert P.op((PairGen(e, e),), 0) == {}
 
@@ -118,16 +119,40 @@ def test_tensor_bimodule_differential_ground_ring():
 def test_tensor_bimodule_vanishes_for_mixed_rs():
     cat = dual_numbers()
     e = gen_named(cat, "e")
-    P = tensor_bimodule(yoneda_module(cat, "*", LEFT), yoneda_module(cat, "*", RIGHT))
+    P = TensorBimodule(YonedaModule(cat, "*", LEFT), YonedaModule(cat, "*", RIGHT))
     # r = s = 1 operation is identically zero
     assert P.op((e, PairGen(e, e), e), 1) == {}
+
+
+@pytest.mark.parametrize("ring", ["Z", "F2"])
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_tensor_bimodule_tables_match_the_oracle(name, ring):
+    # the tables against the operation computed on the fly: on every key
+    # they hold, chain order included (witness residuals print in it), and
+    # on every mixed tuple of length <= 4, where r, s > 0 reads empty
+    cat = with_ring(FIXTURES[name](), ring)
+    mixed = 0
+    for K in cat.objects:
+        left, right = YonedaModule(cat, K, LEFT), YonedaModule(cat, K, RIGHT)
+        P = TensorBimodule(left, right)
+        for key, s in P.op_keys():
+            assert list(P.op(key, s).items()) == list(tensor_op_oracle(left, right, key, s).items()), key
+        for total in range(4):
+            for s in range(total + 1):
+                for key in mixed_tuples(cat, P, total - s, s):
+                    want = tensor_op_oracle(left, right, key, s)
+                    assert list(P.op(key, s).items()) == list(want.items()), key
+                    if 0 < s < total:
+                        mixed += 1
+                        assert not want
+    assert mixed
 
 
 @pytest.mark.parametrize("make", ALL_FIXTURES)
 def test_tensor_bimodule_satisfies_equation(make):
     cat = make()
     for K in cat.objects:
-        P = tensor_bimodule(yoneda_module(cat, K, LEFT), yoneda_module(cat, K, RIGHT))
+        P = TensorBimodule(YonedaModule(cat, K, LEFT), YonedaModule(cat, K, RIGHT))
         report = verify_bimodule(P, max_inputs=3)
         assert report.passed, (K, str(report))
 
@@ -135,7 +160,7 @@ def test_tensor_bimodule_satisfies_equation(make):
 def test_table_bimodule_mutation_detected():
     # freeze the diagonal bimodule of dual numbers into tables, then mutate
     cat = dual_numbers()
-    diag = diagonal_bimodule(cat)
+    diag = DiagonalBimodule(cat)
     spaces = {(a, b): list(diag.basis(a, b)) for a in cat.objects for b in cat.objects}
     ops: dict = {}
     for total in range(0, 4):
@@ -145,7 +170,7 @@ def test_table_bimodule_mutation_detected():
                 out = diag.op(key, s)
                 if out:
                     ops.setdefault((r, s), {})[key] = out
-    table = TableBimodule(cat, spaces, ops)
+    table = Bimodule(cat, spaces, ops)
     assert verify_bimodule(table, max_inputs=3).passed
     e = gen_named(cat, "e")
     bad = with_negated_bimodule_term(table, 1, 0, (e, e), e)
@@ -157,8 +182,8 @@ def test_table_bimodule_mutation_detected():
 
 def test_zero_hom_passes():
     cat = dual_numbers()
-    P = diagonal_bimodule(cat)
-    Q = tensor_bimodule(yoneda_module(cat, "*", LEFT), yoneda_module(cat, "*", RIGHT))
+    P = DiagonalBimodule(cat)
+    Q = TensorBimodule(YonedaModule(cat, "*", LEFT), YonedaModule(cat, "*", RIGHT))
     for n in (0, 1, 2):
         phi = BimoduleHom(source=P, target=Q, n=n, components={})
         assert verify_bimodule_hom(phi, max_inputs=3).passed
@@ -167,14 +192,14 @@ def test_zero_hom_passes():
 @pytest.mark.parametrize("make", [ground_ring, dual_numbers, cone_algebra])
 def test_identity_hom_passes(make):
     cat = make()
-    phi = identity_hom(diagonal_bimodule(cat))
+    phi = identity_hom(DiagonalBimodule(cat))
     report = verify_bimodule_hom(phi, max_inputs=3)
     assert report.passed, str(report)
 
 
 def test_identity_hom_mutation_fails():
     cat = dual_numbers()
-    P = diagonal_bimodule(cat)
+    P = DiagonalBimodule(cat)
     e = gen_named(cat, "e")
     eps = gen_named(cat, "eps")
     comps = {(0, 0): {(e,): {e: 1}, (eps,): {eps: -1}}}
@@ -187,8 +212,8 @@ def test_identity_hom_mutation_fails():
 
 def test_tensor_complex_ground_ring_length0():
     cat = ground_ring()
-    yl = yoneda_module(cat, "*", LEFT)
-    yr = yoneda_module(cat, "*", RIGHT)
+    yl = YonedaModule(cat, "*", LEFT)
+    yr = YonedaModule(cat, "*", RIGHT)
     cx = tensor_over_category(yr, yl, 0)
     assert cx.dim(0) == 1
     w = cx.basis[0][0]
@@ -198,8 +223,8 @@ def test_tensor_complex_ground_ring_length0():
 
 def test_tensor_complex_ground_ring_lengths12():
     cat = ground_ring()
-    yl = yoneda_module(cat, "*", LEFT)
-    yr = yoneda_module(cat, "*", RIGHT)
+    yl = YonedaModule(cat, "*", LEFT)
+    yr = YonedaModule(cat, "*", RIGHT)
     cx = tensor_over_category(yr, yl, 2)
     # classical bar pattern: d vanishes on the length-1 word and is an
     # isomorphism from the length-2 word onto it
@@ -215,15 +240,15 @@ def test_tensor_complex_ground_ring_lengths12():
 def test_tensor_complex_d_squared_zero(make):
     cat = make()
     for K in cat.objects:
-        yl = yoneda_module(cat, K, LEFT)
-        yr = yoneda_module(cat, K, RIGHT)
+        yl = YonedaModule(cat, K, LEFT)
+        yr = YonedaModule(cat, K, RIGHT)
         tensor_over_category(yr, yl, 3)  # validate() runs inside
 
 
 def test_tensor_complex_homology_stabilizes_ground_ring():
     cat = ground_ring()
-    yl = yoneda_module(cat, "*", LEFT)
-    yr = yoneda_module(cat, "*", RIGHT)
+    yl = YonedaModule(cat, "*", LEFT)
+    yr = YonedaModule(cat, "*", RIGHT)
     h0 = []
     for n in range(0, 4):
         cx = tensor_over_category(yr, yl, n)
@@ -238,7 +263,7 @@ def test_mu_composition_ground_ring():
     cat = ground_ring()
     e = gen_named(cat, "e")
     w = TensorWord(e, (), e)
-    assert yoneda_module(cat, "*", RIGHT).act((w.q,) + w.mid + (w.p,)) == {e: 1}
+    assert YonedaModule(cat, "*", RIGHT).act((w.q,) + w.mid + (w.p,)) == {e: 1}
 
 
 def test_mu_composition_empty_table():
@@ -247,7 +272,7 @@ def test_mu_composition_empty_table():
     f11 = gen_named(cat, "f11")
     # no mu^3 table: length-1 words collapse to zero
     w = TensorWord(f11, (f12,), gen_named(cat, "f22"))
-    assert yoneda_module(cat, "2", RIGHT).act((w.q,) + w.mid + (w.p,)) == {}
+    assert YonedaModule(cat, "2", RIGHT).act((w.q,) + w.mid + (w.p,)) == {}
 
 
 @pytest.mark.parametrize("ring", ["Z", "F2"])
@@ -257,9 +282,9 @@ def test_mu_composition_is_the_signed_full_collapse(make, ring):
     # it, signed by (-1)^(deg q + sum of the reduced degrees of the a_i)
     cat = with_ring(make(), ring)
     for K in cat.objects:
-        right = yoneda_module(cat, K, RIGHT)
+        right = YonedaModule(cat, K, RIGHT)
         for X in cat.objects:
-            for w in tensor_words(right, yoneda_module(cat, X, LEFT), 3):
+            for w in tensor_words(right, YonedaModule(cat, X, LEFT), 3):
                 key = (w.q,) + w.mid + (w.p,)
                 sign = parity_sign(w.q.degree + sum(a.degree + 1 for a in w.mid))
                 want = chain_normalize({g: sign * c for g, c in cat.mu_key(key).items()}, cat.ring)
@@ -270,9 +295,9 @@ def test_mu_composition_is_the_signed_full_collapse(make, ring):
 def test_mu_composition_is_chain_map(make):
     cat = make()
     for K in cat.objects:
-        yr = yoneda_module(cat, K, RIGHT)
+        yr = YonedaModule(cat, K, RIGHT)
         for X in cat.objects:
-            cx = tensor_over_category(yr, yoneda_module(cat, X, LEFT), 3)
+            cx = tensor_over_category(yr, YonedaModule(cat, X, LEFT), 3)
             report = verify_chain_map(mu_composition_map(cat, X, K, cx))
             assert report.passed, (X, K, str(report))
 

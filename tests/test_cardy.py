@@ -11,9 +11,9 @@ from ainfcat.bimodules import (
     LEFT,
     RIGHT,
     BimoduleHom,
+    YonedaModule,
     hom_complex,
     tensor_over_category,
-    yoneda_module,
 )
 from ainfcat.cardy import (
     HomotopyWitness,
@@ -37,7 +37,7 @@ def setup(fixture, n, N=3):
     K = phi.target.left.K
     cc = truncated_cc(cat, N)
     tcx = tensor_over_category(
-        yoneda_module(cat, K, RIGHT), yoneda_module(cat, K, LEFT), N
+        YonedaModule(cat, K, RIGHT), YonedaModule(cat, K, LEFT), N
     )
     return phi, cat, K, cc, tcx
 
@@ -279,7 +279,7 @@ def test_mu_cc_over_the_tensor_complex_one_length_shorter(fixture, n, N):
     the map into it has every matrix (no KeyError), and mu o CC(phi) over it
     equals mu o CC(phi) over the N-truncated one."""
     phi, cat, K, cc, tcx = setup(fixture, n, N)
-    shorter = tensor_over_category(yoneda_module(cat, K, RIGHT), yoneda_module(cat, K, LEFT), N - 1)
+    shorter = tensor_over_category(YonedaModule(cat, K, RIGHT), YonedaModule(cat, K, LEFT), N - 1)
     cc_phi = cc_of_delta(phi, cc, shorter)
     mu_cc, mu_cc_shorter = mu_cc_map(phi, cc, tcx), mu_cc_map(phi, cc, shorter)
     for k in cc.degrees():
@@ -309,6 +309,6 @@ def test_cc_of_delta_refuses_a_tensor_complex_too_short_for_its_image(fixture, n
     """At N = 3, CC(phi) reaches tensor words of length 2; a tensor complex
     truncated at N - 2 lacks them, and the chain-map check says so."""
     phi, cat, K, cc, _ = setup(fixture, n, 3)
-    short = tensor_over_category(yoneda_module(cat, K, RIGHT), yoneda_module(cat, K, LEFT), 1)
+    short = tensor_over_category(YonedaModule(cat, K, RIGHT), YonedaModule(cat, K, LEFT), 1)
     with pytest.raises(KeyError, match="CC\\(morphism\\) of .* leaves the declared basis"):
         cc_of_delta(phi, cc, short)

@@ -19,11 +19,13 @@ from ainfcat.fileformat import (
     category_to_json,
     file_digest,
     load_category,
+    load_certificate,
     load_morphism,
     morphism_to_json,
 )
 from ainfcat.fixtures import (
     FIXTURES,
+    cone_algebra,
     coproduct_morphism,
     dual_numbers,
     ground_ring,
@@ -210,14 +212,14 @@ def test_cli_cardy_telescoping(tmp_path):
 
 def test_cli_cardy_chain_map_tables(tmp_path):
     # explicit closed complex + map tables: a miniature self-configuration
-    from ainfcat.bimodules import hom_complex, mu_composition_map, tensor_over_category, yoneda_module
+    from ainfcat.bimodules import YonedaModule, hom_complex, mu_composition_map, tensor_over_category
     from ainfcat.complexes import compose
     from ainfcat.hochschild import cc_of_delta, truncated_cc
 
     phi = coproduct_morphism("dual_numbers", 1)
     cat = phi.source.cat
     cc = truncated_cc(cat, 2)
-    tcx = tensor_over_category(yoneda_module(cat, "*", "right"), yoneda_module(cat, "*", "left"), 2)
+    tcx = tensor_over_category(YonedaModule(cat, "*", "right"), YonedaModule(cat, "*", "left"), 2)
     mucc = compose(mu_composition_map(cat, "*", "*", tcx), cc_of_delta(phi, cc, tcx))
     hom_cx = hom_complex(cat, "*", "*")
 
@@ -796,3 +798,90 @@ def test_cli_unwritable_output_exit_2(tmp_path, capsys, argv):
     out = tmp_path / "missing" / "out.json"
     assert cli.main([a.format(cat=path, out=out) for a in argv]) == 2
     assert f"error: cannot write {out}: " in capsys.readouterr().err
+
+
+# -- a term listed twice counts twice ------------------------------------------
+
+
+def by_name(chain) -> dict:
+    return {getattr(g, "name", g): c for g, c in chain.items()}
+
+
+def chain_at(table: dict, refs: list):
+    """The output chain of the table key whose entries are these references."""
+    (chain,) = [out for key, out in table.items() if [x.name for x in key] == [r[2] for r in refs]]
+    return chain
+
+
+def test_repeated_operation_term_counts_twice():
+    raw = category_to_json(dual_numbers())
+    op = raw["operations"][0]
+    first = op["terms"][0]
+    op["terms"].append(dict(first))
+    table = load_category(json.dumps(raw).encode()).category.mu[op["arity"]]
+    assert by_name(chain_at(table, first["inputs"]))[first["output"][2]] == 2 * first["coefficient"]
+
+
+def test_repeated_unit_term_counts_twice(tmp_path, capsys):
+    # cone_algebra's unit p + q with p listed twice is 2p + q, not a cycle
+    raw = category_to_json(cone_algebra())
+    chain = raw["units"]["*"]
+    chain.append(dict(next(t for t in chain if t["generator"][2] == "p")))
+    path = tmp_path / "cone.json"
+    path.write_text(json.dumps(raw))
+    assert by_name(load_category(path.read_bytes()).category.units["*"]) == {"p": 2, "q": 1}
+    capsys.readouterr()
+    assert cli.main(["validate", str(path)]) == 2
+    assert "input error: /units/*: " in capsys.readouterr().err
+
+
+def test_repeated_morphism_component_counts_twice():
+    phi = coproduct_morphism("split_summand_pair", 0)
+    raw = category_to_json(phi.source.cat, morphism_tables=[morphism_to_json("m", "K", phi)])
+    first = raw["morphisms"][0]["components"][0]
+    raw["morphisms"][0]["components"].append(dict(first))
+    loaded = load_morphism(load_category(json.dumps(raw).encode()), "m")
+    chain = chain_at(loaded.components[(first["left_inputs"], first["right_inputs"])], first["inputs"])
+    pairs = {(pg.p.name, pg.q.name): c for pg, c in chain.items()}
+    assert pairs[(first["output_left"][2], first["output_right"][2])] == 2 * first["coefficient"]
+
+
+def test_repeated_closed_differential_term_counts_twice():
+    closed = json.loads(json.dumps(Z_TO_C))
+    closed["differential"].append(dict(closed["differential"][0]))
+    loaded = load_category(json.dumps(_dual_numbers_cardy(closed, {"oc": [], "co": []})).encode())
+    assert dict(loaded.cardy_closed.diff_chain("z")) == {"c": 2}
+
+
+@pytest.mark.parametrize(
+    "section, entry, lookup",
+    [
+        ("oc", {"word": [E], "output": "z", "coefficient": 1}, "e"),
+        ("co", {"input": "c", "output": E, "coefficient": 1}, "c"),
+        ("homotopy", {"word": [E], "output": E, "coefficient": 1}, "e"),
+    ],
+    ids=["oc", "co", "homotopy"],
+)
+def test_repeated_chain_map_term_counts_twice(section, entry, lookup):
+    # n = 1: oc(e) lies in degree 1, co(c) and H(e) in hom(*, *) degree 0
+    closed = {"basis": [{"name": "c", "degree": 0}, {"name": "z", "degree": 1}], "differential": []}
+    loaded = load_category(json.dumps(_dual_numbers_cardy(closed, {section: [entry, dict(entry)]})).encode())
+    ((key, chain),) = loaded.cardy_maps[section].items()
+    assert (key if isinstance(key, str) else key[0].name) == lookup
+    assert by_name(chain) == {"z" if section == "oc" else "e": 2}
+
+
+@pytest.mark.parametrize("field", ["tau", "h"])
+def test_repeated_certificate_term_counts_twice(tmp_path, field):
+    path = tmp_path / "split.json"
+    path.write_bytes(dump(split_summand_pair()))
+    cert = tmp_path / "split.cert.json"
+    args = ["--object", "K", "--subcategory", "L", "--max-length", "1", "--emit", str(cert)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["generate", str(path), *args]) == 0
+    raw = json.loads(cert.read_text())
+    entry = raw[field][0] if raw[field] else {"generator": ["K", "K", "eK"], "coefficient": 1}
+    raw[field] = [entry, dict(entry)] + raw[field][1:]
+    loaded = load_category(path.read_bytes())
+    got = load_certificate(json.dumps(raw).encode(), loaded.category, loaded.digest)
+    assert list(getattr(got, field).values())[0] == 2 * entry["coefficient"]

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 from helpers import rational_rank, zero_map
 
-from ainfcat.bimodules import LEFT, RIGHT, BimoduleHom, tensor_over_category, yoneda_module
+from ainfcat.bimodules import LEFT, RIGHT, BimoduleHom, YonedaModule, tensor_over_category
 from ainfcat.complexes import GradedMap, verify_chain_map
 from ainfcat.core import chain_add, chain_normalize, cyclic_tuples, with_ring
 from ainfcat.fixtures import (
@@ -191,24 +191,24 @@ def test_cc_of_delta_is_chain_map(key):
     K = phi.target.left.K
     cc = truncated_cc(cat, 3)
     tensor_cx = tensor_over_category(
-        yoneda_module(cat, K, RIGHT), yoneda_module(cat, K, LEFT), 3
+        YonedaModule(cat, K, RIGHT), YonedaModule(cat, K, LEFT), 3
     )
     f = cc_of_delta(phi, cc, tensor_cx)  # raises ChainMapViolation on failure
     assert f.shift == n
 
 
 def test_cc_of_delta_zero_morphism():
-    from ainfcat.bimodules import BimoduleHom, diagonal_bimodule, tensor_bimodule
+    from ainfcat.bimodules import BimoduleHom, DiagonalBimodule, TensorBimodule
 
     cat = dual_numbers()
     phi = BimoduleHom(
-        source=diagonal_bimodule(cat),
-        target=tensor_bimodule(yoneda_module(cat, "*", LEFT), yoneda_module(cat, "*", RIGHT)),
+        source=DiagonalBimodule(cat),
+        target=TensorBimodule(YonedaModule(cat, "*", LEFT), YonedaModule(cat, "*", RIGHT)),
         n=0,
         components={},
     )
     cc = truncated_cc(cat, 3)
-    tensor_cx = tensor_over_category(yoneda_module(cat, "*", RIGHT), yoneda_module(cat, "*", LEFT), 3)
+    tensor_cx = tensor_over_category(YonedaModule(cat, "*", RIGHT), YonedaModule(cat, "*", LEFT), 3)
     f = cc_of_delta(phi, cc, tensor_cx)
     for k in cc.degrees():
         for w in cc.basis[k]:
@@ -237,7 +237,7 @@ def test_cc_of_delta_mutation_raises():
     phi = BimoduleHom(source=phi.source, target=phi.target, n=phi.n, components=comps)
     cat = phi.source.cat
     cc = truncated_cc(cat, 3)
-    tensor_cx = tensor_over_category(yoneda_module(cat, "*", RIGHT), yoneda_module(cat, "*", LEFT), 3)
+    tensor_cx = tensor_over_category(YonedaModule(cat, "*", RIGHT), YonedaModule(cat, "*", LEFT), 3)
     with pytest.raises(ChainMapViolation) as exc:
         cc_of_delta(phi, cc, tensor_cx)
     assert exc.value.witness is not None

@@ -15,7 +15,7 @@ import io
 import pytest
 
 from ainfcat import cli
-from ainfcat.bimodules import LEFT, RIGHT, diagonal_bimodule, tensor_bimodule, yoneda_module
+from ainfcat.bimodules import LEFT, RIGHT, DiagonalBimodule, TensorBimodule, YonedaModule
 from ainfcat.complexes import BasedComplex
 from ainfcat.fixtures import FIXTURES, SHIPPED_MORPHISMS, coproduct_morphism
 
@@ -56,11 +56,11 @@ def test_every_complex_has_one_label_type(tmp_path, monkeypatch):
 def test_every_term_table_has_one_label_type(name, n):
     phi = coproduct_morphism(name, n)
     cat = phi.source.cat
-    tables = list(cat.mu.values()) + list(diagonal_bimodule(cat).ops.values()) + list(phi.components.values())
+    tables = list(cat.mu.values()) + list(DiagonalBimodule(cat).ops.values()) + list(phi.components.values())
     for K in cat.objects:
         for side in (LEFT, RIGHT):
-            tables += list(yoneda_module(cat, K, side).actions.values())
-        P = tensor_bimodule(yoneda_module(cat, K, LEFT), yoneda_module(cat, K, RIGHT))
+            tables += list(YonedaModule(cat, K, side).actions.values())
+        P = TensorBimodule(YonedaModule(cat, K, LEFT), YonedaModule(cat, K, RIGHT))
         keys = P.op_keys()
         for slot in {s for _, s in keys}:
             tables.append({key: P.op(key, s) for key, s in keys if s == slot})

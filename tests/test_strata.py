@@ -282,37 +282,8 @@ def test_cc_of_delta_word_visits_the_annulus_pair_terms(d):
 # -- sign formulas -------------------------------------------------------------
 
 
-def test_dagger_empty():
-    assert sign_formula("dagger", degrees=[0, 0, 0]) == 1
-
-
-def test_dagger_two_odds():
-    # parity 1*1 + 2*1 = 3
-    assert sign_formula("dagger", degrees=[1, 1]) == -1
-
-
 def test_cardy_global():
     assert sign_formula("cardy_global", n=3) == 1
     assert sign_formula("cardy_global", n=1) == -1
     assert sign_formula("cardy_global", n=2) == -1
     assert sign_formula("cardy_global", n=4) == 1
-
-
-def test_ddagger_matches_definition():
-    left = [1, 2]
-    right = [3, 1]
-    module = 2
-    s = 2
-    parity = (s - 1 + 1) * 3 + (s - 2 + 1) * 1 + s * 2 + (1 + s) * 1 + (2 + s) * 2
-    expected = -1 if parity % 2 else 1
-    assert sign_formula("ddagger", left=left, module=module, right=right) == expected
-
-
-def test_delta_chain_checks():
-    assert sign_formula("delta_chain_1", module=1) == -1
-    assert sign_formula("delta_chain_2", module=1, n=0) == 1
-    assert sign_formula("oc_check", x1=0) == -1
-
-
-def test_circ_zero_degrees():
-    assert sign_formula("circ", p=0, q=0, letters=[0, 0]) == 1

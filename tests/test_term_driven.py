@@ -19,11 +19,11 @@ from ainfcat.bimodules import (
     LEFT,
     RIGHT,
     BimoduleHom,
-    diagonal_bimodule,
-    tensor_bimodule,
+    DiagonalBimodule,
+    TensorBimodule,
+    YonedaModule,
     verify_bimodule,
     verify_bimodule_hom,
-    yoneda_module,
 )
 from ainfcat.core import tuple_count, verify_ainf, with_ring
 from ainfcat.fixtures import FIXTURES, SHIPPED_MORPHISMS, coproduct_morphism
@@ -61,16 +61,16 @@ def test_structure_relation(name):
 @pytest.mark.parametrize("name", sorted(FIXTURES))
 def test_diagonal_bimodule(name):
     cat = FIXTURES[name]()
-    P = diagonal_bimodule(cat)
+    P = DiagonalBimodule(cat)
     assert_same(verify_bimodule(P, 4), dense_verify_bimodule(P, 4))
-    P2 = diagonal_bimodule(with_ring(cat, "F2"))
+    P2 = DiagonalBimodule(with_ring(cat, "F2"))
     assert_same(verify_bimodule(P2, 3), dense_verify_bimodule(P2, 3))
     terms = [(rs, key, out) for rs, table in sorted(P.ops.items()) for key in table for out in table[key]]
     for (r, s), key, out in sample(terms, 8, name):
         bad = with_negated_bimodule_term(P, r, s, key, out)
         assert_same(verify_bimodule(bad, 3), dense_verify_bimodule(bad, 3))
     for d, key, out, _ in sample(iter_terms(cat), 4, name):
-        bad = diagonal_bimodule(with_negated_term(cat, d, key, out))
+        bad = DiagonalBimodule(with_negated_term(cat, d, key, out))
         assert_same(verify_bimodule(bad, 3), dense_verify_bimodule(bad, 3))
 
 
@@ -78,12 +78,12 @@ def test_diagonal_bimodule(name):
 def test_tensor_bimodule(name):
     cat = FIXTURES[name]()
     for K in cat.objects:
-        P = tensor_bimodule(yoneda_module(cat, K, LEFT), yoneda_module(cat, K, RIGHT))
+        P = TensorBimodule(YonedaModule(cat, K, LEFT), YonedaModule(cat, K, RIGHT))
         assert_same(verify_bimodule(P, 3), dense_verify_bimodule(P, 3))
     for d, key, out, _ in sample(iter_terms(cat), 3, name):
         bad = with_negated_term(cat, d, key, out)
         K = key[0].source
-        P = tensor_bimodule(yoneda_module(bad, K, LEFT), yoneda_module(bad, K, RIGHT))
+        P = TensorBimodule(YonedaModule(bad, K, LEFT), YonedaModule(bad, K, RIGHT))
         assert_same(verify_bimodule(P, 3), dense_verify_bimodule(P, 3))
 
 
@@ -101,13 +101,13 @@ def test_morphism_equation(name, n):
     K = phi.target.left.K
     for d, key, out, _ in sample(iter_terms(cat), 2, name):
         bad = with_negated_term(cat, d, key, out)
-        target = tensor_bimodule(yoneda_module(bad, K, LEFT), yoneda_module(bad, K, RIGHT))
-        bad_phi = BimoduleHom(diagonal_bimodule(bad), target, phi.n, phi.components)
+        target = TensorBimodule(YonedaModule(bad, K, LEFT), YonedaModule(bad, K, RIGHT))
+        bad_phi = BimoduleHom(DiagonalBimodule(bad), target, phi.n, phi.components)
         assert_same(verify_bimodule_hom(bad_phi, 3), dense_verify_bimodule_hom(bad_phi, 3))
     # and over F2, where the components reduce mod 2
     cat2 = with_ring(cat, "F2")
-    target = tensor_bimodule(yoneda_module(cat2, K, LEFT), yoneda_module(cat2, K, RIGHT))
-    phi2 = BimoduleHom(diagonal_bimodule(cat2), target, phi.n, phi.components)
+    target = TensorBimodule(YonedaModule(cat2, K, LEFT), YonedaModule(cat2, K, RIGHT))
+    phi2 = BimoduleHom(DiagonalBimodule(cat2), target, phi.n, phi.components)
     assert_same(verify_bimodule_hom(phi2, 3), dense_verify_bimodule_hom(phi2, 3))
 
 
@@ -117,4 +117,4 @@ def test_tuple_count_is_the_enumeration_count():
     cat = FIXTURES["split_summand_pair"]()
     assert tuple_count(cat, 6) == 35154
     assert tuple_count(cat, 8) == 878904
-    assert tuple_count(cat, 4, diagonal_bimodule(cat).elements()) == 33399
+    assert tuple_count(cat, 4, DiagonalBimodule(cat).elements()) == 33399
