@@ -169,11 +169,11 @@ def solve_homotopy(data: OpenClosedData) -> HomotopyWitness | Unsolvable | Ratio
     return HomotopyWitness(table=table)
 
 
-def verify_cardy_on_homology(data: OpenClosedData, degrees=None) -> VerificationReport:
+def verify_cardy_on_homology(data: OpenClosedData) -> VerificationReport:
     """Compare the two induced compositions on truncated homology.
 
-    Checks [mu o CC(phi)] = (-1)^(n(n+1)/2) [CO o OC] classwise in the
-    requested degrees of the word complex: the two induced matrices are
+    Checks [mu o CC(phi)] = (-1)^(n(n+1)/2) [CO o OC] classwise in
+    every degree of the word complex: the two induced matrices are
     compared column by column, one column per class generator, and a
     failing generator is reported as a chain with both coordinate tuples.
     """
@@ -182,10 +182,9 @@ def verify_cardy_on_homology(data: OpenClosedData, degrees=None) -> Verification
     hom_cx = data.mu_cc.target
     gsign = sign_formula("cardy_global", n=n)
 
-    degs = list(degrees) if degrees is not None else cc.degrees()
     violations = []
     checked = 0
-    for k in degs:
+    for k in cc.degrees():
         if not cc.basis.get(k):
             continue
         hs = cc.homology_data(k)

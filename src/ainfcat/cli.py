@@ -196,10 +196,12 @@ def cmd_generate(args) -> int:
     K = args.object
     if K not in cat.objects:
         raise CliError(f"unknown object {K!r}")
-    B = args.subcategory.split(",") if args.subcategory else list(cat.objects)
-    for obj in B:
+    B = args.subcategory.split(",") if args.subcategory is not None else list(cat.objects)
+    for i, obj in enumerate(B):
         if obj not in cat.objects:
             raise CliError(f"unknown subcategory object {obj!r}")
+        if obj in B[:i]:
+            raise CliError(f"subcategory object {obj!r} listed twice")
     if K not in cat.units:
         raise CliError(f"no unit chain declared for object {K!r}")
     e = cat.units[K]
@@ -390,11 +392,9 @@ def cmd_fixture(args) -> int:
     if args.name not in fixture_mod.FIXTURES:
         raise CliError(f"unknown fixture {args.name!r}; available: {sorted(fixture_mod.FIXTURES)}")
     cat = fixture_mod.FIXTURES[args.name]()
-    tables = []
-    for (fname, n) in fixture_mod.SHIPPED_MORPHISMS:
-        if fname == args.name:
-            phi = fixture_mod.coproduct_morphism(fname, n)
-            tables.append(morphism_to_json(f"coproduct_n{n}", fixture_mod.MORPHISM_BASE_OBJECT[fname], phi))
+    K = fixture_mod.MORPHISM_BASE_OBJECT.get(args.name)
+    morphisms = fixture_mod.coproduct_morphisms(args.name, cat)
+    tables = [morphism_to_json(f"coproduct_n{n}", K, phi) for n, phi in morphisms.items()]
     payload = json.dumps(category_to_json(cat, morphism_tables=tables or None), sort_keys=True, indent=2) + "\n"
     if args.output:
         _write(args.output, payload)

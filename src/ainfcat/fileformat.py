@@ -349,10 +349,10 @@ def load_category(data: bytes, ring: str | None = None) -> LoadedFile:
     units = {}
     for obj, chain in raw.get("units", {}).items():
         if obj not in obj_set:
-            raise InputError(f"unit for undeclared object {obj}", path="/units")
+            raise InputError(f"unit for undeclared object {obj}", path=f"/units/{obj}")
         units[obj] = {}
-        for t in chain:
-            _add_term(units[obj], _resolve(refs_index, t["generator"], f"/units/{obj}"), t["coefficient"])
+        for j, t in enumerate(chain):
+            _add_term(units[obj], _resolve(refs_index, t["generator"], f"/units/{obj}/{j}/generator"), t["coefficient"])
 
     try:
         cat = AinfCategory(objects=objects, hom=hom, mu=mu, ring=raw["ring"], units=units)
@@ -481,7 +481,7 @@ def _morphisms(entries: list, cat: AinfCategory, refs_index) -> dict[str, Bimodu
             raise InputError(f"duplicate morphism name {m['name']}", path=f"/morphisms/{i}/name")
         K = m["base_object"]
         if K not in cat.objects:
-            raise InputError(f"morphism base object {K} not declared", path=f"/morphisms/{i}")
+            raise InputError(f"morphism base object {K} not declared", path=f"/morphisms/{i}/base_object")
         comps: dict = {}
         for j, c in enumerate(m["components"]):
             path = f"/morphisms/{i}/components/{j}"
@@ -623,8 +623,8 @@ def load_certificate(data: bytes, cat: AinfCategory, digest: str):
         )
         _add_term(tau, w, t["coefficient"])
     h: dict = {}
-    for t in raw["h"]:
-        _add_term(h, _resolve(refs_index, t["generator"], "/h"), t["coefficient"])
+    for i, t in enumerate(raw["h"]):
+        _add_term(h, _resolve(refs_index, t["generator"], f"/h/{i}/generator"), t["coefficient"])
     return GenerationCertificate(
         verdict=raw["verdict"],
         K=raw["object"],

@@ -293,23 +293,35 @@ MORPHISM_BASE_OBJECT = {
 }
 
 
-def coproduct_morphism(fixture_name: str, n: int):
-    """A shipped degree-n morphism: diagonal bimodule -> Y^l_K (x) Y^r_K."""
+def coproduct_morphisms(fixture_name: str, cat: AinfCategory | None = None) -> dict:
+    """The shipped morphisms of a fixture by degree, all over `cat` (built
+    when None) with one diagonal source and one Y^l_K (x) Y^r_K target."""
     from .bimodules import LEFT, RIGHT, BimoduleHom, DiagonalBimodule, PairGen, TensorBimodule, YonedaModule
 
-    if (fixture_name, n) not in _MORPHISM_TABLES:
-        raise KeyError(f"no shipped morphism for {fixture_name} at degree {n}")
-    cat = FIXTURES[fixture_name]()
+    tables = {n: rows for (name, n), rows in sorted(_MORPHISM_TABLES.items()) if name == fixture_name}
+    if not tables:
+        return {}
+    cat = FIXTURES[fixture_name]() if cat is None else cat
     byname = {g.name: g for g in cat.generators()}
     K = MORPHISM_BASE_OBJECT[fixture_name]
     source = DiagonalBimodule(cat)
     target = TensorBimodule(YonedaModule(cat, K, LEFT), YonedaModule(cat, K, RIGHT))
-    comps: dict = {}
-    for r, s, key_names, (pn, qn), c in _MORPHISM_TABLES[(fixture_name, n)]:
-        key = tuple(byname[nm] for nm in key_names)
-        pg = PairGen(byname[pn], byname[qn])
-        comps.setdefault((r, s), {}).setdefault(key, {})[pg] = c
-    return BimoduleHom(source=source, target=target, n=n, components=comps)
+    built = {}
+    for n, rows in tables.items():
+        comps: dict = {}
+        for r, s, key_names, (pn, qn), c in rows:
+            key = tuple(byname[nm] for nm in key_names)
+            pg = PairGen(byname[pn], byname[qn])
+            comps.setdefault((r, s), {}).setdefault(key, {})[pg] = c
+        built[n] = BimoduleHom(source=source, target=target, n=n, components=comps)
+    return built
+
+
+def coproduct_morphism(fixture_name: str, n: int):
+    """A shipped degree-n morphism: diagonal bimodule -> Y^l_K (x) Y^r_K."""
+    if (fixture_name, n) not in _MORPHISM_TABLES:
+        raise KeyError(f"no shipped morphism for {fixture_name} at degree {n}")
+    return coproduct_morphisms(fixture_name)[n]
 
 
 SHIPPED_MORPHISMS = sorted(_MORPHISM_TABLES)

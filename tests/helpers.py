@@ -10,6 +10,10 @@ time, the way the homology comparisons did before the induced map became
 one sparse product.  `apply_mu` and `koszul_sign` are small conveniences
 that only the tests use, and `tensor_op_oracle` is the tensor bimodule's
 operation computed on the fly, the oracle for its tabulated `op`.
+`bar_differential_oracle` and `cc_of_delta_word_oracle` are the cyclic
+walks as they were written before both read the doubled word: the
+differential's non-wrapping blocks through `signed_blocks` and its
+wrapping blocks in a loop of their own, each with its own rotation sum.
 """
 
 from __future__ import annotations
@@ -17,9 +21,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
-from ainfcat.bimodules import Bimodule, BimoduleHom, PairGen, YonedaModule
+from ainfcat.bimodules import Bimodule, BimoduleHom, PairGen, TensorWord, YonedaModule
 from ainfcat.complexes import BasedComplex, GradedMap
-from ainfcat.core import AinfCategory, Gen, chain_add, chain_normalize, parity_sign
+from ainfcat.core import AinfCategory, Gen, chain_add, chain_normalize, parity_sign, rdeg, signed_blocks
 from ainfcat.intlinalg import IntMatrix, _kernel
 
 
@@ -155,3 +159,70 @@ def tensor_op_oracle(left: YonedaModule, right: YonedaModule, key: tuple, s: int
         for g, c in left.act((m.p,) + key[1:]).items():
             chain_add(out, {PairGen(g, m.q): sign * c})
     return chain_normalize(out, left.cat.ring)
+
+
+def bar_differential_oracle(cat: AinfCategory, word: tuple) -> dict:
+    """Hochschild differential of one cyclic word; never increases length."""
+    d = len(word)
+    out: dict = {}
+    red = [rdeg(g) for g in word]
+
+    def rsum(i, j):  # sum of reduced degrees of a_i..a_j, 1-indexed inclusive
+        return sum(red[i - 1 : j])
+
+    # non-wrapping blocks, replaced in place
+    for i, j, g, c, below in signed_blocks(word, lambda i, j: cat.mu_key(word[i:j]), ()):
+        chain_add(out, {word[:i] + (g,) + word[j:]: parity_sign(below + 1) * c})
+
+    # wrapping blocks (a_hi..a_d, a_1..a_lo); output goes to the last slot
+    for lo in range(1, d):
+        for hi in range(lo + 1, d + 1):
+            block = word[hi - 1 :] + word[:lo]
+            inner = cat.mu_key(block)
+            if not inner:
+                continue
+            sign = parity_sign(rsum(1, lo) * rsum(lo + 1, d) + rsum(lo + 1, hi - 1) + 1)
+            for g, c in inner.items():
+                new = word[lo : hi - 1] + (g,)
+                chain_add(out, {new: sign * c})
+
+    return chain_normalize(out, cat.ring)
+
+
+def cc_of_delta_word_oracle(phi: BimoduleHom, word: tuple) -> dict:
+    """Image of one cyclic word under the morphism-induced map on chains.
+
+    phi must go from the diagonal bimodule to a tensor bimodule
+    Y^l (x) Y^r; the output lives in the bar model of Y^r (x)_B Y^l, as
+    TensorWord chains.
+    """
+    d = len(word)
+    n = phi.n
+    red = [rdeg(g) for g in word]
+
+    def rsum(i, j):
+        return sum(red[i - 1 : j])
+
+    out: dict = {}
+    for s in range(0, d):
+        for r in range(0, d - s):
+            # block: s letters below the seam, the top letter, r letters above
+            key = word[d - 1 - s : d] + word[:r]
+            mid = word[r : d - 1 - s]
+            comp = phi.apply(key, s)
+            if not comp:
+                continue
+            # rotation cost of the left window past everything above it,
+            # the degree-n morphism passing the surviving letters, and the
+            # below-the-slot sum over all letters between the windows
+            diamond = (
+                rsum(1, r) * rsum(r + 1, d)
+                + n * rsum(r + 1, d - s - 1)
+                + rsum(r + 1, d - 1)
+            )
+            for pg, c in comp.items():
+                # pg.p is the hom(K, L_r) factor, pg.q the hom(L_{d-s-1}, K)
+                # one; the reorder sign moves pg.p past the letters and pg.q
+                circ = pg.p.degree * (pg.q.degree + rsum(r + 1, d - s - 1))
+                chain_add(out, {TensorWord(pg.p, mid, pg.q): parity_sign(diamond + circ) * c})
+    return chain_normalize(out, phi.source.cat.ring)

@@ -885,3 +885,90 @@ def test_repeated_certificate_term_counts_twice(tmp_path, field):
     loaded = load_category(path.read_bytes())
     got = load_certificate(json.dumps(raw).encode(), loaded.category, loaded.digest)
     assert list(getattr(got, field).values())[0] == 2 * entry["coefficient"]
+
+
+@pytest.mark.parametrize("names, message", [
+    ("", "unknown subcategory object ''"),
+    ("L,", "unknown subcategory object ''"),
+    ("L,L", "subcategory object 'L' listed twice"),
+    ("K,L,K", "subcategory object 'K' listed twice"),
+])
+def test_cli_generate_refuses_empty_or_repeated_subcategory_names(tmp_path, capsys, names, message):
+    # '' used to stand for every object and L,L was reported as ["L", "L"]
+    path = tmp_path / "split.json"
+    path.write_bytes(dump(split_summand_pair()))
+    cert = tmp_path / "split.cert.json"
+    argv = ["generate", str(path), "--object", "K", "--subcategory", names, "--max-length", "1", "--emit", str(cert)]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"error: {message}" in err
+    assert not cert.exists()
+
+
+def _split_with_morphism() -> dict:
+    phi = coproduct_morphism("split_summand_pair", 0)
+    return category_to_json(split_summand_pair(), morphism_tables=[morphism_to_json("coproduct_n0", "K", phi)])
+
+
+def _with(raw: dict, edit) -> dict:
+    edit(raw)
+    return raw
+
+
+@pytest.mark.parametrize(
+    "raw, path",
+    [
+        (_with(category_to_json(split_summand_pair()), lambda raw: raw["units"].update(Q=raw["units"]["K"])), "/units/Q"),
+        (
+            _with(category_to_json(split_summand_pair()), lambda raw: raw["units"]["K"].append(
+                {"generator": ["K", "K", "nowhere"], "coefficient": 1}
+            )),
+            "/units/K/1/generator",
+        ),
+        (_with(_split_with_morphism(), lambda raw: raw["morphisms"][0].update(base_object="Q")), "/morphisms/0/base_object"),
+    ],
+    ids=["unit-for-undeclared-object", "undeclared-unit-generator", "undeclared-base-object"],
+)
+def test_input_error_points_at_the_bad_value(tmp_path, capsys, raw, path):
+    cat_path = tmp_path / "cat.json"
+    cat_path.write_text(json.dumps(raw))
+    assert cli.main(["validate", str(cat_path)]) == 2
+    assert f"input error: {path}: " in capsys.readouterr().err
+
+
+def test_certificate_error_points_at_the_undeclared_h_generator(tmp_path, capsys):
+    path = tmp_path / "split.json"
+    path.write_bytes(dump(split_summand_pair()))
+    cert = tmp_path / "split.cert.json"
+    args = ["--object", "K", "--subcategory", "L", "--max-length", "1", "--emit", str(cert)]
+    assert cli.main(["generate", str(path), *args]) == 0
+    raw = json.loads(cert.read_text())
+    raw["h"].append({"generator": ["K", "K", "nowhere"], "coefficient": 1})
+    cert.write_text(json.dumps(raw))
+    capsys.readouterr()
+    assert cli.main(["generate", str(path), "--object", "K", "--replay", str(cert)]) == 2
+    assert f"input error: /h/{len(raw['h']) - 1}/generator: " in capsys.readouterr().err
+
+
+def test_cli_fixture_builds_the_category_and_tensor_target_once(tmp_path, monkeypatch):
+    from ainfcat import bimodules, fixtures
+
+    builds = {"category": 0, "target": 0}
+    make = FIXTURES["cone_algebra"]
+    tensor_init = bimodules.TensorBimodule.__init__
+
+    def counted_make():
+        builds["category"] += 1
+        return make()
+
+    def counted_init(self, *args, **kwargs):
+        builds["target"] += 1
+        tensor_init(self, *args, **kwargs)
+
+    monkeypatch.setitem(fixtures.FIXTURES, "cone_algebra", counted_make)
+    monkeypatch.setattr(bimodules.TensorBimodule, "__init__", counted_init)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["fixture", "cone_algebra", "-o", str(tmp_path / "cone.json")]) == 0
+    assert builds == {"category": 1, "target": 1}
+    assert len(json.loads((tmp_path / "cone.json").read_text())["morphisms"]) == 3

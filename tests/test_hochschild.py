@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
-from helpers import rational_rank, zero_map
+from helpers import bar_differential_oracle, cc_of_delta_word_oracle, rational_rank, zero_map
 
 from ainfcat.bimodules import LEFT, RIGHT, BimoduleHom, YonedaModule, tensor_over_category
 from ainfcat.complexes import GradedMap, verify_chain_map
-from ainfcat.core import chain_add, chain_normalize, cyclic_tuples, with_ring
+from ainfcat.core import RING_F2, RING_Z, chain_add, chain_normalize, cyclic_tuples, with_ring
 from ainfcat.fixtures import (
+    FIXTURES,
     SHIPPED_MORPHISMS,
     cone_algebra,
     coproduct_morphism,
@@ -88,6 +91,27 @@ def test_b_never_increases_length_and_raises_degree(make):
             for w1 in bar_differential(cat, word):
                 assert len(w1) <= len(word)
                 assert word_degree(w1) == word_degree(word) + 1
+
+
+def items_and_lookups(walk, stand_in, word):
+    """The terms of walk(stand_in(log), word) in insertion order, and the
+    lookups the walk logged on its stand-in."""
+    log = []
+    return list(walk(stand_in(log), word).items()), log
+
+
+@pytest.mark.parametrize("ring", [RING_Z, RING_F2])
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_bar_differential_equals_the_two_loop_oracle(name, ring):
+    cat = with_ring(FIXTURES[name](), ring)
+
+    def stand_in(log):
+        return SimpleNamespace(ring=ring, mu_key=lambda key: log.append(key) or cat.mu_key(key))
+
+    for d in range(1, 6):
+        for word in cyclic_tuples(cat, d):
+            new = items_and_lookups(bar_differential, stand_in, word)
+            assert new == items_and_lookups(bar_differential_oracle, stand_in, word), word
 
 
 def test_truncated_cc_validates():
@@ -195,6 +219,19 @@ def test_cc_of_delta_is_chain_map(key):
     )
     f = cc_of_delta(phi, cc, tensor_cx)  # raises ChainMapViolation on failure
     assert f.shift == n
+
+
+@pytest.mark.parametrize("key", SHIPPED_MORPHISMS)
+def test_cc_of_delta_word_equals_the_rsum_oracle(key):
+    phi = coproduct_morphism(*key)
+
+    def stand_in(log):
+        return SimpleNamespace(n=phi.n, source=phi.source, apply=lambda k, s: log.append((k, s)) or phi.apply(k, s))
+
+    for d in range(1, 6):
+        for word in cyclic_tuples(phi.source.cat, d):
+            new = items_and_lookups(cc_of_delta_word, stand_in, word)
+            assert new == items_and_lookups(cc_of_delta_word_oracle, stand_in, word), word
 
 
 def test_cc_of_delta_zero_morphism():
