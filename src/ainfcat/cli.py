@@ -20,6 +20,7 @@ from .bimodules import (
     LEFT,
     RIGHT,
     DiagonalBimodule,
+    PairGen,
     YonedaModule,
     tensor_over_category,
     verify_bimodule,
@@ -38,11 +39,11 @@ from .complexes import GradedMap
 from .core import RING_Z, morphism_depth, relation_depth, verify_ainf
 from .fileformat import (
     InputError,
+    _pointer,
     category_to_json,
     certificate_to_json,
     load_category,
     load_certificate,
-    load_morphism,
     morphism_to_json,
 )
 from .generation import NotACycle, generation_test, replay_certificate, verify_cohomological_unit
@@ -137,7 +138,7 @@ def cmd_validate(args) -> int:
         try:
             ur = verify_cohomological_unit(cat, obj, cat.units[obj])
         except NotACycle as err:
-            raise InputError(str(err), path=f"/units/{obj}")
+            raise InputError(str(err), path=_pointer("units", obj))
         report["checks"][f"unit[{obj}]"] = {"passed": ur.passed}
         if not ur.passed:
             witnesses += [str(f) for f in ur.failures[:3]]
@@ -223,7 +224,7 @@ def cmd_generate(args) -> int:
     try:
         cert = generation_test(cat, B, K, e, args.max_length)
     except NotACycle as err:
-        raise InputError(str(err), path=f"/units/{K}")
+        raise InputError(str(err), path=_pointer("units", K))
     except ValueError as err:
         raise CliError(str(err), code=EXIT_FAIL)
     report = {
@@ -261,7 +262,9 @@ def cmd_cardy(args) -> int:
     maps = None if args.telescoping else loaded.cardy_maps
     if maps is not None and name != loaded.raw["cardy"]["morphism"]:
         raise InputError(f"the chain maps are for morphism {loaded.raw['cardy']['morphism']}", path="/cardy/morphism")
-    phi = load_morphism(loaded, name)
+    phi = loaded.morphisms.get(name)
+    if phi is None:
+        raise InputError(f"no morphism named {name} in file", path="/morphisms")
     if not verify_ainf(cat, relation_depth(cat)).passed:
         raise CliError("category fails the structure relations", code=EXIT_FAIL)
     mr = verify_bimodule_hom(phi, max_inputs=morphism_depth(cat, phi.components))
@@ -392,9 +395,18 @@ def cmd_fixture(args) -> int:
     if args.name not in fixture_mod.FIXTURES:
         raise CliError(f"unknown fixture {args.name!r}; available: {sorted(fixture_mod.FIXTURES)}")
     cat = fixture_mod.FIXTURES[args.name]()
-    K = fixture_mod.MORPHISM_BASE_OBJECT.get(args.name)
-    morphisms = fixture_mod.coproduct_morphisms(args.name, cat)
-    tables = [morphism_to_json(f"coproduct_n{n}", K, phi) for n, phi in morphisms.items()]
+    # the shipped morphisms' tables, names resolved, written without building
+    # a bimodule: loading the file builds and checks them
+    byname = {g.name: g for g in cat.generators()}
+    tables = []
+    for fixture, n in fixture_mod.SHIPPED_MORPHISMS:
+        if fixture == args.name:
+            comps: dict = {}
+            for r, s, key, (p, q), c in fixture_mod._MORPHISM_TABLES[(fixture, n)]:
+                chain = comps.setdefault((r, s), {}).setdefault(tuple(byname[x] for x in key), {})
+                chain[PairGen(byname[p], byname[q])] = c
+            K = fixture_mod.MORPHISM_BASE_OBJECT[fixture]
+            tables.append(morphism_to_json(f"coproduct_n{n}", K, n, comps))
     payload = json.dumps(category_to_json(cat, morphism_tables=tables or None), sort_keys=True, indent=2) + "\n"
     if args.output:
         _write(args.output, payload)

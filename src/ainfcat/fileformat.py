@@ -8,7 +8,10 @@ closed map data for the consistency checker.  The schema below is the
 published contract; generator references are [source, target, name]
 triples.  Everything the schema cannot express (referential integrity,
 composability, degree rules) is checked structurally right after
-validation and reported with JSON-pointer-style paths.
+validation and reported with JSON pointers (RFC 6901: a name holding
+`~` or `/` is escaped).  `_morphisms` is the one reader that turns
+component tables into morphisms; the shipped fixtures' morphisms come
+in through it too.
 """
 
 from __future__ import annotations
@@ -28,223 +31,88 @@ from .intlinalg import NotAComplex
 FORMAT_TAG = "ainfcat-category/1"
 CERT_TAG = "ainfcat-certificate/1"
 
-_GEN_REF = {
-    "type": "array",
-    "minItems": 3,
-    "maxItems": 3,
-    "prefixItems": [{"type": "string"}, {"type": "string"}, {"type": "string"}],
-}
+_STR = {"type": "string"}
+_INT = {"type": "integer"}
 
-_CHAIN = {
-    "type": "array",
-    "items": {
+
+def _closed(*, optional=(), **properties) -> dict:
+    """An object with exactly these properties, each required unless optional."""
+    required = [name for name in properties if name not in optional]
+    return {
         "type": "object",
-        "required": ["generator", "coefficient"],
-        "properties": {"generator": _GEN_REF, "coefficient": {"type": "integer"}},
+        **({"required": required} if required else {}),
         "additionalProperties": False,
-    },
-}
+        "properties": properties,
+    }
+
+
+def _array(items, **bounds) -> dict:
+    return {"type": "array", "items": items, **bounds}
+
+
+_GEN_REF = {"type": "array", "minItems": 3, "maxItems": 3, "prefixItems": [_STR] * 3}
+_CHAIN = _array(_closed(generator=_GEN_REF, coefficient=_INT))
+_NAMED = _closed(name=_STR, degree=_INT)
 
 CATEGORY_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "required": ["format", "ring", "objects", "hom"],
-    "additionalProperties": False,
-    "properties": {
-        "format": {"const": FORMAT_TAG},
-        "ring": {"enum": [RING_Z, RING_F2]},
-        "objects": {"type": "array", "items": {"type": "string"}, "minItems": 1},
-        "hom": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["source", "target", "generators"],
-                "additionalProperties": False,
-                "properties": {
-                    "source": {"type": "string"},
-                    "target": {"type": "string"},
-                    "generators": {
-                        "type": "array",
-                        "items": {
-                            "type": "object",
-                            "required": ["name", "degree"],
-                            "additionalProperties": False,
-                            "properties": {"name": {"type": "string"}, "degree": {"type": "integer"}},
-                        },
-                    },
-                },
-            },
-        },
-        "operations": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["arity", "terms"],
-                "additionalProperties": False,
-                "properties": {
-                    "arity": {"type": "integer", "minimum": 1},
-                    "terms": {
-                        "type": "array",
-                        "items": {
-                            "type": "object",
-                            "required": ["inputs", "output", "coefficient"],
-                            "additionalProperties": False,
-                            "properties": {
-                                "inputs": {"type": "array", "items": _GEN_REF},
-                                "output": _GEN_REF,
-                                "coefficient": {"type": "integer"},
-                            },
-                        },
-                    },
-                },
-            },
-        },
-        "units": {"type": "object", "additionalProperties": _CHAIN},
-        "morphisms": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["name", "base_object", "degree", "components"],
-                "additionalProperties": False,
-                "properties": {
-                    "name": {"type": "string"},
-                    "base_object": {"type": "string"},
-                    "degree": {"type": "integer"},
-                    "components": {
-                        "type": "array",
-                        "items": {
-                            "type": "object",
-                            "required": ["left_inputs", "right_inputs", "inputs", "output_left", "output_right", "coefficient"],
-                            "additionalProperties": False,
-                            "properties": {
-                                "left_inputs": {"type": "integer", "minimum": 0},
-                                "right_inputs": {"type": "integer", "minimum": 0},
-                                "inputs": {"type": "array", "items": _GEN_REF},
-                                "output_left": _GEN_REF,
-                                "output_right": _GEN_REF,
-                                "coefficient": {"type": "integer"},
-                            },
-                        },
-                    },
-                },
-            },
-        },
-        "cardy": {
-            "type": "object",
-            "required": ["morphism", "degree"],
-            "additionalProperties": False,
-            "properties": {
-                "morphism": {"type": "string"},
-                "degree": {"type": "integer"},
-                "closed_complex": {
-                    "type": "object",
-                    "required": ["basis", "differential"],
-                    "additionalProperties": False,
-                    "properties": {
-                        "basis": {
-                            "type": "array",
-                            "items": {
-                                "type": "object",
-                                "required": ["name", "degree"],
-                                "additionalProperties": False,
-                                "properties": {"name": {"type": "string"}, "degree": {"type": "integer"}},
-                            },
-                        },
-                        "differential": {
-                            "type": "array",
-                            "items": {
-                                "type": "object",
-                                "required": ["input", "output", "coefficient"],
-                                "additionalProperties": False,
-                                "properties": {
-                                    "input": {"type": "string"},
-                                    "output": {"type": "string"},
-                                    "coefficient": {"type": "integer"},
-                                },
-                            },
-                        },
-                    },
-                },
-                "chain_maps": {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "properties": {
-                        "oc": {
-                            "type": "array",
-                            "items": {
-                                "type": "object",
-                                "required": ["word", "output", "coefficient"],
-                                "additionalProperties": False,
-                                "properties": {
-                                    "word": {"type": "array", "items": _GEN_REF},
-                                    "output": {"type": "string"},
-                                    "coefficient": {"type": "integer"},
-                                },
-                            },
-                        },
-                        "co": {
-                            "type": "array",
-                            "items": {
-                                "type": "object",
-                                "required": ["input", "output", "coefficient"],
-                                "additionalProperties": False,
-                                "properties": {
-                                    "input": {"type": "string"},
-                                    "output": _GEN_REF,
-                                    "coefficient": {"type": "integer"},
-                                },
-                            },
-                        },
-                        "homotopy": {
-                            "type": "array",
-                            "items": {
-                                "type": "object",
-                                "required": ["word", "output", "coefficient"],
-                                "additionalProperties": False,
-                                "properties": {
-                                    "word": {"type": "array", "items": _GEN_REF},
-                                    "output": _GEN_REF,
-                                    "coefficient": {"type": "integer"},
-                                },
-                            },
-                        },
-                    },
-                },
-            },
-        },
-    },
+    **_closed(
+        optional=("operations", "units", "morphisms", "cardy"),
+        format={"const": FORMAT_TAG},
+        ring={"enum": [RING_Z, RING_F2]},
+        objects=_array(_STR, minItems=1),
+        hom=_array(_closed(source=_STR, target=_STR, generators=_array(_NAMED))),
+        operations=_array(_closed(
+            arity={"type": "integer", "minimum": 1},
+            terms=_array(_closed(inputs=_array(_GEN_REF), output=_GEN_REF, coefficient=_INT)),
+        )),
+        units={"type": "object", "additionalProperties": _CHAIN},
+        morphisms=_array(_closed(
+            name=_STR,
+            base_object=_STR,
+            degree=_INT,
+            components=_array(_closed(
+                left_inputs={"type": "integer", "minimum": 0},
+                right_inputs={"type": "integer", "minimum": 0},
+                inputs=_array(_GEN_REF),
+                output_left=_GEN_REF,
+                output_right=_GEN_REF,
+                coefficient=_INT,
+            )),
+        )),
+        cardy=_closed(
+            optional=("closed_complex", "chain_maps"),
+            morphism=_STR,
+            degree=_INT,
+            closed_complex=_closed(
+                basis=_array(_NAMED),
+                differential=_array(_closed(input=_STR, output=_STR, coefficient=_INT)),
+            ),
+            chain_maps=_closed(
+                optional=("oc", "co", "homotopy"),
+                oc=_array(_closed(word=_array(_GEN_REF), output=_STR, coefficient=_INT)),
+                co=_array(_closed(input=_STR, output=_GEN_REF, coefficient=_INT)),
+                homotopy=_array(_closed(word=_array(_GEN_REF), output=_GEN_REF, coefficient=_INT)),
+            ),
+        ),
+    ),
 }
 
 CERTIFICATE_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "required": ["format", "verdict", "object", "subcategory", "max_length", "tau", "h"],
-    "additionalProperties": False,
-    "properties": {
-        "format": {"const": CERT_TAG},
-        "verdict": {"enum": ["generated", "inconclusive", "refuted-at-bound"]},
-        "object": {"type": "string"},
-        "subcategory": {"type": "array", "items": {"type": "string"}},
-        "max_length": {"type": "integer", "minimum": 0},
-        "category_digest": {"type": "string"},
-        "rational_only": {"type": "boolean"},
-        "detail": {"type": "string"},
-        "tau": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["q", "letters", "p", "coefficient"],
-                "additionalProperties": False,
-                "properties": {
-                    "q": _GEN_REF,
-                    "letters": {"type": "array", "items": _GEN_REF},
-                    "p": _GEN_REF,
-                    "coefficient": {"type": "integer"},
-                },
-            },
-        },
-        "h": _CHAIN,
-    },
+    **_closed(
+        optional=("category_digest", "rational_only", "detail"),
+        format={"const": CERT_TAG},
+        verdict={"enum": ["generated", "inconclusive", "refuted-at-bound"]},
+        object=_STR,
+        subcategory=_array(_STR),
+        max_length={"type": "integer", "minimum": 0},
+        category_digest=_STR,
+        rational_only={"type": "boolean"},
+        detail=_STR,
+        tau=_array(_closed(q=_GEN_REF, letters=_array(_GEN_REF), p=_GEN_REF, coefficient=_INT)),
+        h=_CHAIN,
+    ),
 }
 
 
@@ -275,13 +143,17 @@ def file_digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _pointer(*tokens) -> str:
+    """The JSON pointer to these keys and indices, escaped as RFC 6901 says."""
+    return "/" + "/".join(str(t).replace("~", "~0").replace("/", "~1") for t in tokens)
+
+
 def _schema_check(instance, schema):
     validator = jsonschema.Draft202012Validator(schema)
     errors = sorted(validator.iter_errors(instance), key=lambda e: list(e.absolute_path))
     if errors:
         err = errors[0]
-        path = "/" + "/".join(str(p) for p in err.absolute_path)
-        raise InputError(err.message, path=path)
+        raise InputError(err.message, path=_pointer(*err.absolute_path))
 
 
 def _add_term(chain: dict, g, coefficient: int) -> None:
@@ -349,10 +221,11 @@ def load_category(data: bytes, ring: str | None = None) -> LoadedFile:
     units = {}
     for obj, chain in raw.get("units", {}).items():
         if obj not in obj_set:
-            raise InputError(f"unit for undeclared object {obj}", path=f"/units/{obj}")
+            raise InputError(f"unit for undeclared object {obj}", path=_pointer("units", obj))
         units[obj] = {}
         for j, t in enumerate(chain):
-            _add_term(units[obj], _resolve(refs_index, t["generator"], f"/units/{obj}/{j}/generator"), t["coefficient"])
+            g = _resolve(refs_index, t["generator"], _pointer("units", obj, j, "generator"))
+            _add_term(units[obj], g, t["coefficient"])
 
     try:
         cat = AinfCategory(objects=objects, hom=hom, mu=mu, ring=raw["ring"], units=units)
@@ -500,13 +373,6 @@ def _morphisms(entries: list, cat: AinfCategory, refs_index) -> dict[str, Bimodu
     return built
 
 
-def load_morphism(loaded: LoadedFile, name: str) -> BimoduleHom:
-    """The file's coproduct-type morphism of that name."""
-    if name not in loaded.morphisms:
-        raise InputError(f"no morphism named {name} in file", path="/morphisms")
-    return loaded.morphisms[name]
-
-
 # ---------------------------------------------------------------------------
 # writers
 
@@ -555,11 +421,12 @@ def category_to_json(cat: AinfCategory, morphism_tables=None) -> dict:
     return out
 
 
-def morphism_to_json(name: str, K: str, phi) -> dict:
+def morphism_to_json(name: str, K: str, n: int, components: dict) -> dict:
+    """A morphism entry from component tables (r, s) -> key -> {PairGen: c}."""
     comps = []
-    for (r, s) in sorted(phi.components):
-        for key in sorted(phi.components[(r, s)], key=str):
-            for pg, c in sorted(phi.components[(r, s)][key].items(), key=str):
+    for (r, s) in sorted(components):
+        for key in sorted(components[(r, s)], key=str):
+            for pg, c in sorted(components[(r, s)][key].items(), key=str):
                 comps.append(
                     {
                         "left_inputs": r,
@@ -570,7 +437,7 @@ def morphism_to_json(name: str, K: str, phi) -> dict:
                         "coefficient": c,
                     }
                 )
-    return {"name": name, "base_object": K, "degree": phi.n, "components": comps}
+    return {"name": name, "base_object": K, "degree": n, "components": comps}
 
 
 def certificate_to_json(cert, digest: str) -> dict:

@@ -219,10 +219,12 @@ FIXTURES = {
 }
 
 
-# Coproduct-type morphisms from the diagonal bimodule to Y^l (x) Y^r,
-# solved exactly against the morphism equation (components up to two
-# category inputs, certified in the tests).  Entries are
-# (r, s, input names in boundary order, (p name, q name), coefficient).
+# Coproduct-type morphisms from the diagonal bimodule to Y^l_K (x) Y^r_K,
+# K = MORPHISM_BASE_OBJECT[fixture], solved exactly against the morphism
+# equation (components up to two category inputs, certified in the tests).
+# Entries are (r, s, input names in boundary order, (p name, q name),
+# coefficient).  `ainfcat fixture` writes the degree-n table as the file's
+# morphism coproduct_n<n>, and fileformat builds it when the file loads.
 _MORPHISM_TABLES = {
     ("ground_ring", 0): [
         (0, 0, ("e",), ("e", "e"), 1),
@@ -291,37 +293,6 @@ MORPHISM_BASE_OBJECT = {
     "cone_algebra": OBJ,
     "split_summand_pair": "K",
 }
-
-
-def coproduct_morphisms(fixture_name: str, cat: AinfCategory | None = None) -> dict:
-    """The shipped morphisms of a fixture by degree, all over `cat` (built
-    when None) with one diagonal source and one Y^l_K (x) Y^r_K target."""
-    from .bimodules import LEFT, RIGHT, BimoduleHom, DiagonalBimodule, PairGen, TensorBimodule, YonedaModule
-
-    tables = {n: rows for (name, n), rows in sorted(_MORPHISM_TABLES.items()) if name == fixture_name}
-    if not tables:
-        return {}
-    cat = FIXTURES[fixture_name]() if cat is None else cat
-    byname = {g.name: g for g in cat.generators()}
-    K = MORPHISM_BASE_OBJECT[fixture_name]
-    source = DiagonalBimodule(cat)
-    target = TensorBimodule(YonedaModule(cat, K, LEFT), YonedaModule(cat, K, RIGHT))
-    built = {}
-    for n, rows in tables.items():
-        comps: dict = {}
-        for r, s, key_names, (pn, qn), c in rows:
-            key = tuple(byname[nm] for nm in key_names)
-            pg = PairGen(byname[pn], byname[qn])
-            comps.setdefault((r, s), {}).setdefault(key, {})[pg] = c
-        built[n] = BimoduleHom(source=source, target=target, n=n, components=comps)
-    return built
-
-
-def coproduct_morphism(fixture_name: str, n: int):
-    """A shipped degree-n morphism: diagonal bimodule -> Y^l_K (x) Y^r_K."""
-    if (fixture_name, n) not in _MORPHISM_TABLES:
-        raise KeyError(f"no shipped morphism for {fixture_name} at degree {n}")
-    return coproduct_morphisms(fixture_name)[n]
 
 
 SHIPPED_MORPHISMS = sorted(_MORPHISM_TABLES)

@@ -14,17 +14,51 @@ operation computed on the fly, the oracle for its tabulated `op`.
 walks as they were written before both read the doubled word: the
 differential's non-wrapping blocks through `signed_blocks` and its
 wrapping blocks in a loop of their own, each with its own rotation sum.
+`shipped` loads a fixture's file as `ainfcat fixture` writes it, once per
+fixture; the tests take the shipped morphisms from it, so they come in
+through the one loader, `fileformat._morphisms`.
 """
 
 from __future__ import annotations
 
+import contextlib
+import copy
+import functools
+import io
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
+from ainfcat import cli
 from ainfcat.bimodules import Bimodule, BimoduleHom, PairGen, TensorWord, YonedaModule
 from ainfcat.complexes import BasedComplex, GradedMap
 from ainfcat.core import AinfCategory, Gen, chain_add, chain_normalize, parity_sign, rdeg, signed_blocks
+from ainfcat.fileformat import LoadedFile, load_category
 from ainfcat.intlinalg import IntMatrix, _kernel
+
+
+@functools.cache
+def shipped(fixture: str) -> LoadedFile:
+    """The fixture's file as `ainfcat fixture` writes it, loaded.  Every
+    caller shares the result: copy `raw` before editing it (`shipped_raw`)."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(["fixture", fixture]) == 0
+    return load_category(out.getvalue().encode())
+
+
+def shipped_morphism(fixture: str, n: int) -> BimoduleHom:
+    """The fixture's shipped degree-n morphism, as its file declares it."""
+    return shipped(fixture).morphisms[f"coproduct_n{n}"]
+
+
+def shipped_raw(fixture: str, n: int | None = None, name: str = "m") -> dict:
+    """A fresh copy of the fixture's file; with `n`, its only morphism is
+    coproduct_n<n>, renamed `name`."""
+    raw = copy.deepcopy(shipped(fixture).raw)
+    if n is not None:
+        (entry,) = [m for m in raw["morphisms"] if m["name"] == f"coproduct_n{n}"]
+        raw["morphisms"] = [dict(entry, name=name)]
+    return raw
 
 
 def with_negated_term(cat: AinfCategory, d: int, key: tuple, out_gen: Gen) -> AinfCategory:

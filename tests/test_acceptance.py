@@ -14,7 +14,7 @@ import subprocess
 import sys
 import time
 
-from helpers import disc_facet_count_closed_form, iter_terms, rational_rank, with_negated_term
+from helpers import disc_facet_count_closed_form, iter_terms, rational_rank, shipped_morphism, with_negated_term
 
 from ainfcat.bimodules import LEFT, RIGHT, TensorWord, YonedaModule, tensor_over_category
 from ainfcat.cardy import HomotopyWitness, mu_cc_map, telescoping_data, verify_cardy_on_homology, verify_homotopy_equation
@@ -22,7 +22,6 @@ from ainfcat.core import chain_add, chain_normalize, cyclic_tuples, verify_ainf
 from ainfcat.fileformat import category_to_json
 from ainfcat.fixtures import (
     FIXTURES,
-    coproduct_morphism,
     dual_numbers,
     ground_ring,
     split_summand_pair,
@@ -276,7 +275,7 @@ def test_criterion_6_cardy_telescoping():
         ("dual_numbers", 2), ("cone_algebra", 2),
     ]
     for fixture, n in configs:
-        phi = coproduct_morphism(fixture, n)
+        phi = shipped_morphism(fixture, n)
         cat = phi.source.cat
         K = phi.target.left.K
         cc = truncated_cc(cat, 3)
@@ -290,7 +289,7 @@ def test_criterion_6_cardy_telescoping():
             problems.append(f"homology comparison {fixture} n={n}")
     # the global sign genuinely discriminates: at n = 2 the negated
     # closed-to-open map passes only the signed comparison
-    phi = coproduct_morphism("even_dual_numbers", 2)
+    phi = shipped_morphism("even_dual_numbers", 2)
     cat = phi.source.cat
     cc = truncated_cc(cat, 3)
     tcx = tensor_over_category(YonedaModule(cat, "*", RIGHT), YonedaModule(cat, "*", LEFT), 3)

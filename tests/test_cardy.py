@@ -4,7 +4,7 @@ homology-level comparison."""
 from __future__ import annotations
 
 import pytest
-from helpers import coordinate_columns, induced_by_generators, zero_map
+from helpers import coordinate_columns, induced_by_generators, shipped_morphism, zero_map
 
 from ainfcat import cardy, cli, intlinalg
 from ainfcat.bimodules import (
@@ -25,14 +25,14 @@ from ainfcat.cardy import (
     verify_homotopy_equation,
 )
 from ainfcat.complexes import GradedMap
-from ainfcat.fixtures import SHIPPED_MORPHISMS, coproduct_morphism
+from ainfcat.fixtures import SHIPPED_MORPHISMS
 from ainfcat.hochschild import cc_of_delta, truncated_cc
 from ainfcat.intlinalg import RationalOnly, Unsolvable
 from ainfcat.strata import sign_formula
 
 
 def setup(fixture, n, N=3):
-    phi = coproduct_morphism(fixture, n)
+    phi = shipped_morphism(fixture, n)
     cat = phi.source.cat
     K = phi.target.left.K
     cc = truncated_cc(cat, N)

@@ -167,10 +167,10 @@ def test_f2_ring_verifies():
 
 def test_lookups_are_read_only_and_leave_the_tables_unchanged():
     from ainfcat.bimodules import LEFT, RIGHT, YonedaModule, tensor_over_category
-    from ainfcat.fixtures import coproduct_morphism
+    from helpers import shipped_morphism
     from ainfcat.hochschild import truncated_cc
 
-    phi = coproduct_morphism("cone_algebra", 0)
+    phi = shipped_morphism("cone_algebra", 0)
     cat = phi.source.cat
 
     def snapshot():

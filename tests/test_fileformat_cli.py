@@ -3,30 +3,31 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import subprocess
 import sys
 
 import pytest
-from helpers import iter_terms, with_negated_term
+from helpers import iter_terms, shipped, shipped_morphism, shipped_raw, with_negated_term
 
 from ainfcat import cli
 from ainfcat.cli import parse_space
 from ainfcat.core import chain_normalize, verify_ainf, with_ring
 from ainfcat.fileformat import (
+    CATEGORY_SCHEMA,
+    CERTIFICATE_SCHEMA,
     InputError,
     category_to_json,
     file_digest,
     load_category,
     load_certificate,
-    load_morphism,
     morphism_to_json,
 )
 from ainfcat.fixtures import (
     FIXTURES,
     cone_algebra,
-    coproduct_morphism,
     dual_numbers,
     ground_ring,
     split_summand_pair,
@@ -63,13 +64,23 @@ def test_fixture_round_trip(name):
 
 
 def test_morphism_round_trip():
-    phi = coproduct_morphism("cone_algebra", 1)
-    cat = phi.source.cat
-    tables = [morphism_to_json("m1", "*", phi)]
-    loaded = load_category(dump(cat, morphisms=tables))
-    phi2 = load_morphism(loaded, "m1")
-    assert phi2.n == 1
-    assert phi2.components.keys() == phi.components.keys()
+    # every loaded morphism writes back to its file entry
+    loaded = shipped("cone_algebra")
+    for entry in loaded.raw["morphisms"]:
+        phi = loaded.morphisms[entry["name"]]
+        assert morphism_to_json(entry["name"], entry["base_object"], phi.n, phi.components) == entry
+
+
+@pytest.mark.parametrize(
+    "schema, digest",
+    [
+        (CATEGORY_SCHEMA, "ac67cf17181d0f470157f41a5564e7dae4423961b21a09d0ae4b49f003b2cad1"),
+        (CERTIFICATE_SCHEMA, "87929942157e1e084556b801e6b100c1b59ed90a11037e01560951c2e7e2930f"),
+    ],
+    ids=["category", "certificate"],
+)
+def test_published_schemas_are_pinned(schema, digest):
+    assert hashlib.sha256(json.dumps(schema, sort_keys=True).encode()).hexdigest() == digest
 
 
 def test_undeclared_generator_rejected():
@@ -216,7 +227,7 @@ def test_cli_cardy_chain_map_tables(tmp_path):
     from ainfcat.complexes import compose
     from ainfcat.hochschild import cc_of_delta, truncated_cc
 
-    phi = coproduct_morphism("dual_numbers", 1)
+    phi = shipped_morphism("dual_numbers", 1)
     cat = phi.source.cat
     cc = truncated_cc(cat, 2)
     tcx = tensor_over_category(YonedaModule(cat, "*", "right"), YonedaModule(cat, "*", "left"), 2)
@@ -239,7 +250,7 @@ def test_cli_cardy_chain_map_tables(tmp_path):
         for k in hom_cx.degrees()
         for g in hom_cx.basis[k]
     ]
-    raw = category_to_json(cat, morphism_tables=[morphism_to_json("m", "*", phi)])
+    raw = shipped_raw("dual_numbers", 1)
     raw["cardy"] = {
         "morphism": "m",
         "degree": 1,
@@ -326,10 +337,10 @@ def test_cli_generate_checks_every_tuple_with_a_pair_of_terms(tmp_path, capsys):
 
 def test_cli_cardy_checks_the_structure_relations(tmp_path, capsys):
     # one mu^2 term negated: the relations fail, not only the morphism
-    phi = coproduct_morphism("cone_algebra", 1)
-    cat = phi.source.cat
+    cat = shipped("cone_algebra").category
     d, key, out, _ = next(t for t in iter_terms(cat) if t[0] == 2)
-    raw = category_to_json(with_negated_term(cat, d, key, out), morphism_tables=[morphism_to_json("m", "*", phi)])
+    tables = shipped_raw("cone_algebra", 1)["morphisms"]
+    raw = category_to_json(with_negated_term(cat, d, key, out), morphism_tables=tables)
     path = tmp_path / "cone.json"
     path.write_text(json.dumps(raw))
     assert cli.main(["cardy", str(path), "--morphism", "m", "--max-length", "2"]) == 1
@@ -377,9 +388,7 @@ def test_cli_validate_f2_rejects_half_of_a_unit(tmp_path):
 def test_cli_validate_f2_checks_morphisms_mod_2(tmp_path):
     # one coefficient of coproduct_n1 negated: a different morphism over Z,
     # the same one mod 2
-    raw = category_to_json(dual_numbers(), morphism_tables=[
-        morphism_to_json("m", "*", coproduct_morphism("dual_numbers", 1))
-    ])
+    raw = shipped_raw("dual_numbers", 1)
     del raw["units"]
     raw["morphisms"][0]["components"][0]["coefficient"] *= -1
     path = tmp_path / "dn.json"
@@ -439,8 +448,7 @@ def test_cli_validate_unit_not_a_cycle_exit_2(tmp_path, capsys):
 
 
 def test_cli_cardy_undeclared_generator_exit_2(tmp_path, capsys):
-    phi = coproduct_morphism("dual_numbers", 1)
-    raw = category_to_json(phi.source.cat, morphism_tables=[morphism_to_json("m", "*", phi)])
+    raw = shipped_raw("dual_numbers", 1)
     raw["cardy"] = {
         "morphism": "m",
         "degree": 1,
@@ -464,8 +472,7 @@ def test_cli_cardy_undeclared_generator_exit_2(tmp_path, capsys):
 )
 def test_cli_cardy_section_must_match_its_morphism(tmp_path, capsys, section, path):
     # m has degree 1; the section must name a declared morphism and its degree
-    phi = coproduct_morphism("dual_numbers", 1)
-    raw = category_to_json(phi.source.cat, morphism_tables=[morphism_to_json("m", "*", phi)])
+    raw = shipped_raw("dual_numbers", 1)
     raw["cardy"] = section
     cat_path = tmp_path / "cardy.json"
     cat_path.write_text(json.dumps(raw))
@@ -476,16 +483,15 @@ def test_cli_cardy_section_must_match_its_morphism(tmp_path, capsys, section, pa
 
 def _split_with_component(component: dict) -> dict:
     """split_summand_pair with one more component on its coproduct_n0."""
-    raw = category_to_json(split_summand_pair(), morphism_tables=[
-        morphism_to_json("coproduct_n0", "K", coproduct_morphism("split_summand_pair", 0))
-    ])
+    raw = shipped_raw("split_summand_pair")
     raw["morphisms"][0]["components"].append(component)
     return raw
 
 
 def _dual_numbers_with_two_morphisms_named_m() -> dict:
-    tables = [morphism_to_json("m", "*", coproduct_morphism("dual_numbers", n)) for n in (1, 0)]
-    return category_to_json(dual_numbers(), morphism_tables=tables)
+    raw = shipped_raw("dual_numbers")
+    raw["morphisms"] = [dict(m, name="m") for m in raw["morphisms"]]
+    return raw
 
 
 @pytest.mark.parametrize(
@@ -519,9 +525,8 @@ def test_cli_malformed_morphism_exit_2(tmp_path, capsys, raw, path):
 def test_cli_cardy_chain_maps_refuse_another_morphism(tmp_path, capsys):
     # the file's chain maps are for m; running them against m2 is an input
     # error, while the telescoping configuration may use any morphism
-    phi = coproduct_morphism("dual_numbers", 1)
-    tables = [morphism_to_json("m", "*", phi), morphism_to_json("m2", "*", phi)]
-    raw = category_to_json(phi.source.cat, morphism_tables=tables)
+    raw = shipped_raw("dual_numbers", 1)
+    raw["morphisms"].append(dict(raw["morphisms"][0], name="m2"))
     raw["cardy"] = {
         "morphism": "m",
         "degree": 1,
@@ -572,8 +577,7 @@ def test_cli_cardy_bad_closed_complex_exit_2(tmp_path, capsys, monkeypatch, clos
         raise AssertionError("mu_cc_map called on a file with a bad closed complex")
 
     monkeypatch.setattr(cli, "mu_cc_map", not_reached)
-    phi = coproduct_morphism("dual_numbers", 1)
-    raw = category_to_json(phi.source.cat, morphism_tables=[morphism_to_json("m", "*", phi)])
+    raw = shipped_raw("dual_numbers", 1)
     raw["cardy"] = {"morphism": "m", "degree": 1, "closed_complex": closed, "chain_maps": {"oc": [], "co": []}}
     cat_path = tmp_path / "cardy.json"
     cat_path.write_text(json.dumps(raw))
@@ -595,8 +599,7 @@ def test_cli_cardy_verifies_each_chain_map_once(tmp_path, monkeypatch):
     monkeypatch.setattr(hochschild, "verify_chain_map", counting)
     monkeypatch.setattr(cardy, "verify_chain_map", counting)
     path = tmp_path / "cone.json"
-    phi = coproduct_morphism("cone_algebra", 1)
-    path.write_bytes(dump(phi.source.cat, morphisms=[morphism_to_json("m", "*", phi)]))
+    path.write_text(json.dumps(shipped_raw("cone_algebra", 1)))
     argv = ["cardy", str(path), "--morphism", "m", "--max-length", "2", "--solve"]
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0
@@ -605,8 +608,7 @@ def test_cli_cardy_verifies_each_chain_map_once(tmp_path, monkeypatch):
 
 def _dual_numbers_cardy(closed: dict, chain_maps: dict) -> dict:
     """dual_numbers with its degree-1 coproduct m and a cardy section."""
-    phi = coproduct_morphism("dual_numbers", 1)
-    raw = category_to_json(phi.source.cat, morphism_tables=[morphism_to_json("m", "*", phi)])
+    raw = shipped_raw("dual_numbers", 1)
     raw["cardy"] = {"morphism": "m", "degree": 1, "closed_complex": closed, "chain_maps": chain_maps}
     return raw
 
@@ -621,8 +623,7 @@ Z_TO_C = {  # z -> c; oc(e) = z or co(c) = eps breaks the chain-map rule
 
 def _split_cardy_co_off_K() -> dict:
     # co sends c into hom(K, L), not hom(K, K)
-    phi = coproduct_morphism("split_summand_pair", 0)
-    raw = category_to_json(phi.source.cat, morphism_tables=[morphism_to_json("m", "K", phi)])
+    raw = shipped_raw("split_summand_pair", 0)
     raw["cardy"] = {
         "morphism": "m",
         "degree": 0,
@@ -685,9 +686,7 @@ def test_cli_cardy_refuses_an_f2_file(tmp_path, capsys, monkeypatch):
         raise AssertionError("truncated_cc called on an F2 file")
 
     monkeypatch.setattr(cli, "truncated_cc", not_reached)
-    raw = category_to_json(dual_numbers(), morphism_tables=[
-        morphism_to_json("m", "*", coproduct_morphism("dual_numbers", 1))
-    ])
+    raw = shipped_raw("dual_numbers", 1)
     raw["ring"] = "F2"
     path = tmp_path / "f2.json"
     path.write_text(json.dumps(raw))
@@ -698,8 +697,7 @@ def test_cli_cardy_refuses_an_f2_file(tmp_path, capsys, monkeypatch):
 def test_cli_cardy_checks_the_morphism_to_its_longest_component(tmp_path, capsys):
     # a (2, 2) component eps^5 -> eps (x) eps breaks the morphism equation
     # only at r + s = 5, past the 3 a fixed bound would check
-    phi = coproduct_morphism("dual_numbers", 1)
-    raw = category_to_json(dual_numbers(), morphism_tables=[morphism_to_json("coproduct_n1", "*", phi)])
+    raw = shipped_raw("dual_numbers", 1, name="coproduct_n1")
     raw["morphisms"][0]["components"].append({
         "left_inputs": 2, "right_inputs": 2, "inputs": [EPS] * 5,
         "output_left": EPS, "output_right": EPS, "coefficient": 1,
@@ -836,11 +834,10 @@ def test_repeated_unit_term_counts_twice(tmp_path, capsys):
 
 
 def test_repeated_morphism_component_counts_twice():
-    phi = coproduct_morphism("split_summand_pair", 0)
-    raw = category_to_json(phi.source.cat, morphism_tables=[morphism_to_json("m", "K", phi)])
+    raw = shipped_raw("split_summand_pair", 0)
     first = raw["morphisms"][0]["components"][0]
     raw["morphisms"][0]["components"].append(dict(first))
-    loaded = load_morphism(load_category(json.dumps(raw).encode()), "m")
+    loaded = load_category(json.dumps(raw).encode()).morphisms["m"]
     chain = chain_at(loaded.components[(first["left_inputs"], first["right_inputs"])], first["inputs"])
     pairs = {(pg.p.name, pg.q.name): c for pg, c in chain.items()}
     assert pairs[(first["output_left"][2], first["output_right"][2])] == 2 * first["coefficient"]
@@ -906,11 +903,6 @@ def test_cli_generate_refuses_empty_or_repeated_subcategory_names(tmp_path, caps
     assert not cert.exists()
 
 
-def _split_with_morphism() -> dict:
-    phi = coproduct_morphism("split_summand_pair", 0)
-    return category_to_json(split_summand_pair(), morphism_tables=[morphism_to_json("coproduct_n0", "K", phi)])
-
-
 def _with(raw: dict, edit) -> dict:
     edit(raw)
     return raw
@@ -926,15 +918,38 @@ def _with(raw: dict, edit) -> dict:
             )),
             "/units/K/1/generator",
         ),
-        (_with(_split_with_morphism(), lambda raw: raw["morphisms"][0].update(base_object="Q")), "/morphisms/0/base_object"),
+        (_with(shipped_raw("split_summand_pair"), lambda raw: raw["morphisms"][0].update(base_object="Q")), "/morphisms/0/base_object"),
+        # names are escaped as RFC 6901 says: / as ~1, ~ as ~0
+        (_with(category_to_json(split_summand_pair()), lambda raw: raw["units"].update({"a/b": raw["units"]["K"]})),
+         "/units/a~1b"),
+        (
+            _with(category_to_json(split_summand_pair()), lambda raw: raw["units"].update({
+                "x~1": [{"generator": ["K", "K", "eK"], "coefficient": "one"}]
+            })),
+            "/units/x~01/0/coefficient",
+        ),
     ],
-    ids=["unit-for-undeclared-object", "undeclared-unit-generator", "undeclared-base-object"],
+    ids=["unit-for-undeclared-object", "undeclared-unit-generator", "undeclared-base-object",
+         "undeclared-object-with-a-slash", "schema-error-under-a-key-with-a-tilde"],
 )
 def test_input_error_points_at_the_bad_value(tmp_path, capsys, raw, path):
     cat_path = tmp_path / "cat.json"
     cat_path.write_text(json.dumps(raw))
     assert cli.main(["validate", str(cat_path)]) == 2
     assert f"input error: {path}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv", [["validate"], ["generate", "--object", "a/b", "--subcategory", "L"]], ids=["validate", "generate"]
+)
+def test_cli_unit_not_a_cycle_escapes_the_object_name(tmp_path, capsys, argv):
+    # split_summand_pair with K renamed a/b, whose unit f1 is not a cycle of hom(a/b, a/b)
+    raw = json.loads(json.dumps(category_to_json(split_summand_pair())).replace('"K"', '"a/b"'))
+    raw["units"]["a/b"] = [{"generator": ["a/b", "L", "f1"], "coefficient": 1}]
+    path = tmp_path / "unit.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main([argv[0], str(path), *argv[1:]]) == 2
+    assert "input error: /units/a~1b: " in capsys.readouterr().err
 
 
 def test_certificate_error_points_at_the_undeclared_h_generator(tmp_path, capsys):
@@ -952,23 +967,28 @@ def test_certificate_error_points_at_the_undeclared_h_generator(tmp_path, capsys
 
 
 def test_cli_fixture_builds_the_category_and_tensor_target_once(tmp_path, monkeypatch):
+    # the category once, and no bimodule or morphism at all: `fixture` writes
+    # the component tables, and loading the file builds the morphisms
     from ainfcat import bimodules, fixtures
 
-    builds = {"category": 0, "target": 0}
+    builds = {"category": 0, "bimodule": 0, "morphism": 0}
     make = FIXTURES["cone_algebra"]
-    tensor_init = bimodules.TensorBimodule.__init__
 
     def counted_make():
         builds["category"] += 1
         return make()
 
-    def counted_init(self, *args, **kwargs):
-        builds["target"] += 1
-        tensor_init(self, *args, **kwargs)
+    def counted(kind, init):
+        def wrapped(self, *args, **kwargs):
+            builds[kind] += 1
+            init(self, *args, **kwargs)
+
+        return wrapped
 
     monkeypatch.setitem(fixtures.FIXTURES, "cone_algebra", counted_make)
-    monkeypatch.setattr(bimodules.TensorBimodule, "__init__", counted_init)
+    monkeypatch.setattr(bimodules.Bimodule, "__init__", counted("bimodule", bimodules.Bimodule.__init__))
+    monkeypatch.setattr(bimodules.BimoduleHom, "__init__", counted("morphism", bimodules.BimoduleHom.__init__))
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["fixture", "cone_algebra", "-o", str(tmp_path / "cone.json")]) == 0
-    assert builds == {"category": 1, "target": 1}
+    assert builds == {"category": 1, "bimodule": 0, "morphism": 0}
     assert len(json.loads((tmp_path / "cone.json").read_text())["morphisms"]) == 3

@@ -5,7 +5,7 @@ from __future__ import annotations
 from types import SimpleNamespace
 
 import pytest
-from helpers import bar_differential_oracle, cc_of_delta_word_oracle, rational_rank, zero_map
+from helpers import bar_differential_oracle, cc_of_delta_word_oracle, rational_rank, shipped_morphism, zero_map
 
 from ainfcat.bimodules import LEFT, RIGHT, BimoduleHom, YonedaModule, tensor_over_category
 from ainfcat.complexes import GradedMap, verify_chain_map
@@ -14,7 +14,6 @@ from ainfcat.fixtures import (
     FIXTURES,
     SHIPPED_MORPHISMS,
     cone_algebra,
-    coproduct_morphism,
     dual_numbers,
     ground_ring,
     path_category,
@@ -202,7 +201,7 @@ def test_shipped_morphisms_verify(key):
     from ainfcat.bimodules import verify_bimodule_hom
 
     name, n = key
-    phi = coproduct_morphism(name, n)
+    phi = shipped_morphism(name, n)
     report = verify_bimodule_hom(phi, max_inputs=3)
     assert report.passed, (key, str(report))
 
@@ -210,7 +209,7 @@ def test_shipped_morphisms_verify(key):
 @pytest.mark.parametrize("key", SHIPPED_MORPHISMS)
 def test_cc_of_delta_is_chain_map(key):
     name, n = key
-    phi = coproduct_morphism(name, n)
+    phi = shipped_morphism(name, n)
     cat = phi.source.cat
     K = phi.target.left.K
     cc = truncated_cc(cat, 3)
@@ -223,7 +222,7 @@ def test_cc_of_delta_is_chain_map(key):
 
 @pytest.mark.parametrize("key", SHIPPED_MORPHISMS)
 def test_cc_of_delta_word_equals_the_rsum_oracle(key):
-    phi = coproduct_morphism(*key)
+    phi = shipped_morphism(*key)
 
     def stand_in(log):
         return SimpleNamespace(n=phi.n, source=phi.source, apply=lambda k, s: log.append((k, s)) or phi.apply(k, s))
@@ -253,7 +252,7 @@ def test_cc_of_delta_zero_morphism():
 
 
 def test_cc_of_delta_ground_ring_identity_like():
-    phi = coproduct_morphism("ground_ring", 0)
+    phi = shipped_morphism("ground_ring", 0)
     cat = phi.source.cat
     e = gen_named(cat, "e")
     img = cc_of_delta_word(phi, (e, e))
@@ -263,7 +262,7 @@ def test_cc_of_delta_ground_ring_identity_like():
 
 
 def test_cc_of_delta_mutation_raises():
-    phi = coproduct_morphism("cone_algebra", 0)
+    phi = shipped_morphism("cone_algebra", 0)
     # flip one component coefficient (component tables are read-only, so
     # rebuild the morphism from a mutated copy)
     comps = {rs: {k: dict(v) for k, v in t.items()} for rs, t in phi.components.items()}

@@ -13,11 +13,12 @@ import contextlib
 import io
 
 import pytest
+from helpers import shipped_morphism
 
 from ainfcat import cli
 from ainfcat.bimodules import LEFT, RIGHT, DiagonalBimodule, TensorBimodule, YonedaModule
 from ainfcat.complexes import BasedComplex
-from ainfcat.fixtures import FIXTURES, SHIPPED_MORPHISMS, coproduct_morphism
+from ainfcat.fixtures import FIXTURES, SHIPPED_MORPHISMS
 
 
 def kinds(labels) -> set:
@@ -54,7 +55,7 @@ def test_every_complex_has_one_label_type(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("name,n", SHIPPED_MORPHISMS)
 def test_every_term_table_has_one_label_type(name, n):
-    phi = coproduct_morphism(name, n)
+    phi = shipped_morphism(name, n)
     cat = phi.source.cat
     tables = list(cat.mu.values()) + list(DiagonalBimodule(cat).ops.values()) + list(phi.components.values())
     for K in cat.objects:

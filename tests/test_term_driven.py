@@ -13,7 +13,7 @@ import random
 
 import pytest
 from dense_verifiers import dense_verify_ainf, dense_verify_bimodule, dense_verify_bimodule_hom
-from helpers import iter_terms, with_negated_bimodule_term, with_negated_term
+from helpers import iter_terms, shipped_morphism, with_negated_bimodule_term, with_negated_term
 
 from ainfcat.bimodules import (
     LEFT,
@@ -26,7 +26,7 @@ from ainfcat.bimodules import (
     verify_bimodule_hom,
 )
 from ainfcat.core import tuple_count, verify_ainf, with_ring
-from ainfcat.fixtures import FIXTURES, SHIPPED_MORPHISMS, coproduct_morphism
+from ainfcat.fixtures import FIXTURES, SHIPPED_MORPHISMS
 
 
 def as_data(report):
@@ -89,7 +89,7 @@ def test_tensor_bimodule(name):
 
 @pytest.mark.parametrize("name,n", SHIPPED_MORPHISMS)
 def test_morphism_equation(name, n):
-    phi = coproduct_morphism(name, n)
+    phi = shipped_morphism(name, n)
     assert_same(verify_bimodule_hom(phi, 4), dense_verify_bimodule_hom(phi, 4))
     for rs, table in sorted(phi.components.items()):
         for key, chain in table.items():
