@@ -43,7 +43,7 @@ from .generation import (
     replay_certificate,
     verify_cohomological_unit,
 )
-from .hochschild import bar_differential, cc_of_delta, hochschild_homology, truncated_cc
+from .hochschild import cc_of_delta, hochschild_homology, truncated_cc
 from .intlinalg import FinAbGroup, IntMatrix, SmithDecomposition, smith_normal_form, solve_integer
 from .strata import SpaceId, StratumLabel, dimension, enumerate_codim1, sign_formula, strata_term_bijection
 

@@ -1,10 +1,11 @@
 """Labelled chain complexes and graded maps between them.
 
 A BasedComplex carries an ordered basis of hashable labels per degree and
-materializes dict-valued differentials into integer matrices, so homology
-questions reduce to intlinalg.  A GradedMap is a matrix the same way: each
-image is computed once, and matrix(k) feeds every solve and homology
-comparison.  The commutation convention for a map f of degree `shift` is
+an integer matrix per degree for its differential, so homology questions
+reduce to intlinalg; the differential is given label by label, and
+materialized into matrices, or by the matrices themselves.  A GradedMap
+is a matrix the same way: each image is computed once, and matrix(k)
+feeds every solve and homology comparison.  The commutation convention for a map f of degree `shift` is
 
     d_target o f == (-1)^shift * f o d_source
 
@@ -25,14 +26,15 @@ from .intlinalg import FinAbGroup, HomologyData, IntMatrix, NotAComplex, f2_rank
 class BasedComplex:
     """Cochain complex with explicit labelled bases.
 
-    `basis[k]` is an ordered list of labels; `d` sends a label to a chain
-    (dict label -> coefficient) in the next degree.  The differential is a
-    GradedMap of degree 1, so its chains and matrices are cached there;
-    validate() checks d o d = 0 exactly (mod 2 over F2) and raises
-    NotAComplex where it fails.
+    `basis[k]` is an ordered list of labels.  The differential is a
+    GradedMap of degree 1, given either label by label, `d` sending a label
+    to a chain (dict label -> coefficient) in the next degree, with its
+    chains and matrices cached there, or by its matrices (from_matrices),
+    diff_chain then reading a label's column.  validate() checks
+    d o d = 0 exactly (mod 2 over F2) and raises NotAComplex where it fails.
     """
 
-    def __init__(self, basis: dict[int, list], d: Callable[[object], Mapping], ring: str = "Z"):
+    def __init__(self, basis: dict[int, list], d: Callable[[object], Mapping] | None, ring: str = "Z"):
         self.ring = ring
         self.basis = {k: list(v) for k, v in sorted(basis.items()) if v}
         self.index = {k: {label: i for i, label in enumerate(v)} for k, v in self.basis.items()}
@@ -41,6 +43,20 @@ class BasedComplex:
         # held by weak proxies: a complex that referred to itself through its
         # differential would outlive its last use until the cyclic collector ran
         self._differential = GradedMap(proxy(self), proxy(self), 1, d, name="differential")
+
+    @classmethod
+    def from_matrices(cls, basis: dict[int, list], matrices: Mapping[int, IntMatrix], ring: str = "Z") -> BasedComplex:
+        """The complex whose differential leaving degree k is matrices[k], a
+        column per label of basis[k] and a row per label of basis[k + 1]; a
+        degree without a matrix has zero differential."""
+        cx = cls(basis, None, ring=ring)
+        for k in cx.degrees():
+            shape = (cx.dim(k + 1), cx.dim(k))
+            M = matrices[k] if k in matrices else IntMatrix.zeros(*shape)
+            if (M.rows, M.cols) != shape:
+                raise ValueError(f"the degree-{k} matrix is {M.rows}x{M.cols}, its bases need {shape[0]}x{shape[1]}")
+            cx._differential._matrices[k] = M
+        return cx
 
     def degrees(self) -> list[int]:
         return sorted(self.basis)
@@ -92,17 +108,20 @@ class BasedComplex:
 @dataclass
 class GradedMap:
     """A degree-`shift` linear map between two BasedComplexes, label to
-    chain; each image and each matrix(k) is computed once."""
+    chain; each image and each matrix(k) is computed once.  A map with no
+    `apply` is given by its matrices, and chain reads a label's column."""
 
     source: BasedComplex
     target: BasedComplex
     shift: int
-    apply: Callable[[object], Mapping]
+    apply: Callable[[object], Mapping] | None
     name: str = "map"
     _chains: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _matrices: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def chain(self, label) -> Mapping:
+        if self.apply is None:
+            return self._column(label)
         cached = self._chains.get(label)
         if cached is None:
             # keyed by the target basis's own label objects, not the equal
@@ -111,6 +130,14 @@ class GradedMap:
             chain = chain_normalize(dict(self.apply(label)), self.target.ring)
             cached = self._chains[label] = MappingProxyType({labels.get(g, g): c for g, c in chain.items()})
         return cached
+
+    def _column(self, label) -> dict:
+        for k, index in self.source.index.items():
+            j = index.get(label)
+            if j is not None:
+                out = self.target.basis.get(k + self.shift, [])
+                return {out[i]: c for i, c in self.matrix(k).column_entries(j).items()}
+        raise KeyError(f"{self.name}: {label!r} is not a basis label of its source")
 
     def matrix(self, k: int) -> IntMatrix:
         """Column j is the image of source.basis[k][j] in the target's basis

@@ -117,10 +117,15 @@ CERTIFICATE_SCHEMA = {
 
 
 class InputError(Exception):
-    """Schema or referential failure in an input file (exit code 2)."""
+    """Schema or referential failure in an input file (exit code 2).
 
-    def __init__(self, message, path=""):
-        super().__init__(f"{path}: {message}" if path else message)
+    `path` is the JSON pointer to the failing value, or None where there is
+    none (the file is not JSON); the root's pointer "" is shown quoted.
+    """
+
+    def __init__(self, message, path: str | None = None):
+        where = path or '""'
+        super().__init__(message if path is None else f"{where}: {message}")
         self.path = path
 
 
@@ -145,7 +150,7 @@ def file_digest(data: bytes) -> str:
 
 def _pointer(*tokens) -> str:
     """The JSON pointer to these keys and indices, escaped as RFC 6901 says."""
-    return "/" + "/".join(str(t).replace("~", "~0").replace("/", "~1") for t in tokens)
+    return "".join("/" + str(t).replace("~", "~0").replace("/", "~1") for t in tokens)
 
 
 def _schema_check(instance, schema):

@@ -8,7 +8,27 @@ distinguished: it carries plain degree while the others carry the bar
 shift, so the integer grading is deg(a_d) + sum_{i<d} (deg(a_i) - 1).
 Words are not identified under rotation.
 
-Both maps out of a cyclic word of length d apply an operation to
+The differential is built from the mu terms, not word by word.  With
+r(x) the sum of the reduced degrees of a tuple x, every term
+mu(key) = ... + c * g + ... lands in the cyclic words of the truncation
+in two ways:
+
+* in place: the word pre + key + suf, where suf + pre is a composable
+  path from the target of key to its source, goes to pre + (g,) + suf
+  with sign (-1)^(r(pre) + 1);
+* across the seam: for every split key = tail + head into two nonempty
+  parts, the word head + mid + tail, where mid is a composable path from
+  the target of head to the source of tail, goes to mid + (g,) (the
+  output takes the distinguished slot) with sign
+  (-1)^(r(head) * (r(mid) + r(tail)) + r(mid) + 1).
+
+Every block of cyclically consecutive letters of a word is met exactly
+once this way, so this is the per-word rule below read term first; in
+particular b on a single letter is -mu^1.  One table of composable paths
+per pair of objects and length, each with its sum r, gives the paths,
+and its closed paths are the cyclic words themselves.
+
+Per word, both maps out of a cyclic word of length d apply an operation to
 cyclically consecutive blocks: the blocks twice[a:end] of the doubled
 word twice = word + word, 0 <= a < d and a < end <= a + d, of which
 lo = max(0, end - d) letters wrap past the seam.  With B the prefix sums
@@ -19,10 +39,12 @@ of the reduced degrees (T = B[d]), the one rotation parity is
 the Koszul cost of rotating word[:lo] past the rest plus the degrees it
 moves.
 
-* The differential applies mu to every block exactly once and puts the
-  output g in word[lo:a] + (g,) + word[end:] (the distinguished slot when
-  the block ends there or wraps) with sign (-1)^(rho(lo) + B[a] + 1); in
-  particular b on a single letter is minus the differential.
+* The differential puts the output g of a block in
+  word[lo:a] + (g,) + word[end:] with sign (-1)^(rho(lo) + B[a] + 1).
+  For lo = 0 this is the in-place rule with r(pre) = B[a]; for lo > 0,
+  head = word[:lo], mid = word[lo:a] and tail = word[a:], and
+  rho(lo) + B[a] = B[lo] * (T - B[lo]) + 2 B[lo] + r(mid) gives the
+  rule across the seam.
 * The induced map of a degree-n bimodule morphism reads only the blocks
   through the distinguished slot, twice[a:d+lo], as its component with
   s = d - 1 - a letters below the seam and r = lo above.  A term p (x) q
@@ -56,7 +78,7 @@ from itertools import accumulate
 
 from .bimodules import BimoduleHom, DiagonalBimodule, TensorBimodule, TensorWord
 from .complexes import BasedComplex, GradedMap, induced_rank_mod_2, verify_chain_map
-from .core import RING_F2, AinfCategory, chain_add, chain_normalize, cyclic_tuples, parity_sign, rdeg
+from .core import RING_F2, AinfCategory, chain_add, chain_normalize, parity_sign, rdeg
 from .intlinalg import FinAbGroup, HomologyData, IntMatrix, smith_normal_form
 
 CyclicWord = tuple  # tuple[Gen, ...] in boundary order, distinguished slot last
@@ -86,33 +108,85 @@ def _doubled(word: CyclicWord) -> tuple[CyclicWord, list[int], list[int]]:
     return word + word, B, [B[lo] * (T - B[lo]) + B[lo] for lo in range(len(word))]
 
 
-def bar_differential(cat: AinfCategory, word: CyclicWord) -> dict:
-    """Hochschild differential of one cyclic word; never increases length."""
-    d = len(word)
-    twice, B, rho = _doubled(word)
-    out: dict = {}
-    for lo in range(d):
-        for a in range(lo, d):
-            # a block that wraps ends lo letters past the seam
-            for end in range(a + 1, d + 1) if lo == 0 else (d + lo,):
-                inner = cat.mu_key(twice[a:end])
-                if not inner:
-                    continue
-                sign = parity_sign(rho[lo] + B[a] + 1)
-                for g, c in inner.items():
-                    chain_add(out, {word[lo:a] + (g,) + word[end:]: sign * c})
-    return chain_normalize(out, cat.ring)
+def _path_table(cat: AinfCategory, max_length: int) -> list[dict]:
+    """table[L][(s, t)]: every composable L-tuple of generators from s to t,
+    with the sum of its reduced degrees; table[0] holds the empty path at
+    every object a generator touches.  At L = max_length, where only the
+    cyclic words are read, it holds the closed paths alone."""
+    by_source: dict[str, list] = {}
+    for g in cat.generators():
+        by_source.setdefault(g.source, []).append((g, rdeg(g)))
+    objects = {x for gens in by_source.values() for g, _ in gens for x in (g.source, g.target)}
+    table = [{(x, x): [((), 0)] for x in objects}]
+    for length in range(1, max_length + 1):
+        longer: dict = {}
+        for (s, t), paths in table[-1].items():
+            for g, r in by_source.get(t, ()):
+                if length < max_length or g.target == s:
+                    longer.setdefault((s, g.target), []).extend((path + (g,), rp + r) for path, rp in paths)
+        table.append(longer)
+    return table
+
+
+def _terms(cat: AinfCategory, table: list[dict], max_length: int):
+    """(word, output word, signed coefficient) for every term of mu on every
+    block of every cyclic word of length <= max_length (module docstring)."""
+    for m, mu in cat.mu.items():
+        for key, chain in mu.items():
+            outputs = list(chain.items())
+            rkey = sum(map(rdeg, key))
+            for length in range(max_length - m + 1):
+                # in place: suf + pre runs from the key's target to its source
+                for path, r in table[length].get((key[-1].target, key[0].source), ()):
+                    rsuf = 0
+                    for p in range(length + 1):
+                        pre, suf = path[p:], path[:p]
+                        word = pre + key + suf
+                        sign = parity_sign(r - rsuf + 1)
+                        for g, c in outputs:
+                            yield word, pre + (g,) + suf, sign * c
+                        if p < length:
+                            rsuf += rdeg(path[p])
+            for q in range(1, m):
+                # across the seam: key = tail + head, word = head + mid + tail
+                tail, head = key[:q], key[q:]
+                rhead = sum(map(rdeg, head))
+                for length in range(max_length - m + 1):
+                    for mid, r in table[length].get((head[-1].target, tail[0].source), ()):
+                        word = head + mid + tail
+                        sign = parity_sign(rhead * (rkey - rhead + r) + r + 1)
+                        for g, c in outputs:
+                            yield word, mid + (g,), sign * c
 
 
 def truncated_cc(cat: AinfCategory, max_length: int) -> BasedComplex:
-    """The cyclic bar complex truncated to words of length <= max_length."""
+    """The cyclic bar complex truncated to words of length <= max_length.
+
+    The basis is the closed paths of the path table; the differential's
+    matrices are written term by term (module docstring), summed, and
+    reduced mod 2 over F2.
+    """
+    table = _path_table(cat, max_length)
     basis: dict[int, list] = {}
     for d in range(1, max_length + 1):
-        for word in cyclic_tuples(cat, d):
-            basis.setdefault(word_degree(word), []).append(word)
-    for k in basis:
-        basis[k].sort()
-    cx = BasedComplex(basis, lambda w: bar_differential(cat, w), ring=cat.ring)
+        for (s, t), paths in table[d].items():
+            if s == t:
+                for word, r in paths:
+                    basis.setdefault(r - 2 * d + 1, []).append(word)
+    where = {}
+    for k, words in basis.items():
+        words.sort()
+        where.update((word, (k, j)) for j, word in enumerate(words))
+    rows = {k: [{} for _ in basis.get(k + 1, ())] for k in basis}
+    for word, out, c in _terms(cat, table, max_length):
+        k, j = where[word]
+        row = rows[k][where[out][1]]
+        row[j] = row.get(j, 0) + c
+    matrices = {
+        k: IntMatrix.from_rows([chain_normalize(row, cat.ring) for row in rows.pop(k)], len(words))
+        for k, words in basis.items()
+    }
+    cx = BasedComplex.from_matrices(basis, matrices, ring=cat.ring)
     cx.validate()
     return cx
 
@@ -158,13 +232,20 @@ def _spans(M: IntMatrix, hd: HomologyData) -> bool:
 def length_filter(cx: BasedComplex, max_length: int) -> BasedComplex:
     """The subcomplex of a truncation spanned by words of length <= max_length.
 
-    The differential never increases length, so the filtered basis is
-    closed under it; it reuses the parent's differential cache and is not
-    validated again (the parent's validate() already checked d o d on every
-    word it keeps).
+    The differential never increases length, so the kept words span a
+    subcomplex, whose matrices are the parent's restricted to the kept rows
+    and columns.  It is not validated again (the parent's validate()
+    already checked d o d on every word it keeps).
     """
-    basis = {k: [w for w in words if len(w) <= max_length] for k, words in cx.basis.items()}
-    return BasedComplex(basis, cx.diff_chain, ring=cx.ring)
+    keep = {k: [j for j, w in enumerate(words) if len(w) <= max_length] for k, words in cx.basis.items()}
+    matrices = {}
+    for k, cols in keep.items():
+        new = {j: n for n, j in enumerate(cols)}
+        entries = cx.matrix(k).entries
+        rows = [{new[j]: c for j, c in entries[i].items() if j in new} for i in keep.get(k + 1, ())]
+        matrices[k] = IntMatrix.from_rows(rows, len(cols))
+    basis = {k: [cx.basis[k][j] for j in cols] for k, cols in keep.items()}
+    return BasedComplex.from_matrices(basis, matrices, ring=cx.ring)
 
 
 def hochschild_homology(cat: AinfCategory, max_length: int, degrees=None) -> HochschildResult:

@@ -173,6 +173,10 @@ class IntMatrix:
     def transpose(self) -> "IntMatrix":
         return IntMatrix.from_rows(_transposed(self.entries, self.cols), self.rows)
 
+    def column_entries(self, j: int) -> dict:
+        """The nonzero entries of column j, by row."""
+        return self._sparse_columns()[j]
+
     def column(self, j: int) -> list[int]:
         out = [0] * self.rows
         for i, a in self._sparse_columns()[j].items():

@@ -10,8 +10,12 @@ time, the way the homology comparisons did before the induced map became
 one sparse product.  `apply_mu` and `koszul_sign` are small conveniences
 that only the tests use, and `tensor_op_oracle` is the tensor bimodule's
 operation computed on the fly, the oracle for its tabulated `op`.
-`bar_differential_oracle` and `cc_of_delta_word_oracle` are the cyclic
-walks as they were written before both read the doubled word: the
+`bar_differential` is the cyclic differential word by word, the way
+`hochschild.truncated_cc` computed it before it walked the operation
+terms: every block of the doubled word looked up in turn; the tests build
+matrices from it column by column and hold the shipped ones equal to
+them.  `bar_differential_oracle` and `cc_of_delta_word_oracle` are the
+cyclic walks as they were written before both read the doubled word: the
 differential's non-wrapping blocks through `signed_blocks` and its
 wrapping blocks in a loop of their own, each with its own rotation sum.
 `shipped` loads a fixture's file as `ainfcat fixture` writes it, once per
@@ -33,6 +37,7 @@ from ainfcat.bimodules import Bimodule, BimoduleHom, PairGen, TensorWord, Yoneda
 from ainfcat.complexes import BasedComplex, GradedMap
 from ainfcat.core import AinfCategory, Gen, chain_add, chain_normalize, parity_sign, rdeg, signed_blocks
 from ainfcat.fileformat import LoadedFile, load_category
+from ainfcat.hochschild import _doubled
 from ainfcat.intlinalg import IntMatrix, _kernel
 
 
@@ -193,6 +198,24 @@ def tensor_op_oracle(left: YonedaModule, right: YonedaModule, key: tuple, s: int
         for g, c in left.act((m.p,) + key[1:]).items():
             chain_add(out, {PairGen(g, m.q): sign * c})
     return chain_normalize(out, left.cat.ring)
+
+
+def bar_differential(cat: AinfCategory, word: tuple) -> dict:
+    """Hochschild differential of one cyclic word; never increases length."""
+    d = len(word)
+    twice, B, rho = _doubled(word)
+    out: dict = {}
+    for lo in range(d):
+        for a in range(lo, d):
+            # a block that wraps ends lo letters past the seam
+            for end in range(a + 1, d + 1) if lo == 0 else (d + lo,):
+                inner = cat.mu_key(twice[a:end])
+                if not inner:
+                    continue
+                sign = parity_sign(rho[lo] + B[a] + 1)
+                for g, c in inner.items():
+                    chain_add(out, {word[lo:a] + (g,) + word[end:]: sign * c})
+    return chain_normalize(out, cat.ring)
 
 
 def bar_differential_oracle(cat: AinfCategory, word: tuple) -> dict:

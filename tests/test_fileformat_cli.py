@@ -940,6 +940,32 @@ def test_input_error_points_at_the_bad_value(tmp_path, capsys, raw, path):
 
 
 @pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda raw: raw.pop("hom"), "'hom' is a required property"),
+        (lambda raw: raw.update({"": 1}), "Additional properties are not allowed ('' was unexpected)"),
+    ],
+    ids=["missing-hom", "extra-key-named-empty"],
+)
+def test_cli_root_schema_error_points_at_the_root(tmp_path, capsys, edit, message):
+    # RFC 6901: the root is "", while "/" is the member named ""
+    path = tmp_path / "cat.json"
+    path.write_text(json.dumps(_with(category_to_json(dual_numbers()), edit)))
+    assert cli.main(["validate", str(path)]) == 2
+    assert f'input error: "": {message}\n' in capsys.readouterr().err
+
+
+def test_invalid_json_has_no_pointer(tmp_path, capsys):
+    path = tmp_path / "cat.json"
+    path.write_text("{")
+    assert cli.main(["validate", str(path)]) == 2
+    assert "input error: not valid JSON: " in capsys.readouterr().err
+    with pytest.raises(InputError) as exc:
+        load_category(b"{")
+    assert exc.value.path is None
+
+
+@pytest.mark.parametrize(
     "argv", [["validate"], ["generate", "--object", "a/b", "--subcategory", "L"]], ids=["validate", "generate"]
 )
 def test_cli_unit_not_a_cycle_escapes_the_object_name(tmp_path, capsys, argv):

@@ -12,7 +12,7 @@ from helpers import disc_facet_count_closed_form
 from ainfcat import cli
 from ainfcat.bimodules import PairGen
 from ainfcat.core import Gen, signed_blocks, substitutions
-from ainfcat.hochschild import bar_differential, cc_of_delta_word
+from ainfcat.hochschild import _path_table, _terms, cc_of_delta_word
 from ainfcat.strata import (
     CODISC,
     EQUATIONS,
@@ -249,13 +249,18 @@ def hochschild_block(d: int, term: tuple) -> tuple:
 
 @pytest.mark.parametrize("d", range(1, 9))
 def test_bar_differential_visits_the_hochschild_terms(d):
-    visited = []
-
-    def mu_key(key):
-        visited.append(positions(key))
-        return {MARKER: 1}
-
-    bar_differential(SimpleNamespace(mu_key=mu_key, ring="Z"), letters(d))
+    # the term walk that builds truncated_cc's matrices; a_i runs from object
+    # i - 1 to object i mod d, so the only cyclic words of length <= d are the
+    # rotations of the word, and mu has a term on every cyclic block of it,
+    # whose output generator names the block
+    word = tuple(Gen(str(i - 1), str(i % d), f"a{i}", 0) for i in range(1, d + 1))
+    mu: dict = {}
+    for m in range(1, d + 1):
+        for a in range(d):
+            key = (word + word)[a : a + m]
+            mu.setdefault(m, {})[key] = {Gen(key[0].source, key[-1].target, positions(key), 0): 1}
+    cat = SimpleNamespace(generators=lambda: iter(word), mu=mu)
+    visited = [g.name for w, out, _ in _terms(cat, _path_table(cat, d), d) if w == word for g in out if g not in word]
     expected = [hochschild_block(d, term) for term, _ in equation_terms(punctured_disc(d))]
     assert Counter(visited) == Counter(expected)
 
