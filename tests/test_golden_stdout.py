@@ -45,6 +45,8 @@ COMMANDS: list[list[str]] = [
     ["cardy", "split_summand_pair.json", "--morphism", "coproduct_n0", "--max-length", "2", "--solve",
      "--co-sign", "-1"],
     ["cardy", "cone_algebra.json", "--morphism", "coproduct_n2", "--max-length", "2", "--co-sign", "-1"],
+    # a failing witness whose residual has two terms, printed in hom(K, K) basis order
+    ["cardy", "cone_algebra.json", "--morphism", "coproduct_n0", "--max-length", "2", "--co-sign", "-1"],
     # at scale: the tensor complex truncated one length shorter, the
     # induced maps on homology read over many classes
     ["cardy", "split_summand_pair.json", "--morphism", "coproduct_n0", "--max-length", "5", "--solve"],
