@@ -22,8 +22,8 @@ from .bimodules import (
     verify_bimodule_hom,
 )
 from .cardy import (
-    HomotopyWitness,
     OpenClosedData,
+    homotopy_map,
     mu_cc_map,
     solve_homotopy,
     telescoping_data,

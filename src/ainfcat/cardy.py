@@ -4,11 +4,13 @@ Given chain data for the open-to-closed and closed-to-open maps (the
 engine never constructs these from geometry), verify the four-term
 homotopy identity
 
-    (-1)^n mu^1(H(w)) + H(b(w)) + mu(CC(phi)(w)) - CO(OC(w)) = 0
+    (-1)^n mu^1 o H + H o b + mu o CC(phi) - CO o OC = 0
 
-on every cyclic word of the truncation, optionally solving the integer
-linear system for the homotopy H, and compare the two induced
-compositions on truncated homology up to the global sign
+as an identity of matrices in every degree of the truncation, a nonzero
+column naming its cyclic word.  The homotopy H is a GradedMap from the
+cyclic complex to hom(K, K) of degree n - 1 (homotopy_map), read from a
+file or solved for as one integer linear system.  The two induced
+compositions are compared on truncated homology up to the global sign
 (-1)^(n(n+1)/2).  mu^1 in the identity is the bare structure map; the
 complexes' own differentials keep the module conventions documented
 elsewhere.
@@ -34,8 +36,8 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .bimodules import BimoduleHom, mu_composition_map
-from .complexes import BasedComplex, GradedMap, VerificationReport, compose, verify_chain_map
-from .core import AinfCategory, Violation, chain_add, chain_normalize, collect_violations, parity_sign
+from .complexes import BasedComplex, GradedMap, VerificationReport, combination, compose, residual_report, verify_chain_map
+from .core import AinfCategory, Violation, parity_sign
 from .hochschild import ChainMapViolation, cc_of_delta
 from .intlinalg import IntMatrix, RationalOnly, Unsolvable, solve_integer
 from .strata import sign_formula
@@ -81,33 +83,25 @@ class OpenClosedData:
         self.co_oc = compose(self.co, self.oc, name="CO o OC")
 
 
-@dataclass
-class HomotopyWitness:
-    """Components of the degree n-1 correction map on cyclic words."""
-
-    table: dict = field(default_factory=dict)  # word -> chain in hom(K, K)
-
-    def chain(self, word) -> Mapping:
-        return self.table.get(word, {})
+def homotopy_map(data: OpenClosedData, table: Mapping) -> GradedMap:
+    """The homotopy H as a map from the cyclic complex to hom(K, K) of
+    degree n - 1, word by word from table (word -> chain); a word the
+    table lacks goes to zero."""
+    return GradedMap(data.mu_cc.source, data.mu_cc.target, data.n - 1, lambda w: table.get(w, {}), name="homotopy")
 
 
-def _homotopy_residual(data: OpenClosedData, H: HomotopyWitness, word) -> dict:
-    cat = data.cat
-    out: dict = {}
-    chain_add(out, cat.mu_boundary([H.chain(word)]), parity_sign(data.n))
-    for w1, c in data.mu_cc.source.diff_chain(word).items():
-        chain_add(out, H.chain(w1), c)
-    chain_add(out, data.mu_cc.chain(word), 1)
-    chain_add(out, data.co_oc.chain(word), -1)
-    return chain_normalize(out, cat.ring)
-
-
-def verify_homotopy_equation(data: OpenClosedData, H: HomotopyWitness) -> VerificationReport:
-    """The four-term identity on every word of the truncation."""
-    cc = data.mu_cc.source
-    return collect_violations(
-        ((word,), _homotopy_residual(data, H, word)) for k in cc.degrees() for word in cc.basis[k]
-    )
+def verify_homotopy_equation(data: OpenClosedData, H: GradedMap) -> VerificationReport:
+    """The four-term identity in every degree k of the truncation, as the
+    matrix identity  (-1)^n mu^1 H_k + H_(k+1) b_k + mu o CC(phi)_k
+    - CO o OC_k = 0  (hom(K, K)'s differential is -mu^1); a nonzero
+    column is a violation on its word."""
+    n, cc, hom_cx = data.n, data.mu_cc.source, data.mu_cc.target
+    return residual_report(cc, hom_cx, n, lambda k: combination([
+        (-parity_sign(n), hom_cx.matrix(k + n - 1) @ H.matrix(k)),
+        (1, H.matrix(k + 1) @ cc.matrix(k)),
+        (1, data.mu_cc.matrix(k)),
+        (-1, data.co_oc.matrix(k)),
+    ], data.cat.ring))
 
 
 def mu_cc_map(phi: BimoduleHom, cc: BasedComplex, tensor_cx: BasedComplex) -> GradedMap:
@@ -119,13 +113,13 @@ def mu_cc_map(phi: BimoduleHom, cc: BasedComplex, tensor_cx: BasedComplex) -> Gr
     return compose(mu, f, name="mu o CC")
 
 
-def solve_homotopy(data: OpenClosedData) -> HomotopyWitness | Unsolvable | RationalOnly:
+def solve_homotopy(data: OpenClosedData) -> GradedMap | Unsolvable | RationalOnly:
     """Solve the homotopy identity for H over the integers.
 
     With H_k the block of H on words of degree k, the identity in degree k
     is  (-1)^n mu^1 H_k + H_(k+1) b_k = CO o OC - mu o CC(phi)  on those
     words; unknowns and equations run word by word, then by generator.
-    Returns a HomotopyWitness, or solve_integer's RationalOnly when the
+    Returns H as a map (homotopy_map), or solve_integer's RationalOnly when the
     system is solvable over the rationals only, or Unsolvable otherwise.
     """
     n = data.n
@@ -154,10 +148,10 @@ def solve_homotopy(data: OpenClosedData) -> HomotopyWitness | Unsolvable | Ratio
             for j, c in entries.items():
                 for i in range(m):
                     rows[base + j * m + i][first[k + 1] + j1 * m + i] = c
-        for M, scale in ((data.mu_cc.matrix(k), -1), (data.co_oc.matrix(k), 1)):
-            for i, entries in enumerate(M.entries):
-                for j, c in entries.items():
-                    rhs[base + j * m + i] += scale * c
+        difference = combination([(-1, data.mu_cc.matrix(k)), (1, data.co_oc.matrix(k))], cc.ring)
+        for i, entries in enumerate(difference.entries):
+            for j, c in entries.items():
+                rhs[base + j * m + i] = c
 
     sol = solve_integer(IntMatrix.from_rows(rows, len(variables)), rhs)
     if isinstance(sol, (Unsolvable, RationalOnly)):
@@ -166,7 +160,7 @@ def solve_homotopy(data: OpenClosedData) -> HomotopyWitness | Unsolvable | Ratio
     for (w, y), c in zip(variables, sol):
         if c:
             table.setdefault(w, {})[y] = c
-    return HomotopyWitness(table=table)
+    return homotopy_map(data, table)
 
 
 def verify_cardy_on_homology(data: OpenClosedData) -> VerificationReport:
@@ -185,15 +179,10 @@ def verify_cardy_on_homology(data: OpenClosedData) -> VerificationReport:
     violations = []
     checked = 0
     for k in cc.degrees():
-        if not cc.basis.get(k):
-            continue
         hs = cc.homology_data(k)
         ht = hom_cx.homology_data(k + n)
-        F = data.co_oc.matrix(k)
-        if gsign == -1:
-            F = IntMatrix.from_rows([{j: -c for j, c in row.items()} for row in F.entries], F.cols)
         lhs = ht.induced(data.mu_cc.matrix(k), hs)
-        rhs = ht.induced(F, hs)
+        rhs = ht.induced(combination([(gsign, data.co_oc.matrix(k))], cc.ring), hs)
         checked += lhs.cols
         for j, (col1, col2) in enumerate(zip(lhs.transpose().entries, rhs.transpose().entries)):
             if col1 != col2:

@@ -27,8 +27,8 @@ from .bimodules import (
     verify_bimodule_hom,
 )
 from .cardy import (
-    HomotopyWitness,
     OpenClosedData,
+    homotopy_map,
     mu_cc_map,
     solve_homotopy,
     telescoping_data,
@@ -280,7 +280,6 @@ def cmd_cardy(args) -> int:
 
     # mu o CC(phi) is built and its CC(phi) part verified once, here
     mu_cc = mu_cc_map(phi, cc, tcx)
-    H = HomotopyWitness()
     if maps is not None:
         closed = loaded.cardy_closed
         oc = GradedMap(source=cc, target=closed, shift=phi.n, apply=lambda w: maps["oc"].get(w, {}), name="oc")
@@ -289,9 +288,9 @@ def cmd_cardy(args) -> int:
             data_obj = OpenClosedData(cat=cat, mu_cc=mu_cc, oc=oc, co=co)
         except ChainMapViolation as err:
             raise InputError(str(err), path=f"/cardy/chain_maps/{err.culprit.name}")
-        H = HomotopyWitness(table=maps["homotopy"])
     else:
         data_obj = telescoping_data(cat, mu_cc, co_sign=args.co_sign)
+    H = homotopy_map(data_obj, {} if maps is None else maps["homotopy"])
 
     report = {
         "command": "cardy",
@@ -312,7 +311,8 @@ def cmd_cardy(args) -> int:
             ok = False
         else:
             H = out
-            report["homotopy"] = f"solved ({sum(len(v) for v in H.table.values())} entries)"
+            entries = sum(len(row) for k in cc.degrees() for row in H.matrix(k).entries)
+            report["homotopy"] = f"solved ({entries} entries)"
     hr = verify_homotopy_equation(data_obj, H)
     report["homotopy_equation"] = {"checked": hr.checked, "passed": hr.passed}
     report["witnesses"] += _witnesses(hr)

@@ -2,47 +2,91 @@
 
 A BasedComplex carries an ordered basis of hashable labels per degree and
 an integer matrix per degree for its differential, so homology questions
-reduce to intlinalg; the differential is given label by label, and
-materialized into matrices, or by the matrices themselves.  A GradedMap
-is a matrix the same way: each image is computed once, and matrix(k)
-feeds every solve and homology comparison.  The commutation convention for a map f of degree `shift` is
+reduce to intlinalg.  A GradedMap is nothing but its matrices too.  Each
+degree is built on its first matrix(k) read: from the label images, or as
+a product for a composite; chain(label) and diff_chain(label) read a
+column.  The commutation convention for a map f of degree `shift` is
 
     d_target o f == (-1)^shift * f o d_source
 
-checked entrywise by verify_chain_map.
+checked degree by degree as a matrix identity by verify_chain_map.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from types import MappingProxyType
 from typing import Callable, Mapping
-from weakref import proxy
 
-from .core import RING_F2, VerificationReport, chain_add, chain_normalize, collect_violations, parity_sign
+from .core import RING_F2, VerificationReport, Violation, chain_normalize, parity_sign
 from .intlinalg import FinAbGroup, HomologyData, IntMatrix, NotAComplex, f2_rank
+
+
+def _tabulate(apply: Callable[[object], Mapping], name: str, labels: list, target: BasedComplex, k: int) -> IntMatrix:
+    """The matrix whose column j is apply(labels[j]) in the target's basis
+    of degree k; an image outside that basis raises KeyError."""
+    index = target.index.get(k, {})
+    rows: list[dict] = [{} for _ in index]
+    for j, label in enumerate(labels):
+        for out, c in chain_normalize(dict(apply(label)), target.ring).items():
+            i = index.get(out)
+            if i is None:
+                raise KeyError(f"{name} of {label!r} leaves the declared basis at {out!r}")
+            rows[i][j] = c
+    return IntMatrix.from_rows(rows, len(labels))
+
+
+def _column(source: BasedComplex, target: BasedComplex, shift: int, matrix, label, name: str) -> dict:
+    """The image of a source label, read off its column of matrix(k)."""
+    for k, index in source.index.items():
+        j = index.get(label)
+        if j is not None:
+            out = target.basis.get(k + shift, [])
+            return {out[i]: c for i, c in matrix(k).column_entries(j).items()}
+    raise KeyError(f"{name}: {label!r} is not a basis label of its source")
+
+
+def combination(terms: list[tuple[int, IntMatrix]], ring: str) -> IntMatrix:
+    """The sum of c * M over the (c, M) of terms, all of one shape, its
+    entries reduced mod 2 over F2."""
+    rows = [{} for _ in range(terms[0][1].rows)]
+    for c, M in terms:
+        for acc, row in zip(rows, M.entries):
+            for j, x in row.items():
+                acc[j] = acc.get(j, 0) + c * x
+    return IntMatrix.from_rows([chain_normalize(row, ring) for row in rows], terms[0][1].cols)
+
+
+def residual_report(source: BasedComplex, target: BasedComplex, shift: int, residual) -> VerificationReport:
+    """The report of residual(k) = 0 for every degree k of source, residual(k)
+    a matrix into degree k + shift of target: a Violation per nonzero
+    column, degree by degree in basis order; every label counts as checked."""
+    violations = []
+    for k in source.degrees():
+        out = target.basis.get(k + shift, [])
+        for label, col in zip(source.basis[k], residual(k).transpose().entries):
+            if col:
+                violations.append(Violation((label,), {out[i]: c for i, c in col.items()}))
+    return VerificationReport(checked=sum(map(source.dim, source.degrees())), violations=violations)
 
 
 class BasedComplex:
     """Cochain complex with explicit labelled bases.
 
-    `basis[k]` is an ordered list of labels.  The differential is a
-    GradedMap of degree 1, given either label by label, `d` sending a label
-    to a chain (dict label -> coefficient) in the next degree, with its
-    chains and matrices cached there, or by its matrices (from_matrices),
-    diff_chain then reading a label's column.  validate() checks
-    d o d = 0 exactly (mod 2 over F2) and raises NotAComplex where it fails.
+    `basis[k]` is an ordered list of labels.  The differential is given
+    either label by label, `d` sending a label to a chain (dict label ->
+    coefficient) in the next degree, or by its matrices (from_matrices);
+    matrix(k) holds it either way, and diff_chain reads a label's column.
+    validate() checks d o d = 0 exactly (mod 2 over F2) and raises
+    NotAComplex where it fails.
     """
 
     def __init__(self, basis: dict[int, list], d: Callable[[object], Mapping] | None, ring: str = "Z"):
         self.ring = ring
         self.basis = {k: list(v) for k, v in sorted(basis.items()) if v}
         self.index = {k: {label: i for i, label in enumerate(v)} for k, v in self.basis.items()}
+        self._d = d
+        self._matrices: dict[int, IntMatrix] = {}
         self._composites: dict[int, IntMatrix] = {}
-        self._labels = {label: label for v in self.basis.values() for label in v}
-        # held by weak proxies: a complex that referred to itself through its
-        # differential would outlive its last use until the cyclic collector ran
-        self._differential = GradedMap(proxy(self), proxy(self), 1, d, name="differential")
+        self._ranks: dict[int, int] = {}
 
     @classmethod
     def from_matrices(cls, basis: dict[int, list], matrices: Mapping[int, IntMatrix], ring: str = "Z") -> BasedComplex:
@@ -55,7 +99,7 @@ class BasedComplex:
             M = matrices[k] if k in matrices else IntMatrix.zeros(*shape)
             if (M.rows, M.cols) != shape:
                 raise ValueError(f"the degree-{k} matrix is {M.rows}x{M.cols}, its bases need {shape[0]}x{shape[1]}")
-            cx._differential._matrices[k] = M
+            cx._matrices[k] = M
         return cx
 
     def degrees(self) -> list[int]:
@@ -64,11 +108,15 @@ class BasedComplex:
     def dim(self, k: int) -> int:
         return len(self.basis.get(k, []))
 
-    def diff_chain(self, label) -> Mapping:
-        return self._differential.chain(label)
+    def diff_chain(self, label) -> dict:
+        return _column(self, self, 1, self.matrix, label, "differential")
 
     def matrix(self, k: int) -> IntMatrix:
-        return self._differential.matrix(k)
+        """Column j is the differential of basis[k][j] in the basis of
+        degree k + 1; an image outside that basis raises KeyError."""
+        if k not in self._matrices:
+            self._matrices[k] = _tabulate(self._d, "differential", self.basis.get(k, []), self, k + 1)
+        return self._matrices[k]
 
     def vector(self, chain: Mapping, k: int) -> list[int]:
         v = [0] * self.dim(k)
@@ -84,6 +132,12 @@ class BasedComplex:
             self._composites[k] = self.matrix(k + 1) @ self.matrix(k)
         return self._composites[k]
 
+    def rank_mod_2(self, k: int) -> int:
+        """The rank of matrix(k) over F2, taken once."""
+        if k not in self._ranks:
+            self._ranks[k] = f2_rank(self.matrix(k))
+        return self._ranks[k]
+
     def validate(self) -> None:
         """Check d o d = 0 exactly, naming the first label where it fails."""
         odd = (lambda x: x % 2) if self.ring == RING_F2 else bool
@@ -94,8 +148,7 @@ class BasedComplex:
 
     def homology(self, k: int) -> FinAbGroup:
         if self.ring == RING_F2:
-            n = self.dim(k)
-            dim = (n - f2_rank(self.matrix(k))) - f2_rank(self.matrix(k - 1))
+            dim = (self.dim(k) - self.rank_mod_2(k)) - self.rank_mod_2(k - 1)
             return FinAbGroup(0, (2,) * dim)
         return self.homology_data(k).group
 
@@ -105,97 +158,46 @@ class BasedComplex:
         return HomologyData(self.matrix(k), self.matrix(k - 1), self.composite(k - 1))
 
 
-@dataclass
 class GradedMap:
-    """A degree-`shift` linear map between two BasedComplexes, label to
-    chain; each image and each matrix(k) is computed once.  A map with no
-    `apply` is given by its matrices, and chain reads a label's column."""
+    """A degree-`shift` linear map between two BasedComplexes, held as its
+    matrices: `apply` sends a source label to its image chain, and
+    matrix(k) tabulates the images of source.basis[k] on its first read."""
 
-    source: BasedComplex
-    target: BasedComplex
-    shift: int
-    apply: Callable[[object], Mapping] | None
-    name: str = "map"
-    _chains: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _matrices: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def chain(self, label) -> Mapping:
-        if self.apply is None:
-            return self._column(label)
-        cached = self._chains.get(label)
-        if cached is None:
-            # keyed by the target basis's own label objects, not the equal
-            # copies `apply` builds, so the cache holds one object per label
-            labels = self.target._labels
-            chain = chain_normalize(dict(self.apply(label)), self.target.ring)
-            cached = self._chains[label] = MappingProxyType({labels.get(g, g): c for g, c in chain.items()})
-        return cached
-
-    def _column(self, label) -> dict:
-        for k, index in self.source.index.items():
-            j = index.get(label)
-            if j is not None:
-                out = self.target.basis.get(k + self.shift, [])
-                return {out[i]: c for i, c in self.matrix(k).column_entries(j).items()}
-        raise KeyError(f"{self.name}: {label!r} is not a basis label of its source")
+    def __init__(self, source: BasedComplex, target: BasedComplex, shift: int, apply, name: str = "map"):
+        self.source, self.target, self.shift, self.name = source, target, shift, name
+        self._matrices: dict[int, IntMatrix] = {}
+        self._build = lambda k: _tabulate(apply, name, source.basis.get(k, []), target, k + shift)
 
     def matrix(self, k: int) -> IntMatrix:
         """Column j is the image of source.basis[k][j] in the target's basis
         of degree k + shift; an image outside that basis raises KeyError."""
         if k not in self._matrices:
-            tgt = self.target.index.get(k + self.shift, {})
-            rows: list[dict] = [{} for _ in tgt]
-            src = self.source.basis.get(k, [])
-            for j, label in enumerate(src):
-                for out, c in self.chain(label).items():
-                    i = tgt.get(out)
-                    if i is None:
-                        raise KeyError(f"{self.name} of {label!r} leaves the declared basis at {out!r}")
-                    rows[i][j] = c
-            self._matrices[k] = IntMatrix.from_rows(rows, len(src))
+            self._matrices[k] = self._build(k)
         return self._matrices[k]
 
-    def apply_to(self, chain: Mapping) -> dict:
-        out: dict = {}
-        for label, c in chain.items():
-            chain_add(out, self.chain(label), c)
-        return chain_normalize(out, self.target.ring)
+    def chain(self, label) -> dict:
+        return _column(self.source, self.target, self.shift, self.matrix, label, self.name)
 
 
 def compose(g: GradedMap, f: GradedMap, name: str | None = None) -> GradedMap:
+    """g o f, its degree-k matrix the product g.matrix(k + f.shift) @ f.matrix(k)."""
     if f.target is not g.source and f.target.basis != g.source.basis:
         raise ValueError("maps do not compose")
-    return GradedMap(
-        source=f.source,
-        target=g.target,
-        shift=f.shift + g.shift,
-        apply=lambda label: g.apply_to(f.chain(label)),
-        name=name or f"{g.name} o {f.name}",
-    )
+    h = GradedMap(f.source, g.target, f.shift + g.shift, None, name or f"{g.name} o {f.name}")
+    # g's ring, not h's: a map whose builder held the map itself would
+    # outlive its last use until the cyclic collector ran
+    h._build = lambda k: combination([(1, g.matrix(k + f.shift) @ f.matrix(k))], g.target.ring)
+    return h
 
 
 def verify_chain_map(f: GradedMap) -> VerificationReport:
-    """Check d o f - (-1)^shift f o d = 0 on every basis label.
-
-    Every matrix(k) is built first, so an image outside the target's
-    declared basis raises matrix's KeyError, naming the label and the
-    image, instead of passing a check that never indexes the target.
-    """
-    for k in f.source.degrees():
-        f.matrix(k)
-    sign = parity_sign(f.shift)
-
-    def residual(label) -> dict:
-        res: dict = {}
-        for out, c in f.chain(label).items():
-            chain_add(res, f.target.diff_chain(out), c)
-        for out, c in f.source.diff_chain(label).items():
-            chain_add(res, f.chain(out), -sign * c)
-        return chain_normalize(res, f.target.ring)
-
-    return collect_violations(
-        ((label,), residual(label)) for k in f.source.degrees() for label in f.source.basis[k]
-    )
+    """Check d_t(k + s) F(k) - (-1)^s F(k + 1) d_s(k) = 0 in every degree k
+    of the source, F = f.matrix and s = f.shift (residual_report); an
+    image outside the target's declared basis raises matrix's KeyError."""
+    src, tgt, s = f.source, f.target, f.shift
+    return residual_report(src, tgt, s + 1, lambda k: combination(
+        [(1, tgt.matrix(k + s) @ f.matrix(k)), (-parity_sign(s), f.matrix(k + 1) @ src.matrix(k))], tgt.ring
+    ))
 
 
 def induced_rank_mod_2(f: GradedMap, k: int) -> int:
@@ -210,4 +212,4 @@ def induced_rank_mod_2(f: GradedMap, k: int) -> int:
     F, D, E = f.matrix(k), f.source.matrix(k), f.target.matrix(k + f.shift - 1)
     top = [{**row, **{F.cols + j: c for j, c in e.items()}} for row, e in zip(F.entries, E.entries)]
     block = IntMatrix.from_rows(top + list(D.entries), F.cols + E.cols)
-    return f2_rank(block) - f2_rank(D) - f2_rank(E)
+    return f2_rank(block) - f.source.rank_mod_2(k) - f.target.rank_mod_2(k + f.shift - 1)

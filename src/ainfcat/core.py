@@ -208,35 +208,6 @@ class AinfCategory:
 
 
 # ---------------------------------------------------------------------------
-# enumeration of composable tuples
-
-
-def composable_tuples(cat: AinfCategory, d: int) -> Iterator[tuple]:
-    """All boundary-ordered composable generator d-tuples, sorted start."""
-    gens = list(cat.generators())
-    by_source: dict[str, list[Gen]] = {}
-    for g in gens:
-        by_source.setdefault(g.source, []).append(g)
-
-    def extend(prefix: tuple) -> Iterator[tuple]:
-        if len(prefix) == d:
-            yield prefix
-            return
-        for g in by_source.get(prefix[-1].target, []):
-            yield from extend(prefix + (g,))
-
-    for g in gens:
-        yield from extend((g,))
-
-
-def cyclic_tuples(cat: AinfCategory, d: int) -> Iterator[tuple]:
-    """Composable d-tuples that close up: last target == first source."""
-    for tup in composable_tuples(cat, d):
-        if tup[-1].target == tup[0].source:
-            yield tup
-
-
-# ---------------------------------------------------------------------------
 # the structure relation
 
 
@@ -266,17 +237,6 @@ class VerificationReport:
         if len(self.violations) > 10:
             lines.append(f"  ... and {len(self.violations) - 10} more")
         return "\n".join(lines)
-
-
-def collect_violations(residuals: Iterable[tuple[tuple, dict]]) -> VerificationReport:
-    """Count every (inputs, residual) pair; keep the nonzero residuals."""
-    violations = []
-    checked = 0
-    for inputs, res in residuals:
-        checked += 1
-        if res:
-            violations.append(Violation(inputs, res))
-    return VerificationReport(checked=checked, violations=violations)
 
 
 def signed_blocks(

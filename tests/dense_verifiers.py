@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from typing import Iterator
 
+from helpers import collect_violations, composable_tuples
+
 from ainfcat.bimodules import Bimodule, BimoduleHom
 from ainfcat.core import (
     EMPTY,
@@ -21,8 +23,6 @@ from ainfcat.core import (
     VerificationReport,
     chain_add,
     chain_normalize,
-    collect_violations,
-    composable_tuples,
     parity_sign,
     signed_blocks,
 )

@@ -20,7 +20,14 @@ differential's non-wrapping blocks through `signed_blocks` and its
 wrapping blocks in a loop of their own, each with its own rotation sum.
 `shipped` loads a fixture's file as `ainfcat fixture` writes it, once per
 fixture; the tests take the shipped morphisms from it, so they come in
-through the one loader, `fileformat._morphisms`.
+through the one loader, `fileformat._morphisms`.  `composable_tuples` and
+`cyclic_tuples` enumerate the inputs the dense verifiers and the
+word-by-word oracles walk, and `collect_violations` reports their
+residuals; the package itself enumerates words from one path table and
+reports identities of matrices.  `chain_map_residuals` is `verify_chain_map` as it was before
+it became a matrix identity: d o f - (-1)^shift f o d composed label by
+label from the chains the maps read, and `homotopy_residuals` is
+`cardy.verify_homotopy_equation` the same way, word by word.
 """
 
 from __future__ import annotations
@@ -30,12 +37,22 @@ import copy
 import functools
 import io
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from ainfcat import cli
 from ainfcat.bimodules import Bimodule, BimoduleHom, PairGen, TensorWord, YonedaModule
 from ainfcat.complexes import BasedComplex, GradedMap
-from ainfcat.core import AinfCategory, Gen, chain_add, chain_normalize, parity_sign, rdeg, signed_blocks
+from ainfcat.core import (
+    AinfCategory,
+    Gen,
+    VerificationReport,
+    Violation,
+    chain_add,
+    chain_normalize,
+    parity_sign,
+    rdeg,
+    signed_blocks,
+)
 from ainfcat.fileformat import LoadedFile, load_category
 from ainfcat.hochschild import _doubled
 from ainfcat.intlinalg import IntMatrix, _kernel
@@ -97,6 +114,78 @@ def identity_hom(P: Bimodule) -> BimoduleHom:
 
 def zero_map(source: BasedComplex, target: BasedComplex, shift: int) -> GradedMap:
     return GradedMap(source=source, target=target, shift=shift, apply=lambda label: {}, name="0")
+
+
+def collect_violations(residuals: Iterable[tuple[tuple, dict]]) -> VerificationReport:
+    """Count every (inputs, residual) pair; keep the nonzero residuals."""
+    violations = []
+    checked = 0
+    for inputs, res in residuals:
+        checked += 1
+        if res:
+            violations.append(Violation(inputs, res))
+    return VerificationReport(checked=checked, violations=violations)
+
+
+def chain_map_residuals(f: GradedMap) -> VerificationReport:
+    """d o f - (-1)^shift f o d on every source label, composed label by
+    label from f.chain and diff_chain and reduced in the target's ring."""
+    sign = parity_sign(f.shift)
+
+    def residual(label) -> dict:
+        res: dict = {}
+        for out, c in f.chain(label).items():
+            chain_add(res, f.target.diff_chain(out), c)
+        for out, c in f.source.diff_chain(label).items():
+            chain_add(res, f.chain(out), -sign * c)
+        return chain_normalize(res, f.target.ring)
+
+    return collect_violations(
+        ((label,), residual(label)) for k in f.source.degrees() for label in f.source.basis[k]
+    )
+
+
+def homotopy_residuals(data, H: GradedMap) -> VerificationReport:
+    """The four-term Cardy identity word by word,
+    (-1)^n mu^1(H(w)) + H(b(w)) + mu o CC(phi)(w) - CO o OC(w), composed
+    from the chains the maps read, mu^1 the bare structure map."""
+    cat, cc = data.cat, data.mu_cc.source
+
+    def residual(word) -> dict:
+        out: dict = {}
+        chain_add(out, cat.mu_boundary([H.chain(word)]), parity_sign(data.n))
+        for w1, c in cc.diff_chain(word).items():
+            chain_add(out, H.chain(w1), c)
+        chain_add(out, data.mu_cc.chain(word), 1)
+        chain_add(out, data.co_oc.chain(word), -1)
+        return chain_normalize(out, cat.ring)
+
+    return collect_violations(((word,), residual(word)) for k in cc.degrees() for word in cc.basis[k])
+
+
+def composable_tuples(cat: AinfCategory, d: int) -> Iterator[tuple]:
+    """All boundary-ordered composable generator d-tuples, sorted start."""
+    gens = list(cat.generators())
+    by_source: dict[str, list[Gen]] = {}
+    for g in gens:
+        by_source.setdefault(g.source, []).append(g)
+
+    def extend(prefix: tuple) -> Iterator[tuple]:
+        if len(prefix) == d:
+            yield prefix
+            return
+        for g in by_source.get(prefix[-1].target, []):
+            yield from extend(prefix + (g,))
+
+    for g in gens:
+        yield from extend((g,))
+
+
+def cyclic_tuples(cat: AinfCategory, d: int) -> Iterator[tuple]:
+    """Composable d-tuples that close up: last target == first source."""
+    for tup in composable_tuples(cat, d):
+        if tup[-1].target == tup[0].source:
+            yield tup
 
 
 def kernel_basis(A: IntMatrix) -> IntMatrix:

@@ -17,7 +17,7 @@ import time
 from helpers import disc_facet_count_closed_form, iter_terms, rational_rank, shipped_morphism, with_negated_term
 
 from ainfcat.bimodules import LEFT, RIGHT, TensorWord, YonedaModule, tensor_over_category
-from ainfcat.cardy import HomotopyWitness, mu_cc_map, telescoping_data, verify_cardy_on_homology, verify_homotopy_equation
+from ainfcat.cardy import homotopy_map, mu_cc_map, telescoping_data, verify_cardy_on_homology, verify_homotopy_equation
 from ainfcat.core import verify_ainf
 from ainfcat.fileformat import category_to_json
 from ainfcat.fixtures import (
@@ -273,7 +273,7 @@ def test_criterion_6_cardy_telescoping():
         cc = truncated_cc(cat, 3)
         tcx = tensor_over_category(YonedaModule(cat, K, RIGHT), YonedaModule(cat, K, LEFT), 3)
         data = telescoping_data(cat, mu_cc_map(phi, cc, tcx))
-        hr = verify_homotopy_equation(data, HomotopyWitness())
+        hr = verify_homotopy_equation(data, homotopy_map(data, {}))
         if not hr.passed:
             problems.append(f"homotopy equation {fixture} n={n}")
         cr = verify_cardy_on_homology(data)

@@ -4,7 +4,7 @@ homology-level comparison."""
 from __future__ import annotations
 
 import pytest
-from helpers import coordinate_columns, induced_by_generators, shipped_morphism, zero_map
+from helpers import coordinate_columns, homotopy_residuals, induced_by_generators, shipped_morphism, zero_map
 
 from ainfcat import cardy, cli, intlinalg
 from ainfcat.bimodules import (
@@ -16,8 +16,8 @@ from ainfcat.bimodules import (
     tensor_over_category,
 )
 from ainfcat.cardy import (
-    HomotopyWitness,
     OpenClosedData,
+    homotopy_map,
     mu_cc_map,
     solve_homotopy,
     telescoping_data,
@@ -71,14 +71,14 @@ def scaled_composite_data(phi, mu_phi, cat, cc, tcx, scale=1, co_sign=1):
 def test_telescoping_passes(fixture, n):
     phi, cat, K, cc, tcx = setup(fixture, n)
     data = telescoping_data(cat, mu_cc_map(phi, cc, tcx))
-    report = verify_homotopy_equation(data, HomotopyWitness())
+    report = verify_homotopy_equation(data, homotopy_map(data, {}))
     assert report.passed, str(report)
 
 
 def test_mismatched_composition_fails_with_witness():
     phi, cat, K, cc, tcx = setup("cone_algebra", 0)
     data = scaled_composite_data(phi, phi, cat, cc, tcx, scale=1, co_sign=-1)
-    report = verify_homotopy_equation(data, HomotopyWitness())
+    report = verify_homotopy_equation(data, homotopy_map(data, {}))
     assert not report.passed
     assert report.violations[0].inputs
 
@@ -91,7 +91,7 @@ def test_all_zero_maps_pass():
         cat=cat, mu_cc=mu_cc,
         oc=zero_map(cc, hom_cx, phi.n), co=zero_map(hom_cx, hom_cx, 0),
     )
-    assert verify_homotopy_equation(data, HomotopyWitness()).passed
+    assert verify_homotopy_equation(data, homotopy_map(data, {})).passed
 
 
 def test_open_closed_data_rejects_non_chain_map():
@@ -136,7 +136,7 @@ def test_solve_telescoping_roundtrip():
     phi, cat, K, cc, tcx = setup("cone_algebra", 1)
     data = telescoping_data(cat, mu_cc_map(phi, cc, tcx))
     H = solve_homotopy(data)
-    assert isinstance(H, HomotopyWitness)
+    assert isinstance(H, GradedMap)
     assert verify_homotopy_equation(data, H).passed
 
 
@@ -147,9 +147,27 @@ def test_solve_cone_n1_table_is_pinned(N, y):
     # unique, so assembling the rows or unknowns in another order can move it
     phi, cat, K, cc, tcx = setup("cone_algebra", 1, N)
     H = solve_homotopy(telescoping_data(cat, mu_cc_map(phi, cc, tcx), co_sign=-1))
-    table = [(tuple(g.name for g in w), [(g.name, c) for g, c in chain.items()]) for w, chain in H.table.items()]
+    chains = [(w, H.chain(w)) for k in cc.degrees() for w in cc.basis[k]]
+    table = [(tuple(g.name for g in w), [(g.name, c) for g, c in chain.items()]) for w, chain in chains if chain]
     sign = -1 if y == "p" else 1
     assert table == [(("p",), [(y, sign)]), (("q",), [(y, -sign)])]
+
+
+@pytest.mark.parametrize("N", [2, 3, 4])
+def test_verify_homotopy_equation_matches_the_word_by_word_oracle(N):
+    # the solved H passes; the zero H and the solved H with one word's
+    # image doubled fail, on the same words with the same residuals
+    phi, cat, K, cc, tcx = setup("cone_algebra", 1, N)
+    data = telescoping_data(cat, mu_cc_map(phi, cc, tcx), co_sign=-1)
+    H = solve_homotopy(data)
+    table = {w: H.chain(w) for k in cc.degrees() for w in cc.basis[k]}
+    w = next(w for w, chain in table.items() if chain)
+    doubled = homotopy_map(data, {**table, w: {g: 2 * c for g, c in table[w].items()}})
+    for H, passed in ((H, True), (homotopy_map(data, {}), False), (doubled, False)):
+        report, oracle = verify_homotopy_equation(data, H), homotopy_residuals(data, H)
+        assert report.passed == passed
+        assert report.checked == oracle.checked
+        assert [(v.inputs, v.residual) for v in report.violations] == [(v.inputs, v.residual) for v in oracle.violations]
 
 
 def test_solve_no_solution_homology_obstruction():
@@ -168,7 +186,7 @@ def test_solve_rational_only_torsion_obstruction():
     assert isinstance(out1, RationalOnly)
     data2 = scaled_composite_data(phi, zero_morphism_like(phi), cat, cc, tcx, scale=2)
     out2 = solve_homotopy(data2)
-    assert isinstance(out2, HomotopyWitness)
+    assert isinstance(out2, GradedMap)
     assert verify_homotopy_equation(data2, out2).passed
 
 
@@ -193,7 +211,7 @@ def test_homotopy_implies_homology_agreement():
     for fixture, n in [("cone_algebra", 0), ("dual_numbers", 1), ("split_summand_pair", 0)]:
         phi, cat, K, cc, tcx = setup(fixture, n)
         data = telescoping_data(cat, mu_cc_map(phi, cc, tcx))
-        assert verify_homotopy_equation(data, HomotopyWitness()).passed
+        assert verify_homotopy_equation(data, homotopy_map(data, {})).passed
         assert verify_cardy_on_homology(data).passed
 
 

@@ -6,14 +6,12 @@ import random
 
 import pytest
 from dense_verifiers import ainf_residual
-from helpers import apply_mu, iter_terms, koszul_sign, with_negated_term
+from helpers import apply_mu, composable_tuples, cyclic_tuples, iter_terms, koszul_sign, with_negated_term
 
 from ainfcat.core import (
     Gen,
     NonComposable,
     chain_add,
-    composable_tuples,
-    cyclic_tuples,
     rdeg,
     verify_ainf,
     with_ring,

@@ -9,14 +9,17 @@ from helpers import (
     bar_differential,
     bar_differential_oracle,
     cc_of_delta_word_oracle,
+    chain_map_residuals,
+    cyclic_tuples,
     rational_rank,
     shipped_morphism,
     zero_map,
 )
 
-from ainfcat.bimodules import LEFT, RIGHT, BimoduleHom, YonedaModule, tensor_over_category
-from ainfcat.complexes import BasedComplex, GradedMap, verify_chain_map
-from ainfcat.core import RING_F2, RING_Z, chain_normalize, cyclic_tuples, with_ring
+from ainfcat import complexes, generation
+from ainfcat.bimodules import LEFT, RIGHT, BimoduleHom, YonedaModule, mu_composition_map, tensor_over_category
+from ainfcat.complexes import BasedComplex, GradedMap, compose, verify_chain_map
+from ainfcat.core import RING_F2, RING_Z, chain_normalize, with_ring
 from ainfcat.fixtures import (
     FIXTURES,
     SHIPPED_MORPHISMS,
@@ -36,7 +39,7 @@ from ainfcat.hochschild import (
     truncated_cc,
     word_degree,
 )
-from ainfcat.intlinalg import FinAbGroup
+from ainfcat.intlinalg import FinAbGroup, f2_rank
 
 ALL_FIXTURES = [
     ground_ring,
@@ -208,6 +211,15 @@ def test_f2_stable_flags_match_a_gf2_oracle(make, N):
         assert res.stable[k] == (len(small.homology(k).torsion) == dim and onto == dim), k
 
 
+def test_f2_homology_ranks_each_matrix_once(monkeypatch):
+    # the homology of both truncations and the stabilization flag's D and E
+    # read one rank per matrix; only the flag's block matrices are new
+    ranked = []
+    monkeypatch.setattr(complexes, "f2_rank", lambda A: ranked.append(A) or f2_rank(A))
+    hochschild_homology(with_ring(split_summand_pair(), RING_F2), 5)
+    assert ranked and len(ranked) == len({id(A) for A in ranked})
+
+
 def test_hochschild_cone_torsion_appears():
     # the cone algebra has 2-torsion in its own cohomology; the cyclic
     # complex at length 1 already sees it through the -mu^1 differential
@@ -283,16 +295,19 @@ def test_cc_of_delta_ground_ring_identity_like():
     assert w.length == 1 and abs(c) == 1
 
 
-def test_cc_of_delta_mutation_raises():
-    phi = shipped_morphism("cone_algebra", 0)
-    # flip one component coefficient (component tables are read-only, so
-    # rebuild the morphism from a mutated copy)
+def with_negated_component(phi: BimoduleHom) -> BimoduleHom:
+    """phi with one component coefficient flipped (component tables are
+    read-only, so the morphism is rebuilt from a mutated copy)."""
     comps = {rs: {k: dict(v) for k, v in t.items()} for rs, t in phi.components.items()}
     (rs, table) = next(iter(sorted(comps.items())))
     key = next(iter(sorted(table, key=str)))
     pg = next(iter(table[key]))
     table[key][pg] = -table[key][pg]
-    phi = BimoduleHom(source=phi.source, target=phi.target, n=phi.n, components=comps)
+    return BimoduleHom(source=phi.source, target=phi.target, n=phi.n, components=comps)
+
+
+def test_cc_of_delta_mutation_raises():
+    phi = with_negated_component(shipped_morphism("cone_algebra", 0))
     cat = phi.source.cat
     cc = truncated_cc(cat, 3)
     tensor_cx = tensor_over_category(YonedaModule(cat, "*", RIGHT), YonedaModule(cat, "*", LEFT), 3)
@@ -325,3 +340,58 @@ def test_verify_chain_map_counterexample():
     bad = GradedMap(source=cx, target=cx, shift=0, apply=broken)
     report = verify_chain_map(bad)
     assert not report.passed
+    assert report.violations[0].inputs == (some_word,)
+
+
+def same_report(f: GradedMap):
+    """verify_chain_map's report on f, held equal to the label-wise
+    oracle's: the same count, the same violations in the same order."""
+    report, oracle = verify_chain_map(f), chain_map_residuals(f)
+    assert report.checked == oracle.checked
+    assert [(v.inputs, v.residual) for v in report.violations] == [(v.inputs, v.residual) for v in oracle.violations]
+    return report
+
+
+def test_verify_chain_map_and_compose_read_products_mod_2():
+    # over F2 the residual d f + f d = 2y of a degree-1 map vanishes, and
+    # g o f sends a to 2z = 0
+    source = BasedComplex({0: ["a"], 1: ["b"]}, lambda label: {"b": 1} if label == "a" else {}, ring=RING_F2)
+    target = BasedComplex({1: ["x"], 2: ["y"]}, lambda label: {"y": 1} if label == "x" else {}, ring=RING_F2)
+    assert same_report(GradedMap(source, target, 1, lambda label: {"x": 1} if label == "a" else {"y": 1})).passed
+    point, pair, end = (BasedComplex({0: labels}, lambda label: {}, ring=RING_F2) for labels in (["a"], ["p", "q"], ["z"]))
+    f = GradedMap(point, pair, 0, lambda label: {"p": 1, "q": 1})
+    g_f = compose(GradedMap(pair, end, 0, lambda label: {"z": 1}), f)
+    assert g_f.matrix(0).is_zero() and g_f.chain("a") == {}
+
+
+@pytest.mark.parametrize("key", SHIPPED_MORPHISMS)
+def test_verify_chain_map_matches_the_label_wise_oracle_on_cc_of_delta(key):
+    phi = shipped_morphism(*key)
+    cat = phi.source.cat
+    K = phi.target.left.K
+    for N in (1, 2, 3):
+        cc = truncated_cc(cat, N)
+        tensor_cx = tensor_over_category(YonedaModule(cat, K, RIGHT), YonedaModule(cat, K, LEFT), N - 1)
+        f = cc_of_delta(phi, cc, tensor_cx)
+        assert same_report(f).passed
+        assert same_report(compose(mu_composition_map(cat, K, K, tensor_cx), f)).passed
+
+
+def test_verify_chain_map_matches_the_label_wise_oracle_on_a_mutant():
+    phi = with_negated_component(shipped_morphism("cone_algebra", 0))
+    cat = phi.source.cat
+    cc = truncated_cc(cat, 3)
+    tensor_cx = tensor_over_category(YonedaModule(cat, "*", RIGHT), YonedaModule(cat, "*", LEFT), 3)
+    f = GradedMap(cc, tensor_cx, phi.n, lambda w: cc_of_delta_word(phi, w), name="CC(mutant)")
+    assert not same_report(f).passed
+
+
+@pytest.mark.parametrize("ring", [RING_Z, RING_F2])
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_verify_chain_map_matches_the_label_wise_oracle_on_unit_actions(monkeypatch, name, ring):
+    cat = with_ring(FIXTURES[name](), ring)
+    checked = []
+    monkeypatch.setattr(generation, "verify_chain_map", lambda f: checked.append(f) or same_report(f))
+    for K, e in cat.units.items():
+        generation.verify_cohomological_unit(cat, K, e)
+    assert checked or not cat.units

@@ -13,7 +13,8 @@ the two-sided transforms on the sides it tracks.  Random small
 complexes check the kernel coordinates and the class generators that
 HomologyData reads off those inverses, and the map induced on homology,
 one sparse product, against the per-generator oracle of helpers.py.  The
-minors oracle of test_intlinalg.py stays as the first one.
+sparse product itself is held against a dense triple loop.  The minors
+oracle of test_intlinalg.py stays as the first one.
 """
 
 from __future__ import annotations
@@ -207,6 +208,38 @@ def nonzero_product(diagonal: list[int]) -> tuple[int, int]:
     """(rank, product of the nonzero invariant factors)."""
     nonzero = [d for d in diagonal if d]
     return len(nonzero), math.prod(nonzero)
+
+
+@st.composite
+def product_pairs(draw):
+    """A (m x k) and B (k x n), each dimension 0..6, mostly zero with empty
+    rows, and entries of both signs so that products cancel."""
+    m, k, n = (draw(st.integers(min_value=0, max_value=6)) for _ in range(3))
+    cells = st.sampled_from((0,) * 6 + (1, -1, 2, -2, 3))
+
+    def matrix(rows, cols):
+        data = draw(st.lists(st.lists(cells, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+        return IntMatrix(data, cols=cols)
+
+    return matrix(m, k), matrix(k, n)
+
+
+@SETTINGS
+@given(product_pairs())
+@example((IntMatrix.zeros(0, 3), IntMatrix.zeros(3, 4)))
+@example((IntMatrix.zeros(3, 0), IntMatrix.zeros(0, 4)))
+@example((IntMatrix.zeros(2, 3), IntMatrix.zeros(3, 0)))
+@example((IntMatrix([[1, 1], [0, 0]]), IntMatrix([[1, 2], [-1, -2]])))
+def test_matmul_matches_the_dense_triple_loop(pair):
+    # the chain-map checks and every composite map rest on this product
+    A, B = pair
+    P = A @ B
+    dense = [
+        [sum(A.data[i][t] * B.data[t][j] for t in range(A.cols)) for j in range(B.cols)] for i in range(A.rows)
+    ]
+    assert (P.rows, P.cols) == (A.rows, B.cols)
+    assert [list(row) for row in P.data] == dense
+    assert all(x for row in P.entries for x in row.values())  # zeros are never stored
 
 
 @SETTINGS

@@ -9,8 +9,8 @@ from types import SimpleNamespace
 import pytest
 from helpers import disc_facet_count_closed_form
 
-from ainfcat import cli
-from ainfcat.bimodules import PairGen
+from ainfcat import bimodules, cli
+from ainfcat.bimodules import PairGen, slot_index, table_keys
 from ainfcat.core import Gen, signed_blocks, substitutions
 from ainfcat.hochschild import _path_table, _terms, cc_of_delta_word
 from ainfcat.strata import (
@@ -237,6 +237,64 @@ def test_substitutions_visits_the_ainf_terms(d):
             assert (slot, k, s2, c, below) == (None, 0, None, 1, i)
             visited.append((len(key2), j - i, i))
     assert Counter(visited) == Counter(term for term, _ in equation_terms(disc(d)))
+
+
+STUB_A, STUB_m, STUB_M = Gen("*", "*", "a", 0), Gen("*", "*", "m", 0), Gen("*", "*", "M", 0)
+
+
+def stub_bimodule(slots: tuple, length: int) -> SimpleNamespace:
+    """Operation tables with the term {M: 1} on every key of at most `length`
+    letters over {a, marker} with one of `slots` in its module slot, and a
+    mu with the term {marker: 1} on every word over {a, marker}."""
+    words = [w for n in range(length) for w in product((STUB_A, MARKER), repeat=n)]
+    ops: dict = {}
+    for w in words:
+        for t in range(len(w) + 1):
+            for x in slots:
+                ops.setdefault((len(w) - t, t), {})[w[:t] + (x,) + w[t:]] = {STUB_M: 1}
+    keys = table_keys(ops)
+    at_slot = slot_index(keys)
+    return SimpleNamespace(
+        ops=ops,
+        op=lambda key, t: ops.get((len(key) - 1 - t, t), {}).get(key, {}),
+        op_keys=lambda: keys,
+        op_keys_at=lambda x: at_slot.get(x, []),
+        cat=SimpleNamespace(mu={n: {w: {MARKER: 1} for w in words if len(w) == n} for n in range(1, length)}),
+        elements=lambda: list(slots),
+    )
+
+
+@pytest.mark.parametrize("r,s", [(r, s) for r in range(7) for s in range(7 - r)])
+def test_morphism_passes_visit_the_bimodule_hom_terms(monkeypatch, r, s):
+    """The module-slot path of substitutions: with stub tables holding a
+    term on every key, the terms verify_bimodule_hom's two passes put on
+    (b_s, .., b_1, m, a_1, .., a_r), every letter a, are the blocks of
+    bidisc(r, s), each once, with the signed_blocks sign.  A block of
+    the first pass holds phi (the target's operation outside); one of the
+    second holds the source's operation or, off the slot, mu."""
+    length = r + s + 1
+    source, target = stub_bimodule((STUB_m,), length), stub_bimodule((STUB_M,), length)
+    phi_tables = stub_bimodule((STUB_m, STUB_M), length)
+    phi = SimpleNamespace(n=0, source=source, target=target, components=phi_tables.ops, apply=phi_tables.op)
+    captured = []
+    monkeypatch.setattr(bimodules, "term_report", lambda passes, *rest: captured.extend(passes))
+    bimodules.verify_bimodule_hom(phi, max_inputs=r + s)
+    xs = (STUB_A,) * s + (STUB_m,) + (STUB_A,) * r
+    visited = []
+    for n, (terms, _, _) in enumerate(captured):
+        for (word, slot), (i, j, k), key2, s2, c, below in terms:
+            if word != xs:
+                continue
+            assert (slot, k, c, below) == (s, 0, 1, i - (i > s))
+            if n == 0:
+                visited.append(("target", j - s - 1, s - i))
+            elif i <= s < j:
+                visited.append(("source", j - s - 1, s - i))
+            elif j <= s:
+                visited.append(("right", s - j, s - i))
+            else:
+                visited.append(("left", i - s - 1, j - s - 1))
+    assert Counter(visited) == Counter(term for term, _ in equation_terms(bidisc(r, s)))
 
 
 def hochschild_block(d: int, term: tuple) -> tuple:
