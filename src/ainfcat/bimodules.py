@@ -15,11 +15,14 @@ category generators, plain degree for module elements.
 
 Quadratic equations
 -------------------
-Every equation here applies the block rule of core.signed_blocks, with
-the module slots at plain degree (equivalent to the usual three-family
-presentation by the block's position).  verify_bimodule puts the
-bimodule operation inside a block that contains the module slot and the
-category operation inside any other block, with no further twist.
+Every equation here applies one block rule: the output of an operation
+on a block of a tuple is put back in its place with sign (-1)^below,
+below the sum of the order degrees of the entries before the block
+(core.substitutions), with the module slots at plain degree (equivalent
+to the usual three-family presentation by the block's position).
+verify_bimodule puts the bimodule operation inside a block that contains
+the module slot and the category operation inside any other block, with
+no further twist.
 verify_bimodule_hom does the same for a degree-n morphism, with the
 inner-is-morphism terms weighted by (-1)^(n * below) and all other terms
 by (-1)^(below + n + 1).
@@ -38,8 +41,23 @@ usual written order p (x) a_d (x) ... (x) q) and integer grading
 deg(q) + sum(deg(a_i) - 1) + deg(p).  Its differential is the same rule
 on the word, with q and p the module slots: the left action on blocks
 containing q, the right action on blocks containing p, the category
-operation on the rest.  Its exact d^2 = 0 is the package's strongest
-sign-consistency check and is asserted for every shipped fixture.
+operation on the rest; the block holding both q and p is the full
+collapse (mu_composition_map), not a term.  Its exact d^2 = 0 is the
+package's strongest sign-consistency check and is asserted for every
+shipped fixture.
+
+The words are built from one table of composable middle paths
+(middle_paths), and the differential's matrices are written term by
+term, not word by word.  With r(x) the sum of the reduced degrees of a
+tuple x:
+
+* a left-action term (q, a_1, ..., a_j) -> c * g goes on every word
+  (q, a_1 .. a_j + suf, p), to (g, suf, p), with sign +1;
+* a mu term key -> c * g goes on every word (q, pre + key + suf, p), to
+  (q, pre + (g,) + suf, p), with sign (-1)^(deg(q) + r(pre));
+* a right-action term (a_i, ..., a_d, p) -> c * g goes on every word
+  (q, pre + a_i .. a_d, p), to (q, pre, g), with sign
+  (-1)^(deg(q) + r(pre)).
 """
 
 from __future__ import annotations
@@ -55,12 +73,11 @@ from .core import (
     Gen,
     VerificationReport,
     chain_add,
-    chain_normalize,
     frozen_table,
     mu_terms,
     parity_sign,
+    path_table,
     rdeg,
-    signed_blocks,
     substitutions,
     term_report,
 )
@@ -355,60 +372,91 @@ class TensorWord(NamedTuple):
         return f"<{self.q.name}|{letters}|{self.p.name}>"
 
 
-def tensor_words(R: YonedaModule, L: YonedaModule, max_length: int) -> list[TensorWord]:
-    """All words (q, letters, p); letters stay between the modules' objects."""
-    cat = R.cat
-    allowed = set(R.spaces) & set(L.spaces)
-    by_source: dict[str, list[Gen]] = {}
-    for g in cat.generators():
-        if g.source in allowed and g.target in allowed:
-            by_source.setdefault(g.source, []).append(g)
-    words = []
-    for obj in sorted(L.spaces):
-        for q in L.basis(obj):
-            stack = [(q, ())]
-            while stack:
-                q0, mid = stack.pop()
-                tail = mid[-1].target if mid else q0.target
-                for p in R.basis(tail):
-                    words.append(TensorWord(q0, mid, p))
-                if len(mid) < max_length:
-                    for g in by_source.get(tail, []):
-                        stack.append((q0, mid + (g,)))
-    return sorted(words)
+def middle_paths(cat: AinfCategory, objects, max_length: int) -> list[dict]:
+    """The path table (core.path_table) of the generators between
+    `objects`: the middle letters of every tensor word over them."""
+    objects = set(objects)
+    gens = [g for g in cat.generators() if g.source in objects and g.target in objects]
+    return path_table(gens, objects, max_length)
 
 
-def tensor_differential(R: YonedaModule, L: YonedaModule, word: TensorWord) -> dict:
-    """Differential of the tensor-over-the-category complex on one word."""
-    seq = (word.q,) + word.mid + (word.p,)
-    end = len(seq)
+def _tensor_terms(R: YonedaModule, L: YonedaModule, paths: list[dict], max_length: int):
+    """(word, output word, signed coefficient) for every term of the left
+    action, mu and the right action on every block of every tensor word
+    with at most max_length middle letters (module docstring).  Words are
+    plain (q, mid, p) tuples, equal to the TensorWords of the basis and
+    cheaper to build."""
+    objects = set(R.spaces) & set(L.spaces)
 
-    def inner(i, j):
-        if i == 0:
-            # the block holding both q and p is the full collapse, not a term
-            return L.act(seq[:j]) if j < end else EMPTY
-        return R.act(seq[i:]) if j == end else R.cat.mu_key(seq[i:j])
+    def around(source: str, target: str, room: int, q=None, p=None):
+        """(q, pre, r(pre), suf, p) for every word (q, pre + block + suf, p)
+        around a block of letters from `source` to `target`, with at most
+        `room` letters in pre and suf together.  A given q (or p) stands
+        next to the block, with no letters between them."""
+        for lpre in range(room + 1 if q is None else 1):
+            for s in objects if q is None else (source,):
+                qs = L.basis(s) if q is None else (q,)
+                for pre, r in paths[lpre].get((s, source), ()):
+                    for lsuf in range(room - lpre + 1 if p is None else 1):
+                        for t in objects if p is None else (target,):
+                            ps = R.basis(t) if p is None else (p,)
+                            for suf, _ in paths[lsuf].get((target, t), ()):
+                                for x in qs:
+                                    for y in ps:
+                                        yield x, pre, r, suf, y
 
-    out: dict = {}
-    for i, j, g, c, below in signed_blocks(seq, inner, (0, end - 1)):
-        new = seq[:i] + (g,) + seq[j:]
-        chain_add(out, {TensorWord(new[0], new[1:-1], new[-1]): parity_sign(below) * c})
-    return chain_normalize(out, R.cat.ring)
+    for table in L.actions.values():
+        for key, chain in table.items():
+            if all(x.target in objects for x in key):
+                letters = key[1:]
+                for q, _, _, suf, p in around(key[0].target, key[-1].target, max_length - len(letters), q=key[0]):
+                    word = (q, letters + suf, p)
+                    for g, c in chain.items():
+                        yield word, (g, suf, p), c
+    for table in R.cat.mu.values():
+        for key, chain in table.items():
+            if key[0].source in objects and all(x.target in objects for x in key):
+                for q, pre, r, suf, p in around(key[0].source, key[-1].target, max_length - len(key)):
+                    word, sign = (q, pre + key + suf, p), parity_sign(q.degree + r)
+                    for g, c in chain.items():
+                        yield word, (q, pre + (g,) + suf, p), sign * c
+    for table in R.actions.values():
+        for key, chain in table.items():
+            if all(x.source in objects for x in key):
+                letters = key[:-1]
+                for q, pre, r, _, p in around(key[0].source, key[-1].source, max_length - len(letters), p=key[-1]):
+                    word, sign = (q, pre + letters, p), parity_sign(q.degree + r)
+                    for g, c in chain.items():
+                        yield word, (q, pre, g), sign * c
 
 
-def tensor_over_category(R: YonedaModule, L: YonedaModule, max_length: int) -> BasedComplex:
+def tensor_over_category(
+    R: YonedaModule, L: YonedaModule, max_length: int, paths: list[dict] | None = None
+) -> BasedComplex:
     """The length-filtered bar-type complex computing R (x)_B L.
 
-    Raises on d^2 != 0, which would signal inconsistent module data.
+    The basis is every word (q, mid, p) with mid in the middle-path table
+    over the objects both modules have, sorted in each degree; `paths`,
+    that table (middle_paths) to max_length, is built here unless given.
+    The matrices are written term by term (module docstring).  Raises on
+    d^2 != 0, which would signal inconsistent module data.
     """
     if R.side != RIGHT or L.side != LEFT:
         raise ValueError("expected (right, left) module pair")
     if R.cat is not L.cat:
         raise ValueError("modules over different categories")
+    if paths is None:
+        paths = middle_paths(R.cat, set(R.spaces) & set(L.spaces), max_length)
     basis: dict[int, list] = {}
-    for w in tensor_words(R, L, max_length):
-        basis.setdefault(w.degree, []).append(w)
-    cx = BasedComplex(basis, lambda w: tensor_differential(R, L, w), ring=R.cat.ring)
+    for length, table in enumerate(paths[: max_length + 1]):
+        for (s, t), mids in table.items():
+            for mid, r in mids:
+                for q in L.basis(s):
+                    for p in R.basis(t):
+                        basis.setdefault(q.degree + r - 2 * length + p.degree, []).append(TensorWord(q, mid, p))
+    for words in basis.values():
+        words.sort()
+    cx = BasedComplex.from_terms(basis, _tensor_terms(R, L, paths, max_length), ring=R.cat.ring)
     cx.validate()
     return cx
 

@@ -34,6 +34,27 @@ def _tabulate(apply: Callable[[object], Mapping], name: str, labels: list, targe
     return IntMatrix.from_rows(rows, len(labels))
 
 
+def _from_terms(source: BasedComplex, target: BasedComplex, shift: int, terms, name: str) -> dict[int, IntMatrix]:
+    """The matrices of a degree-`shift` map from source to target given by
+    its terms: each (label, image, c) adds c at the image's row and the
+    label's column.  Entries are summed, then reduced mod 2 over F2; an
+    image outside the target's basis raises KeyError."""
+    where = {label: (k, j) for k, index in source.index.items() for label, j in index.items()}
+    rows = {k: [{} for _ in range(target.dim(k + shift))] for k in source.degrees()}
+    into = {k: target.index.get(k + shift, {}) for k in rows}
+    for label, out, c in terms:
+        k, j = where[label]
+        i = into[k].get(out)
+        if i is None:
+            raise KeyError(f"{name} of {label!r} leaves the declared basis at {out!r}")
+        row = rows[k][i]
+        row[j] = row.get(j, 0) + c
+    return {
+        k: IntMatrix.from_rows([chain_normalize(row, target.ring) for row in rows.pop(k)], source.dim(k))
+        for k in source.degrees()
+    }
+
+
 def _column(source: BasedComplex, target: BasedComplex, shift: int, matrix, label, name: str) -> dict:
     """The image of a source label, read off its column of matrix(k)."""
     for k, index in source.index.items():
@@ -86,7 +107,6 @@ class BasedComplex:
         self._d = d
         self._matrices: dict[int, IntMatrix] = {}
         self._composites: dict[int, IntMatrix] = {}
-        self._ranks: dict[int, int] = {}
 
     @classmethod
     def from_matrices(cls, basis: dict[int, list], matrices: Mapping[int, IntMatrix], ring: str = "Z") -> BasedComplex:
@@ -100,6 +120,14 @@ class BasedComplex:
             if (M.rows, M.cols) != shape:
                 raise ValueError(f"the degree-{k} matrix is {M.rows}x{M.cols}, its bases need {shape[0]}x{shape[1]}")
             cx._matrices[k] = M
+        return cx
+
+    @classmethod
+    def from_terms(cls, basis: dict[int, list], terms, ring: str = "Z") -> BasedComplex:
+        """The complex whose differential is the sum of its terms, each
+        (label, image, c) adding c * image to the differential of label."""
+        cx = cls(basis, None, ring=ring)
+        cx._matrices = _from_terms(cx, cx, 1, terms, "differential")
         return cx
 
     def degrees(self) -> list[int]:
@@ -133,10 +161,8 @@ class BasedComplex:
         return self._composites[k]
 
     def rank_mod_2(self, k: int) -> int:
-        """The rank of matrix(k) over F2, taken once."""
-        if k not in self._ranks:
-            self._ranks[k] = f2_rank(self.matrix(k))
-        return self._ranks[k]
+        """The rank of matrix(k) over F2, taken once per matrix."""
+        return self.matrix(k).rank_mod_2()
 
     def validate(self) -> None:
         """Check d o d = 0 exactly, naming the first label where it fails."""
@@ -167,6 +193,16 @@ class GradedMap:
         self.source, self.target, self.shift, self.name = source, target, shift, name
         self._matrices: dict[int, IntMatrix] = {}
         self._build = lambda k: _tabulate(apply, name, source.basis.get(k, []), target, k + shift)
+
+    @classmethod
+    def from_terms(cls, source: BasedComplex, target: BasedComplex, shift: int, terms, name: str = "map") -> GradedMap:
+        """The map that sends each label to the sum of its terms, each
+        (label, image, c) adding c * image; an image outside the target's
+        basis raises KeyError."""
+        f = cls(source, target, shift, None, name)
+        f._matrices = _from_terms(source, target, shift, terms, name)
+        f._build = lambda k: IntMatrix.zeros(target.dim(k + shift), source.dim(k))
+        return f
 
     def matrix(self, k: int) -> IntMatrix:
         """Column j is the image of source.basis[k][j] in the target's basis

@@ -39,7 +39,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Callable, Container, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 RING_Z = "Z"
 RING_F2 = "F2"
@@ -239,32 +239,6 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def signed_blocks(
-    seq: tuple, inner: Callable[[int, int], Mapping], plain: Container[int]
-) -> Iterator[tuple[int, int, object, int, int]]:
-    """Every output term of an inner operation on every block of a tuple.
-
-    Walks the consecutive blocks seq[i:j] (by i, then j), applies
-    inner(i, j) to each and yields (i, j, g, c, below) for every term
-    c * g of the result.  `below` is the sum of the order degrees of
-    seq[:i]: the reduced degree deg + 1 of each entry, except that the
-    positions listed in `plain` (module elements) count their plain
-    degree.
-
-    This is the sign rule of every quadratic equation in the package:
-    substituting the block's output g back into the tuple contributes
-    (-1)^below.  Callers add only a constant twist for the operations
-    involved, except that a degree-n morphism inside the block counts
-    n * below in place of below.
-    """
-    below = 0
-    for i, x in enumerate(seq):
-        for j in range(i + 1, len(seq) + 1):
-            for g, c in inner(i, j).items():
-                yield i, j, g, c, below
-        below += x.degree if i in plain else x.degree + 1
-
-
 def tuple_count(cat: AinfCategory, up_to: int, elements: Iterable | None = None) -> int:
     """How many tuples a verifier checks, counted without listing them.
 
@@ -301,14 +275,33 @@ def tuple_count(cat: AinfCategory, up_to: int, elements: Iterable | None = None)
     )
 
 
+def path_table(gens: Iterable[Gen], objects: Iterable[str], max_length: int, closed: bool = False) -> list[dict]:
+    """table[L][(s, t)]: every composable L-tuple of `gens` from s to t,
+    with the sum of its reduced degrees; table[0] holds the empty path at
+    each of `objects`.  With `closed`, the last length, where only cyclic
+    words are read, holds the closed paths alone."""
+    by_source: dict[str, list] = {}
+    for g in gens:
+        by_source.setdefault(g.source, []).append((g, rdeg(g)))
+    table = [{(x, x): [((), 0)] for x in objects}]
+    for length in range(1, max_length + 1):
+        longer: dict = {}
+        for (s, t), paths in table[-1].items():
+            for g, r in by_source.get(t, ()):
+                if not closed or length < max_length or g.target == s:
+                    longer.setdefault((s, g.target), []).extend((path + (g,), rp + r) for path, rp in paths)
+        table.append(longer)
+    return table
+
+
 def substitutions(inner: Iterable, outer_keys: Iterable, outer_at: Callable, max_length: int) -> Iterator[tuple]:
     """Every term of a quadratic equation that can be nonzero.
 
     A term puts the output g (coefficient c, the k-th item of its chain) of
     an inner operation on key1 into position p of an outer key key2 with
     key2[p] = g.  It lives on the tuple xs = key2[:p] + key1 + key2[p+1:],
-    as the block (i, j) = (p, p + len(key1)) of signed_blocks; no other
-    block of any tuple has a nonzero term.
+    as its block xs[i:j] with (i, j) = (p, p + len(key1)); no other block
+    of any tuple has a nonzero term.
 
     `inner` gives (key1, t, chain), t the module slot of key1 or None.  The
     output of an operation with a slot is a module element and goes into
@@ -316,8 +309,14 @@ def substitutions(inner: Iterable, outer_keys: Iterable, outer_at: Callable, max
     other output goes into a position p != s2 of one of `outer_keys`,
     pairs (key2, s2) with s2 None where there is no module slot.
 
-    Yields ((xs, slot), (i, j, k), key2, s2, c, below), below as in
-    signed_blocks, for every xs of at most max_length entries.
+    Yields ((xs, slot), (i, j, k), key2, s2, c, below) for every xs of at
+    most max_length entries.  `below` is the sum of the order degrees of
+    xs[:i]: the reduced degree deg + 1 of each entry, the plain degree of
+    a module element.  This is the sign rule of every quadratic equation
+    in the package: putting the block's output back into the tuple
+    contributes (-1)^below, and callers add only a constant twist for the
+    operations involved, except that a degree-n morphism inside the block
+    counts n * below in place of below.
     """
     elsewhere: dict = {}
     for key2, s2 in outer_keys:
@@ -348,8 +347,9 @@ def term_report(
     `passes` lists (terms, op, sign): each term of substitutions adds
     sign(below) * c * op(key2, s2) to the residual of its tuple (xs, slot).
     The terms of one tuple are added by (pass, i, j, k), the order in which
-    the block walk of signed_blocks meets them, so every residual comes out
-    exactly as that walk over the tuple builds it, insertion order included.
+    a walk over its blocks (by i, then j) meets them, so every residual
+    comes out exactly as that walk over the tuple builds it, insertion
+    order included.
 
     The checked tuples are those counted by tuple_count(cat, up_to,
     elements), and the violations come in the order that lists them: by

@@ -7,8 +7,9 @@ h with  mu(tau) - e_K = mu^1(h).
 
 The universal twisted complex over the sequences of B-objects of bounded
 length, realized against a probe object X, is the same bar complex
-Y^r_K (x)_B Y^l_X (bimodules.tensor_over_category).  Its generalized
-Maurer-Cartan property is that complex's exact d^2 = 0, and its
+Y^r_K (x)_B Y^l_X (bimodules.tensor_over_category), its words built on
+one table of middle paths over B that every probe object shares.  Its
+generalized Maurer-Cartan property is that complex's exact d^2 = 0, and its
 evaluation morphism is the full-collapse composition into hom(X, K),
 which must be a degree-0 chain map; both are checked for every probe
 object, and the unit factors through the realization against K.  A
@@ -30,6 +31,7 @@ from .bimodules import (
     RIGHT,
     YonedaModule,
     hom_complex,
+    middle_paths,
     mu_composition_map,
     tensor_over_category,
 )
@@ -133,9 +135,11 @@ def build_universal_complex(cat: AinfCategory, B_objects: Sequence[str], K: str,
     arity the words reach.
     """
     yr = YonedaModule(cat, K, RIGHT, objects=B_objects)
+    # the middle letters run between B-objects whatever the probe object
+    paths = middle_paths(cat, B_objects, max_length)
     for X in cat.objects:
         try:
-            cx = tensor_over_category(yr, YonedaModule(cat, X, LEFT, objects=B_objects), max_length)
+            cx = tensor_over_category(yr, YonedaModule(cat, X, LEFT, objects=B_objects), max_length, paths)
         except NotAComplex as err:
             raise MaurerCartanViolation(f"realization against {X} fails: {err}", witness=X) from err
         report = verify_chain_map(mu_composition_map(cat, X, K, cx))

@@ -28,9 +28,25 @@ particular b on a single letter is -mu^1.  One table of composable paths
 per pair of objects and length, each with its sum r, gives the paths,
 and its closed paths are the cyclic words themselves.
 
-Per word, both maps out of a cyclic word of length d apply an operation to
-cyclically consecutive blocks: the blocks twice[a:end] of the doubled
-word twice = word + word, 0 <= a < d and a < end <= a + d, of which
+The induced map CC(phi) of a degree-n bimodule morphism phi is placed
+term first too, from phi's component tables.  A component key
+(b_s, ..., b_1, x, a_1, ..., a_r), module slot x at index s, lies on
+every cyclic word top + mid + bottom with top = (a_1, ..., a_r), bottom =
+(b_s, ..., b_1, x) and mid a composable path from the key's target to its
+source; a term c * (p (x) q) of it (p the hom(K, -) factor, q the
+hom(-, K) one) goes to the tensor word (p, mid, q) with parity
+
+    rho(r(top)) + (T - rdeg(x)) + n * r(mid) + deg(p) * (deg(q) + r(mid)),
+
+T = r(key) + r(mid) and rho(t) = t * (T - t) + t (the rotation parity
+below, with t = B[lo]).  Each block through a word's distinguished slot
+is met once this way, so this is the per-word rule below read term
+first.
+
+Per word, as the tests' word-by-word oracles compute them, both maps out
+of a cyclic word of length d apply an operation to cyclically
+consecutive blocks: the blocks twice[a:end] of the doubled word
+twice = word + word, 0 <= a < d and a < end <= a + d, of which
 lo = max(0, end - d) letters wrap past the seam.  With B the prefix sums
 of the reduced degrees (T = B[d]), the one rotation parity is
 
@@ -53,7 +69,9 @@ moves.
 
       rho(lo) + B[d-1] + n * below + deg(p) * (deg(q) + below),
 
-  below = B[a] - B[lo] summing the letters between the windows.
+  below = B[a] - B[lo] summing the letters between the windows.  With
+  top = word[:lo] and mid = word[lo:a], B[lo] = r(top), B[d-1] =
+  T - rdeg(x) and below = r(mid) give the term rule above.
 
 Up to the global sign the differential's rule is the unique rule (over a
 twelve-parameter family of parity formulas) satisfying b^2 = 0 on words
@@ -74,11 +92,10 @@ commutation rule, is fixed so single-letter words map with sign +1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 
 from .bimodules import BimoduleHom, DiagonalBimodule, TensorBimodule, TensorWord
 from .complexes import BasedComplex, GradedMap, induced_rank_mod_2, verify_chain_map
-from .core import RING_F2, AinfCategory, chain_add, chain_normalize, parity_sign, rdeg
+from .core import RING_F2, AinfCategory, parity_sign, path_table, rdeg
 from .intlinalg import FinAbGroup, HomologyData, IntMatrix, smith_normal_form
 
 CyclicWord = tuple  # tuple[Gen, ...] in boundary order, distinguished slot last
@@ -98,34 +115,6 @@ def word_degree(word: CyclicWord) -> int:
     if not word:
         raise ValueError("empty cyclic word")
     return word[-1].degree + sum(g.degree - 1 for g in word[:-1])
-
-
-def _doubled(word: CyclicWord) -> tuple[CyclicWord, list[int], list[int]]:
-    """The doubled word, the prefix sums B of reduced degrees and the
-    rotation parity rho(lo) for lo < len(word) (module docstring)."""
-    B = [0, *accumulate(rdeg(g) for g in word)]
-    T = B[-1]
-    return word + word, B, [B[lo] * (T - B[lo]) + B[lo] for lo in range(len(word))]
-
-
-def _path_table(cat: AinfCategory, max_length: int) -> list[dict]:
-    """table[L][(s, t)]: every composable L-tuple of generators from s to t,
-    with the sum of its reduced degrees; table[0] holds the empty path at
-    every object a generator touches.  At L = max_length, where only the
-    cyclic words are read, it holds the closed paths alone."""
-    by_source: dict[str, list] = {}
-    for g in cat.generators():
-        by_source.setdefault(g.source, []).append((g, rdeg(g)))
-    objects = {x for gens in by_source.values() for g, _ in gens for x in (g.source, g.target)}
-    table = [{(x, x): [((), 0)] for x in objects}]
-    for length in range(1, max_length + 1):
-        longer: dict = {}
-        for (s, t), paths in table[-1].items():
-            for g, r in by_source.get(t, ()):
-                if length < max_length or g.target == s:
-                    longer.setdefault((s, g.target), []).extend((path + (g,), rp + r) for path, rp in paths)
-        table.append(longer)
-    return table
 
 
 def _terms(cat: AinfCategory, table: list[dict], max_length: int):
@@ -166,27 +155,16 @@ def truncated_cc(cat: AinfCategory, max_length: int) -> BasedComplex:
     matrices are written term by term (module docstring), summed, and
     reduced mod 2 over F2.
     """
-    table = _path_table(cat, max_length)
+    table = path_table(cat.generators(), cat.objects, max_length, closed=True)
     basis: dict[int, list] = {}
     for d in range(1, max_length + 1):
         for (s, t), paths in table[d].items():
             if s == t:
                 for word, r in paths:
                     basis.setdefault(r - 2 * d + 1, []).append(word)
-    where = {}
-    for k, words in basis.items():
+    for words in basis.values():
         words.sort()
-        where.update((word, (k, j)) for j, word in enumerate(words))
-    rows = {k: [{} for _ in basis.get(k + 1, ())] for k in basis}
-    for word, out, c in _terms(cat, table, max_length):
-        k, j = where[word]
-        row = rows[k][where[out][1]]
-        row[j] = row.get(j, 0) + c
-    matrices = {
-        k: IntMatrix.from_rows([chain_normalize(row, cat.ring) for row in rows.pop(k)], len(words))
-        for k, words in basis.items()
-    }
-    cx = BasedComplex.from_matrices(basis, matrices, ring=cat.ring)
+    cx = BasedComplex.from_terms(basis, _terms(cat, table, max_length), ring=cat.ring)
     cx.validate()
     return cx
 
@@ -234,16 +212,21 @@ def length_filter(cx: BasedComplex, max_length: int) -> BasedComplex:
 
     The differential never increases length, so the kept words span a
     subcomplex, whose matrices are the parent's restricted to the kept rows
-    and columns.  It is not validated again (the parent's validate()
-    already checked d o d on every word it keeps).
+    and columns; where every row and column is kept, the parent's matrix
+    itself, so its rank over F2 is taken once.  It is not validated again
+    (the parent's validate() already checked d o d on every word it keeps).
     """
     keep = {k: [j for j, w in enumerate(words) if len(w) <= max_length] for k, words in cx.basis.items()}
     matrices = {}
     for k, cols in keep.items():
+        rows = keep.get(k + 1, [])
+        if len(cols) == cx.dim(k) and len(rows) == cx.dim(k + 1):
+            matrices[k] = cx.matrix(k)
+            continue
         new = {j: n for n, j in enumerate(cols)}
         entries = cx.matrix(k).entries
-        rows = [{new[j]: c for j, c in entries[i].items() if j in new} for i in keep.get(k + 1, ())]
-        matrices[k] = IntMatrix.from_rows(rows, len(cols))
+        kept = [{new[j]: c for j, c in entries[i].items() if j in new} for i in rows]
+        matrices[k] = IntMatrix.from_rows(kept, len(cols))
     basis = {k: [cx.basis[k][j] for j in cols] for k, cols in keep.items()}
     return BasedComplex.from_matrices(basis, matrices, ring=cx.ring)
 
@@ -278,53 +261,45 @@ def hochschild_homology(cat: AinfCategory, max_length: int, degrees=None) -> Hoc
 # the induced map of the coproduct-type morphism on cyclic chains
 
 
-def cc_of_delta_word(phi: BimoduleHom, word: CyclicWord) -> dict:
-    """Image of one cyclic word under the morphism-induced map on chains.
-
-    phi must go from the diagonal bimodule to a tensor bimodule
-    Y^l (x) Y^r; the output lives in the bar model of Y^r (x)_B Y^l, as
-    TensorWord chains.
-    """
-    d = len(word)
+def _cc_phi_terms(phi: BimoduleHom, table: list[dict], max_length: int):
+    """(cyclic word, tensor word, signed coefficient) for every term of
+    every component of phi on every cyclic word of length <= max_length
+    (module docstring); table is a path table of length max_length - 1."""
     n = phi.n
-    twice, B, rho = _doubled(word)
-    out: dict = {}
-    for a in range(d - 1, -1, -1):
-        for lo in range(a + 1):
-            # block: s = d - 1 - a letters below the seam, the top letter,
-            # r = lo letters above
-            comp = phi.apply(twice[a : d + lo], d - 1 - a)
-            if not comp:
-                continue
-            # rho rotates the left window past the rest and, with B[d - 1],
-            # sums the letters below the slot; the morphism passes `below`
-            below = B[a] - B[lo]
-            diamond = rho[lo] + B[d - 1] + n * below
-            for pg, c in comp.items():
-                # pg.p is the hom(K, L_r) factor, pg.q the hom(L_{d-s-1}, K)
-                # one; the reorder sign moves pg.p past the letters and pg.q
-                circ = pg.p.degree * (pg.q.degree + below)
-                chain_add(out, {TensorWord(pg.p, word[lo:a], pg.q): parity_sign(diamond + circ) * c})
-    return chain_normalize(out, phi.source.cat.ring)
+    for (_, s), components in phi.components.items():
+        for key, chain in components.items():
+            top, bottom = key[s + 1 :], key[: s + 1]
+            rtop = sum(map(rdeg, top))
+            rkey = rtop + sum(map(rdeg, bottom))
+            outputs = list(chain.items())
+            for length in range(max_length - len(key) + 1):
+                for mid, rmid in table[length].get((key[-1].target, key[0].source), ()):
+                    T = rkey + rmid
+                    parity = rtop * (T - rtop) + rtop + T - rdeg(key[s]) + n * rmid
+                    word = top + mid + bottom
+                    for pg, c in outputs:
+                        sign = parity_sign(parity + pg.p.degree * (pg.q.degree + rmid))
+                        yield word, TensorWord(pg.p, mid, pg.q), sign * c
 
 
 def cc_of_delta(phi: BimoduleHom, cc: BasedComplex, tensor_cx: BasedComplex) -> GradedMap:
-    """The chain map induced on cyclic chains, verified before returning.
+    """The chain map induced on cyclic chains, written term by term from
+    phi's component tables and verified before returning.
 
-    Raises ChainMapViolation with a witness word if the degree-n
-    commutation rule fails on any word of the truncation.
+    phi must go from the diagonal bimodule to a tensor bimodule
+    Y^l (x) Y^r; the image lives in tensor_cx, the bar model of
+    Y^r (x)_B Y^l.  Raises KeyError if an image word is not in tensor_cx,
+    and ChainMapViolation with a witness word if the degree-n commutation
+    rule fails on any word of the truncation.
     """
     if not isinstance(phi.target, TensorBimodule):
         raise TypeError("the induced map needs a tensor-bimodule target")
     if not isinstance(phi.source, DiagonalBimodule):
         raise TypeError("the induced map needs the diagonal bimodule as source")
-    f = GradedMap(
-        source=cc,
-        target=tensor_cx,
-        shift=phi.n,
-        apply=lambda w: cc_of_delta_word(phi, w),
-        name="CC(morphism)",
-    )
+    cat = phi.source.cat
+    N = max((len(w) for words in cc.basis.values() for w in words), default=0)
+    table = path_table(cat.generators(), cat.objects, max(N - 1, 0))
+    f = GradedMap.from_terms(cc, tensor_cx, phi.n, _cc_phi_terms(phi, table, N), name="CC(morphism)")
     report = verify_chain_map(f)
     if not report.passed:
         bad = report.violations[0]

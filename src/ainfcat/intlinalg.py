@@ -64,11 +64,12 @@ class IntMatrix:
     """Immutable integer matrix stored as sparse rows.
 
     `entries[i]` maps a column j to the nonzero entry (i, j); zeros are
-    never stored.  `data`, the dense tuple of row tuples, and the sparse
-    columns that `apply` and `column` read are built on first access.
+    never stored.  `data`, the dense tuple of row tuples, the sparse
+    columns that `apply` and `column` read, and the rank over F2 are built
+    on first access.
     """
 
-    __slots__ = ("rows", "cols", "entries", "_data", "_columns")
+    __slots__ = ("rows", "cols", "entries", "_data", "_columns", "_rank_mod_2")
 
     def __init__(self, data: Sequence[Sequence[int]], rows: int | None = None, cols: int | None = None):
         rowtuples = [tuple(row) for row in data]
@@ -85,6 +86,7 @@ class IntMatrix:
         self.cols = ncols
         self._data = None
         self._columns = None
+        self._rank_mod_2 = None
 
     @classmethod
     def from_rows(cls, entries: Sequence[dict], cols: int) -> "IntMatrix":
@@ -96,6 +98,7 @@ class IntMatrix:
         m.cols = cols
         m._data = None
         m._columns = None
+        m._rank_mod_2 = None
         return m
 
     @classmethod
@@ -185,6 +188,12 @@ class IntMatrix:
 
     def is_zero(self) -> bool:
         return not any(self.entries)
+
+    def rank_mod_2(self) -> int:
+        """The rank over F2 (f2_rank), taken once."""
+        if self._rank_mod_2 is None:
+            self._rank_mod_2 = f2_rank(self)
+        return self._rank_mod_2
 
 
 def _transposed(rows: Sequence[dict], ncols: int) -> list[dict]:

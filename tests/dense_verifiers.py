@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from helpers import collect_violations, composable_tuples
+from helpers import collect_violations, composable_tuples, signed_blocks
 
 from ainfcat.bimodules import Bimodule, BimoduleHom
 from ainfcat.core import (
@@ -24,7 +24,6 @@ from ainfcat.core import (
     chain_add,
     chain_normalize,
     parity_sign,
-    signed_blocks,
 )
 
 

@@ -18,6 +18,13 @@ them.  `bar_differential_oracle` and `cc_of_delta_word_oracle` are the
 cyclic walks as they were written before both read the doubled word: the
 differential's non-wrapping blocks through `signed_blocks` and its
 wrapping blocks in a loop of their own, each with its own rotation sum.
+The word-by-word builders that the package replaced by term walks end
+the file: `signed_blocks`, the block rule walked over one tuple (also
+behind the dense verifiers); `tensor_words` and `tensor_differential`,
+the tensor complex's words and each word's differential; and
+`cc_of_delta_word` with `_doubled`, CC(phi) of one cyclic word read off
+the doubled word.  The tests hold the shipped matrices equal to the ones
+these build, over Z and F2.
 `shipped` loads a fixture's file as `ainfcat fixture` writes it, once per
 fixture; the tests take the shipped morphisms from it, so they come in
 through the one loader, `fileformat._morphisms`.  `composable_tuples` and
@@ -37,12 +44,14 @@ import copy
 import functools
 import io
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from itertools import accumulate
+from typing import Callable, Container, Iterable, Iterator, Mapping, Sequence
 
 from ainfcat import cli
 from ainfcat.bimodules import Bimodule, BimoduleHom, PairGen, TensorWord, YonedaModule
 from ainfcat.complexes import BasedComplex, GradedMap
 from ainfcat.core import (
+    EMPTY,
     AinfCategory,
     Gen,
     VerificationReport,
@@ -51,10 +60,8 @@ from ainfcat.core import (
     chain_normalize,
     parity_sign,
     rdeg,
-    signed_blocks,
 )
 from ainfcat.fileformat import LoadedFile, load_category
-from ainfcat.hochschild import _doubled
 from ainfcat.intlinalg import IntMatrix, _kernel
 
 
@@ -371,4 +378,114 @@ def cc_of_delta_word_oracle(phi: BimoduleHom, word: tuple) -> dict:
                 # one; the reorder sign moves pg.p past the letters and pg.q
                 circ = pg.p.degree * (pg.q.degree + rsum(r + 1, d - s - 1))
                 chain_add(out, {TensorWord(pg.p, mid, pg.q): parity_sign(diamond + circ) * c})
+    return chain_normalize(out, phi.source.cat.ring)
+
+
+# ---------------------------------------------------------------------------
+# the word-by-word builders, as the package computed them before it wrote
+# its matrices from term tables
+
+
+def signed_blocks(
+    seq: tuple, inner: Callable[[int, int], Mapping], plain: Container[int]
+) -> Iterator[tuple[int, int, object, int, int]]:
+    """Every output term of an inner operation on every block of a tuple.
+
+    Walks the consecutive blocks seq[i:j] (by i, then j), applies
+    inner(i, j) to each and yields (i, j, g, c, below) for every term
+    c * g of the result.  `below` is the sum of the order degrees of
+    seq[:i]: the reduced degree deg + 1 of each entry, except that the
+    positions listed in `plain` (module elements) count their plain
+    degree.  Substituting the block's output g back into the tuple
+    contributes (-1)^below.
+    """
+    below = 0
+    for i, x in enumerate(seq):
+        for j in range(i + 1, len(seq) + 1):
+            for g, c in inner(i, j).items():
+                yield i, j, g, c, below
+        below += x.degree if i in plain else x.degree + 1
+
+
+def tensor_words(R: YonedaModule, L: YonedaModule, max_length: int) -> list[TensorWord]:
+    """All words (q, letters, p); letters stay between the modules' objects."""
+    cat = R.cat
+    allowed = set(R.spaces) & set(L.spaces)
+    by_source: dict[str, list[Gen]] = {}
+    for g in cat.generators():
+        if g.source in allowed and g.target in allowed:
+            by_source.setdefault(g.source, []).append(g)
+    words = []
+    for obj in sorted(L.spaces):
+        for q in L.basis(obj):
+            stack = [(q, ())]
+            while stack:
+                q0, mid = stack.pop()
+                tail = mid[-1].target if mid else q0.target
+                for p in R.basis(tail):
+                    words.append(TensorWord(q0, mid, p))
+                if len(mid) < max_length:
+                    for g in by_source.get(tail, []):
+                        stack.append((q0, mid + (g,)))
+    return sorted(words)
+
+
+def tensor_differential(R: YonedaModule, L: YonedaModule, word: TensorWord) -> dict:
+    """Differential of the tensor-over-the-category complex on one word:
+    the left action on blocks holding q, the right action on blocks
+    holding p, mu on the rest, with q and p the module slots."""
+    seq = (word.q,) + word.mid + (word.p,)
+    end = len(seq)
+
+    def inner(i, j):
+        if i == 0:
+            # the block holding both q and p is the full collapse, not a term
+            return L.act(seq[:j]) if j < end else EMPTY
+        return R.act(seq[i:]) if j == end else R.cat.mu_key(seq[i:j])
+
+    out: dict = {}
+    for i, j, g, c, below in signed_blocks(seq, inner, (0, end - 1)):
+        new = seq[:i] + (g,) + seq[j:]
+        chain_add(out, {TensorWord(new[0], new[1:-1], new[-1]): parity_sign(below) * c})
+    return chain_normalize(out, R.cat.ring)
+
+
+def _doubled(word: tuple) -> tuple[tuple, list[int], list[int]]:
+    """The doubled word, the prefix sums B of reduced degrees and the
+    rotation parity rho(lo) = B[lo] * (T - B[lo]) + B[lo] for
+    lo < len(word), T = B[-1] (hochschild's module docstring)."""
+    B = [0, *accumulate(rdeg(g) for g in word)]
+    T = B[-1]
+    return word + word, B, [B[lo] * (T - B[lo]) + B[lo] for lo in range(len(word))]
+
+
+def cc_of_delta_word(phi: BimoduleHom, word: tuple) -> dict:
+    """Image of one cyclic word under the morphism-induced map on chains.
+
+    phi must go from the diagonal bimodule to a tensor bimodule
+    Y^l (x) Y^r; the output lives in the bar model of Y^r (x)_B Y^l, as
+    TensorWord chains.  Every block through the distinguished slot,
+    twice[a:d+lo], is read as phi's component with s = d - 1 - a letters
+    below the seam and r = lo above.
+    """
+    d = len(word)
+    n = phi.n
+    twice, B, rho = _doubled(word)
+    out: dict = {}
+    for a in range(d - 1, -1, -1):
+        for lo in range(a + 1):
+            # block: s = d - 1 - a letters below the seam, the top letter,
+            # r = lo letters above
+            comp = phi.apply(twice[a : d + lo], d - 1 - a)
+            if not comp:
+                continue
+            # rho rotates the left window past the rest and, with B[d - 1],
+            # sums the letters below the slot; the morphism passes `below`
+            below = B[a] - B[lo]
+            diamond = rho[lo] + B[d - 1] + n * below
+            for pg, c in comp.items():
+                # pg.p is the hom(K, L_r) factor, pg.q the hom(L_{d-s-1}, K)
+                # one; the reorder sign moves pg.p past the letters and pg.q
+                circ = pg.p.degree * (pg.q.degree + below)
+                chain_add(out, {TensorWord(pg.p, word[lo:a], pg.q): parity_sign(diamond + circ) * c})
     return chain_normalize(out, phi.source.cat.ring)

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from dense_verifiers import mixed_tuples
-from helpers import identity_hom, tensor_op_oracle, with_negated_bimodule_term
+from helpers import identity_hom, tensor_differential, tensor_op_oracle, tensor_words, with_negated_bimodule_term
 
 from ainfcat.bimodules import (
     LEFT,
@@ -17,14 +19,13 @@ from ainfcat.bimodules import (
     TensorWord,
     YonedaModule,
     hom_complex,
+    middle_paths,
     mu_composition_map,
-    tensor_differential,
     tensor_over_category,
-    tensor_words,
     verify_bimodule,
     verify_bimodule_hom,
 )
-from ainfcat.complexes import verify_chain_map
+from ainfcat.complexes import BasedComplex, verify_chain_map
 from ainfcat.core import chain_normalize, parity_sign, verify_ainf, with_ring
 from ainfcat.fixtures import (
     FIXTURES,
@@ -234,6 +235,47 @@ def test_tensor_complex_ground_ring_lengths12():
     assert tensor_differential(yr, yl, w1) == {}
     img = tensor_differential(yr, yl, w2)
     assert img == {w1: 1} or img == {w1: -1}
+
+
+def word_by_word(R: YonedaModule, L: YonedaModule, max_length: int) -> BasedComplex:
+    """The tensor complex as it was built before its matrices were written
+    from term tables: the words of tensor_words, the differential of each
+    word by tensor_differential."""
+    basis: dict[int, list] = {}
+    for w in tensor_words(R, L, max_length):
+        basis.setdefault(w.degree, []).append(w)
+    return BasedComplex(basis, lambda w: tensor_differential(R, L, w), ring=R.cat.ring)
+
+
+def assert_same_complex(new: BasedComplex, old: BasedComplex):
+    assert new.basis == old.basis
+    for k in old.degrees():
+        assert new.matrix(k) == old.matrix(k), k
+
+
+@pytest.mark.parametrize("ring", ["Z", "F2"])
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_tensor_complex_equals_the_word_by_word_oracle(name, ring):
+    # every nonempty B, every K and every probe object X, N <= 3, on one
+    # middle-path table per B as build_universal_complex shares it
+    cat = with_ring(FIXTURES[name](), ring)
+    for n in range(1, len(cat.objects) + 1):
+        for B in itertools.combinations(cat.objects, n):
+            paths = middle_paths(cat, B, 3)
+            for K, X in itertools.product(cat.objects, repeat=2):
+                R, L = YonedaModule(cat, K, RIGHT, objects=B), YonedaModule(cat, X, LEFT, objects=B)
+                for N in range(4):
+                    assert_same_complex(tensor_over_category(R, L, N, paths), word_by_word(R, L, N))
+
+
+@pytest.mark.parametrize("ring", ["Z", "F2"])
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_tensor_complex_equals_the_word_by_word_oracle_at_length_4(name, ring):
+    # the complex `ainfcat cardy` builds, over every object, at N = 4
+    cat = with_ring(FIXTURES[name](), ring)
+    for K in cat.objects:
+        R, L = YonedaModule(cat, K, RIGHT), YonedaModule(cat, K, LEFT)
+        assert_same_complex(tensor_over_category(R, L, 4), word_by_word(R, L, 4))
 
 
 @pytest.mark.parametrize("make", ALL_FIXTURES)

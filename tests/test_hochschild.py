@@ -8,6 +8,7 @@ import pytest
 from helpers import (
     bar_differential,
     bar_differential_oracle,
+    cc_of_delta_word,
     cc_of_delta_word_oracle,
     chain_map_residuals,
     cyclic_tuples,
@@ -16,8 +17,17 @@ from helpers import (
     zero_map,
 )
 
-from ainfcat import complexes, generation
-from ainfcat.bimodules import LEFT, RIGHT, BimoduleHom, YonedaModule, mu_composition_map, tensor_over_category
+from ainfcat import complexes, generation, intlinalg
+from ainfcat.bimodules import (
+    LEFT,
+    RIGHT,
+    BimoduleHom,
+    DiagonalBimodule,
+    TensorBimodule,
+    YonedaModule,
+    mu_composition_map,
+    tensor_over_category,
+)
 from ainfcat.complexes import BasedComplex, GradedMap, compose, verify_chain_map
 from ainfcat.core import RING_F2, RING_Z, chain_normalize, with_ring
 from ainfcat.fixtures import (
@@ -33,7 +43,6 @@ from ainfcat.fixtures import (
 from ainfcat.hochschild import (
     ChainMapViolation,
     cc_of_delta,
-    cc_of_delta_word,
     hochschild_homology,
     length_filter,
     truncated_cc,
@@ -213,11 +222,19 @@ def test_f2_stable_flags_match_a_gf2_oracle(make, N):
 
 def test_f2_homology_ranks_each_matrix_once(monkeypatch):
     # the homology of both truncations and the stabilization flag's D and E
-    # read one rank per matrix; only the flag's block matrices are new
+    # read one rank per distinct matrix: where the N - 1 truncation keeps
+    # every row and column, its matrix is the parent's and so is its rank;
+    # only the flag's block matrices are new
     ranked = []
-    monkeypatch.setattr(complexes, "f2_rank", lambda A: ranked.append(A) or f2_rank(A))
+
+    def counted(A):
+        ranked.append((A.rows, A.cols, tuple(tuple(sorted(row.items())) for row in A.entries)))
+        return f2_rank(A)
+
+    monkeypatch.setattr(intlinalg, "f2_rank", counted)
+    monkeypatch.setattr(complexes, "f2_rank", counted)
     hochschild_homology(with_ring(split_summand_pair(), RING_F2), 5)
-    assert ranked and len(ranked) == len({id(A) for A in ranked})
+    assert ranked and len(ranked) == len(set(ranked))
 
 
 def test_hochschild_cone_torsion_appears():
@@ -267,9 +284,33 @@ def test_cc_of_delta_word_equals_the_rsum_oracle(key):
             assert new == items_and_lookups(cc_of_delta_word_oracle, stand_in, word), word
 
 
-def test_cc_of_delta_zero_morphism():
-    from ainfcat.bimodules import BimoduleHom, DiagonalBimodule, TensorBimodule
+def over_f2(phi: BimoduleHom) -> BimoduleHom:
+    """phi's components over the category reduced mod 2."""
+    cat = with_ring(phi.source.cat, RING_F2)
+    K = phi.target.left.K
+    target = TensorBimodule(YonedaModule(cat, K, LEFT), YonedaModule(cat, K, RIGHT))
+    return BimoduleHom(DiagonalBimodule(cat), target, phi.n, phi.components)
 
+
+@pytest.mark.parametrize("ring", [RING_Z, RING_F2])
+@pytest.mark.parametrize("key", SHIPPED_MORPHISMS)
+def test_cc_of_delta_equals_the_word_by_word_oracle(key, ring):
+    # CC(phi) placed term by term equals the image of each word computed
+    # block by block, into the tensor complex `ainfcat cardy` builds
+    phi = shipped_morphism(*key)
+    phi = over_f2(phi) if ring == RING_F2 else phi
+    cat = phi.source.cat
+    K = phi.target.left.K
+    for N in range(1, 6):
+        cc = truncated_cc(cat, N)
+        tensor_cx = tensor_over_category(YonedaModule(cat, K, RIGHT), YonedaModule(cat, K, LEFT), N - 1)
+        f = cc_of_delta(phi, cc, tensor_cx)
+        oracle = GradedMap(cc, tensor_cx, phi.n, lambda w: cc_of_delta_word(phi, w))
+        for k in cc.degrees():
+            assert f.matrix(k) == oracle.matrix(k), (N, k)
+
+
+def test_cc_of_delta_zero_morphism():
     cat = dual_numbers()
     phi = BimoduleHom(
         source=DiagonalBimodule(cat),

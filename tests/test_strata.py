@@ -7,12 +7,14 @@ from itertools import product
 from types import SimpleNamespace
 
 import pytest
-from helpers import disc_facet_count_closed_form
+from dense_verifiers import all_mixed_tuples, slot_after
+from helpers import disc_facet_count_closed_form, shipped_morphism, signed_blocks
 
 from ainfcat import bimodules, cli
-from ainfcat.bimodules import PairGen, slot_index, table_keys
-from ainfcat.core import Gen, signed_blocks, substitutions
-from ainfcat.hochschild import _path_table, _terms, cc_of_delta_word
+from ainfcat.bimodules import PairGen, TensorWord, _tensor_terms, middle_paths, slot_index, table_keys
+from ainfcat.core import Gen, path_table, substitutions
+from ainfcat.fixtures import SHIPPED_MORPHISMS
+from ainfcat.hochschild import _cc_phi_terms, _terms
 from ainfcat.strata import (
     CODISC,
     EQUATIONS,
@@ -297,6 +299,79 @@ def test_morphism_passes_visit_the_bimodule_hom_terms(monkeypatch, r, s):
     assert Counter(visited) == Counter(term for term, _ in equation_terms(bidisc(r, s)))
 
 
+def bidisc_term(tag: str, s: int, i: int, j: int) -> tuple:
+    """The term of bidisc(r, s) on the block (i, j) of (b_s, .., b_1, m,
+    a_1, .., a_r), `tag` naming the operation inside when the block holds
+    the module slot."""
+    if i <= s < j:
+        return (tag, j - s - 1, s - i)
+    if j <= s:
+        return ("right", s - j, s - i)
+    return ("left", i - s - 1, j - s - 1)
+
+
+def bidisc_block(term: tuple, s: int) -> tuple[int, int]:
+    """The block (i, j) a term of bidisc(r, s) acts on (bidisc_term's inverse)."""
+    tag, x, y = term
+    if tag in ("target", "source"):
+        return s - y, s + x + 1
+    if tag == "right":
+        return s - y, s - x
+    return s + 1 + x, s + 1 + y
+
+
+def assert_walk_visits_the_bidisc_terms(
+    monkeypatch, verify, subject, source, slot_tags: tuple, ops: dict, max_inputs: int
+):
+    """The terms a bimodule verifier's walk visits on each tuple
+    (b_s, .., b_1, m, a_1, .., a_r) of real tables are the terms of
+    bidisc(r, s) on which both operations have a term: inside, `ops`'
+    inner operation on the term's block; outside, its outer one on the
+    tuple with the block's output k put back."""
+    captured = []
+    monkeypatch.setattr(bimodules, "term_report", lambda passes, *rest: captured.extend(passes))
+    verify(subject, max_inputs=max_inputs)
+    tuples = set(all_mixed_tuples(source, max_inputs))
+    visited = Counter()
+    for tag, (terms, _, _) in zip(slot_tags, captured):
+        for (xs, s), (i, j, k), *_ in terms:
+            assert (xs, s) in tuples
+            visited[xs, s, bidisc_term(tag, s, i, j), k] += 1
+    expected = Counter()
+    for xs, s in tuples:
+        for term, _ in equation_terms(bidisc(len(xs) - 1 - s, s)):
+            if term[0] not in ops:
+                continue
+            inner, outer = ops[term[0]]
+            i, j = bidisc_block(term, s)
+            for k, g in enumerate(inner(xs[i:j], s - i)):
+                if outer(xs[:i] + (g,) + xs[j:], slot_after(s, i, j)):
+                    expected[xs, s, term, k] += 1
+    assert visited and visited == expected
+
+
+@pytest.mark.parametrize("name,n", SHIPPED_MORPHISMS)
+def test_bimodule_verifiers_visit_the_bidisc_terms_on_fixture_tables(monkeypatch, name, n):
+    phi = shipped_morphism(name, n)
+    cat = phi.source.cat
+
+    def mu(key, _):
+        return cat.mu_key(key)
+
+    for P in (phi.source, phi.target):
+        ops = {"source": (P.op, P.op), "right": (mu, P.op), "left": (mu, P.op)}
+        assert_walk_visits_the_bidisc_terms(monkeypatch, bimodules.verify_bimodule, P, P, ("source",), ops, 3)
+    ops = {
+        "target": (phi.apply, phi.target.op),
+        "source": (phi.source.op, phi.apply),
+        "right": (mu, phi.apply),
+        "left": (mu, phi.apply),
+    }
+    assert_walk_visits_the_bidisc_terms(
+        monkeypatch, bimodules.verify_bimodule_hom, phi, phi.source, ("target", "source"), ops, 3
+    )
+
+
 def hochschild_block(d: int, term: tuple) -> tuple:
     """Positions of the letters a term of hochschild_terms feeds to mu."""
     tag, x, m = term
@@ -305,34 +380,46 @@ def hochschild_block(d: int, term: tuple) -> tuple:
     return tuple(range(d - m + x + 1, d + 1)) + tuple(range(1, x + 1))
 
 
+def around_the_seam(d: int) -> tuple:
+    """The word a_1..a_d with a_i running from object i - 1 to object i mod d:
+    its only cyclic words of length <= d are its rotations."""
+    return tuple(Gen(str(i - 1), str(i % d), f"a{i}", 0) for i in range(1, d + 1))
+
+
 @pytest.mark.parametrize("d", range(1, 9))
 def test_bar_differential_visits_the_hochschild_terms(d):
-    # the term walk that builds truncated_cc's matrices; a_i runs from object
-    # i - 1 to object i mod d, so the only cyclic words of length <= d are the
-    # rotations of the word, and mu has a term on every cyclic block of it,
-    # whose output generator names the block
-    word = tuple(Gen(str(i - 1), str(i % d), f"a{i}", 0) for i in range(1, d + 1))
+    # the term walk that builds truncated_cc's matrices; mu has a term on
+    # every cyclic block of the word, whose output generator names the block
+    word = around_the_seam(d)
     mu: dict = {}
     for m in range(1, d + 1):
         for a in range(d):
             key = (word + word)[a : a + m]
             mu.setdefault(m, {})[key] = {Gen(key[0].source, key[-1].target, positions(key), 0): 1}
-    cat = SimpleNamespace(generators=lambda: iter(word), mu=mu)
-    visited = [g.name for w, out, _ in _terms(cat, _path_table(cat, d), d) if w == word for g in out if g not in word]
+    cat = SimpleNamespace(mu=mu)
+    table = path_table(word, {g.source for g in word}, d, closed=True)
+    visited = [g.name for w, out, _ in _terms(cat, table, d) if w == word for g in out if g not in word]
     expected = [hochschild_block(d, term) for term, _ in equation_terms(punctured_disc(d))]
     assert Counter(visited) == Counter(expected)
 
 
 @pytest.mark.parametrize("d", range(1, 9))
-def test_cc_of_delta_word_visits_the_annulus_pair_terms(d):
-    visited = []
-
-    def apply(key, s):
-        visited.append((positions(key), s))
-        return {PairGen(MARKER, MARKER): 1}
-
-    phi = SimpleNamespace(n=0, apply=apply, source=SimpleNamespace(cat=SimpleNamespace(ring="Z")))
-    cc_of_delta_word(phi, letters(d))
+def test_cc_phi_term_walk_visits_the_annulus_pair_terms(d):
+    """The term walk that builds CC(phi)'s matrices: phi has a component on
+    every cyclic block of the word with every module slot, whose output
+    names the block and the slot; the terms placed on the word are the
+    pair terms of annulus(d), each once."""
+    word = around_the_seam(d)
+    components: dict = {}
+    for m in range(1, d + 1):
+        for a in range(d):
+            key = (word + word)[a : a + m]
+            for s in range(m):
+                out = PairGen(Gen(key[s].source, "K", positions(key), 0), Gen("K", key[s].source, str(s), 0))
+                components.setdefault((m - 1 - s, s), {})[key] = {out: 1}
+    phi = SimpleNamespace(n=0, components=components)
+    table = path_table(word, {g.source for g in word}, d - 1)
+    visited = [(out.q.name, int(out.p.name)) for w, out, _ in _cc_phi_terms(phi, table, d) if w == word]
     expected = [
         (tuple(range(d - s, d + 1)) + tuple(range(1, r + 1)), s)
         for (tag, *rs), _ in equation_terms(annulus(d))
@@ -340,6 +427,51 @@ def test_cc_of_delta_word_visits_the_annulus_pair_terms(d):
         for r, s in [rs]
     ]
     assert Counter(visited) == Counter(expected)
+
+
+@pytest.mark.parametrize("d", range(0, 8))
+def test_tensor_term_walk_visits_the_disc_terms_but_the_full_collapse(d):
+    """The term walk that builds the tensor complex's matrices, on the word
+    (q, a_1..a_d, p) with a_i from object i - 1 to object i: the left
+    action, mu and the right action each have a term on every block they
+    can act on, whose output names the block.  The terms placed on the
+    word are those of disc(d + 2), each once, except (1, d + 2, 0), the
+    full collapse that mu_composition_map takes."""
+    q, p = Gen("X", "0", "q", 0), Gen(str(d), "K", "p", 0)
+    letters = tuple(Gen(str(i - 1), str(i), f"a{i}", 0) for i in range(1, d + 1))
+    seq = (q,) + letters + (p,)
+
+    def output(i, j):
+        block = seq[i:j]
+        return {Gen(block[0].source, block[-1].target, (i, j), 0): 1}
+
+    def table(blocks):
+        out: dict = {}
+        for i, j in blocks:
+            out.setdefault(j - i, {})[seq[i:j]] = output(i, j)
+        return out
+
+    end = d + 2
+    objects = {str(i) for i in range(d + 1)}
+    cat = SimpleNamespace(
+        generators=lambda: iter(letters), mu=table((i, j) for i in range(1, end - 1) for j in range(i + 1, end))
+    )
+    L = SimpleNamespace(spaces=dict.fromkeys(objects), actions=table((0, j) for j in range(1, end)))
+    R = SimpleNamespace(spaces=dict.fromkeys(objects), actions=table((i, end) for i in range(1, end)), cat=cat)
+    L.basis = lambda obj: [q] if obj == "0" else []
+    R.basis = lambda obj: [p] if obj == str(d) else []
+    word = TensorWord(q, letters, p)
+    visited = [
+        (end + 1 - (j - i), j - i, i)
+        for w, out, _ in _tensor_terms(R, L, middle_paths(cat, objects, d), d)
+        if w == word
+        for g in (out[0], *out[1], out[2])
+        if isinstance(g.name, tuple)
+        for i, j in [g.name]
+    ]
+    expected = Counter(term for term, _ in equation_terms(disc(end)))
+    expected -= Counter([(1, end, 0)])
+    assert Counter(visited) == expected
 
 
 # -- sign formulas -------------------------------------------------------------
