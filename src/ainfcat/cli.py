@@ -156,24 +156,13 @@ def cmd_validate(args) -> int:
     return EXIT_PASS if ok else EXIT_FAIL
 
 
-def _parse_degree_range(spec: str):
-    m = re.fullmatch(r"(-?\d+)\.\.(-?\d+)", spec)
-    if not m:
-        raise CliError(f"bad degree range {spec!r}; expected a..b")
-    a, b = int(m.group(1)), int(m.group(2))
-    if a > b:
-        raise CliError("empty degree range")
-    return range(a, b + 1)
-
-
 def cmd_hh(args) -> int:
     data = _read(args.path)
     loaded = load_category(data, ring=args.ring)
     cat = loaded.category
     if not verify_ainf(cat, relation_depth(cat)).passed:
         raise CliError("category fails the structure relations", code=EXIT_FAIL)
-    degrees = _parse_degree_range(args.degrees) if args.degrees else None
-    res = hochschild_homology(cat, args.max_length, degrees)
+    res = hochschild_homology(cat, args.max_length, args.degrees)
     groups = {str(k): str(res.groups[k]) for k in sorted(res.groups)}
     stable = {str(k): res.stable[k] for k in sorted(res.stable)}
     report = {
@@ -431,6 +420,17 @@ def _at_least(minimum: int):
     return parse
 
 
+def _degree_range(spec: str) -> range:
+    """argparse type: an inclusive, nonempty degree range a..b."""
+    m = re.fullmatch(r"(-?\d+)\.\.(-?\d+)", spec)
+    if not m:
+        raise argparse.ArgumentTypeError(f"bad degree range {spec!r}; expected a..b")
+    a, b = int(m.group(1)), int(m.group(2))
+    if a > b:
+        raise argparse.ArgumentTypeError("empty degree range")
+    return range(a, b + 1)
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="ainfcat", description="Exact checker for categories with higher products")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -446,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hh", help="truncated cyclic homology with stabilization flags")
     p.add_argument("path")
     p.add_argument("--max-length", type=_at_least(1), required=True)
-    p.add_argument("--degrees", help="inclusive degree range a..b")
+    p.add_argument("--degrees", type=_degree_range, help="inclusive degree range a..b")
     p.add_argument("--ring", choices=("Z", "F2"), help="override the coefficient ring (Z data reduces mod 2)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_hh)

@@ -12,6 +12,11 @@ validation and reported with JSON pointers (RFC 6901: a name holding
 `~` or `/` is escaped).  `_morphisms` is the one reader that turns
 component tables into morphisms; the shipped fixtures' morphisms come
 in through it too.
+
+Both schemas are compiled once into plain predicates (`compile_schema`),
+which decide whether a file is accepted; `jsonschema` is imported only
+when a predicate refuses, to word the refusal.  "integer" means a JSON
+integer literal in both: `2.0` is refused, not read as a float.
 """
 
 from __future__ import annotations
@@ -19,8 +24,6 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-
-import jsonschema
 
 from .bimodules import LEFT, RIGHT, BimoduleHom, DiagonalBimodule, PairGen, TensorBimodule, YonedaModule
 from .complexes import BasedComplex
@@ -115,6 +118,99 @@ CERTIFICATE_SCHEMA = {
     ),
 }
 
+# the keywords `_closed` and `_array` emit, by the type they need beside them
+# ("const" and "enum" go with "string" or with no type)
+_KEYWORDS = {
+    None: (),
+    "string": (),
+    "boolean": (),
+    "integer": ("minimum",),
+    "object": ("required", "properties", "additionalProperties"),
+    "array": ("items", "prefixItems", "minItems", "maxItems"),
+}
+
+
+def compile_schema(schema: dict):
+    """The predicate `instance -> bool` accepting exactly what `schema`
+    accepts under JSON Schema 2020-12, with "integer" meaning a JSON
+    integer literal (`type(x) is int`: not 2.0, not true).
+
+    Only the keywords `_closed` and `_array` emit are compiled, each
+    beside the type it applies to; any other keyword or combination
+    raises ValueError, so a schema edit cannot silently skip a check.
+    A predicate tests the type first, so it never raises."""
+    return _compile({k: v for k, v in schema.items() if k != "$schema"}, "#")
+
+
+def _compile(schema, where: str):
+    if not isinstance(schema, dict):
+        raise ValueError(f"{where}: cannot compile a schema that is not an object")
+    kind = schema.get("type")
+    if not isinstance(kind, (str, type(None))) or kind not in _KEYWORDS:
+        raise ValueError(f"{where}: cannot compile type {kind!r}")
+    words = {"type", *_KEYWORDS[kind], *(("const", "enum") if kind in (None, "string") else ())}
+    if set(schema) - words:
+        raise ValueError(f"{where}: cannot compile {sorted(set(schema) - words)} with type {kind!r}")
+
+    if "const" in schema or "enum" in schema:
+        values = [schema["const"]] if "const" in schema else schema["enum"]
+        if "const" in schema and "enum" in schema or not all(isinstance(v, str) for v in values):
+            raise ValueError(f"{where}: cannot compile a const or enum other than one list of strings")
+        strings = frozenset(values)
+        return lambda x: isinstance(x, str) and x in strings
+    if kind is None:
+        raise ValueError(f"{where}: cannot compile a schema without a type, const or enum")
+    if kind == "string":
+        return lambda x: isinstance(x, str)
+    if kind == "boolean":
+        return lambda x: isinstance(x, bool)
+    if kind == "integer":
+        least = schema.get("minimum")
+        return lambda x: type(x) is int and (least is None or x >= least)
+
+    if kind == "object":
+        props = {name: _compile(sub, f"{where}/properties/{name}") for name, sub in schema.get("properties", {}).items()}
+        required = tuple(schema.get("required", ()))
+        rest = schema.get("additionalProperties", True)
+        if not isinstance(rest, bool):
+            rest = _compile(rest, f"{where}/additionalProperties")
+
+        def accepts_object(x):
+            if not isinstance(x, dict):
+                return False
+            for name in required:
+                if name not in x:
+                    return False
+            for key, value in x.items():
+                test = props.get(key, rest)
+                if test is False or test is not True and not test(value):
+                    return False
+            return True
+
+        return accepts_object
+
+    prefix = tuple(_compile(sub, f"{where}/prefixItems/{i}") for i, sub in enumerate(schema.get("prefixItems", ())))
+    each = _compile(schema["items"], f"{where}/items") if "items" in schema else None
+    shortest, longest = schema.get("minItems", 0), schema.get("maxItems")
+
+    def accepts_array(x):
+        if not isinstance(x, list) or len(x) < shortest or longest is not None and len(x) > longest:
+            return False
+        for test, value in zip(prefix, x):
+            if not test(value):
+                return False
+        if each is not None:
+            for value in x[len(prefix):] if prefix else x:
+                if not each(value):
+                    return False
+        return True
+
+    return accepts_array
+
+
+_ACCEPTS_CATEGORY = compile_schema(CATEGORY_SCHEMA)
+_ACCEPTS_CERTIFICATE = compile_schema(CERTIFICATE_SCHEMA)
+
 
 class InputError(Exception):
     """Schema or referential failure in an input file (exit code 2).
@@ -153,12 +249,26 @@ def _pointer(*tokens) -> str:
     return "".join("/" + str(t).replace("~", "~0").replace("/", "~1") for t in tokens)
 
 
-def _schema_check(instance, schema):
-    validator = jsonschema.Draft202012Validator(schema)
-    errors = sorted(validator.iter_errors(instance), key=lambda e: list(e.absolute_path))
-    if errors:
-        err = errors[0]
-        raise InputError(err.message, path=_pointer(*err.absolute_path))
+def schema_errors(instance, schema) -> list:
+    """Every `jsonschema` error of `instance` against `schema`, sorted by
+    path, with "integer" meaning a JSON integer literal as in
+    `compile_schema`."""
+    from jsonschema import Draft202012Validator, validators
+
+    integer_literal = Draft202012Validator.TYPE_CHECKER.redefine("integer", lambda _, x: type(x) is int)
+    reporter = validators.extend(Draft202012Validator, type_checker=integer_literal)
+    return sorted(reporter(schema).iter_errors(instance), key=lambda e: list(e.absolute_path))
+
+
+def _schema_check(instance, schema, accepts) -> None:
+    """Refuse `instance` unless `accepts`, `schema` compiled, holds; the
+    refusal names the first `jsonschema` error by its path."""
+    if accepts(instance):
+        return
+    errors = schema_errors(instance, schema)
+    if not errors:
+        raise RuntimeError("the compiled schema refused a file that jsonschema accepts")
+    raise InputError(errors[0].message, path=_pointer(*errors[0].absolute_path))
 
 
 def _add_term(chain: dict, g, coefficient: int) -> None:
@@ -182,7 +292,7 @@ def load_category(data: bytes, ring: str | None = None) -> LoadedFile:
         raw = json.loads(data)
     except json.JSONDecodeError as err:
         raise InputError(f"not valid JSON: {err}")
-    _schema_check(raw, CATEGORY_SCHEMA)
+    _schema_check(raw, CATEGORY_SCHEMA, _ACCEPTS_CATEGORY)
 
     objects = list(raw["objects"])
     if len(set(objects)) != len(objects):
@@ -481,7 +591,7 @@ def load_certificate(data: bytes, cat: AinfCategory, digest: str):
         raw = json.loads(data)
     except json.JSONDecodeError as err:
         raise InputError(f"not valid JSON: {err}")
-    _schema_check(raw, CERTIFICATE_SCHEMA)
+    _schema_check(raw, CERTIFICATE_SCHEMA, _ACCEPTS_CERTIFICATE)
     if raw.get("category_digest") != digest:
         raise InputError("certificate was not emitted for this category file", path="/category_digest")
     refs_index = {(g.source, g.target, g.name): g for g in cat.generators()}

@@ -19,6 +19,7 @@ from ainfcat.fileformat import (
     CATEGORY_SCHEMA,
     CERTIFICATE_SCHEMA,
     InputError,
+    _pointer,
     category_to_json,
     file_digest,
     load_category,
@@ -202,6 +203,28 @@ def test_cli_generate_emit_and_separate_process_replay(tmp_path):
     bad = run_cli(["generate", str(catpath), "--object", "K", "--replay", str(cert), "--json"])
     assert bad.returncode == 1
     assert json.loads(bad.stdout)["verdict"] == "refuted-at-bound"
+
+
+def test_cli_imports_jsonschema_only_to_word_a_refusal(tmp_path):
+    # pytest imports jsonschema itself, so only a fresh process shows the lazy import
+    def imports(*args):
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "ainfcat.cli", *args], capture_output=True, text=True
+        )
+        return proc.returncode, proc.stderr
+
+    catpath, cert = tmp_path / "split.json", tmp_path / "cert.json"
+    run_cli(["fixture", "split_summand_pair", "-o", str(catpath)])
+    generate = ["generate", str(catpath), "--object", "K", "--subcategory", "L", "--max-length", "1"]
+    for argv in (["validate", str(catpath)], [*generate, "--emit", str(cert)], [*generate, "--replay", str(cert)]):
+        code, err = imports(*argv)
+        assert code == 0 and "jsonschema" not in err, argv
+    raw = json.loads(catpath.read_text())
+    del raw["hom"]
+    catpath.write_text(json.dumps(raw))
+    code, err = imports("validate", str(catpath))
+    assert code == 2 and "jsonschema" in err
+    assert "input error: \"\": 'hom' is a required property\n" in err
 
 
 def test_cli_generate_inconclusive_exit_1(tmp_path):
@@ -953,6 +976,76 @@ def test_cli_root_schema_error_points_at_the_root(tmp_path, capsys, edit, messag
     path.write_text(json.dumps(_with(category_to_json(dual_numbers()), edit)))
     assert cli.main(["validate", str(path)]) == 2
     assert f'input error: "": {message}\n' in capsys.readouterr().err
+
+
+def _as_float(raw: dict, path: tuple) -> float:
+    """Replace the integer at `path` in `raw` by the equal float; return it."""
+    *parents, last = path
+    node = raw
+    for key in parents:
+        node = node[key]
+    node[last] = float(node[last])
+    return node[last]
+
+
+@pytest.mark.parametrize(
+    "fixture, path",
+    [
+        ("cone_algebra", ("operations", 0, "terms", 0, "coefficient")),
+        ("dual_numbers", ("hom", 0, "generators", 1, "degree")),
+        ("cone_algebra", ("operations", 0, "arity")),
+    ],
+    ids=["coefficient", "degree", "arity"],
+)
+def test_cli_refuses_a_float_where_the_schema_says_integer(tmp_path, capsys, fixture, path):
+    # JSON Schema counts 2.0 as an integer; the exact engine must not read a float
+    raw = shipped_raw(fixture)
+    value = _as_float(raw, path)
+    cat_path = tmp_path / "cat.json"
+    cat_path.write_text(json.dumps(raw))
+    assert cli.main(["hh", str(cat_path), "--max-length", "2"]) == 2
+    assert f"input error: {_pointer(*path)}: {value!r} is not of type 'integer'\n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("path", [("max_length",), ("tau", 0, "coefficient")], ids=["max_length", "tau-coefficient"])
+def test_cli_replay_refuses_a_float_where_the_schema_says_integer(tmp_path, capsys, path):
+    cat_path = tmp_path / "split.json"
+    cat_path.write_bytes(dump(split_summand_pair()))
+    cert = tmp_path / "split.cert.json"
+    args = ["--object", "K", "--subcategory", "L", "--max-length", "2", "--emit", str(cert)]
+    assert cli.main(["generate", str(cat_path), *args]) == 0
+    raw = json.loads(cert.read_text())
+    value = _as_float(raw, path)
+    cert.write_text(json.dumps(raw))
+    capsys.readouterr()
+    assert cli.main(["generate", str(cat_path), "--object", "K", "--replay", str(cert)]) == 2
+    assert f"input error: {_pointer(*path)}: {value!r} is not of type 'integer'\n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [("5..1", "empty degree range"), ("1-2", "bad degree range '1-2'; expected a..b")],
+    ids=["empty", "malformed"],
+)
+def test_cli_hh_refuses_a_bad_degree_range_before_the_work(tmp_path, capsys, spec, message):
+    # the file fails the structure relations (exit 1), but the flag is refused first
+    cat = split_summand_pair()
+    d, key, out, _ = next(iter_terms(cat))
+    path = tmp_path / "broken.json"
+    path.write_bytes(dump(with_negated_term(cat, d, key, out)))
+    assert cli.main(["hh", str(path), "--max-length", "2"]) == 1
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["hh", str(path), "--max-length", "2", f"--degrees={spec}"])
+    assert exc.value.code == 2
+    assert f"argument --degrees: {message}\n" in capsys.readouterr().err
+
+
+def test_cli_hh_degrees_restricts_the_report(tmp_path, capsys):
+    path = tmp_path / "split.json"
+    path.write_bytes(dump(split_summand_pair()))
+    assert cli.main(["hh", str(path), "--max-length", "3", "--degrees=-1..0", "--json"]) == 0
+    assert sorted(json.loads(capsys.readouterr().out)["groups"]) == ["-1", "0"]
 
 
 def test_invalid_json_has_no_pointer(tmp_path, capsys):
