@@ -474,11 +474,8 @@ def hom_complex(cat: AinfCategory, source_obj: str, target_obj: str) -> BasedCom
         basis.setdefault(g.degree, []).append(g)
     for k in basis:
         basis[k].sort()
-    return BasedComplex(
-        basis,
-        lambda g: {h: -c for h, c in cat.mu_key((g,)).items()},
-        ring=cat.ring,
-    )
+    terms = ((g, h, -c) for gens in basis.values() for g in gens for h, c in cat.mu_key((g,)).items())
+    return BasedComplex.from_terms(basis, terms, ring=cat.ring)
 
 
 def mu_composition_map(cat: AinfCategory, X: str, K: str, tensor_cx: BasedComplex) -> GradedMap:
@@ -486,10 +483,8 @@ def mu_composition_map(cat: AinfCategory, X: str, K: str, tensor_cx: BasedComple
     modules R = hom(-, K) and L = hom(X, -), into hom(X, K): the right
     action of hom(-, K) on the whole word (q, a_1, .., a_d, p)."""
     right = YonedaModule(cat, K, RIGHT)
-    return GradedMap(
-        source=tensor_cx,
-        target=hom_complex(cat, X, K),
-        shift=0,
-        apply=lambda w: right.act((w.q,) + w.mid + (w.p,)),
-        name="mu",
+    terms = (
+        (w, g, c) for words in tensor_cx.basis.values() for w in words
+        for g, c in right.act((w.q,) + w.mid + (w.p,)).items()
     )
+    return GradedMap.from_terms(tensor_cx, hom_complex(cat, X, K), 0, terms, name="mu")

@@ -36,8 +36,8 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .bimodules import BimoduleHom, mu_composition_map
-from .complexes import BasedComplex, GradedMap, VerificationReport, combination, compose, residual_report, verify_chain_map
-from .core import AinfCategory, Violation, parity_sign
+from .complexes import BasedComplex, GradedMap, combination, compose, residual_report, table_terms, verify_chain_map
+from .core import AinfCategory, VerificationReport, Violation, parity_sign
 from .hochschild import ChainMapViolation, cc_of_delta
 from .intlinalg import IntMatrix, RationalOnly, Unsolvable, solve_integer
 from .strata import sign_formula
@@ -85,9 +85,10 @@ class OpenClosedData:
 
 def homotopy_map(data: OpenClosedData, table: Mapping) -> GradedMap:
     """The homotopy H as a map from the cyclic complex to hom(K, K) of
-    degree n - 1, word by word from table (word -> chain); a word the
-    table lacks goes to zero."""
-    return GradedMap(data.mu_cc.source, data.mu_cc.target, data.n - 1, lambda w: table.get(w, {}), name="homotopy")
+    degree n - 1, from table (word -> chain); a word the table lacks goes
+    to zero, and an entry on a word past the truncation is not read."""
+    cc = data.mu_cc.source
+    return GradedMap.from_terms(cc, data.mu_cc.target, data.n - 1, table_terms(cc, table), name="homotopy")
 
 
 def verify_homotopy_equation(data: OpenClosedData, H: GradedMap) -> VerificationReport:
@@ -201,5 +202,6 @@ def telescoping_data(cat: AinfCategory, mu_cc: GradedMap, co_sign: int = 1) -> O
     the open-to-closed map is mu o CC(phi) itself, and the closed-to-open
     map is (+-)identity."""
     hom_cx = mu_cc.target
-    co = GradedMap(source=hom_cx, target=hom_cx, shift=0, apply=lambda g: {g: co_sign}, name="(+-)id")
+    terms = ((g, g, co_sign) for gens in hom_cx.basis.values() for g in gens)
+    co = GradedMap.from_terms(hom_cx, hom_cx, 0, terms, name="(+-)id")
     return OpenClosedData(cat=cat, mu_cc=mu_cc, oc=mu_cc, co=co)

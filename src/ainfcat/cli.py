@@ -35,7 +35,7 @@ from .cardy import (
     verify_cardy_on_homology,
     verify_homotopy_equation,
 )
-from .complexes import GradedMap
+from .complexes import GradedMap, table_terms
 from .core import RING_Z, morphism_depth, relation_depth, verify_ainf
 from .fileformat import (
     InputError,
@@ -271,8 +271,8 @@ def cmd_cardy(args) -> int:
     mu_cc = mu_cc_map(phi, cc, tcx)
     if maps is not None:
         closed = loaded.cardy_closed
-        oc = GradedMap(source=cc, target=closed, shift=phi.n, apply=lambda w: maps["oc"].get(w, {}), name="oc")
-        co = GradedMap(source=closed, target=mu_cc.target, shift=0, apply=lambda lb: maps["co"].get(lb, {}), name="co")
+        oc = GradedMap.from_terms(cc, closed, phi.n, table_terms(cc, maps["oc"]), name="oc")
+        co = GradedMap.from_terms(closed, mu_cc.target, 0, table_terms(closed, maps["co"]), name="co")
         try:
             data_obj = OpenClosedData(cat=cat, mu_cc=mu_cc, oc=oc, co=co)
         except ChainMapViolation as err:
@@ -446,7 +446,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hh", help="truncated cyclic homology with stabilization flags")
     p.add_argument("path")
     p.add_argument("--max-length", type=_at_least(1), required=True)
-    p.add_argument("--degrees", type=_degree_range, help="inclusive degree range a..b")
+    p.add_argument(
+        "--degrees", type=_degree_range, help="inclusive degree range, written --degrees=a..b (a negative start needs the =)"
+    )
     p.add_argument("--ring", choices=("Z", "F2"), help="override the coefficient ring (Z data reduces mod 2)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_hh)

@@ -2,10 +2,14 @@
 
 A BasedComplex carries an ordered basis of hashable labels per degree and
 an integer matrix per degree for its differential, so homology questions
-reduce to intlinalg.  A GradedMap is nothing but its matrices too.  Each
-degree is built on its first matrix(k) read: from the label images, or as
-a product for a composite; chain(label) and diff_chain(label) read a
-column.  The commutation convention for a map f of degree `shift` is
+reduce to intlinalg.  A GradedMap is nothing but its matrices too.  Both
+take a dict of matrices, or fill it from terms (from_terms, the one way
+data becomes a matrix): each (label, image, c) adds c at the image's row
+and the label's column, and an image outside the target's basis raises
+KeyError when the map is built.  A composite is the product of its
+factors' matrices, formed when it is built, and a degree with no stored
+matrix has the zero matrix of its bases' shape.
+The commutation convention for a map f of degree `shift` is
 
     d_target o f == (-1)^shift * f o d_source
 
@@ -14,24 +18,10 @@ checked degree by degree as a matrix identity by verify_chain_map.
 
 from __future__ import annotations
 
-from typing import Callable, Mapping
+from typing import Iterator, Mapping
 
 from .core import RING_F2, VerificationReport, Violation, chain_normalize, parity_sign
 from .intlinalg import FinAbGroup, HomologyData, IntMatrix, NotAComplex, f2_rank
-
-
-def _tabulate(apply: Callable[[object], Mapping], name: str, labels: list, target: BasedComplex, k: int) -> IntMatrix:
-    """The matrix whose column j is apply(labels[j]) in the target's basis
-    of degree k; an image outside that basis raises KeyError."""
-    index = target.index.get(k, {})
-    rows: list[dict] = [{} for _ in index]
-    for j, label in enumerate(labels):
-        for out, c in chain_normalize(dict(apply(label)), target.ring).items():
-            i = index.get(out)
-            if i is None:
-                raise KeyError(f"{name} of {label!r} leaves the declared basis at {out!r}")
-            rows[i][j] = c
-    return IntMatrix.from_rows(rows, len(labels))
 
 
 def _from_terms(source: BasedComplex, target: BasedComplex, shift: int, terms, name: str) -> dict[int, IntMatrix]:
@@ -55,14 +45,14 @@ def _from_terms(source: BasedComplex, target: BasedComplex, shift: int, terms, n
     }
 
 
-def _column(source: BasedComplex, target: BasedComplex, shift: int, matrix, label, name: str) -> dict:
-    """The image of a source label, read off its column of matrix(k)."""
-    for k, index in source.index.items():
-        j = index.get(label)
-        if j is not None:
-            out = target.basis.get(k + shift, [])
-            return {out[i]: c for i, c in matrix(k).column_entries(j).items()}
-    raise KeyError(f"{name}: {label!r} is not a basis label of its source")
+def table_terms(source: BasedComplex, table: Mapping) -> Iterator[tuple]:
+    """The terms of the map sending each label of source's basis to its
+    chain in table (label -> chain), in basis order; an entry on a label
+    outside the basis is not read."""
+    for labels in source.basis.values():
+        for label in labels:
+            for out, c in table.get(label, {}).items():
+                yield label, out, c
 
 
 def combination(terms: list[tuple[int, IntMatrix]], ring: str) -> IntMatrix:
@@ -92,41 +82,30 @@ def residual_report(source: BasedComplex, target: BasedComplex, shift: int, resi
 class BasedComplex:
     """Cochain complex with explicit labelled bases.
 
-    `basis[k]` is an ordered list of labels.  The differential is given
-    either label by label, `d` sending a label to a chain (dict label ->
-    coefficient) in the next degree, or by its matrices (from_matrices);
-    matrix(k) holds it either way, and diff_chain reads a label's column.
-    validate() checks d o d = 0 exactly (mod 2 over F2) and raises
+    `basis[k]` is an ordered list of labels.  The differential leaving
+    degree k is matrices[k], a column per label of basis[k] and a row per
+    label of basis[k + 1]; a degree without a matrix has zero
+    differential.  from_terms fills the matrices from the differential's
+    terms.  validate() checks d o d = 0 exactly (mod 2 over F2) and raises
     NotAComplex where it fails.
     """
 
-    def __init__(self, basis: dict[int, list], d: Callable[[object], Mapping] | None, ring: str = "Z"):
+    def __init__(self, basis: dict[int, list], matrices: Mapping[int, IntMatrix] | None = None, ring: str = "Z"):
         self.ring = ring
         self.basis = {k: list(v) for k, v in sorted(basis.items()) if v}
         self.index = {k: {label: i for i, label in enumerate(v)} for k, v in self.basis.items()}
-        self._d = d
-        self._matrices: dict[int, IntMatrix] = {}
-        self._composites: dict[int, IntMatrix] = {}
-
-    @classmethod
-    def from_matrices(cls, basis: dict[int, list], matrices: Mapping[int, IntMatrix], ring: str = "Z") -> BasedComplex:
-        """The complex whose differential leaving degree k is matrices[k], a
-        column per label of basis[k] and a row per label of basis[k + 1]; a
-        degree without a matrix has zero differential."""
-        cx = cls(basis, None, ring=ring)
-        for k in cx.degrees():
-            shape = (cx.dim(k + 1), cx.dim(k))
-            M = matrices[k] if k in matrices else IntMatrix.zeros(*shape)
+        self._matrices = dict(matrices or {})
+        for k, M in self._matrices.items():
+            shape = (self.dim(k + 1), self.dim(k))
             if (M.rows, M.cols) != shape:
                 raise ValueError(f"the degree-{k} matrix is {M.rows}x{M.cols}, its bases need {shape[0]}x{shape[1]}")
-            cx._matrices[k] = M
-        return cx
+        self._composites: dict[int, IntMatrix] = {}
 
     @classmethod
     def from_terms(cls, basis: dict[int, list], terms, ring: str = "Z") -> BasedComplex:
         """The complex whose differential is the sum of its terms, each
         (label, image, c) adding c * image to the differential of label."""
-        cx = cls(basis, None, ring=ring)
+        cx = cls(basis, ring=ring)
         cx._matrices = _from_terms(cx, cx, 1, terms, "differential")
         return cx
 
@@ -136,15 +115,11 @@ class BasedComplex:
     def dim(self, k: int) -> int:
         return len(self.basis.get(k, []))
 
-    def diff_chain(self, label) -> dict:
-        return _column(self, self, 1, self.matrix, label, "differential")
-
     def matrix(self, k: int) -> IntMatrix:
         """Column j is the differential of basis[k][j] in the basis of
-        degree k + 1; an image outside that basis raises KeyError."""
-        if k not in self._matrices:
-            self._matrices[k] = _tabulate(self._d, "differential", self.basis.get(k, []), self, k + 1)
-        return self._matrices[k]
+        degree k + 1."""
+        M = self._matrices.get(k)
+        return IntMatrix.zeros(self.dim(k + 1), self.dim(k)) if M is None else M
 
     def vector(self, chain: Mapping, k: int) -> list[int]:
         v = [0] * self.dim(k)
@@ -186,50 +161,42 @@ class BasedComplex:
 
 class GradedMap:
     """A degree-`shift` linear map between two BasedComplexes, held as its
-    matrices: `apply` sends a source label to its image chain, and
-    matrix(k) tabulates the images of source.basis[k] on its first read."""
+    matrices: matrices[k] has a column per label of source.basis[k] and a
+    row per label of target.basis[k + shift]; a degree without a matrix
+    maps to zero."""
 
-    def __init__(self, source: BasedComplex, target: BasedComplex, shift: int, apply, name: str = "map"):
+    def __init__(self, source: BasedComplex, target: BasedComplex, shift: int,
+                 matrices: Mapping[int, IntMatrix] | None = None, name: str = "map"):
         self.source, self.target, self.shift, self.name = source, target, shift, name
-        self._matrices: dict[int, IntMatrix] = {}
-        self._build = lambda k: _tabulate(apply, name, source.basis.get(k, []), target, k + shift)
+        self._matrices = dict(matrices or {})
 
     @classmethod
     def from_terms(cls, source: BasedComplex, target: BasedComplex, shift: int, terms, name: str = "map") -> GradedMap:
         """The map that sends each label to the sum of its terms, each
         (label, image, c) adding c * image; an image outside the target's
         basis raises KeyError."""
-        f = cls(source, target, shift, None, name)
-        f._matrices = _from_terms(source, target, shift, terms, name)
-        f._build = lambda k: IntMatrix.zeros(target.dim(k + shift), source.dim(k))
-        return f
+        return cls(source, target, shift, _from_terms(source, target, shift, terms, name), name)
 
     def matrix(self, k: int) -> IntMatrix:
         """Column j is the image of source.basis[k][j] in the target's basis
-        of degree k + shift; an image outside that basis raises KeyError."""
-        if k not in self._matrices:
-            self._matrices[k] = self._build(k)
-        return self._matrices[k]
-
-    def chain(self, label) -> dict:
-        return _column(self.source, self.target, self.shift, self.matrix, label, self.name)
+        of degree k + shift."""
+        M = self._matrices.get(k)
+        return IntMatrix.zeros(self.target.dim(k + self.shift), self.source.dim(k)) if M is None else M
 
 
 def compose(g: GradedMap, f: GradedMap, name: str | None = None) -> GradedMap:
     """g o f, its degree-k matrix the product g.matrix(k + f.shift) @ f.matrix(k)."""
     if f.target is not g.source and f.target.basis != g.source.basis:
         raise ValueError("maps do not compose")
-    h = GradedMap(f.source, g.target, f.shift + g.shift, None, name or f"{g.name} o {f.name}")
-    # g's ring, not h's: a map whose builder held the map itself would
-    # outlive its last use until the cyclic collector ran
-    h._build = lambda k: combination([(1, g.matrix(k + f.shift) @ f.matrix(k))], g.target.ring)
-    return h
+    matrices = {
+        k: combination([(1, g.matrix(k + f.shift) @ f.matrix(k))], g.target.ring) for k in f.source.degrees()
+    }
+    return GradedMap(f.source, g.target, f.shift + g.shift, matrices, name or f"{g.name} o {f.name}")
 
 
 def verify_chain_map(f: GradedMap) -> VerificationReport:
     """Check d_t(k + s) F(k) - (-1)^s F(k + 1) d_s(k) = 0 in every degree k
-    of the source, F = f.matrix and s = f.shift (residual_report); an
-    image outside the target's declared basis raises matrix's KeyError."""
+    of the source, F = f.matrix and s = f.shift (residual_report)."""
     src, tgt, s = f.source, f.target, f.shift
     return residual_report(src, tgt, s + 1, lambda k: combination(
         [(1, tgt.matrix(k + s) @ f.matrix(k)), (-parity_sign(s), f.matrix(k + 1) @ src.matrix(k))], tgt.ring

@@ -382,7 +382,6 @@ def _closed_complex(table: dict, ring: str) -> BasedComplex:
                 f"duplicate closed-complex basis name {b['name']!r}", path=f"/cardy/closed_complex/basis/{j}"
             )
         degree[b["name"]] = b["degree"]
-    diff_table: dict[str, dict] = {}
     for i, t in enumerate(table["differential"]):
         path = f"/cardy/closed_complex/differential/{i}"
         for name in (t["input"], t["output"]):
@@ -390,11 +389,12 @@ def _closed_complex(table: dict, ring: str) -> BasedComplex:
                 raise InputError(f"reference to undeclared closed-complex element {name!r}", path=path)
         if degree[t["output"]] != degree[t["input"]] + 1:
             raise InputError("the differential must raise degree by one", path=path)
-        _add_term(diff_table.setdefault(t["input"], {}), t["output"], t["coefficient"])
     basis: dict[int, list] = {}
     for name in sorted(degree):
         basis.setdefault(degree[name], []).append(name)
-    cx = BasedComplex(basis, lambda name: diff_table.get(name, {}), ring=ring)
+    # from_terms sums repeated entries: a term listed twice counts twice
+    terms = ((t["input"], t["output"], t["coefficient"]) for t in table["differential"])
+    cx = BasedComplex.from_terms(basis, terms, ring=ring)
     try:
         cx.validate()
     except NotAComplex as err:

@@ -35,7 +35,7 @@ from .bimodules import (
     mu_composition_map,
     tensor_over_category,
 )
-from .complexes import BasedComplex, GradedMap, induced_rank_mod_2, verify_chain_map
+from .complexes import BasedComplex, GradedMap, combination, induced_rank_mod_2, verify_chain_map
 from .core import RING_F2, RING_Z, AinfCategory, chain_add, chain_normalize, parity_sign, relation_depth, verify_ainf
 from .intlinalg import IntMatrix, NotAComplex, RationalOnly, Unsolvable, solve_integer
 
@@ -92,23 +92,22 @@ def verify_cohomological_unit(cat: AinfCategory, K: str, e: Mapping) -> UnitRepo
             cx = hom_complex(cat, *pair)
             if not cx.basis:
                 continue
-
+            xs = [x for k in cx.degrees() for x in cx.basis[k]]
             if side == "left":
                 # x in hom(K, L): e enters first
-                def action(x, e=e):
-                    return cat.mu_boundary([e, {x: 1}])
+                terms = ((x, g, c) for x in xs for g, c in cat.mu_boundary([e, {x: 1}]).items())
             else:
-                def action(x, e=e):
-                    sign = parity_sign(x.degree)
-                    out = cat.mu_boundary([{x: 1}, e])
-                    return {g: sign * c for g, c in out.items()}
-
-            f = GradedMap(source=cx, target=cx, shift=0, apply=action, name=f"unit-{side}")
+                terms = (
+                    (x, g, parity_sign(x.degree) * c) for x in xs for g, c in cat.mu_boundary([{x: 1}, e]).items()
+                )
+            f = GradedMap.from_terms(cx, cx, 0, terms, name=f"unit-{side}")
             if not verify_chain_map(f).passed:
                 failures.append((L, side, "action is not a chain map"))
                 continue
             # f acts as the identity on homology where f - id induces zero
-            f_minus_id = GradedMap(cx, cx, 0, lambda x, f=f: chain_add(dict(f.chain(x)), {x: 1}, -1))
+            f_minus_id = GradedMap(cx, cx, 0, {
+                k: combination([(1, f.matrix(k)), (-1, IntMatrix.identity(cx.dim(k)))], cat.ring) for k in cx.degrees()
+            })
             for k in cx.degrees():
                 if cat.ring == RING_F2:
                     if induced_rank_mod_2(f_minus_id, k):

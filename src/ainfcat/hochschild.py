@@ -228,7 +228,7 @@ def length_filter(cx: BasedComplex, max_length: int) -> BasedComplex:
         kept = [{new[j]: c for j, c in entries[i].items() if j in new} for i in rows]
         matrices[k] = IntMatrix.from_rows(kept, len(cols))
     basis = {k: [cx.basis[k][j] for j in cols] for k, cols in keep.items()}
-    return BasedComplex.from_matrices(basis, matrices, ring=cx.ring)
+    return BasedComplex(basis, matrices, ring=cx.ring)
 
 
 def hochschild_homology(cat: AinfCategory, max_length: int, degrees=None) -> HochschildResult:
@@ -241,7 +241,8 @@ def hochschild_homology(cat: AinfCategory, max_length: int, degrees=None) -> Hoc
     """
     big = truncated_cc(cat, max_length)
     small = length_filter(big, max_length - 1) if max_length >= 1 else big
-    inclusion = GradedMap(small, big, 0, lambda w: {w: 1}, name="inclusion")
+    words = (w for ws in small.basis.values() for w in ws)
+    inclusion = GradedMap.from_terms(small, big, 0, ((w, w, 1) for w in words), name="inclusion")
     groups = {}
     stable = {}
     # the filtered truncation keeps every degree of the big one

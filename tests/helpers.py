@@ -34,7 +34,10 @@ residuals; the package itself enumerates words from one path table and
 reports identities of matrices.  `chain_map_residuals` is `verify_chain_map` as it was before
 it became a matrix identity: d o f - (-1)^shift f o d composed label by
 label from the chains the maps read, and `homotopy_residuals` is
-`cardy.verify_homotopy_equation` the same way, word by word.
+`cardy.verify_homotopy_equation` the same way, word by word.  The package
+fills every matrix from terms; `callback_terms` turns a word-by-word
+builder (label -> chain) into such terms, and `column` reads one label's
+image back off a map's or a differential's matrix.
 """
 
 from __future__ import annotations
@@ -120,7 +123,39 @@ def identity_hom(P: Bimodule) -> BimoduleHom:
 
 
 def zero_map(source: BasedComplex, target: BasedComplex, shift: int) -> GradedMap:
-    return GradedMap(source=source, target=target, shift=shift, apply=lambda label: {}, name="0")
+    return GradedMap(source=source, target=target, shift=shift, name="0")
+
+
+def callback_terms(basis: Mapping[int, list], apply: Callable[[object], Mapping]) -> Iterator[tuple]:
+    """The terms (label, image, c) of the map sending each label of basis to
+    the chain apply(label), in basis order: a word-by-word builder, the way
+    the package once took a map label by label, read by from_terms."""
+    for labels in basis.values():
+        for label in labels:
+            for out, c in apply(label).items():
+                yield label, out, c
+
+
+def callback_complex(basis: dict[int, list], d: Callable[[object], Mapping], ring: str = "Z") -> BasedComplex:
+    return BasedComplex.from_terms(basis, callback_terms(basis, d), ring=ring)
+
+
+def callback_map(source: BasedComplex, target: BasedComplex, shift: int, apply, name: str = "map") -> GradedMap:
+    return GradedMap.from_terms(source, target, shift, callback_terms(source.basis, apply), name=name)
+
+
+def column(f: GradedMap | BasedComplex, label) -> dict:
+    """The image of a source label, read off its column of f.matrix: under
+    the map f, or under the differential when f is a complex."""
+    source, target, shift, name = (
+        (f, f, 1, "differential") if isinstance(f, BasedComplex) else (f.source, f.target, f.shift, f.name)
+    )
+    for k, index in source.index.items():
+        j = index.get(label)
+        if j is not None:
+            out = target.basis.get(k + shift, [])
+            return {out[i]: c for i, c in f.matrix(k).column_entries(j).items()}
+    raise KeyError(f"{name}: {label!r} is not a basis label of its source")
 
 
 def collect_violations(residuals: Iterable[tuple[tuple, dict]]) -> VerificationReport:
@@ -136,15 +171,15 @@ def collect_violations(residuals: Iterable[tuple[tuple, dict]]) -> VerificationR
 
 def chain_map_residuals(f: GradedMap) -> VerificationReport:
     """d o f - (-1)^shift f o d on every source label, composed label by
-    label from f.chain and diff_chain and reduced in the target's ring."""
+    label from the columns the maps read and reduced in the target's ring."""
     sign = parity_sign(f.shift)
 
     def residual(label) -> dict:
         res: dict = {}
-        for out, c in f.chain(label).items():
-            chain_add(res, f.target.diff_chain(out), c)
-        for out, c in f.source.diff_chain(label).items():
-            chain_add(res, f.chain(out), -sign * c)
+        for out, c in column(f, label).items():
+            chain_add(res, column(f.target, out), c)
+        for out, c in column(f.source, label).items():
+            chain_add(res, column(f, out), -sign * c)
         return chain_normalize(res, f.target.ring)
 
     return collect_violations(
@@ -160,11 +195,11 @@ def homotopy_residuals(data, H: GradedMap) -> VerificationReport:
 
     def residual(word) -> dict:
         out: dict = {}
-        chain_add(out, cat.mu_boundary([H.chain(word)]), parity_sign(data.n))
-        for w1, c in cc.diff_chain(word).items():
-            chain_add(out, H.chain(w1), c)
-        chain_add(out, data.mu_cc.chain(word), 1)
-        chain_add(out, data.co_oc.chain(word), -1)
+        chain_add(out, cat.mu_boundary([column(H, word)]), parity_sign(data.n))
+        for w1, c in column(cc, word).items():
+            chain_add(out, column(H, w1), c)
+        chain_add(out, column(data.mu_cc, word), 1)
+        chain_add(out, column(data.co_oc, word), -1)
         return chain_normalize(out, cat.ring)
 
     return collect_violations(((word,), residual(word)) for k in cc.degrees() for word in cc.basis[k])

@@ -6,7 +6,15 @@ import itertools
 
 import pytest
 from dense_verifiers import mixed_tuples
-from helpers import identity_hom, tensor_differential, tensor_op_oracle, tensor_words, with_negated_bimodule_term
+from helpers import (
+    callback_complex,
+    column,
+    identity_hom,
+    tensor_differential,
+    tensor_op_oracle,
+    tensor_words,
+    with_negated_bimodule_term,
+)
 
 from ainfcat.bimodules import (
     LEFT,
@@ -244,7 +252,7 @@ def word_by_word(R: YonedaModule, L: YonedaModule, max_length: int) -> BasedComp
     basis: dict[int, list] = {}
     for w in tensor_words(R, L, max_length):
         basis.setdefault(w.degree, []).append(w)
-    return BasedComplex(basis, lambda w: tensor_differential(R, L, w), ring=R.cat.ring)
+    return callback_complex(basis, lambda w: tensor_differential(R, L, w), ring=R.cat.ring)
 
 
 def assert_same_complex(new: BasedComplex, old: BasedComplex):
@@ -349,4 +357,4 @@ def test_hom_complex_is_minus_mu1():
     cx = hom_complex(cat, "*", "*")
     cx.validate()
     v = gen_named(cat, "v")
-    assert cx.diff_chain(v) == {g: -c for g, c in cat.mu_key((v,)).items()}
+    assert column(cx, v) == {g: -c for g, c in cat.mu_key((v,)).items()}

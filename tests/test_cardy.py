@@ -4,7 +4,15 @@ homology-level comparison."""
 from __future__ import annotations
 
 import pytest
-from helpers import coordinate_columns, homotopy_residuals, induced_by_generators, shipped_morphism, zero_map
+from helpers import (
+    callback_map,
+    column,
+    coordinate_columns,
+    homotopy_residuals,
+    induced_by_generators,
+    shipped_morphism,
+    zero_map,
+)
 
 from ainfcat import cardy, cli, intlinalg
 from ainfcat.bimodules import (
@@ -52,11 +60,11 @@ def scaled_composite_data(phi, mu_phi, cat, cc, tcx, scale=1, co_sign=1):
     mu_cc = mu_cc_map(mu_phi, cc, tcx)
     mucc = mu_cc_map(phi, cc, tcx)
     hom_cx = mu_cc.target
-    oc = GradedMap(
+    oc = callback_map(
         source=cc, target=hom_cx, shift=phi.n,
-        apply=lambda w: {g: scale * c for g, c in mucc.chain(w).items()},
+        apply=lambda w: {g: scale * c for g, c in column(mucc, w).items()},
     )
-    co = GradedMap(source=hom_cx, target=hom_cx, shift=0, apply=lambda g: {g: co_sign})
+    co = callback_map(source=hom_cx, target=hom_cx, shift=0, apply=lambda g: {g: co_sign})
     return OpenClosedData(cat=cat, mu_cc=mu_cc, oc=oc, co=co)
 
 
@@ -107,7 +115,7 @@ def test_open_closed_data_rejects_non_chain_map():
         OpenClosedData(
             cat=cat, mu_cc=mu_cc,
             oc=zero_map(cc, hom_cx, 0),
-            co=GradedMap(source=hom_cx, target=hom_cx, shift=0, apply=broken),
+            co=callback_map(source=hom_cx, target=hom_cx, shift=0, apply=broken),
         )
 
 
@@ -147,7 +155,7 @@ def test_solve_cone_n1_table_is_pinned(N, y):
     # unique, so assembling the rows or unknowns in another order can move it
     phi, cat, K, cc, tcx = setup("cone_algebra", 1, N)
     H = solve_homotopy(telescoping_data(cat, mu_cc_map(phi, cc, tcx), co_sign=-1))
-    chains = [(w, H.chain(w)) for k in cc.degrees() for w in cc.basis[k]]
+    chains = [(w, column(H, w)) for k in cc.degrees() for w in cc.basis[k]]
     table = [(tuple(g.name for g in w), [(g.name, c) for g, c in chain.items()]) for w, chain in chains if chain]
     sign = -1 if y == "p" else 1
     assert table == [(("p",), [(y, sign)]), (("q",), [(y, -sign)])]
@@ -160,7 +168,7 @@ def test_verify_homotopy_equation_matches_the_word_by_word_oracle(N):
     phi, cat, K, cc, tcx = setup("cone_algebra", 1, N)
     data = telescoping_data(cat, mu_cc_map(phi, cc, tcx), co_sign=-1)
     H = solve_homotopy(data)
-    table = {w: H.chain(w) for k in cc.degrees() for w in cc.basis[k]}
+    table = {w: column(H, w) for k in cc.degrees() for w in cc.basis[k]}
     w = next(w for w, chain in table.items() if chain)
     doubled = homotopy_map(data, {**table, w: {g: 2 * c for g, c in table[w].items()}})
     for H, passed in ((H, True), (homotopy_map(data, {}), False), (doubled, False)):

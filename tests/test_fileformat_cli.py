@@ -10,7 +10,7 @@ import subprocess
 import sys
 
 import pytest
-from helpers import iter_terms, shipped, shipped_morphism, shipped_raw, with_negated_term
+from helpers import column, iter_terms, shipped, shipped_morphism, shipped_raw, with_negated_term
 
 from ainfcat import cli
 from ainfcat.cli import parse_space
@@ -264,7 +264,7 @@ def test_cli_cardy_chain_map_tables(tmp_path):
     oc_entries = []
     for k in cc.degrees():
         for w in cc.basis[k]:
-            for g, c in mucc.chain(w).items():
+            for g, c in column(mucc, w).items():
                 oc_entries.append(
                     {"word": [[x.source, x.target, x.name] for x in w], "output": g.name, "coefficient": c}
                 )
@@ -870,7 +870,7 @@ def test_repeated_closed_differential_term_counts_twice():
     closed = json.loads(json.dumps(Z_TO_C))
     closed["differential"].append(dict(closed["differential"][0]))
     loaded = load_category(json.dumps(_dual_numbers_cardy(closed, {"oc": [], "co": []})).encode())
-    assert dict(loaded.cardy_closed.diff_chain("z")) == {"c": 2}
+    assert dict(column(loaded.cardy_closed, "z")) == {"c": 2}
 
 
 @pytest.mark.parametrize(
@@ -1046,6 +1046,21 @@ def test_cli_hh_degrees_restricts_the_report(tmp_path, capsys):
     path.write_bytes(dump(split_summand_pair()))
     assert cli.main(["hh", str(path), "--max-length", "3", "--degrees=-1..0", "--json"]) == 0
     assert sorted(json.loads(capsys.readouterr().out)["groups"]) == ["-1", "0"]
+
+
+def test_cli_hh_degrees_past_the_complex_read_zero(tmp_path, capsys):
+    # no word has degree 100 or 101: both spots read zero matrices
+    path = tmp_path / "split.json"
+    path.write_bytes(dump(split_summand_pair()))
+    assert cli.main(["hh", str(path), "--max-length", "3", "--degrees=100..101", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["groups"] == {"100": "0", "101": "0"} and report["stable"] == {"100": True, "101": True}
+
+
+def test_cli_hh_degrees_help_shows_the_equals_form(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["hh", "--help"])
+    assert "--degrees=a..b (a negative start needs the =)" in " ".join(capsys.readouterr().out.split())
 
 
 def test_invalid_json_has_no_pointer(tmp_path, capsys):

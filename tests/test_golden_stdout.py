@@ -62,13 +62,59 @@ COMMANDS: list[list[str]] = [
     ["validate", "triple_mu3_negated.json"],
     ["validate", "triple_mu3_negated.json", "--depth", "2", "--bimodule-bound", "4"],
     ["validate", "cone_n1_negated.json"],
+    # a file-driven cardy section: the OC entries on length-2 words lie
+    # past the truncation at N = 1 and the length-3 homotopy entry at
+    # N = 1 and 2 (both pass); at N = 3 that entry is read and fails
+    *(
+        ["cardy", "cone_cardy_tables.json", "--morphism", "coproduct_n2", "--max-length", str(n)]
+        for n in (1, 2, 3)
+    ),
 ]
 
 
+def _ref(name: str) -> list[str]:
+    return ["*", "*", name]
+
+
+# the cardy section of cone_cardy_tables.json, written out by hand: the
+# closed complex is hom(*, *) with -mu^1, CO the identity, OC the five
+# entries of mu o CC(coproduct_n2) and one homotopy entry (p, p, p) -> v
+CONE_CARDY_SECTION = {
+    "morphism": "coproduct_n2",
+    "degree": 2,
+    "closed_complex": {
+        "basis": [
+            {"name": "p", "degree": 0},
+            {"name": "q", "degree": 0},
+            {"name": "u", "degree": 1},
+            {"name": "v", "degree": -1},
+        ],
+        "differential": [
+            {"input": "v", "output": "p", "coefficient": 2},
+            {"input": "v", "output": "q", "coefficient": 2},
+            {"input": "p", "output": "u", "coefficient": -2},
+            {"input": "q", "output": "u", "coefficient": 2},
+        ],
+    },
+    "chain_maps": {
+        "co": [{"input": name, "output": _ref(name), "coefficient": 1} for name in "pquv"],
+        "oc": [
+            {"word": [_ref("v")], "output": "u", "coefficient": -2},
+            {"word": [_ref("p"), _ref("v")], "output": "p", "coefficient": 1},
+            {"word": [_ref("q"), _ref("v")], "output": "p", "coefficient": -1},
+            {"word": [_ref("v"), _ref("p")], "output": "p", "coefficient": 1},
+            {"word": [_ref("v"), _ref("q")], "output": "p", "coefficient": -1},
+        ],
+        "homotopy": [{"word": [_ref("p")] * 3, "output": _ref("v"), "coefficient": 1}],
+    },
+}
+
+
 def write_mutants() -> None:
-    """Two broken files next to the fixtures: triple_product_algebra with its
-    first mu^3 constant negated, and cone_algebra with the (v,) -> p (x) q
-    component of coproduct_n1 negated (a two-term residual)."""
+    """Three files next to the fixtures: triple_product_algebra with its
+    first mu^3 constant negated; cone_algebra with the (v,) -> p (x) q
+    component of coproduct_n1 negated (a two-term residual); and
+    cone_algebra with the cardy section CONE_CARDY_SECTION."""
     raw = json.loads(Path("triple_product_algebra.json").read_text())
     (op,) = [op for op in raw["operations"] if op["arity"] == 3]
     op["terms"][0]["coefficient"] *= -1
@@ -81,6 +127,9 @@ def write_mutants() -> None:
     ]
     c["coefficient"] *= -1
     Path("cone_n1_negated.json").write_text(json.dumps(raw, sort_keys=True, indent=2) + "\n")
+    raw = json.loads(Path("cone_algebra.json").read_text())
+    raw["cardy"] = CONE_CARDY_SECTION
+    Path("cone_cardy_tables.json").write_text(json.dumps(raw, sort_keys=True, indent=2) + "\n")
 
 
 def _run(argv: list[str]) -> str:
@@ -111,6 +160,10 @@ def digests(tmp_path_factory):
 @pytest.mark.parametrize("command", [" ".join(argv) for argv in COMMANDS])
 def test_stdout_matches_golden(digests, command):
     assert digests[command] == json.loads(GOLDEN.read_text())[command]
+
+
+def test_golden_file_holds_exactly_the_commands():
+    assert sorted(json.loads(GOLDEN.read_text())) == sorted(" ".join(argv) for argv in COMMANDS)
 
 
 if __name__ == "__main__":

@@ -13,9 +13,9 @@ import math
 import random
 
 import pytest
-from helpers import kernel_basis, rational_rank, zero_class
+from helpers import callback_complex, kernel_basis, rational_rank, zero_class
 
-from ainfcat.complexes import BasedComplex
+from ainfcat.complexes import BasedComplex, GradedMap, table_terms
 from ainfcat.intlinalg import (
     FinAbGroup,
     HomologyData,
@@ -188,14 +188,7 @@ def test_kernel_basis_spans_kernel():
 
 def matrix_complex(components: dict[int, list], diff: dict[int, IntMatrix]) -> BasedComplex:
     """The complex whose differential leaving degree k has matrix diff[k]."""
-    where = {label: (k, j) for k, labels in components.items() for j, label in enumerate(labels)}
-
-    def d(label):
-        k, j = where[label]
-        M = diff.get(k)
-        return {components[k + 1][i]: M[i, j] for i in range(M.rows)} if M is not None else {}
-
-    return BasedComplex(components, d)
+    return BasedComplex(components, diff)
 
 
 def two_term_complex(M: IntMatrix) -> BasedComplex:
@@ -238,7 +231,7 @@ def test_not_a_complex_names_the_first_label(ring, coefficient):
     # d o d vanishes on a (two paths cancel, mod 2 as well when doubled)
     # and first fails on b
     d = {"a": {"x": 1, "y": coefficient}, "b": {"x": 1}, "c": {"y": 1}, "x": {"z": 1}, "y": {"z": -1}}
-    C = BasedComplex({0: ["a", "b", "c"], 1: ["x", "y"], 2: ["z"]}, lambda label: d.get(label, {}), ring=ring)
+    C = callback_complex({0: ["a", "b", "c"], 1: ["x", "y"], 2: ["z"]}, lambda label: d.get(label, {}), ring=ring)
     if ring == "Z" and coefficient == 2:
         with pytest.raises(NotAComplex, match="d o d != 0 at degree 0 on 'a'"):
             C.validate()
@@ -248,9 +241,32 @@ def test_not_a_complex_names_the_first_label(ring, coefficient):
 
 
 def test_differential_leaving_the_basis_is_refused():
-    C = BasedComplex({0: ["a"], 1: ["x"]}, lambda label: {"x": 1} if label == "a" else {"w": 1})
+    # the image is placed when the complex is built, so the refusal comes there
     with pytest.raises(KeyError, match="differential of 'x' leaves the declared basis at 'w'"):
-        C.validate()
+        callback_complex({0: ["a"], 1: ["x"]}, lambda label: {"x": 1} if label == "a" else {"w": 1})
+
+
+def test_a_degree_without_a_matrix_reads_zero_of_its_shape():
+    C = BasedComplex({0: ["a", "b"], 1: ["x"]}, {0: IntMatrix([[1, 1]])})
+    assert C.matrix(1) == IntMatrix.zeros(0, 1)
+    assert C.matrix(-1) == IntMatrix.zeros(2, 0)
+    assert C.matrix(7) == IntMatrix.zeros(0, 0)
+    assert C.homology(0) == FinAbGroup(1) and C.homology(1) == FinAbGroup(0)
+    f = GradedMap(C, C, 1)
+    assert f.matrix(0) == IntMatrix.zeros(1, 2) and f.matrix(1) == IntMatrix.zeros(0, 1)
+
+
+def test_a_matrix_of_the_wrong_shape_is_refused():
+    with pytest.raises(ValueError, match="the degree-0 matrix is 1x1, its bases need 1x2"):
+        BasedComplex({0: ["a", "b"], 1: ["x"]}, {0: IntMatrix([[1]])})
+
+
+def test_a_table_driven_map_reads_only_labels_of_its_source():
+    # the entry on "c", a label past the source's basis, is not read
+    source = BasedComplex({0: ["a", "b"]})
+    target = BasedComplex({0: ["x"]})
+    f = GradedMap.from_terms(source, target, 0, table_terms(source, {"b": {"x": 3}, "c": {"y": 1}}))
+    assert f.matrix(0) == IntMatrix([[0, 3]])
 
 
 def homology_oracle(d_out: IntMatrix, d_in: IntMatrix) -> FinAbGroup:

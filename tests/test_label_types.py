@@ -13,7 +13,7 @@ import contextlib
 import io
 
 import pytest
-from helpers import shipped_morphism
+from helpers import column, shipped_morphism
 
 from ainfcat import cli
 from ainfcat.bimodules import LEFT, RIGHT, DiagonalBimodule, TensorBimodule, YonedaModule
@@ -50,7 +50,7 @@ def test_every_complex_has_one_label_type(tmp_path, monkeypatch):
         labels = [label for k in cx.degrees() for label in cx.basis[k]]
         (kind,) = kinds(labels)
         for label in labels:
-            assert kinds(cx.diff_chain(label)) <= {kind}, label
+            assert kinds(column(cx, label)) <= {kind}, label
 
 
 @pytest.mark.parametrize("name,n", SHIPPED_MORPHISMS)
