@@ -45,6 +45,7 @@ from .fileformat import (
     load_category,
     load_certificate,
     morphism_to_json,
+    subcategory_refusal,
 )
 from .generation import NotACycle, generation_test, replay_certificate, verify_cohomological_unit
 from .hochschild import ChainMapViolation, hochschild_homology, truncated_cc
@@ -187,17 +188,17 @@ def cmd_generate(args) -> int:
     if K not in cat.objects:
         raise CliError(f"unknown object {K!r}")
     B = args.subcategory.split(",") if args.subcategory is not None else list(cat.objects)
-    for i, obj in enumerate(B):
-        if obj not in cat.objects:
-            raise CliError(f"unknown subcategory object {obj!r}")
-        if obj in B[:i]:
-            raise CliError(f"subcategory object {obj!r} listed twice")
+    bad = subcategory_refusal(B, cat.objects)
+    if bad:
+        raise CliError(bad[1])
     if K not in cat.units:
         raise CliError(f"no unit chain declared for object {K!r}")
     e = cat.units[K]
 
     if args.replay:
         cert = load_certificate(_read(args.replay), cat, loaded.digest)
+        if cert.K != K:
+            raise InputError(f"the certificate is for object {cert.K!r}, not {K!r}", path="/object")
         out = replay_certificate(cat, cert, e)
         report = {
             "command": "generate",

@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Iterator, Mapping
 
 from .core import RING_F2, VerificationReport, Violation, chain_normalize, parity_sign
-from .intlinalg import FinAbGroup, HomologyData, IntMatrix, NotAComplex, f2_rank
+from .intlinalg import HomologyData, HomologyMod2, IntMatrix, NotAComplex
 
 
 def _from_terms(source: BasedComplex, target: BasedComplex, shift: int, terms, name: str) -> dict[int, IntMatrix]:
@@ -135,10 +135,6 @@ class BasedComplex:
             self._composites[k] = self.matrix(k + 1) @ self.matrix(k)
         return self._composites[k]
 
-    def rank_mod_2(self, k: int) -> int:
-        """The rank of matrix(k) over F2, taken once per matrix."""
-        return self.matrix(k).rank_mod_2()
-
     def validate(self) -> None:
         """Check d o d = 0 exactly, naming the first label where it fails."""
         odd = (lambda x: x % 2) if self.ring == RING_F2 else bool
@@ -147,15 +143,12 @@ class BasedComplex:
             if bad:
                 raise NotAComplex(f"d o d != 0 at degree {k} on {self.basis[k][min(bad)]!r}")
 
-    def homology(self, k: int) -> FinAbGroup:
+    def homology_data(self, k: int) -> HomologyData | HomologyMod2:
+        """The homology at degree k, the one place homology reads the ring:
+        over Z with class coordinates (HomologyData), over F2 by ranks alone
+        (HomologyMod2).  Both give `group`, `induces_zero` and `induces_iso`."""
         if self.ring == RING_F2:
-            dim = (self.dim(k) - self.rank_mod_2(k)) - self.rank_mod_2(k - 1)
-            return FinAbGroup(0, (2,) * dim)
-        return self.homology_data(k).group
-
-    def homology_data(self, k: int) -> HomologyData:
-        if self.ring == RING_F2:
-            raise ValueError("integral homology coordinates are not defined over F2")
+            return HomologyMod2(self.matrix(k), self.matrix(k - 1))
         return HomologyData(self.matrix(k), self.matrix(k - 1), self.composite(k - 1))
 
 
@@ -201,18 +194,3 @@ def verify_chain_map(f: GradedMap) -> VerificationReport:
     return residual_report(src, tgt, s + 1, lambda k: combination(
         [(1, tgt.matrix(k + s) @ f.matrix(k)), (-parity_sign(s), f.matrix(k + 1) @ src.matrix(k))], tgt.ring
     ))
-
-
-def induced_rank_mod_2(f: GradedMap, k: int) -> int:
-    """Over F2, the rank of the map f induces from H^k of its source to
-    H^(k + shift) of its target.
-
-    With F = f.matrix(k), D the source's d_k and E the target's
-    d_(k + shift - 1), the map (x, y) -> (Fx + Ey, Dx) has rank
-    rank D + dim(F(ker D) + im E), so the induced map has rank
-    rank [[F, E], [D, 0]] - rank D - rank E.
-    """
-    F, D, E = f.matrix(k), f.source.matrix(k), f.target.matrix(k + f.shift - 1)
-    top = [{**row, **{F.cols + j: c for j, c in e.items()}} for row, e in zip(F.entries, E.entries)]
-    block = IntMatrix.from_rows(top + list(D.entries), F.cols + E.cols)
-    return f2_rank(block) - f.source.rank_mod_2(k) - f.target.rank_mod_2(k + f.shift - 1)

@@ -581,9 +581,21 @@ def certificate_to_json(cert, digest: str) -> dict:
     }
 
 
+def subcategory_refusal(names: list, objects: list) -> tuple[int, str] | None:
+    """The index and wording of the first name in a subcategory list that
+    is not a declared object or is listed twice, or None."""
+    for i, name in enumerate(names):
+        if name not in objects:
+            return i, f"unknown subcategory object {name!r}"
+        if name in names[:i]:
+            return i, f"subcategory object {name!r} listed twice"
+    return None
+
+
 def load_certificate(data: bytes, cat: AinfCategory, digest: str):
     """Read a certificate for `cat`, whose file has digest `digest`; a
-    certificate that records no or another category_digest is refused."""
+    certificate that records no or another category_digest, or names an
+    undeclared object or a bad subcategory list, is refused."""
     from .bimodules import TensorWord
     from .generation import GenerationCertificate
 
@@ -594,6 +606,11 @@ def load_certificate(data: bytes, cat: AinfCategory, digest: str):
     _schema_check(raw, CERTIFICATE_SCHEMA, _ACCEPTS_CERTIFICATE)
     if raw.get("category_digest") != digest:
         raise InputError("certificate was not emitted for this category file", path="/category_digest")
+    if raw["object"] not in cat.objects:
+        raise InputError(f"unknown object {raw['object']!r}", path="/object")
+    bad = subcategory_refusal(raw["subcategory"], cat.objects)
+    if bad:
+        raise InputError(bad[1], path=_pointer("subcategory", bad[0]))
     refs_index = {(g.source, g.target, g.name): g for g in cat.generators()}
     tau = {}
     for i, t in enumerate(raw["tau"]):

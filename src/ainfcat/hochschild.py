@@ -94,9 +94,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bimodules import BimoduleHom, DiagonalBimodule, TensorBimodule, TensorWord
-from .complexes import BasedComplex, GradedMap, induced_rank_mod_2, verify_chain_map
-from .core import RING_F2, AinfCategory, parity_sign, path_table, rdeg
-from .intlinalg import FinAbGroup, HomologyData, IntMatrix, smith_normal_form
+from .complexes import BasedComplex, GradedMap, verify_chain_map
+from .core import AinfCategory, parity_sign, path_table, rdeg
+from .intlinalg import FinAbGroup, IntMatrix
 
 CyclicWord = tuple  # tuple[Gen, ...] in boundary order, distinguished slot last
 
@@ -176,37 +176,6 @@ class HochschildResult:
     max_length: int
 
 
-def _iso_under_inclusion(inclusion: GradedMap, k: int, hb: HomologyData) -> bool:
-    """Does the inclusion of the shorter truncation induce an iso at degree k?
-
-    hb is the homology data of the inclusion's target at degree k.
-    """
-    hs = inclusion.source.homology_data(k)
-    if hs.group != hb.group:
-        return False
-    # surjectivity of the induced map between abstractly isomorphic finitely
-    # generated groups implies bijectivity
-    return _spans(hb.induced(inclusion.matrix(k), hs), hb)
-
-
-def _spans(M: IntMatrix, hd: HomologyData) -> bool:
-    """Do the columns of M, class coordinates in hd, generate its group?"""
-    moduli = [m for m in hd._moduli if m != 1]
-    if not moduli:
-        return True
-    # append the relation m_i * e_i of every torsion coordinate as a column
-    rows = [dict(row) for row in M.entries]
-    cols = M.cols
-    for i, m in enumerate(moduli):
-        if m:
-            rows[i][cols] = m
-            cols += 1
-    if not cols:
-        return False
-    mat = IntMatrix.from_rows(rows, cols)
-    return all(x == 1 for x in smith_normal_form(mat, left=False, right=False).diagonal()[: len(moduli)])
-
-
 def length_filter(cx: BasedComplex, max_length: int) -> BasedComplex:
     """The subcomplex of a truncation spanned by words of length <= max_length.
 
@@ -235,8 +204,7 @@ def hochschild_homology(cat: AinfCategory, max_length: int, degrees=None) -> Hoc
     """Homology of the truncated cyclic bar complex with stabilization flags.
 
     The flag at degree k records whether the inclusion of the (N-1)-
-    truncation induces an isomorphism there (over F2: the two dimensions
-    agree and the induced map has full rank); it is a heuristic for
+    truncation induces an isomorphism there; it is a heuristic for
     stabilization, never a convergence claim.
     """
     big = truncated_cc(cat, max_length)
@@ -247,14 +215,9 @@ def hochschild_homology(cat: AinfCategory, max_length: int, degrees=None) -> Hoc
     stable = {}
     # the filtered truncation keeps every degree of the big one
     for k in big.degrees() if degrees is None else degrees:
-        if big.ring == RING_F2:
-            groups[k] = big.homology(k)
-            dim = len(groups[k].torsion)
-            stable[k] = small.homology(k) == groups[k] and induced_rank_mod_2(inclusion, k) == dim
-        else:
-            hb = big.homology_data(k)
-            groups[k] = hb.group
-            stable[k] = _iso_under_inclusion(inclusion, k, hb)
+        hb = big.homology_data(k)
+        groups[k] = hb.group
+        stable[k] = hb.induces_iso(inclusion.matrix(k), small.homology_data(k))
     return HochschildResult(groups=groups, stable=stable, max_length=max_length)
 
 

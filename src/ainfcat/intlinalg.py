@@ -15,9 +15,9 @@ basis from columns r: of V, kernel coordinates from rows r: of V_inv
 relation matrix, with no further factorization or solve; the map a chain
 map induces on homology is one sparse product of those matrices.  Each
 caller tracks only the side it reads: the kernel builds V and V_inv, the
-relation matrix U and U_inv, the stabilization check in hochschild
-neither (it reads the diagonal), and solve_integer both (U for the
-right-hand side, V for the solution).
+relation matrix U and U_inv, HomologyData.induces_iso neither (it reads
+the diagonal), and solve_integer both (U for the right-hand side, V for
+the solution).  HomologyMod2 answers the same questions by F2 ranks.
 
 Matrices are stored as sparse rows (a dict from column to nonzero entry
 per row); the dense tuple-of-tuples `IntMatrix.data` is only a view, built
@@ -568,6 +568,66 @@ class HomologyData:
         moduli = [self._moduli[i] for i in rows]
         reduced = [{j: x % m for j, x in row.items() if x % m} if m else row for row, m in zip(M.entries, moduli)]
         return IntMatrix.from_rows(reduced, M.cols)
+
+    def induces_zero(self, F: IntMatrix, source: "HomologyData") -> bool:
+        """Does F induce the zero map from source's homology to this one?"""
+        return self.induced(F, source).is_zero()
+
+    def induces_iso(self, F: IntMatrix, source: "HomologyData") -> bool:
+        """Does F induce an isomorphism from source's homology onto this one?
+
+        Between isomorphic finitely generated groups a surjection is a
+        bijection, so: the groups agree, and the induced columns, with the
+        relation m_i * e_i of every torsion coordinate appended, span every
+        coordinate (their first Smith invariants, one per coordinate, are 1).
+        """
+        if source.group != self.group:
+            return False
+        M = self.induced(F, source)
+        moduli = [self._moduli[i] for i in self._nontrivial()]
+        if not moduli:
+            return True
+        rows = [dict(row) for row in M.entries]
+        cols = M.cols
+        for row, m in zip(rows, moduli):
+            if m:
+                row[cols] = m
+                cols += 1
+        diag = smith_normal_form(IntMatrix.from_rows(rows, cols), left=False, right=False).diagonal()
+        return all(x == 1 for x in diag[: len(moduli)])
+
+
+class HomologyMod2:
+    """Homology over F2 at one spot of a complex (d_out and d_in as for
+    HomologyData), by ranks alone: `group` is dim - rank d_out - rank d_in
+    copies of Z/2.  There are no class coordinates, so `induced` refuses."""
+
+    def __init__(self, d_out: IntMatrix, d_in: IntMatrix):
+        self.d_out = d_out
+        self.d_in = d_in
+        self.group = FinAbGroup(0, (2,) * (d_out.cols - d_out.rank_mod_2() - d_in.rank_mod_2()))
+
+    def induced(self, F: IntMatrix, source: "HomologyMod2") -> IntMatrix:
+        raise ValueError("integral homology coordinates are not defined over F2")
+
+    def induced_rank(self, F: IntMatrix, source: "HomologyMod2") -> int:
+        """The rank of the map F induces from source's homology to this one.
+
+        With D = source.d_out and E = self.d_in, the map (x, y) -> (Fx + Ey,
+        Dx) has rank rank D + dim(F(ker D) + im E), so the induced map has
+        rank rank [[F, E], [D, 0]] - rank D - rank E.
+        """
+        D, E = source.d_out, self.d_in
+        top = [{**row, **{F.cols + j: c for j, c in e.items()}} for row, e in zip(F.entries, E.entries)]
+        block = IntMatrix.from_rows(top + list(D.entries), F.cols + E.cols)
+        return f2_rank(block) - D.rank_mod_2() - E.rank_mod_2()
+
+    def induces_zero(self, F: IntMatrix, source: "HomologyMod2") -> bool:
+        return not self.induced_rank(F, source)
+
+    def induces_iso(self, F: IntMatrix, source: "HomologyMod2") -> bool:
+        """Equal dimensions and an induced map of full rank."""
+        return source.group == self.group and self.induced_rank(F, source) == len(self.group.torsion)
 
 
 def f2_rank(A: IntMatrix) -> int:

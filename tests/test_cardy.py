@@ -33,7 +33,8 @@ from ainfcat.cardy import (
     verify_homotopy_equation,
 )
 from ainfcat.complexes import GradedMap
-from ainfcat.fixtures import SHIPPED_MORPHISMS
+from ainfcat.core import with_ring
+from ainfcat.fixtures import SHIPPED_MORPHISMS, ground_ring
 from ainfcat.hochschild import cc_of_delta, truncated_cc
 from ainfcat.intlinalg import RationalOnly, Unsolvable
 from ainfcat.strata import sign_formula
@@ -338,3 +339,13 @@ def test_cc_of_delta_refuses_a_tensor_complex_too_short_for_its_image(fixture, n
     short = tensor_over_category(YonedaModule(cat, K, RIGHT), YonedaModule(cat, K, LEFT), 1)
     with pytest.raises(KeyError, match="CC\\(morphism\\) of .* leaves the declared basis"):
         cc_of_delta(phi, cc, short)
+
+
+def test_homology_comparison_refuses_f2_complexes():
+    # over F2 homology is known by its dimensions; there are no class
+    # coordinates for the two induced maps to be compared in
+    cat = with_ring(ground_ring(), "F2")
+    cx = hom_complex(cat, "*", "*")
+    identity = GradedMap.from_terms(cx, cx, 0, ((g, g, 1) for gens in cx.basis.values() for g in gens), name="id")
+    with pytest.raises(ValueError, match="integral homology coordinates are not defined over F2"):
+        verify_cardy_on_homology(telescoping_data(cat, identity))

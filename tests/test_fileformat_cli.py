@@ -461,6 +461,30 @@ def test_cli_replay_refuses_certificate_without_digest(tmp_path, capsys):
     assert "input error: /category_digest: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("object", "Nope", "/object: unknown object 'Nope'"),
+        ("object", "L", "/object: the certificate is for object 'L', not 'K'"),
+        ("subcategory", ["Nope"], "/subcategory/0: unknown subcategory object 'Nope'"),
+        ("subcategory", ["L", "L"], "/subcategory/1: subcategory object 'L' listed twice"),
+    ],
+    ids=["undeclared-object", "another-object", "undeclared-subcategory", "repeated-subcategory"],
+)
+def test_cli_replay_refuses_a_certificate_naming_bad_objects(tmp_path, capsys, key, value, message):
+    path = tmp_path / "split.json"
+    path.write_bytes(dump(split_summand_pair()))
+    cert = tmp_path / "split.cert.json"
+    args = ["--object", "K", "--subcategory", "L", "--max-length", "2"]
+    assert cli.main(["generate", str(path), *args, "--emit", str(cert)]) == 0
+    raw = json.loads(cert.read_text())
+    raw[key] = value
+    cert.write_text(json.dumps(raw))
+    capsys.readouterr()
+    assert cli.main(["generate", str(path), "--object", "K", "--replay", str(cert)]) == 2
+    assert f"input error: {message}\n" in capsys.readouterr().err
+
+
 def test_cli_validate_unit_not_a_cycle_exit_2(tmp_path, capsys):
     raw = category_to_json(split_summand_pair())
     raw["units"]["K"] = [{"generator": ["K", "L", "f1"], "coefficient": 1}]

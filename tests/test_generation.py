@@ -6,7 +6,7 @@ import pytest
 from helpers import callback_complex, callback_map, column, iter_terms, with_negated_term
 
 from ainfcat.bimodules import TensorWord
-from ainfcat.complexes import induced_rank_mod_2, verify_chain_map
+from ainfcat.complexes import verify_chain_map
 from ainfcat.core import AinfCategory, chain_add, with_ring
 from ainfcat.fixtures import (
     cone_algebra,
@@ -100,8 +100,9 @@ def test_identity_mod_2_allows_boundaries():
         f = callback_map(cx, cx, 0, lambda label, images=images: images.get(label, {label: 1}))
         assert verify_chain_map(f).passed
         f_minus_id = callback_map(cx, cx, 0, lambda label, f=f: chain_add(dict(column(f, label)), {label: 1}, -1))
-        assert induced_rank_mod_2(f_minus_id, 0) == rank
-        assert induced_rank_mod_2(f_minus_id, -1) == 0
+        hd, below = cx.homology_data(0), cx.homology_data(-1)
+        assert hd.induced_rank(f_minus_id.matrix(0), hd) == rank
+        assert below.induced_rank(f_minus_id.matrix(-1), below) == 0
 
 
 # -- the universal twisted complex ------------------------------------------
@@ -230,6 +231,53 @@ def test_replay_detects_tampered_tau():
     )
     out = replay_certificate(cat, tampered, {e: 1})
     assert out.verdict == "refuted-at-bound"
+
+
+def test_replay_reads_the_homotopy_term():
+    # mu^1(v) = -2e on the cone algebra: the solver's tau needs no h, -tau
+    # needs h = v, and h = -v leaves mu(tau) - mu^1(h) = -3e
+    cat = cone_algebra(2)
+    e = dict(cat.units["*"])
+    cert = generation_test(cat, ["*"], "*", e, max_length=2)
+    assert cert.generated and not cert.h
+    v = gen_named(cat, "v")
+    minus_tau = {w: -c for w, c in cert.tau.items()}
+    repaired = GenerationCertificate("generated", "*", ["*"], 2, tau=minus_tau, h={v: 1})
+    assert replay_certificate(cat, repaired, e).generated
+    worse = GenerationCertificate("generated", "*", ["*"], 2, tau=minus_tau, h={v: -1})
+    out = replay_certificate(cat, worse, e)
+    assert out.verdict == "refuted-at-bound"
+    assert out.detail == "mu(tau) - mu^1(h) != e"
+
+
+@pytest.mark.parametrize(
+    "middle, detail",
+    [(0, "tau is not a cycle"), (5, "tau is not supported on the truncation")],
+    ids=["not-a-cycle", "past-the-truncation"],
+)
+def test_replay_refuses_tau_off_the_degree_0_cycles(middle, detail):
+    # <p||p> is a degree-0 word of the N = 2 complex but not a cycle; a word
+    # with 5 middle letters lies past the truncation
+    cat = cone_algebra(2)
+    e = dict(cat.units["*"])
+    p = gen_named(cat, "p")
+    cert = GenerationCertificate("generated", "*", ["*"], 2, tau={TensorWord(p, (p,) * middle, p): 1})
+    out = replay_certificate(cat, cert, e)
+    assert out.verdict == "refuted-at-bound"
+    assert out.detail == detail
+
+
+def test_replay_refuses_h_outside_hom_K_K_in_degree_minus_1():
+    # mu^1 vanishes on E11 and f1, so only h's support check refuses them
+    cat = split_summand_pair()
+    eK = gen_named(cat, "eK")
+    cert = generation_test(cat, ["L"], "K", {eK: 1}, max_length=2)
+    assert cert.generated
+    h = {gen_named(cat, "E11"): 5, gen_named(cat, "f1"): 2}
+    stray = GenerationCertificate("generated", "K", ["L"], 2, tau=dict(cert.tau), h=h)
+    out = replay_certificate(cat, stray, {eK: 1})
+    assert out.verdict == "refuted-at-bound"
+    assert out.detail == "h is not supported on hom(K, K) in degree -1"
 
 
 def test_certificates_are_integral():

@@ -201,20 +201,40 @@ def two_term_complex(M: IntMatrix) -> BasedComplex:
 def test_homology_zero_differential():
     C = matrix_complex(components={0: ["x", "y", "z"]}, diff={})
     C.validate()
-    assert C.homology(0) == FinAbGroup(3)
+    assert C.homology_data(0).group == FinAbGroup(3)
 
 
 def test_homology_times_two():
     C = two_term_complex(IntMatrix([[2]]))
     C.validate()
-    assert C.homology(1) == FinAbGroup(0, (2,))
-    assert C.homology(0) == FinAbGroup(0)
+    assert C.homology_data(1).group == FinAbGroup(0, (2,))
+    assert C.homology_data(0).group == FinAbGroup(0)
 
 
 def test_homology_iso():
     C = two_term_complex(IntMatrix([[1]]))
-    assert C.homology(0) == FinAbGroup(0)
-    assert C.homology(1) == FinAbGroup(0)
+    assert C.homology_data(0).group == FinAbGroup(0)
+    assert C.homology_data(1).group == FinAbGroup(0)
+
+
+@pytest.mark.parametrize("m, unit, nonunit", [(2, 1, 0), (4, 3, 2)])
+def test_induces_iso_reads_the_torsion_relations(m, unit, nonunit):
+    # on H^1 = Z/m of Z --m--> Z, multiplication by c is an isomorphism
+    # exactly when c is a unit mod m; for c = 3 and m = 4 the induced matrix
+    # [3] alone does not generate Z, with the relation column 4 it does
+    hd = two_term_complex(IntMatrix([[m]])).homology_data(1)
+    assert hd.induces_iso(IntMatrix([[unit]]), hd)
+    assert not hd.induces_iso(IntMatrix([[nonunit]]), hd)
+
+
+@pytest.mark.parametrize("m", [2, 4])
+def test_inclusion_beside_an_acyclic_pair_induces_iso(m):
+    # Z --m--> Z into the same complex with Z --1--> Z put first
+    small = two_term_complex(IntMatrix([[m]]))
+    big = matrix_complex({0: ["x", "a0"], 1: ["y", "b0"]}, {0: IntMatrix([[1, 0], [0, m]])})
+    inclusion = GradedMap.from_terms(small, big, 0, [("a0", "a0", 1), ("b0", "b0", 1)])
+    for k in (0, 1):
+        assert big.homology_data(k).induces_iso(inclusion.matrix(k), small.homology_data(k)), k
 
 
 def test_not_a_complex_detected():
@@ -251,7 +271,7 @@ def test_a_degree_without_a_matrix_reads_zero_of_its_shape():
     assert C.matrix(1) == IntMatrix.zeros(0, 1)
     assert C.matrix(-1) == IntMatrix.zeros(2, 0)
     assert C.matrix(7) == IntMatrix.zeros(0, 0)
-    assert C.homology(0) == FinAbGroup(1) and C.homology(1) == FinAbGroup(0)
+    assert C.homology_data(0).group == FinAbGroup(1) and C.homology_data(1).group == FinAbGroup(0)
     f = GradedMap(C, C, 1)
     assert f.matrix(0) == IntMatrix.zeros(1, 2) and f.matrix(1) == IntMatrix.zeros(0, 1)
 
