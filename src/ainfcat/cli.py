@@ -10,6 +10,7 @@ equation, a failed comparison, an inconclusive or refuted certificate),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -199,6 +200,13 @@ def cmd_generate(args) -> int:
         cert = load_certificate(_read(args.replay), cat, loaded.digest)
         if cert.K != K:
             raise InputError(f"the certificate is for object {cert.K!r}, not {K!r}", path="/object")
+        if args.subcategory is not None and set(B) != set(cert.B_objects):
+            certified, asked = (",".join(sorted(b)) for b in (cert.B_objects, B))
+            raise InputError(f"the certificate is for subcategory {certified!r}, not {asked!r}", path="/subcategory")
+        if args.max_length is not None and args.max_length != cert.max_length:
+            raise InputError(
+                f"the certificate is for max length {cert.max_length}, not {args.max_length}", path="/max_length"
+            )
         out = replay_certificate(cat, cert, e)
         report = {
             "command": "generate",
@@ -211,8 +219,9 @@ def cmd_generate(args) -> int:
         _emit(report, args.json)
         return EXIT_PASS if out.generated else EXIT_FAIL
 
+    max_length = 2 if args.max_length is None else args.max_length
     try:
-        cert = generation_test(cat, B, K, e, args.max_length)
+        cert = generation_test(cat, B, K, e, max_length)
     except NotACycle as err:
         raise InputError(str(err), path=_pointer("units", K))
     except ValueError as err:
@@ -222,7 +231,7 @@ def cmd_generate(args) -> int:
         "inputs": loaded.digest,
         "object": K,
         "subcategory": sorted(B),
-        "max_length": args.max_length,
+        "max_length": max_length,
         "verdict": cert.verdict,
         "rational_only": cert.rational_only,
         "detail": cert.detail,
@@ -432,7 +441,15 @@ def _degree_range(spec: str) -> range:
     return range(a, b + 1)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: every main(argv)
+    call parses with it, and parsing leaves no state in it.
+
+    Each subparser binds its cmd_* function when the parser is built, so
+    replacing cli.cmd_* (a monkeypatch, say) after the first call does not
+    change what main() dispatches to.
+    """
     ap = argparse.ArgumentParser(prog="ainfcat", description="Exact checker for categories with higher products")
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -458,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path")
     p.add_argument("--object", required=True)
     p.add_argument("--subcategory", help="comma-separated objects (default: all)")
-    p.add_argument("--max-length", type=_at_least(0), default=2)
+    p.add_argument("--max-length", type=_at_least(0))  # 2 when not given; a given one must match a replayed certificate
     p.add_argument("--emit", help="write the certificate to this file")
     p.add_argument("--replay", help="re-verify a previously emitted certificate")
     p.add_argument("--json", action="store_true")

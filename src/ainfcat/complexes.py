@@ -146,10 +146,10 @@ class BasedComplex:
     def homology_data(self, k: int) -> HomologyData | HomologyMod2:
         """The homology at degree k, the one place homology reads the ring:
         over Z with class coordinates (HomologyData), over F2 by ranks alone
-        (HomologyMod2).  Both give `group`, `induces_zero` and `induces_iso`."""
-        if self.ring == RING_F2:
-            return HomologyMod2(self.matrix(k), self.matrix(k - 1))
-        return HomologyData(self.matrix(k), self.matrix(k - 1), self.composite(k - 1))
+        (HomologyMod2).  Both check d o d = 0 there and give `group`,
+        `induces_zero` and `induces_iso`."""
+        homology = HomologyMod2 if self.ring == RING_F2 else HomologyData
+        return homology(self.matrix(k), self.matrix(k - 1), self.composite(k - 1))
 
 
 class GradedMap:

@@ -598,11 +598,16 @@ class HomologyData:
 
 
 class HomologyMod2:
-    """Homology over F2 at one spot of a complex (d_out and d_in as for
-    HomologyData), by ranks alone: `group` is dim - rank d_out - rank d_in
-    copies of Z/2.  There are no class coordinates, so `induced` refuses."""
+    """Homology over F2 at one spot of a complex (d_out, d_in and
+    `composite` as for HomologyData), by ranks alone: `group` is dim -
+    rank d_out - rank d_in copies of Z/2.  An odd entry of d_out @ d_in
+    raises NotAComplex.  There are no class coordinates, so `induced`
+    refuses."""
 
-    def __init__(self, d_out: IntMatrix, d_in: IntMatrix):
+    def __init__(self, d_out: IntMatrix, d_in: IntMatrix, composite: IntMatrix | None = None):
+        comp = d_out @ d_in if composite is None else composite
+        if any(x % 2 for row in comp.entries for x in row.values()):
+            raise NotAComplex("d o d != 0 mod 2")
         self.d_out = d_out
         self.d_in = d_in
         self.group = FinAbGroup(0, (2,) * (d_out.cols - d_out.rank_mod_2() - d_in.rank_mod_2()))

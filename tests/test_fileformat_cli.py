@@ -485,6 +485,79 @@ def test_cli_replay_refuses_a_certificate_naming_bad_objects(tmp_path, capsys, k
     assert f"input error: {message}\n" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--subcategory", "K"], "/subcategory: the certificate is for subcategory 'L', not 'K'"),
+        (["--subcategory", "L,K"], "/subcategory: the certificate is for subcategory 'L', not 'K,L'"),
+        (["--max-length", "0"], "/max_length: the certificate is for max length 2, not 0"),
+        (["--max-length", "3"], "/max_length: the certificate is for max length 2, not 3"),
+        (["--subcategory", "L", "--max-length", "2"], None),
+        ([], None),
+    ],
+    ids=["another-subcategory", "larger-subcategory", "shorter", "longer", "matching", "not-given"],
+)
+def test_cli_replay_refuses_flags_that_contradict_the_certificate(tmp_path, capsys, flags, message):
+    path = tmp_path / "split.json"
+    path.write_bytes(dump(split_summand_pair()))
+    cert = tmp_path / "split.cert.json"
+    args = ["--object", "K", "--subcategory", "L", "--max-length", "2"]
+    assert cli.main(["generate", str(path), *args, "--emit", str(cert)]) == 0
+    capsys.readouterr()
+    code = cli.main(["generate", str(path), "--object", "K", *flags, "--replay", str(cert)])
+    out, err = capsys.readouterr()
+    if message is None:
+        assert code == 0 and out.endswith("verdict: generated\n")
+    else:
+        assert code == 2 and out == "" and err.startswith(f"input error: {message}\n")
+
+
+def test_cli_replay_accepts_the_subcategory_in_any_order(tmp_path, capsys):
+    path = tmp_path / "split.json"
+    path.write_bytes(dump(split_summand_pair()))
+    cert = tmp_path / "split.cert.json"
+    generate = ["generate", str(path), "--object", "K"]
+    assert cli.main([*generate, "--subcategory", "K,L", "--max-length", "1", "--emit", str(cert)]) == 0
+    for names in ("K,L", "L,K"):
+        assert cli.main([*generate, "--subcategory", names, "--max-length", "1", "--replay", str(cert)]) == 0, names
+
+
+def test_cli_generate_max_length_defaults_to_2(tmp_path, capsys):
+    path = tmp_path / "split.json"
+    path.write_bytes(dump(split_summand_pair()))
+    assert cli.main(["generate", str(path), "--object", "K", "--subcategory", "L"]) == 0
+    assert "\nmax_length: 2\n" in capsys.readouterr().out
+
+
+def test_cli_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_cli_calls_in_one_process_share_no_flags(tmp_path, capsys):
+    # each call's exit code and stdout equal those of the same argv run
+    # first in a fresh process, whatever ran before it in this one
+    for name in ("split_summand_pair", "dual_numbers"):
+        cli.main(["fixture", name, "-o", str(tmp_path / f"{name}.json")])
+    hh = ["hh", str(tmp_path / "split_summand_pair.json"), "--max-length", "2"]
+    cardy = ["cardy", str(tmp_path / "dual_numbers.json"), "--morphism", "coproduct_n0", "--max-length", "2"]
+    calls = [[*hh, "--degrees=0..0"], hh, [*cardy, "--solve"], cardy, [*hh, "--max-length", "0"], hh]
+    fresh = {}
+    for argv in calls:
+        if tuple(argv) not in fresh:
+            proc = run_cli(argv)
+            fresh[tuple(argv)] = (proc.returncode, proc.stdout)
+    assert [fresh[tuple(argv)][0] for argv in calls] == [0, 0, 0, 0, 2, 0]
+    assert len({out for _, out in fresh.values()}) == len(fresh)
+
+    for argv in calls:
+        capsys.readouterr()
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert (code, capsys.readouterr().out) == fresh[tuple(argv)], argv
+
+
 def test_cli_validate_unit_not_a_cycle_exit_2(tmp_path, capsys):
     raw = category_to_json(split_summand_pair())
     raw["units"]["K"] = [{"generator": ["K", "L", "f1"], "coefficient": 1}]

@@ -19,6 +19,7 @@ from ainfcat.complexes import BasedComplex, GradedMap, table_terms
 from ainfcat.intlinalg import (
     FinAbGroup,
     HomologyData,
+    HomologyMod2,
     IntMatrix,
     NotAComplex,
     RationalOnly,
@@ -244,6 +245,25 @@ def test_not_a_complex_detected():
     )
     with pytest.raises(NotAComplex):
         C.validate()
+
+
+@pytest.mark.parametrize("ring", ["Z", "F2"])
+def test_homology_refuses_a_non_complex_on_either_ring(ring):
+    # a -> b -> c with both coefficients 1: over F2 the rank count alone
+    # would read H^1 = 0 from a dimension of 1 - 1 - 1 = -1
+    d0, d1 = IntMatrix([[1]]), IntMatrix([[1]])
+    C = BasedComplex({0: ["a"], 1: ["b"], 2: ["c"]}, {0: d0, 1: d1}, ring=ring)
+    with pytest.raises(NotAComplex):
+        C.homology_data(1)
+    with pytest.raises(NotAComplex):
+        (HomologyMod2 if ring == "F2" else HomologyData)(d1, d0)
+    # an even composite is zero over F2 only
+    d1 = IntMatrix([[2]])
+    if ring == "F2":
+        assert HomologyMod2(d1, d0).group == FinAbGroup(0)
+    else:
+        with pytest.raises(NotAComplex):
+            HomologyData(d1, d0)
 
 
 @pytest.mark.parametrize("ring, coefficient", [("Z", 1), ("Z", 2), ("F2", 1)])
