@@ -87,10 +87,11 @@ class BasedComplex:
     label of basis[k + 1]; a degree without a matrix has zero
     differential.  from_terms fills the matrices from the differential's
     terms.  validate() checks d o d = 0 exactly (mod 2 over F2) and raises
-    NotAComplex where it fails.
+    NotAComplex where it fails.  `composites` holds known d o d products.
     """
 
-    def __init__(self, basis: dict[int, list], matrices: Mapping[int, IntMatrix] | None = None, ring: str = "Z"):
+    def __init__(self, basis: dict[int, list], matrices: Mapping[int, IntMatrix] | None = None, ring: str = "Z",
+                 composites: Mapping[int, IntMatrix] | None = None):
         self.ring = ring
         self.basis = {k: list(v) for k, v in sorted(basis.items()) if v}
         self.index = {k: {label: i for i, label in enumerate(v)} for k, v in self.basis.items()}
@@ -99,7 +100,7 @@ class BasedComplex:
             shape = (self.dim(k + 1), self.dim(k))
             if (M.rows, M.cols) != shape:
                 raise ValueError(f"the degree-{k} matrix is {M.rows}x{M.cols}, its bases need {shape[0]}x{shape[1]}")
-        self._composites: dict[int, IntMatrix] = {}
+        self._composites = dict(composites or {})
 
     @classmethod
     def from_terms(cls, basis: dict[int, list], terms, ring: str = "Z") -> BasedComplex:

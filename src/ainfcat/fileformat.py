@@ -13,10 +13,10 @@ validation and reported with JSON pointers (RFC 6901: a name holding
 component tables into morphisms; the shipped fixtures' morphisms come
 in through it too.
 
-Both schemas are compiled once into plain predicates (`compile_schema`),
-which decide whether a file is accepted; `jsonschema` is imported only
-when a predicate refuses, to word the refusal.  "integer" means a JSON
-integer literal in both: `2.0` is refused, not read as a float.
+Both schemas are compiled once into plain checks (`compile_schema`)
+that accept a file or word its refusal as the reference Python
+validator does, with the same pointer and message.  "integer" means a
+JSON integer literal: `2.0` is refused, not read as a float.
 """
 
 from __future__ import annotations
@@ -118,10 +118,10 @@ CERTIFICATE_SCHEMA = {
     ),
 }
 
-# the keywords `_closed` and `_array` emit, by the type they need beside them
-# ("const" and "enum" go with "string" or with no type)
+# the keywords the schemas use, by the type they need beside them: those
+# `_closed` and `_array` emit, and "const" and "enum", which stand alone
 _KEYWORDS = {
-    None: (),
+    None: ("const", "enum"),
     "string": (),
     "boolean": (),
     "integer": ("minimum",),
@@ -131,15 +131,19 @@ _KEYWORDS = {
 
 
 def compile_schema(schema: dict):
-    """The predicate `instance -> bool` accepting exactly what `schema`
-    accepts under JSON Schema 2020-12, with "integer" meaning a JSON
-    integer literal (`type(x) is int`: not 2.0, not true).
-
-    Only the keywords `_closed` and `_array` emit are compiled, each
-    beside the type it applies to; any other keyword or combination
-    raises ValueError, so a schema edit cannot silently skip a check.
-    A predicate tests the type first, so it never raises."""
+    """The check `instance -> (path, message) | None` of `schema` under
+    JSON Schema 2020-12, "integer" meaning a JSON integer literal (not
+    2.0, not true).  A refusal is the first error by path that the
+    reference Python validator reports, in its words: a node's own errors
+    (type, the first missing required name, the unexpected names, minItems
+    or maxItems), then the least failing key's or index's.  Only the
+    keywords in `_KEYWORDS` are compiled, each beside its type; anything
+    else raises ValueError, so a schema edit cannot silently skip a check."""
     return _compile({k: v for k, v in schema.items() if k != "$schema"}, "#")
+
+
+def _not_of_type(x, kind: str):
+    return (), f"{x!r} is not of type {kind!r}"
 
 
 def _compile(schema, where: str):
@@ -148,68 +152,86 @@ def _compile(schema, where: str):
     kind = schema.get("type")
     if not isinstance(kind, (str, type(None))) or kind not in _KEYWORDS:
         raise ValueError(f"{where}: cannot compile type {kind!r}")
-    words = {"type", *_KEYWORDS[kind], *(("const", "enum") if kind in (None, "string") else ())}
-    if set(schema) - words:
-        raise ValueError(f"{where}: cannot compile {sorted(set(schema) - words)} with type {kind!r}")
+    unknown = set(schema) - {"type", *_KEYWORDS[kind]}
+    if unknown:
+        raise ValueError(f"{where}: cannot compile {sorted(unknown)} with type {kind!r}")
 
-    if "const" in schema or "enum" in schema:
-        values = [schema["const"]] if "const" in schema else schema["enum"]
-        if "const" in schema and "enum" in schema or not all(isinstance(v, str) for v in values):
-            raise ValueError(f"{where}: cannot compile a const or enum other than one list of strings")
-        strings = frozenset(values)
-        return lambda x: isinstance(x, str) and x in strings
     if kind is None:
-        raise ValueError(f"{where}: cannot compile a schema without a type, const or enum")
+        values = [schema["const"]] if "const" in schema else schema.get("enum")
+        if len(schema) != 1 or not isinstance(values, list) or not all(isinstance(v, str) for v in values):
+            raise ValueError(f"{where}: cannot compile a schema other than one const string or one enum of strings")
+        if "const" in schema:
+            return lambda x: None if isinstance(x, str) and x in values else ((), f"{values[0]!r} was expected")
+        return lambda x: None if isinstance(x, str) and x in values else ((), f"{x!r} is not one of {values!r}")
     if kind == "string":
-        return lambda x: isinstance(x, str)
+        return lambda x: None if isinstance(x, str) else _not_of_type(x, "string")
     if kind == "boolean":
-        return lambda x: isinstance(x, bool)
+        return lambda x: None if isinstance(x, bool) else _not_of_type(x, "boolean")
+    if kind == "integer" and "minimum" in schema:
+        least = schema["minimum"]
+        return lambda x: _not_of_type(x, "integer") if type(x) is not int else (
+            None if x >= least else ((), f"{x!r} is less than the minimum of {least!r}"))
     if kind == "integer":
-        least = schema.get("minimum")
-        return lambda x: type(x) is int and (least is None or x >= least)
+        return lambda x: None if type(x) is int else _not_of_type(x, "integer")
 
     if kind == "object":
         props = {name: _compile(sub, f"{where}/properties/{name}") for name, sub in schema.get("properties", {}).items()}
         required = tuple(schema.get("required", ()))
-        rest = schema.get("additionalProperties", True)
-        if not isinstance(rest, bool):
-            rest = _compile(rest, f"{where}/additionalProperties")
+        # an object is closed or a map: no schema leaves additionalProperties open
+        rest = schema.get("additionalProperties")
+        rest = rest if rest is False else _compile(rest, f"{where}/additionalProperties")
 
-        def accepts_object(x):
+        def object_error(x):
+            extras = sorted(key for key in x if props.get(key, rest) is False)
+            if extras:
+                names, verb = ", ".join(map(repr, extras)), "was" if len(extras) == 1 else "were"
+                return (), f"Additional properties are not allowed ({names} {verb} unexpected)"
+            return min(((key, *e[0]), e[1]) for key, value in x.items() if (e := props.get(key, rest)(value)))
+
+        def check_object(x):
             if not isinstance(x, dict):
-                return False
+                return _not_of_type(x, "object")
             for name in required:
                 if name not in x:
-                    return False
+                    return (), f"{name!r} is a required property"
             for key, value in x.items():
                 test = props.get(key, rest)
-                if test is False or test is not True and not test(value):
-                    return False
-            return True
+                if test is False or test(value):
+                    return object_error(x)
+            return None
 
-        return accepts_object
+        return check_object
 
     prefix = tuple(_compile(sub, f"{where}/prefixItems/{i}") for i, sub in enumerate(schema.get("prefixItems", ())))
     each = _compile(schema["items"], f"{where}/items") if "items" in schema else None
     shortest, longest = schema.get("minItems", 0), schema.get("maxItems")
 
-    def accepts_array(x):
-        if not isinstance(x, list) or len(x) < shortest or longest is not None and len(x) > longest:
-            return False
-        for test, value in zip(prefix, x):
-            if not test(value):
-                return False
+    def item_error(x):
+        tests = zip(range(len(x)), prefix + (each,) * len(x), x)
+        return next(((i, *e[0]), e[1]) for i, test, value in tests if test and (e := test(value)))
+
+    def check_array(x):
+        if not isinstance(x, list):
+            return _not_of_type(x, "array")
+        if len(x) < shortest:
+            return (), f"{x!r} {'should be non-empty' if shortest == 1 else 'is too short'}"
+        if longest is not None and len(x) > longest:
+            return (), f"{x!r} {'is expected to be empty' if longest == 0 else 'is too long'}"
+        if prefix:
+            for test, value in zip(prefix, x):
+                if test(value):
+                    return item_error(x)
         if each is not None:
             for value in x[len(prefix):] if prefix else x:
-                if not each(value):
-                    return False
-        return True
+                if each(value):
+                    return item_error(x)
+        return None
 
-    return accepts_array
+    return check_array
 
 
-_ACCEPTS_CATEGORY = compile_schema(CATEGORY_SCHEMA)
-_ACCEPTS_CERTIFICATE = compile_schema(CERTIFICATE_SCHEMA)
+_CATEGORY_ERROR = compile_schema(CATEGORY_SCHEMA)
+_CERTIFICATE_ERROR = compile_schema(CERTIFICATE_SCHEMA)
 
 
 class InputError(Exception):
@@ -249,26 +271,11 @@ def _pointer(*tokens) -> str:
     return "".join("/" + str(t).replace("~", "~0").replace("/", "~1") for t in tokens)
 
 
-def schema_errors(instance, schema) -> list:
-    """Every `jsonschema` error of `instance` against `schema`, sorted by
-    path, with "integer" meaning a JSON integer literal as in
-    `compile_schema`."""
-    from jsonschema import Draft202012Validator, validators
-
-    integer_literal = Draft202012Validator.TYPE_CHECKER.redefine("integer", lambda _, x: type(x) is int)
-    reporter = validators.extend(Draft202012Validator, type_checker=integer_literal)
-    return sorted(reporter(schema).iter_errors(instance), key=lambda e: list(e.absolute_path))
-
-
-def _schema_check(instance, schema, accepts) -> None:
-    """Refuse `instance` unless `accepts`, `schema` compiled, holds; the
-    refusal names the first `jsonschema` error by its path."""
-    if accepts(instance):
-        return
-    errors = schema_errors(instance, schema)
-    if not errors:
-        raise RuntimeError("the compiled schema refused a file that jsonschema accepts")
-    raise InputError(errors[0].message, path=_pointer(*errors[0].absolute_path))
+def _schema_check(instance, first_error) -> None:
+    """Refuse `instance` at the first error the compiled schema `first_error` finds."""
+    error = first_error(instance)
+    if error is not None:
+        raise InputError(error[1], path=_pointer(*error[0]))
 
 
 def _add_term(chain: dict, g, coefficient: int) -> None:
@@ -292,7 +299,7 @@ def load_category(data: bytes, ring: str | None = None) -> LoadedFile:
         raw = json.loads(data)
     except json.JSONDecodeError as err:
         raise InputError(f"not valid JSON: {err}")
-    _schema_check(raw, CATEGORY_SCHEMA, _ACCEPTS_CATEGORY)
+    _schema_check(raw, _CATEGORY_ERROR)
 
     objects = list(raw["objects"])
     if len(set(objects)) != len(objects):
@@ -603,7 +610,7 @@ def load_certificate(data: bytes, cat: AinfCategory, digest: str):
         raw = json.loads(data)
     except json.JSONDecodeError as err:
         raise InputError(f"not valid JSON: {err}")
-    _schema_check(raw, CERTIFICATE_SCHEMA, _ACCEPTS_CERTIFICATE)
+    _schema_check(raw, _CERTIFICATE_ERROR)
     if raw.get("category_digest") != digest:
         raise InputError("certificate was not emitted for this category file", path="/category_digest")
     if raw["object"] not in cat.objects:

@@ -180,24 +180,25 @@ def length_filter(cx: BasedComplex, max_length: int) -> BasedComplex:
     """The subcomplex of a truncation spanned by words of length <= max_length.
 
     The differential never increases length, so the kept words span a
-    subcomplex, whose matrices are the parent's restricted to the kept rows
-    and columns; where every row and column is kept, the parent's matrix
-    itself, so its rank over F2 is taken once.  It is not validated again
-    (the parent's validate() already checked d o d on every word it keeps).
+    subcomplex, whose matrices and products d o d are the parent's
+    restricted to the kept rows and columns (where all are kept, the
+    parent's own, so a rank over F2 is taken once); nothing is multiplied
+    or validated again, as the parent's validate() checked d o d.
     """
     keep = {k: [j for j, w in enumerate(words) if len(w) <= max_length] for k, words in cx.basis.items()}
-    matrices = {}
-    for k, cols in keep.items():
-        rows = keep.get(k + 1, [])
-        if len(cols) == cx.dim(k) and len(rows) == cx.dim(k + 1):
-            matrices[k] = cx.matrix(k)
-            continue
+
+    def restricted(M: IntMatrix, rows: list[int], cols: list[int]) -> IntMatrix:
+        if len(rows) == M.rows and len(cols) == M.cols:
+            return M
         new = {j: n for n, j in enumerate(cols)}
-        entries = cx.matrix(k).entries
-        kept = [{new[j]: c for j, c in entries[i].items() if j in new} for i in rows]
-        matrices[k] = IntMatrix.from_rows(kept, len(cols))
+        return IntMatrix.from_rows([{new[j]: c for j, c in M.entries[i].items() if j in new} for i in rows], len(cols))
+
+    matrices, composites = {}, {}
+    for k, cols in keep.items():
+        matrices[k] = restricted(cx.matrix(k), keep.get(k + 1, []), cols)
+        composites[k] = restricted(cx.composite(k), keep.get(k + 2, []), cols)
     basis = {k: [cx.basis[k][j] for j in cols] for k, cols in keep.items()}
-    return BasedComplex(basis, matrices, ring=cx.ring)
+    return BasedComplex(basis, matrices, ring=cx.ring, composites=composites)
 
 
 def hochschild_homology(cat: AinfCategory, max_length: int, degrees=None) -> HochschildResult:

@@ -205,8 +205,8 @@ def test_cli_generate_emit_and_separate_process_replay(tmp_path):
     assert json.loads(bad.stdout)["verdict"] == "refuted-at-bound"
 
 
-def test_cli_imports_jsonschema_only_to_word_a_refusal(tmp_path):
-    # pytest imports jsonschema itself, so only a fresh process shows the lazy import
+def test_no_command_imports_jsonschema(tmp_path):
+    # pytest imports jsonschema itself (the schema tests' reference), so only a fresh process shows it
     def imports(*args):
         proc = subprocess.run(
             [sys.executable, "-X", "importtime", "-m", "ainfcat.cli", *args], capture_output=True, text=True
@@ -219,11 +219,19 @@ def test_cli_imports_jsonschema_only_to_word_a_refusal(tmp_path):
     for argv in (["validate", str(catpath)], [*generate, "--emit", str(cert)], [*generate, "--replay", str(cert)]):
         code, err = imports(*argv)
         assert code == 0 and "jsonschema" not in err, argv
+    replay = ["generate", str(catpath), "--object", "K", "--replay", str(cert)]
+    for flags, refusal in (
+        (["--subcategory", "K"], "/subcategory: the certificate is for subcategory 'L', not 'K'"),
+        (["--max-length", "0"], "/max_length: the certificate is for max length 1, not 0"),
+    ):
+        code, err = imports(*replay, *flags)
+        assert code == 2 and "jsonschema" not in err, flags
+        assert f"input error: {refusal}\n" in err
     raw = json.loads(catpath.read_text())
     del raw["hom"]
     catpath.write_text(json.dumps(raw))
     code, err = imports("validate", str(catpath))
-    assert code == 2 and "jsonschema" in err
+    assert code == 2 and "jsonschema" not in err
     assert "input error: \"\": 'hom' is a required property\n" in err
 
 

@@ -20,7 +20,7 @@ from helpers import (
     zero_map,
 )
 
-from ainfcat import generation, intlinalg
+from ainfcat import generation, hochschild, intlinalg
 from ainfcat.bimodules import (
     LEFT,
     RIGHT,
@@ -51,7 +51,7 @@ from ainfcat.hochschild import (
     truncated_cc,
     word_degree,
 )
-from ainfcat.intlinalg import FinAbGroup, f2_rank
+from ainfcat.intlinalg import FinAbGroup, IntMatrix, f2_rank
 
 ALL_FIXTURES = [
     ground_ring,
@@ -164,6 +164,7 @@ def test_length_filter_is_the_shorter_truncation(make):
     assert small.basis == direct.basis
     for k in direct.degrees():
         assert small.matrix(k) == direct.matrix(k)
+        assert small.composite(k) == direct.composite(k)
 
 
 # -- homology ---------------------------------------------------------------
@@ -237,6 +238,31 @@ def test_f2_homology_ranks_each_matrix_once(monkeypatch):
     monkeypatch.setattr(intlinalg, "f2_rank", counted)
     hochschild_homology(with_ring(split_summand_pair(), RING_F2), 5)
     assert ranked and len(ranked) == len(set(ranked))
+
+
+@pytest.mark.parametrize("ring", [RING_Z, RING_F2])
+def test_homology_forms_no_d_o_d_on_the_filtered_truncation(monkeypatch, ring):
+    # the N - 1 truncation takes its products d o d from the parent's, which
+    # validate() formed: no product of two of its matrices is taken again
+    small, products = [], []
+    filtered, product = hochschild.length_filter, IntMatrix.__matmul__
+
+    def kept(cx, max_length):
+        small.append(filtered(cx, max_length))
+        return small[-1]
+
+    def counted(A, B):
+        if small:
+            products.append((A, B))
+        return product(A, B)
+
+    monkeypatch.setattr(hochschild, "length_filter", kept)
+    monkeypatch.setattr(IntMatrix, "__matmul__", counted)
+    hochschild_homology(with_ring(split_summand_pair(), ring), 4)
+    [cx] = small
+    matrices = [cx.matrix(k) for k in cx.degrees()]
+    ours = {id(M) for M in matrices}
+    assert products and not [(A, B) for A, B in products if id(A) in ours and id(B) in ours]
 
 
 def test_hochschild_cone_torsion_appears():
