@@ -11,7 +11,8 @@ composability, degree rules) is checked structurally right after
 validation and reported with JSON pointers (RFC 6901: a name holding
 `~` or `/` is escaped).  `_morphisms` is the one reader that turns
 component tables into morphisms; the shipped fixtures' morphisms come
-in through it too.
+in through it too.  It checks every table at load and builds a morphism,
+with its bimodules, only when a command first reads it.
 
 Both schemas are compiled once into plain checks (`compile_schema`)
 that accept a file or word its refusal as the reference Python
@@ -23,11 +24,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
 
 from .bimodules import LEFT, RIGHT, BimoduleHom, DiagonalBimodule, PairGen, TensorBimodule, YonedaModule
 from .complexes import BasedComplex
-from .core import RING_F2, RING_Z, AinfCategory, Gen, is_composable, with_ring
+from .core import RING_F2, RING_Z, AinfCategory, Gen, frozen_table, is_composable, with_ring
 from .hochschild import word_degree
 from .intlinalg import NotAComplex
 
@@ -252,8 +255,8 @@ class LoadedFile:
     category: AinfCategory
     raw: dict
     digest: str
-    # every declared morphism by name, built and checked
-    morphisms: dict[str, BimoduleHom]
+    # every declared morphism by name, checked at load, built on first read
+    morphisms: Mapping[str, BimoduleHom]
     # the cardy section's closed complex, validated, or None
     cardy_closed: BasedComplex | None = None
     # the cardy section's chain_maps with references resolved, or None:
@@ -464,15 +467,45 @@ def _cardy_maps(section: dict, closed: BasedComplex | None, refs_index, phi: Bim
     return tables
 
 
-def _morphisms(entries: list, cat: AinfCategory, refs_index) -> dict[str, BimoduleHom]:
-    """Build every declared coproduct-type morphism, diagonal bimodule to
-    Y^l_K (x) Y^r_K; names must be unique.  The morphisms on one base
-    object share one target."""
-    built: dict[str, BimoduleHom] = {}
-    source = DiagonalBimodule(cat)
-    targets: dict[str, TensorBimodule] = {}
+class _Morphisms(Mapping):
+    """The declared morphisms by name, each built on first read from
+    component tables checked at load.  The diagonal source and one tensor
+    target per base object are built with the first morphism that needs
+    them and shared."""
+
+    def __init__(self, cat: AinfCategory, declared: dict[str, tuple[str, int, dict]]):
+        self._cat = cat
+        self._declared = declared  # name -> (base object, degree, component tables)
+        self._built: dict[str, BimoduleHom] = {}
+        self._targets: dict[str, TensorBimodule] = {}
+
+    @cached_property
+    def _source(self) -> DiagonalBimodule:
+        return DiagonalBimodule(self._cat)
+
+    def __getitem__(self, name: str) -> BimoduleHom:
+        if name not in self._built:
+            K, n, comps = self._declared[name]
+            if K not in self._targets:
+                self._targets[K] = TensorBimodule(YonedaModule(self._cat, K, LEFT), YonedaModule(self._cat, K, RIGHT))
+            self._built[name] = BimoduleHom(source=self._source, target=self._targets[K], n=n, components=comps)
+        return self._built[name]
+
+    def __iter__(self):
+        return iter(self._declared)
+
+    def __len__(self) -> int:
+        return len(self._declared)
+
+
+def _morphisms(entries: list, cat: AinfCategory, refs_index) -> _Morphisms:
+    """Check every declared coproduct-type morphism, diagonal bimodule to
+    Y^l_K (x) Y^r_K, and defer building it to its first read; names must
+    be unique.  Every component table is checked here, as BimoduleHom
+    checks it, so a bad one is refused at load."""
+    declared: dict[str, tuple[str, int, dict]] = {}
     for i, m in enumerate(entries):
-        if m["name"] in built:
+        if m["name"] in declared:
             raise InputError(f"duplicate morphism name {m['name']}", path=f"/morphisms/{i}/name")
         K = m["base_object"]
         if K not in cat.objects:
@@ -486,13 +519,13 @@ def _morphisms(entries: list, cat: AinfCategory, refs_index) -> dict[str, Bimodu
             key = tuple(_resolve(refs_index, ref, path) for ref in c["inputs"])
             pg = PairGen(_resolve(refs_index, c["output_left"], path), _resolve(refs_index, c["output_right"], path))
             _add_term(comps.setdefault((r, s), {}).setdefault(key, {}), pg, c["coefficient"])
-        if K not in targets:
-            targets[K] = TensorBimodule(YonedaModule(cat, K, LEFT), YonedaModule(cat, K, RIGHT))
         try:
-            built[m["name"]] = BimoduleHom(source=source, target=targets[K], n=m["degree"], components=comps)
+            for (r, s), table in comps.items():
+                frozen_table(table, cat.ring, r + s + 1, m["degree"] - 1)
         except ValueError as err:
             raise InputError(str(err), path=f"/morphisms/{i}")
-    return built
+        declared[m["name"]] = (K, m["degree"], comps)
+    return _Morphisms(cat, declared)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,17 @@ relation matrix U and U_inv, HomologyData.induces_iso neither (it reads
 the diagonal), and solve_integer both (U for the right-hand side, V for
 the solution).  HomologyMod2 answers the same questions by F2 ranks.
 
+HomologyData checks d o d = 0 when built and factors nothing until an
+answer is read.  Its group comes from a smaller spot with the same
+homology (Kaczynski, Mrozek and Slusarek, "Homology computation by
+reduction of chain complexes", 1998): two basis elements joined by a
+coefficient +-1 span an acyclic summand, and dropping them, with the
+Schur complement of the pivot in its matrix, leaves H^k as it was; the
+rows of d_out may also be divided by their gcd, which keeps its kernel.
+Class coordinates are in the spot's own basis, so the kernel and
+relation factorizations that coords, the class generators and induced
+read are taken from the unreduced matrices, once, on first use.
+
 Matrices are stored as sparse rows (a dict from column to nonzero entry
 per row); the dense tuple-of-tuples `IntMatrix.data` is only a view, built
 on first access.  The Smith reduction runs on that storage: the working
@@ -48,7 +59,9 @@ chain complex raises degree by one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress
+from math import gcd
 from typing import Iterable, Sequence
 
 
@@ -477,6 +490,128 @@ def _group_from_divisors(divisors: Iterable[int], free_rank: int) -> FinAbGroup:
     return FinAbGroup(free_rank=free_rank, torsion=torsion)
 
 
+def _primitive(row: dict) -> None:
+    """Divide a sparse row by the gcd of its entries, in place."""
+    g = gcd(*row.values())
+    if g > 1:
+        for k in row:
+            row[k] //= g
+
+
+def _cancel_units(rows: list[dict], primitive: bool = False) -> tuple[list[int], set[int]]:
+    """Gaussian elimination of the entries +-1 of a matrix held as sparse
+    rows, in place; returns the rows left and the pivot columns.
+
+    A pivot p = +-1 at (i, j) subtracts a_rj * p times row i from every
+    other row r holding column j, which leaves column j zero, and drops
+    row i: the rows left hold the Schur complement.  Pivots are taken until
+    no entry +-1 is left, in passes over the rows shortest first (least
+    fill-in), and within a row at the unit column held by the fewest rows,
+    ties to the lowest index.  With `primitive`, each row is divided by
+    the gcd of its entries, first and after each update, which keeps the
+    kernel and makes more entries units.
+    """
+    if primitive:
+        for r in rows:
+            _primitive(r)
+    at: dict[int, set] = {}
+    for i, r in enumerate(rows):
+        for j in r:
+            at.setdefault(j, set()).add(i)
+    alive = set(range(len(rows)))
+    pivots: set[int] = set()
+    # a pass scans the rows changed since their last scan; the first, all
+    todo = [i for i in alive if rows[i]]
+    while todo:
+        changed = set()
+        for i in sorted(todo, key=lambda i: (len(rows[i]), i)):
+            row = rows[i]
+            units = [j for j, a in row.items() if a == 1 or a == -1]
+            if not units:
+                continue
+            j = units[0] if len(units) == 1 else min(units, key=lambda j: (len(at[j]), j))
+            p = row[j]
+            for r in [r for r in at[j] if r != i]:
+                target = rows[r]
+                q = target[j] * p
+                for k, b in row.items():
+                    x = target.get(k, 0) - q * b
+                    if x:
+                        if k not in target:
+                            at[k].add(r)
+                        target[k] = x
+                    else:
+                        del target[k]
+                        at[k].discard(r)
+                if primitive and target:
+                    _primitive(target)
+                changed.add(r)
+            for k in row:
+                at[k].discard(i)
+            alive.discard(i)
+            changed.discard(i)
+            pivots.add(j)
+        todo = changed
+    return sorted(alive), pivots
+
+
+def _unit_reduced(d_out: IntMatrix, d_in: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
+    """The spot's two matrices with every unit pair cancelled.
+
+    An entry +-1 of d_out pairs a middle basis element with one of the
+    degree above, an entry +-1 of d_in one of the degree below with a
+    middle one; each pair spans an acyclic summand, so the complex that
+    drops it (the Schur complement of the pivot in its own matrix, the
+    paired middle element's row of d_in or column of d_out deleted in the
+    other) has the same homology at the spot.  d_out is cancelled first,
+    then d_in on the middle elements still unpaired, so none is paired
+    twice; deleting columns of d_out makes no new unit there.  The
+    homology reads d_out only through its kernel, so d_out's rows are kept
+    primitive (_cancel_units) and its zero rows dropped; d_in's image
+    counts, so its entries stay.
+    """
+    top = [dict(r) for r in d_out.entries]
+    kept_top, paired_above = _cancel_units(top, primitive=True)
+    middle = [j for j in range(d_out.cols) if j not in paired_above]
+    low = [dict(d_in.entries[j]) for j in middle]
+    kept_low, paired_below = _cancel_units(low)
+    mid = {middle[t]: n for n, t in enumerate(kept_low)}
+    below = {j: n for n, j in enumerate(j for j in range(d_in.cols) if j not in paired_below)}
+    out = IntMatrix.from_rows([{mid[j]: a for j, a in top[i].items() if j in mid} for i in kept_top if top[i]], len(mid))
+    inn = IntMatrix.from_rows([{below[j]: a for j, a in low[t].items()} for t in kept_low], len(below))
+    return out, inn
+
+
+@dataclass(frozen=True)
+class _Presentation:
+    """H = ker(d_out) / im(d_in) presented as Z^z modulo the moduli: the
+    kernel basis (n x z) and the kernel coordinates (z x n) of _kernel, and
+    U and U_inv of the relation matrix, the image of d_in in those
+    coordinates.  coords(x) is U @ kernel_rows @ x, each entry reduced by
+    its modulus; column i of kernel @ U_inv is the i-th generator."""
+
+    kernel: IntMatrix
+    kernel_rows: IntMatrix
+    U: IntMatrix
+    U_inv: IntMatrix
+    moduli: list[int]
+
+    def group(self) -> FinAbGroup:
+        return _group_from_divisors(self.moduli, free_rank=self.moduli.count(0))
+
+
+def _present(d_out: IntMatrix, d_in: IntMatrix, left: bool = True) -> _Presentation:
+    """Factor one spot: the kernel of d_out (V and V_inv), then the relation
+    matrix (U and U_inv only when `left`; its V and V_inv are never read)."""
+    kernel, kernel_rows = _kernel(d_out)
+    # im(d_in) <= ker(d_out), and the kernel basis spans a direct summand,
+    # so the relations' kernel coordinates are integral.
+    rel = smith_normal_form(kernel_rows @ d_in, left=left, right=False)
+    diag = rel.diagonal()
+    moduli = [diag[i] if i < len(diag) else 0 for i in range(kernel.cols)]
+    return _Presentation(kernel, kernel_rows, rel.U, rel.U_inv, moduli)
+
+
 class HomologyData:
     """Homology at one spot of a complex, with canonical coordinates.
 
@@ -485,6 +620,15 @@ class HomologyData:
     coordinate map that assigns to every cycle its class in a fixed
     presentation Z^free + sum Z/d_i.  Two cycles are homologous iff their
     coordinates agree.
+
+    Construction checks d o d = 0 and nothing else; each answer is
+    factored when first asked for.  `group` comes from the spot with its
+    unit pairs cancelled (_unit_reduced), which has the same homology and
+    is usually far smaller.  The presentation (the kernel basis and
+    coordinates, the relation matrix's U and U_inv, the moduli) is in the
+    spot's own basis, so it is factored from the unreduced matrices, on
+    first use by coords, class_generator(s), induced, induces_zero and
+    induces_iso once the groups agree.
     """
 
     def __init__(self, d_out: IntMatrix, d_in: IntMatrix, composite: IntMatrix | None = None):
@@ -494,26 +638,25 @@ class HomologyData:
             raise NotAComplex("d o d != 0")
         self.d_out = d_out
         self.d_in = d_in
-        self.kernel, self._kernel_rows = _kernel(d_out)  # n x z and z x n
-        # Express im(d_in) in kernel coordinates.  im <= ker, and the kernel
-        # basis spans a direct summand, so the coordinates are integral.
-        z = self.kernel.cols
-        rel = self._kernel_rows @ d_in
-        # coords() reads U, the class generators U^{-1} and induced() both;
-        # V and V^{-1} of the relations are never needed, so they are not built.
-        rel_snf = smith_normal_form(rel, right=False)
-        self._rel_U = rel_snf.U
-        self._rel_U_inv = rel_snf.U_inv
-        diag = rel_snf.diagonal()
-        rank_rel = sum(1 for d in diag if d != 0)
-        self.group = _group_from_divisors(diag, free_rank=z - rank_rel)
-        self._moduli = [diag[i] if i < len(diag) else 0 for i in range(z)]
+
+    @cached_property
+    def group(self) -> FinAbGroup:
+        return _present(*_unit_reduced(self.d_out, self.d_in), left=False).group()
+
+    @cached_property
+    def _presentation(self) -> _Presentation:
+        return _present(self.d_out, self.d_in)
+
+    @property
+    def kernel(self) -> IntMatrix:
+        """The kernel basis of d_out, one column per basis cycle."""
+        return self._presentation.kernel
 
     def _kernel_coords(self, cycle: Sequence[int]) -> list[int]:
         """Coordinates of a cycle in the kernel basis (exact, integral)."""
         if self.d_out.cols and any(x != 0 for x in self.d_out.apply(list(cycle))):
             raise ValueError("vector is not a cycle")
-        return self._kernel_rows.apply(list(cycle))
+        return self._presentation.kernel_rows.apply(list(cycle))
 
     def coords(self, cycle: Sequence[int]) -> tuple[int, ...]:
         """Canonical coordinates of the homology class of a cycle.
@@ -523,10 +666,11 @@ class HomologyData:
         invariant of the class.
         """
         y = self._kernel_coords(cycle)
-        t = self._rel_U.apply(y)
+        pres = self._presentation
+        t = pres.U.apply(y)
         out = []
         for i, val in enumerate(t):
-            mod = self._moduli[i]
+            mod = pres.moduli[i]
             if mod == 1:
                 continue
             out.append(val % mod if mod else val)
@@ -534,17 +678,19 @@ class HomologyData:
 
     def _nontrivial(self) -> list[int]:
         """Indices of the presentation's summands whose modulus is not 1."""
-        return [i for i, mod in enumerate(self._moduli) if mod != 1]
+        return [i for i, mod in enumerate(self._presentation.moduli) if mod != 1]
 
     def class_generators(self) -> list[list[int]]:
         """Cycles whose classes generate the homology group."""
         # Preimages of the presentation's standard generators: columns of
         # kernel @ U^{-1}, skipping the trivial summands (modulus 1).
-        return [self.kernel.apply(self._rel_U_inv.column(i)) for i in self._nontrivial()]
+        pres = self._presentation
+        return [pres.kernel.apply(pres.U_inv.column(i)) for i in self._nontrivial()]
 
     def class_generator(self, j: int) -> list[int]:
         """The j-th of class_generators(), built alone."""
-        return self.kernel.apply(self._rel_U_inv.column(self._nontrivial()[j]))
+        pres = self._presentation
+        return pres.kernel.apply(pres.U_inv.column(self._nontrivial()[j]))
 
     def induced(self, F: IntMatrix, source: "HomologyData") -> IntMatrix:
         """The matrix of the map F induces from source's homology to this one.
@@ -555,17 +701,18 @@ class HomologyData:
         sides, each row reduced modulo its modulus.  F must send cycles to
         cycles, checked as d_out · F · kernel(source) = 0.
         """
-        FK = F @ source.kernel
+        pres, spres = self._presentation, source._presentation
+        FK = F @ spres.kernel
         if not (self.d_out @ FK).is_zero():
             raise ValueError("vector is not a cycle")
         rows = self._nontrivial()
         cols = {i: j for j, i in enumerate(source._nontrivial())}
-        coords = IntMatrix.from_rows([self._rel_U.entries[i] for i in rows], self._rel_U.cols)
+        coords = IntMatrix.from_rows([pres.U.entries[i] for i in rows], pres.U.cols)
         gens = IntMatrix.from_rows(
-            [{cols[i]: a for i, a in row.items() if i in cols} for row in source._rel_U_inv.entries], len(cols)
+            [{cols[i]: a for i, a in row.items() if i in cols} for row in spres.U_inv.entries], len(cols)
         )
-        M = (coords @ (self._kernel_rows @ FK)) @ gens
-        moduli = [self._moduli[i] for i in rows]
+        M = (coords @ (pres.kernel_rows @ FK)) @ gens
+        moduli = [pres.moduli[i] for i in rows]
         reduced = [{j: x % m for j, x in row.items() if x % m} if m else row for row, m in zip(M.entries, moduli)]
         return IntMatrix.from_rows(reduced, M.cols)
 
@@ -584,7 +731,7 @@ class HomologyData:
         if source.group != self.group:
             return False
         M = self.induced(F, source)
-        moduli = [self._moduli[i] for i in self._nontrivial()]
+        moduli = [self._presentation.moduli[i] for i in self._nontrivial()]
         if not moduli:
             return True
         rows = [dict(row) for row in M.entries]

@@ -277,7 +277,7 @@ def induced_by_generators(F: IntMatrix, source, target) -> list[tuple[int, ...]]
 
 def zero_class(hd) -> tuple[int, ...]:
     """The class coordinates of 0 in a HomologyData."""
-    return tuple(0 for m in hd._moduli if m != 1)
+    return tuple(0 for m in hd._presentation.moduli if m != 1)
 
 
 def coordinate_columns(M: IntMatrix) -> list[tuple[int, ...]]:

@@ -279,19 +279,29 @@ def test_induced_on_homology_matches_the_per_generator_oracle(fixture, n):
 
 def test_cardy_comparison_factors_each_spot_once(monkeypatch):
     """One HomologyData per complex and degree: the cyclic complex at k and
-    hom(K, K) at k + n, shared by both induced matrices."""
-    built = []
-    init = intlinalg.HomologyData.__init__
+    hom(K, K) at k + n, shared by both induced matrices.  Each spot's
+    presentation is two Smith forms, the kernel's (V only) and the
+    relations' (U only); nothing reads a group, so no unit-reduced spot is
+    factored besides."""
+    built, sides = [], []
+    init, original = intlinalg.HomologyData.__init__, intlinalg.smith_normal_form
 
     def counting(self, d_out, d_in, composite=None):
         built.append((d_out, d_in))
         init(self, d_out, d_in, composite)
 
+    def recording(A, left=True, right=True):
+        sides.append((left, right))
+        return original(A, left, right)
+
     phi, cat, K, cc, tcx = setup("cone_algebra", 1)
     data = telescoping_data(cat, mu_cc_map(phi, cc, tcx), co_sign=-1)
     monkeypatch.setattr(intlinalg.HomologyData, "__init__", counting)
+    monkeypatch.setattr(intlinalg, "smith_normal_form", recording)
     report = verify_cardy_on_homology(data)
-    assert len(built) == 2 * len(cc.degrees())
+    spots = 2 * len(cc.degrees())
+    assert len(built) == spots
+    assert sorted(sides) == [(False, True)] * spots + [(True, False)] * spots
     assert report.checked > 0
 
 

@@ -1231,3 +1231,37 @@ def test_cli_fixture_builds_the_category_and_tensor_target_once(tmp_path, monkey
         assert cli.main(["fixture", "cone_algebra", "-o", str(tmp_path / "cone.json")]) == 0
     assert builds == {"category": 1, "bimodule": 0, "morphism": 0}
     assert len(json.loads((tmp_path / "cone.json").read_text())["morphisms"]) == 3
+
+
+def test_morphisms_are_built_on_first_read(tmp_path, monkeypatch):
+    # loading checks the component tables but builds no bimodule; `hh`
+    # reads no morphism, so it builds none, and the first read of one
+    # builds it with the diagonal source and its base object's target,
+    # which the morphisms on the same base object then share
+    from ainfcat import bimodules
+
+    builds = {"bimodule": 0, "morphism": 0}
+
+    def counted(kind, init):
+        def wrapped(self, *args, **kwargs):
+            builds[kind] += 1
+            init(self, *args, **kwargs)
+
+        return wrapped
+
+    path = tmp_path / "cone.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["fixture", "cone_algebra", "-o", str(path)]) == 0
+    monkeypatch.setattr(bimodules.Bimodule, "__init__", counted("bimodule", bimodules.Bimodule.__init__))
+    monkeypatch.setattr(bimodules.BimoduleHom, "__init__", counted("morphism", bimodules.BimoduleHom.__init__))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["hh", str(path), "--max-length", "2"]) == 0
+    loaded = load_category(path.read_bytes())
+    assert builds == {"bimodule": 0, "morphism": 0}
+    assert len(loaded.morphisms) == 3
+    first, second = list(loaded.morphisms)[:2]
+    phi = loaded.morphisms[first]
+    assert loaded.morphisms[first] is phi
+    assert builds == {"bimodule": 2, "morphism": 1}
+    assert loaded.morphisms[second].target is phi.target
+    assert builds == {"bimodule": 2, "morphism": 2}

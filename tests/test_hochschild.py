@@ -265,6 +265,30 @@ def test_homology_forms_no_d_o_d_on_the_filtered_truncation(monkeypatch, ring):
     assert products and not [(A, B) for A, B in products if id(A) in ours and id(B) in ours]
 
 
+def test_triple_groups_factor_only_unit_reduced_spots(monkeypatch):
+    # every degree's groups differ between the two truncations, so each
+    # flag is read off the groups, which come from the spots with their
+    # unit pairs cancelled: no factored matrix is either truncation's own
+    factored, built = [], []
+    original, truncated = intlinalg.smith_normal_form, hochschild.truncated_cc
+
+    def recording(A, left=True, right=True):
+        factored.append(A)
+        return original(A, left, right)
+
+    def kept(cat, max_length):
+        built.append(truncated(cat, max_length))
+        return built[-1]
+
+    monkeypatch.setattr(intlinalg, "smith_normal_form", recording)
+    monkeypatch.setattr(hochschild, "truncated_cc", kept)
+    res = hochschild_homology(triple_product_algebra(), 5, range(-2, 2))
+    [big] = built
+    own = [cx.matrix(k) for cx in (big, hochschild.length_filter(big, 4)) for k in cx.degrees()]
+    assert not any(res.stable.values())
+    assert factored and not [A for A in factored if any(A == M for M in own)]
+
+
 def test_hochschild_cone_torsion_appears():
     # the cone algebra has 2-torsion in its own cohomology; the cyclic
     # complex at length 1 already sees it through the -mu^1 differential

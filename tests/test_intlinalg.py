@@ -15,6 +15,7 @@ import random
 import pytest
 from helpers import callback_complex, kernel_basis, rational_rank, zero_class
 
+from ainfcat import intlinalg
 from ainfcat.complexes import BasedComplex, GradedMap, table_terms
 from ainfcat.intlinalg import (
     FinAbGroup,
@@ -366,3 +367,35 @@ def test_coords_refuse_a_non_cycle():
     hd = HomologyData(IntMatrix([[1]]), IntMatrix.zeros(1, 0))
     with pytest.raises(ValueError, match="not a cycle"):
         hd.coords([1])
+
+
+# -- what HomologyData factors, and when -----------------------------------
+
+
+def recording_smith_forms(monkeypatch) -> list:
+    """Patch intlinalg.smith_normal_form to record each matrix it factors."""
+    factored = []
+    original = intlinalg.smith_normal_form
+
+    def recording(A, left=True, right=True):
+        factored.append(A)
+        return original(A, left, right)
+
+    monkeypatch.setattr(intlinalg, "smith_normal_form", recording)
+    return factored
+
+
+def test_building_homology_data_runs_no_smith_form(monkeypatch):
+    factored = recording_smith_forms(monkeypatch)
+    d_out, d_in = IntMatrix([[2, -2, 1]]), IntMatrix([[1], [1], [0]])
+    hd = HomologyData(d_out, d_in)
+    assert factored == []
+    assert hd.group == FinAbGroup(1)
+    assert factored
+
+
+def test_the_group_of_an_identity_spot_factors_no_nonempty_matrix(monkeypatch):
+    factored = recording_smith_forms(monkeypatch)
+    assert HomologyData(IntMatrix.identity(5), IntMatrix.zeros(5, 0)).group == FinAbGroup(0)
+    assert HomologyData(IntMatrix.zeros(0, 5), IntMatrix.identity(5)).group == FinAbGroup(0)
+    assert factored and all(A.rows == 0 or A.cols == 0 for A in factored)

@@ -13,8 +13,10 @@ the two-sided transforms on the sides it tracks.  Random small
 complexes check the kernel coordinates and the class generators that
 HomologyData reads off those inverses, and the map induced on homology,
 one sparse product, against the per-generator oracle of helpers.py.  The
-sparse product itself is held against a dense triple loop.  The minors
-oracle of test_intlinalg.py stays as the first one.
+group HomologyData reads off the spot with its unit pairs cancelled must
+be sympy's and the unreduced spot's, on complexes rich in entries +-1.
+The sparse product itself is held against a dense triple loop.  The
+minors oracle of test_intlinalg.py stays as the first one.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from ainfcat.intlinalg import (
     IntMatrix,
     RationalOnly,
     Unsolvable,
+    _present,
     f2_rank,
     smith_normal_form,
     solve_integer,
@@ -286,16 +289,60 @@ def test_class_generators_have_unit_coordinates(pair):
         assert hd.coords(d_in.column(j)) == zero_class(hd)
 
 
-@SETTINGS
-@given(complexes())
-def test_homology_group_matches_sympy(pair):
-    d_out, d_in = pair
+def sympy_group(d_out: IntMatrix, d_in: IntMatrix) -> FinAbGroup:
+    """ker(d_out) / im(d_in): the torsion is that of Z^n / im(d_in), as
+    ker(d_out) is a direct summand holding im(d_in)."""
     n = d_out.cols
-    rank_out = Matrix(d_out.rows, n, [x for r in d_out.data for x in r]).rank() if d_out.rows else 0
+    rank_out = Matrix(d_out.rows, n, [x for r in d_out.data for x in r]).rank() if d_out.rows and n else 0
     diag_in = sympy_diagonal(d_in)
     torsion = tuple(d for d in diag_in if d >= 2)
     free = n - rank_out - sum(1 for d in diag_in if d)
-    assert HomologyData(d_out, d_in).group == FinAbGroup(free, torsion)
+    return FinAbGroup(free, torsion)
+
+
+@SETTINGS
+@given(complexes())
+def test_homology_group_matches_sympy(pair):
+    assert HomologyData(*pair).group == sympy_group(*pair)
+
+
+@st.composite
+def unit_rich_complexes(draw):
+    """(d_out, d_in) with d_out @ d_in == 0, both at most 6 x 6, most
+    entries +-1: d_in's entries are drawn from 0, +-1 and +-2, and each row
+    of d_out is a sum of the kernel basis of d_in's transpose with
+    coefficients 0 and +-1, so a middle element often carries a unit on
+    both sides and the Schur complements make more."""
+    n0, n1, n2 = (draw(st.integers(min_value=0, max_value=6)) for _ in range(3))
+    cells = st.sampled_from((0, 0, 1, -1, 1, -1, 2, -2))
+    d_in = IntMatrix(draw(st.lists(st.lists(cells, min_size=n0, max_size=n0), min_size=n1, max_size=n1)), cols=n0)
+    K = kernel_basis(d_in.transpose())
+    signs = st.lists(st.sampled_from((0, 1, -1)), min_size=K.cols, max_size=K.cols)
+    rows = [K.apply(draw(signs)) for _ in range(n2)]
+    return IntMatrix(rows, cols=n1), d_in
+
+
+def identity_spot(n: int) -> tuple[IntMatrix, IntMatrix]:
+    """d_out the n x n identity and no d_in: every element is paired."""
+    return IntMatrix.identity(n), IntMatrix.zeros(n, 0)
+
+
+@SETTINGS
+@given(unit_rich_complexes())
+@example((IntMatrix.zeros(0, 0), IntMatrix.zeros(0, 0)))
+@example((IntMatrix.zeros(0, 3), IntMatrix.zeros(3, 0)))
+@example((IntMatrix.zeros(2, 0), IntMatrix.zeros(0, 4)))
+@example((IntMatrix([[1, -1]]), IntMatrix([[1, 1], [1, 1]])))  # all units; middle element 0 paired both ways
+@example((IntMatrix([[1, -1, 0], [0, 1, 1]]), IntMatrix([[1], [1], [-1]])))  # all units
+@example((IntMatrix([[2, -2]]), IntMatrix([[2, 2], [2, 2]])))  # all +-2: Z/2
+@example((IntMatrix.zeros(0, 2), IntMatrix([[2, -2], [-2, -2]])))  # all +-2: Z/2 + Z/4
+@example(identity_spot(4))
+@example((IntMatrix.zeros(0, 4), IntMatrix.identity(4)))
+def test_unit_cancellation_keeps_the_group(pair):
+    """The group read off the unit-reduced spot is sympy's and the one the
+    unreduced spot's factorization gives."""
+    d_out, d_in = pair
+    assert HomologyData(d_out, d_in).group == sympy_group(d_out, d_in) == _present(d_out, d_in).group()
 
 
 def small_matrix(data, rows: int, cols: int) -> IntMatrix:
@@ -351,7 +398,7 @@ def test_a_map_homotopic_to_c_times_identity_induces_c(pair, c, data):
         IntMatrix([[c if i == j else 0 for j in range(n)] for i in range(n)], cols=n),
         plus(d_in @ small_matrix(data, d_in.cols, n), small_matrix(data, n, d_out.rows) @ d_out),
     )
-    moduli = [m for m in hd._moduli if m != 1]
+    moduli = [m for m in hd._presentation.moduli if m != 1]
     expected = [tuple((c % m if m else c) if i == j else 0 for i, m in enumerate(moduli)) for j in range(len(moduli))]
     assert coordinate_columns(hd.induced(F, hd)) == expected == induced_by_generators(F, hd, hd)
 
