@@ -92,6 +92,7 @@ commutation rule, is fixed so single-letter words map with sign +1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 
 from .bimodules import BimoduleHom, DiagonalBimodule, TensorBimodule, TensorWord
 from .complexes import BasedComplex, GradedMap, verify_chain_map
@@ -117,16 +118,21 @@ def word_degree(word: CyclicWord) -> int:
     return word[-1].degree + sum(g.degree - 1 for g in word[:-1])
 
 
-def _terms(cat: AinfCategory, table: list[dict], max_length: int):
+def _terms(cat: AinfCategory, table: list[dict], max_length: int, lo=-inf, hi=inf):
     """(word, output word, signed coefficient) for every term of mu on every
-    block of every cyclic word of length <= max_length (module docstring)."""
+    block of every cyclic word of length <= max_length and degree lo..hi
+    (module docstring)."""
     for m, mu in cat.mu.items():
         for key, chain in mu.items():
             outputs = list(chain.items())
             rkey = sum(map(rdeg, key))
             for length in range(max_length - m + 1):
+                # a word of m + length letters whose path has sum r has degree base + r
+                base = rkey - 2 * (m + length) + 1
                 # in place: suf + pre runs from the key's target to its source
                 for path, r in table[length].get((key[-1].target, key[0].source), ()):
+                    if not lo <= base + r <= hi:
+                        continue
                     rsuf = 0
                     for p in range(length + 1):
                         pre, suf = path[p:], path[:p]
@@ -141,19 +147,31 @@ def _terms(cat: AinfCategory, table: list[dict], max_length: int):
                 tail, head = key[:q], key[q:]
                 rhead = sum(map(rdeg, head))
                 for length in range(max_length - m + 1):
+                    base = rkey - 2 * (m + length) + 1
                     for mid, r in table[length].get((head[-1].target, tail[0].source), ()):
+                        if not lo <= base + r <= hi:
+                            continue
                         word = head + mid + tail
                         sign = parity_sign(rhead * (rkey - rhead + r) + r + 1)
                         for g, c in outputs:
                             yield word, mid + (g,), sign * c
 
 
-def truncated_cc(cat: AinfCategory, max_length: int) -> BasedComplex:
+def truncated_cc(cat: AinfCategory, max_length: int, degrees=None) -> BasedComplex:
     """The cyclic bar complex truncated to words of length <= max_length.
 
     The basis is the closed paths of the path table; the differential's
     matrices are written term by term (module docstring), summed, and
-    reduced mod 2 over F2.
+    reduced mod 2 over F2.  validate() checks d o d on every pair of
+    matrices built.
+
+    `degrees` (a, ..., b; only hochschild_homology passes one) builds the
+    window around them alone: the words of degrees a - 1..b + 1 and the
+    differentials leaving a - 1..b, every term on a word outside a - 1..b
+    skipped before its tuple is formed.  That is the brutal truncation
+    sigma_{<= b+1} sigma_{>= a-1} of the whole complex, a complex in its
+    own right; for a <= k <= b both the differential leaving k and the one
+    arriving in k are the whole complex's, so H^k is too.
     """
     table = path_table(cat.generators(), cat.objects, max_length, closed=True)
     basis: dict[int, list] = {}
@@ -162,9 +180,10 @@ def truncated_cc(cat: AinfCategory, max_length: int) -> BasedComplex:
             if s == t:
                 for word, r in paths:
                     basis.setdefault(r - 2 * d + 1, []).append(word)
-    for words in basis.values():
-        words.sort()
-    cx = BasedComplex.from_terms(basis, _terms(cat, table, max_length), ring=cat.ring)
+    # the whole complex is the window of all its degrees
+    a, b = (min(degrees), max(degrees)) if degrees else (min(basis, default=0), max(basis, default=0))
+    basis = {k: sorted(words) for k, words in basis.items() if a - 1 <= k <= b + 1}
+    cx = BasedComplex.from_terms(basis, _terms(cat, table, max_length, a - 1, b), ring=cat.ring)
     cx.validate()
     return cx
 
@@ -206,15 +225,17 @@ def hochschild_homology(cat: AinfCategory, max_length: int, degrees=None) -> Hoc
 
     The flag at degree k records whether the inclusion of the (N-1)-
     truncation induces an isomorphism there; it is a heuristic for
-    stabilization, never a convergence claim.
+    stabilization, never a convergence claim.  With `degrees` (a range or
+    list), only those degrees are read, and only the window around them is
+    built (truncated_cc).
     """
-    big = truncated_cc(cat, max_length)
+    big = truncated_cc(cat, max_length, degrees)
+    # the filtered truncation keeps every degree of the big one, window and all
     small = length_filter(big, max_length - 1) if max_length >= 1 else big
     words = (w for ws in small.basis.values() for w in ws)
     inclusion = GradedMap.from_terms(small, big, 0, ((w, w, 1) for w in words), name="inclusion")
     groups = {}
     stable = {}
-    # the filtered truncation keeps every degree of the big one
     for k in big.degrees() if degrees is None else degrees:
         hb = big.homology_data(k)
         groups[k] = hb.group

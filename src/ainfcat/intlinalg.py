@@ -26,9 +26,16 @@ reduction of chain complexes", 1998): two basis elements joined by a
 coefficient +-1 span an acyclic summand, and dropping them, with the
 Schur complement of the pivot in its matrix, leaves H^k as it was; the
 rows of d_out may also be divided by their gcd, which keeps its kernel.
-Class coordinates are in the spot's own basis, so the kernel and
-relation factorizations that coords, the class generators and induced
-read are taken from the unreduced matrices, once, on first use.
+On that spot (out, inn) the group is read off ranks and divisors, with
+no transform tracked: ker(out) is saturated, so
+H^k = Z^(n - rank out - rank inn) + sum of Z/d over the elementary
+divisors d >= 2 of inn.  elementary_divisors cancels units, divides out
+the content and Smith-reduces only what is left (the transform-free
+route of Dumas, Saunders and Villard, "On efficient sparse integer
+matrix Smith normal form computations", 2001).  Class coordinates are in
+the spot's own basis, so the kernel basis and the relation factorization
+that coords, the class generators and induced read are taken from the
+unreduced matrices, once, on first use; the group never reads them.
 
 Matrices are stored as sparse rows (a dict from column to nonzero entry
 per row); the dense tuple-of-tuples `IntMatrix.data` is only a view, built
@@ -555,6 +562,38 @@ def _cancel_units(rows: list[dict], primitive: bool = False) -> tuple[list[int],
     return sorted(alive), pivots
 
 
+def elementary_divisors(A: IntMatrix) -> list[int]:
+    """The nonzero invariant factors d_1 | d_2 | ... of A (the nonzero
+    diagonal of its Smith normal form; their count is the rank), with no
+    transform tracked.
+
+    Each unit that _cancel_units eliminates is a factor 1 and leaves the
+    Schur complement, which holds the other factors.  When no unit is
+    left but every entry is a multiple of g > 1, the factors left are g
+    times those of the matrix divided by g, which may hold units again.
+    smith_normal_form reduces whatever is left after that, if only an
+    empty matrix.
+    """
+    rows = [dict(r) for r in A.entries if r]
+    divisors: list[int] = []
+    scale = 1
+    while True:
+        kept, pivots = _cancel_units(rows)
+        divisors += [scale] * len(pivots)
+        rows = [rows[i] for i in kept if rows[i]]
+        g = gcd(*(x for r in rows for x in r.values()))
+        if g < 2:
+            break
+        for r in rows:
+            for k in r:
+                r[k] //= g
+        scale *= g
+    cols = {j: n for n, j in enumerate(sorted({j for r in rows for j in r}))}
+    rest = IntMatrix.from_rows([{cols[j]: a for j, a in r.items()} for r in rows], len(cols))
+    divisors += [scale * d for d in smith_normal_form(rest, left=False, right=False).diagonal() if d]
+    return divisors
+
+
 def _unit_reduced(d_out: IntMatrix, d_in: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     """The spot's two matrices with every unit pair cancelled.
 
@@ -600,13 +639,13 @@ class _Presentation:
         return _group_from_divisors(self.moduli, free_rank=self.moduli.count(0))
 
 
-def _present(d_out: IntMatrix, d_in: IntMatrix, left: bool = True) -> _Presentation:
+def _present(d_out: IntMatrix, d_in: IntMatrix) -> _Presentation:
     """Factor one spot: the kernel of d_out (V and V_inv), then the relation
-    matrix (U and U_inv only when `left`; its V and V_inv are never read)."""
+    matrix (U and U_inv; its V and V_inv are never read)."""
     kernel, kernel_rows = _kernel(d_out)
     # im(d_in) <= ker(d_out), and the kernel basis spans a direct summand,
     # so the relations' kernel coordinates are integral.
-    rel = smith_normal_form(kernel_rows @ d_in, left=left, right=False)
+    rel = smith_normal_form(kernel_rows @ d_in, right=False)
     diag = rel.diagonal()
     moduli = [diag[i] if i < len(diag) else 0 for i in range(kernel.cols)]
     return _Presentation(kernel, kernel_rows, rel.U, rel.U_inv, moduli)
@@ -624,11 +663,13 @@ class HomologyData:
     Construction checks d o d = 0 and nothing else; each answer is
     factored when first asked for.  `group` comes from the spot with its
     unit pairs cancelled (_unit_reduced), which has the same homology and
-    is usually far smaller.  The presentation (the kernel basis and
-    coordinates, the relation matrix's U and U_inv, the moduli) is in the
-    spot's own basis, so it is factored from the unreduced matrices, on
-    first use by coords, class_generator(s), induced, induces_zero and
-    induces_iso once the groups agree.
+    is usually far smaller, read off the rank of its out matrix and the
+    elementary divisors of its in matrix; no kernel basis is built for
+    it.  The presentation (the kernel basis and coordinates, the relation
+    matrix's U and U_inv, the moduli) serves the coordinates alone: it is
+    in the spot's own basis, so it is factored from the unreduced
+    matrices, on first use by coords, class_generator(s), induced,
+    induces_zero and induces_iso once the groups agree.
     """
 
     def __init__(self, d_out: IntMatrix, d_in: IntMatrix, composite: IntMatrix | None = None):
@@ -641,7 +682,12 @@ class HomologyData:
 
     @cached_property
     def group(self) -> FinAbGroup:
-        return _present(*_unit_reduced(self.d_out, self.d_in), left=False).group()
+        # ker(out) is a direct summand, so ker(out) / im(inn) has the
+        # torsion of coker(inn) and free rank n - rank out - rank inn
+        out, inn = _unit_reduced(self.d_out, self.d_in)
+        divisors = elementary_divisors(inn)
+        rank_out = len(elementary_divisors(out))
+        return _group_from_divisors(divisors, free_rank=out.cols - rank_out - len(divisors))
 
     @cached_property
     def _presentation(self) -> _Presentation:

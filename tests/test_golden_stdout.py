@@ -34,6 +34,13 @@ COMMANDS: list[list[str]] = [
     ["validate", "dual_numbers.json", "--ring", "F2"],
     ["validate", "split_summand_pair.json", "--ring", "F2"],
     ["hh", "cone_algebra.json", "--max-length", "3", "--ring", "F2"],
+    # degree windows: the complex is built only around the degrees asked
+    # for; the last window reaches past the top degree (0 at N = 3)
+    ["hh", "triple_product_algebra.json", "--max-length", "4", "--degrees=-2..0"],
+    ["hh", "cone_algebra.json", "--max-length", "4", "--degrees=-3..-1"],
+    ["hh", "cone_algebra.json", "--max-length", "4", "--degrees=-3..-1", "--ring", "F2"],
+    ["hh", "split_summand_pair.json", "--max-length", "3", "--degrees=-1..0"],
+    ["hh", "split_summand_pair.json", "--max-length", "3", "--degrees=0..2"],
     *(
         ["cardy", f"{name}.json", "--morphism", f"coproduct_n{n}", "--max-length", "2"]
         for name, n in SHIPPED_MORPHISMS

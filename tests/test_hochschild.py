@@ -32,7 +32,7 @@ from ainfcat.bimodules import (
     tensor_over_category,
 )
 from ainfcat.complexes import GradedMap, compose, verify_chain_map
-from ainfcat.core import RING_F2, RING_Z, chain_normalize, with_ring
+from ainfcat.core import RING_F2, RING_Z, AinfCategory, chain_normalize, with_ring
 from ainfcat.fixtures import (
     FIXTURES,
     SHIPPED_MORPHISMS,
@@ -51,7 +51,7 @@ from ainfcat.hochschild import (
     truncated_cc,
     word_degree,
 )
-from ainfcat.intlinalg import FinAbGroup, IntMatrix, f2_rank
+from ainfcat.intlinalg import FinAbGroup, IntMatrix, NotAComplex, f2_rank
 
 ALL_FIXTURES = [
     ground_ring,
@@ -167,6 +167,47 @@ def test_length_filter_is_the_shorter_truncation(make):
         assert small.composite(k) == direct.composite(k)
 
 
+@pytest.mark.parametrize("ring", [RING_Z, RING_F2])
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_degree_windows_agree_with_the_whole_truncation(name, ring):
+    # every window a..b inside or overlapping the degree range: the complex
+    # holds the words of a - 1..b + 1 alone, its matrices leaving a - 1..b
+    # are the whole truncation's, and so are the groups and flags in a..b
+    cat = with_ring(FIXTURES[name](), ring)
+    for N in range(1, 5):
+        whole = truncated_cc(cat, N)
+        full = hochschild_homology(cat, N)
+        lo, hi = whole.degrees()[0], whole.degrees()[-1]
+        for a in range(lo - 1, hi + 2):
+            for b in range(a, hi + 2):
+                cx = truncated_cc(cat, N, range(a, b + 1))
+                assert cx.basis == {k: v for k, v in whole.basis.items() if a - 1 <= k <= b + 1}, (N, a, b)
+                for k in range(a - 1, b + 1):
+                    assert cx.matrix(k) == whole.matrix(k), (N, a, b, k)
+                res = hochschild_homology(cat, N, range(a, b + 1))
+                assert list(res.groups) == list(res.stable) == list(range(a, b + 1))
+                for k in res.groups:
+                    if k in full.groups:
+                        assert (res.groups[k], res.stable[k]) == (full.groups[k], full.stable[k]), (N, a, b, k)
+                    else:
+                        assert res.groups[k].is_trivial(), (N, a, b, k)
+
+
+def test_a_window_still_checks_d_o_d():
+    # mu^4(u, u, p, p) = p breaks d o d from length 4, first at degree -2:
+    # d_{-1} o d_{-2} != 0.  The window -1..-1 builds both, so it raises;
+    # the window -2..-2 needs neither product and builds d_{-3}, d_{-2}
+    cat = triple_product_algebra()
+    g = {x.name: x for x in cat.generators()}
+    mu = {a: {k: dict(v) for k, v in t.items()} for a, t in cat.mu.items()}
+    mu[4] = {(g["u"], g["u"], g["p"], g["p"]): {g["p"]: 1}}
+    bad = AinfCategory(objects=list(cat.objects), hom=dict(cat.hom), mu=mu, ring=cat.ring)
+    for build in (lambda: truncated_cc(bad, 4), lambda: hochschild_homology(bad, 4, range(-1, 0))):
+        with pytest.raises(NotAComplex, match="at degree -2 on"):
+            build()
+    truncated_cc(bad, 4, range(-2, -1))
+
+
 # -- homology ---------------------------------------------------------------
 
 
@@ -276,8 +317,8 @@ def test_triple_groups_factor_only_unit_reduced_spots(monkeypatch):
         factored.append(A)
         return original(A, left, right)
 
-    def kept(cat, max_length):
-        built.append(truncated(cat, max_length))
+    def kept(cat, max_length, degrees=None):
+        built.append(truncated(cat, max_length, degrees))
         return built[-1]
 
     monkeypatch.setattr(intlinalg, "smith_normal_form", recording)

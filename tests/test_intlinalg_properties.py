@@ -15,6 +15,9 @@ HomologyData reads off those inverses, and the map induced on homology,
 one sparse product, against the per-generator oracle of helpers.py.  The
 group HomologyData reads off the spot with its unit pairs cancelled must
 be sympy's and the unreduced spot's, on complexes rich in entries +-1.
+elementary_divisors must give sympy's nonzero invariant factors, and hand
+smith_normal_form only what unit cancellation and division by the
+content leave.
 The sparse product itself is held against a dense triple loop.  The
 minors oracle of test_intlinalg.py stays as the first one.
 """
@@ -24,6 +27,7 @@ from __future__ import annotations
 import math
 import signal
 from contextlib import contextmanager
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -34,6 +38,7 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 from dense_snf import dense_smith_normal_form
 from helpers import coordinate_columns, induced_by_generators, kernel_basis, zero_class
 
+from ainfcat import intlinalg
 from ainfcat.intlinalg import (
     DimensionMismatch,
     FinAbGroup,
@@ -42,6 +47,7 @@ from ainfcat.intlinalg import (
     RationalOnly,
     Unsolvable,
     _present,
+    elementary_divisors,
     f2_rank,
     smith_normal_form,
     solve_integer,
@@ -189,6 +195,46 @@ def test_sparse_transforms_match_the_dense_oracle(A):
     assert snf.V == dense.V
     assert snf.U_inv == dense.U_inv
     assert snf.V_inv == dense.V_inv
+
+
+@st.composite
+def cell_matrices(draw, cells, max_dim=7):
+    rows = draw(st.integers(min_value=0, max_value=max_dim))
+    cols = draw(st.integers(min_value=0, max_value=max_dim))
+    data = draw(st.lists(st.lists(st.sampled_from(cells), min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+    return IntMatrix(data, cols=cols)
+
+
+SOME_UNITS = (0, 0, 1, -1, 2, -2, 3, -3, 4, -4)
+ALL_EVEN = (0, 0, 2, -2, 4, -4)
+UNIT_FREE = (0, 0, 2, -2, 3, -3, 4, -4)
+
+
+@SETTINGS
+@given(st.one_of(cell_matrices(SOME_UNITS), cell_matrices(ALL_EVEN), cell_matrices(UNIT_FREE)))
+@example(IntMatrix.zeros(0, 0))
+@example(IntMatrix.zeros(0, 4))
+@example(IntMatrix.zeros(4, 0))
+@example(IntMatrix.zeros(3, 5))
+@example(IntMatrix([[2, 4], [-4, 2]]))  # content 2, then units: 2, 10
+@example(IntMatrix([[4, 0, 2], [0, 4, 2]]))  # content 2, then a unit: 2, 4
+@example(IntMatrix([[2, 3], [4, -2]]))  # no unit, content 1: the Smith form alone
+@example(IntMatrix([[2, 3, 0], [0, 2, 3], [3, 0, 2]]))
+def test_elementary_divisors_match_sympy(A):
+    """The nonzero invariant factors, in order; the Smith form sees only a
+    remainder with no unit and content at most 1."""
+    handed = []
+
+    def recording(M, left=True, right=True):
+        handed.append(M)
+        return smith_normal_form(M, left, right)
+
+    with mock.patch.object(intlinalg, "smith_normal_form", recording):
+        divisors = elementary_divisors(A)
+    assert divisors == [d for d in sympy_diagonal(A) if d]
+    [rest] = handed
+    entries = [x for row in rest.entries for x in row.values()]
+    assert 1 not in map(abs, entries) and math.gcd(*entries) <= 1
 
 
 @pytest.mark.parametrize("left,right", [(True, False), (False, True), (False, False)])
@@ -339,10 +385,23 @@ def identity_spot(n: int) -> tuple[IntMatrix, IntMatrix]:
 @example(identity_spot(4))
 @example((IntMatrix.zeros(0, 4), IntMatrix.identity(4)))
 def test_unit_cancellation_keeps_the_group(pair):
-    """The group read off the unit-reduced spot is sympy's and the one the
-    unreduced spot's factorization gives."""
+    """The group read off the unit-reduced spot is sympy's, the one the
+    unreduced spot's factorization gives and the one its divisors give."""
     d_out, d_in = pair
-    assert HomologyData(d_out, d_in).group == sympy_group(d_out, d_in) == _present(d_out, d_in).group()
+    assert (
+        HomologyData(d_out, d_in).group
+        == sympy_group(d_out, d_in)
+        == _present(d_out, d_in).group()
+        == divisor_group(d_out, d_in)
+    )
+
+
+def divisor_group(d_out: IntMatrix, d_in: IntMatrix) -> FinAbGroup:
+    """The group read off the unreduced spot: Z^(n - rank d_out - rank d_in)
+    and Z/d for each elementary divisor d >= 2 of d_in."""
+    divisors = elementary_divisors(d_in)
+    free = d_out.cols - len(elementary_divisors(d_out)) - len(divisors)
+    return FinAbGroup(free, tuple(d for d in divisors if d >= 2))
 
 
 def small_matrix(data, rows: int, cols: int) -> IntMatrix:
