@@ -279,16 +279,18 @@ def cmd_cardy(args) -> int:
 
     # mu o CC(phi) is built and its CC(phi) part verified once, here
     mu_cc = mu_cc_map(phi, cc, tcx)
-    if maps is not None:
-        closed = loaded.cardy_closed
-        oc = GradedMap.from_terms(cc, closed, phi.n, table_terms(cc, maps["oc"]), name="oc")
-        co = GradedMap.from_terms(closed, mu_cc.target, 0, table_terms(closed, maps["co"]), name="co")
-        try:
+    try:
+        if maps is not None:
+            closed = loaded.cardy_closed
+            oc = GradedMap.from_terms(cc, closed, phi.n, table_terms(cc, maps["oc"]), name="oc")
+            co = GradedMap.from_terms(closed, mu_cc.target, 0, table_terms(closed, maps["co"]), name="co")
             data_obj = OpenClosedData(cat=cat, mu_cc=mu_cc, oc=oc, co=co)
-        except ChainMapViolation as err:
-            raise InputError(str(err), path=f"/cardy/chain_maps/{err.culprit.name}")
-    else:
-        data_obj = telescoping_data(cat, mu_cc, co_sign=args.co_sign)
+        else:
+            data_obj = telescoping_data(cat, mu_cc, co_sign=args.co_sign)
+    except ChainMapViolation as err:
+        if err.culprit is mu_cc:  # built from the category and phi, not read from the chain maps
+            raise CliError(str(err), code=EXIT_FAIL)
+        raise InputError(str(err), path=f"/cardy/chain_maps/{err.culprit.name}")
     H = homotopy_map(data_obj, {} if maps is None else maps["homotopy"])
 
     report = {

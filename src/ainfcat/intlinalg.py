@@ -16,8 +16,8 @@ relation matrix, with no further factorization or solve; the map a chain
 map induces on homology is one sparse product of those matrices.  Each
 caller tracks only the side it reads: the kernel builds V and V_inv, the
 relation matrix U and U_inv, HomologyData.induces_iso neither (it reads
-the diagonal), and solve_integer both (U for the right-hand side, V for
-the solution).  HomologyMod2 answers the same questions by F2 ranks.
+the diagonal), and solve_integer both (U for b, V for x; none if b = 0).
+HomologyMod2 answers the same questions by F2 ranks.
 
 HomologyData checks d o d = 0 when built and factors nothing until an
 answer is read.  Its group comes from a smaller spot with the same
@@ -429,6 +429,8 @@ def solve_integer(A: IntMatrix, b: Sequence[int]):
     """
     if len(b) != A.rows:
         raise DimensionMismatch(f"matrix has {A.rows} rows, vector has {len(b)}")
+    if not any(b):
+        return [0] * A.cols  # what V @ 0 would give, with nothing factored
     snf = smith_normal_form(A)
     c = snf.U.apply(list(b))
     n = A.cols
@@ -763,7 +765,18 @@ class HomologyData:
         return IntMatrix.from_rows(reduced, M.cols)
 
     def induces_zero(self, F: IntMatrix, source: "HomologyData") -> bool:
-        """Does F induce the zero map from source's homology to this one?"""
+        """Does F induce the zero map from source's homology to this one?
+
+        F must send source's cycles to cycles; induced checks this, the
+        shortcut does not.  If every entry of F is a multiple of this
+        group's exponent e (0 with a free summand, else the largest torsion
+        divisor, 1 if trivial), F induces zero and nothing is factored:
+        class coordinates are Z-linear and reduced modulo divisors of e.
+        """
+        g = self.group
+        e = 0 if g.free_rank else max(g.torsion, default=1)
+        if all(x % e == 0 for row in F.entries for x in row.values()) if e else F.is_zero():
+            return True
         return self.induced(F, source).is_zero()
 
     def induces_iso(self, F: IntMatrix, source: "HomologyData") -> bool:
@@ -794,8 +807,8 @@ class HomologyMod2:
     """Homology over F2 at one spot of a complex (d_out, d_in and
     `composite` as for HomologyData), by ranks alone: `group` is dim -
     rank d_out - rank d_in copies of Z/2.  An odd entry of d_out @ d_in
-    raises NotAComplex.  There are no class coordinates, so `induced`
-    refuses."""
+    raises NotAComplex.  There are no class coordinates, so there is no
+    `induced`."""
 
     def __init__(self, d_out: IntMatrix, d_in: IntMatrix, composite: IntMatrix | None = None):
         comp = d_out @ d_in if composite is None else composite
@@ -804,9 +817,6 @@ class HomologyMod2:
         self.d_out = d_out
         self.d_in = d_in
         self.group = FinAbGroup(0, (2,) * (d_out.cols - d_out.rank_mod_2() - d_in.rank_mod_2()))
-
-    def induced(self, F: IntMatrix, source: "HomologyMod2") -> IntMatrix:
-        raise ValueError("integral homology coordinates are not defined over F2")
 
     def induced_rank(self, F: IntMatrix, source: "HomologyMod2") -> int:
         """The rank of the map F induces from source's homology to this one.

@@ -34,7 +34,10 @@ residuals; the package itself enumerates words from one path table and
 reports identities of matrices.  `chain_map_residuals` is `verify_chain_map` as it was before
 it became a matrix identity: d o f - (-1)^shift f o d composed label by
 label from the chains the maps read, and `homotopy_residuals` is
-`cardy.verify_homotopy_equation` the same way, word by word.  The package
+`cardy.verify_homotopy_equation` the same way, word by word.
+`cardy_comparison_oracle` is `cardy.verify_cardy_on_homology` with no
+degree skipped: both induced matrices on every spot, the way it compared
+them before a difference that induces zero let it factor nothing.  The package
 fills every matrix from terms; `callback_terms` turns a word-by-word
 builder (label -> chain) into such terms, and `column` reads one label's
 image back off a map's or a differential's matrix.
@@ -52,7 +55,7 @@ from typing import Callable, Container, Iterable, Iterator, Mapping, Sequence
 
 from ainfcat import cli
 from ainfcat.bimodules import Bimodule, BimoduleHom, PairGen, TensorWord, YonedaModule
-from ainfcat.complexes import BasedComplex, GradedMap
+from ainfcat.complexes import BasedComplex, GradedMap, combination
 from ainfcat.core import (
     EMPTY,
     AinfCategory,
@@ -66,6 +69,7 @@ from ainfcat.core import (
 )
 from ainfcat.fileformat import LoadedFile, load_category
 from ainfcat.intlinalg import IntMatrix, _kernel
+from ainfcat.strata import sign_formula
 
 
 @functools.cache
@@ -273,6 +277,26 @@ def induced_by_generators(F: IntMatrix, source, target) -> list[tuple[int, ...]]
     """coords() in `target` of F applied to each class generator of
     `source`, one dense vector at a time (both are HomologyData)."""
     return [target.coords(F.apply(gen)) for gen in source.class_generators()]
+
+
+def cardy_comparison_oracle(data) -> VerificationReport:
+    """[mu o CC(phi)] against (-1)^(n(n+1)/2) [CO o OC] for an
+    OpenClosedData: in every degree both induced matrices are built and
+    compared column by column, a differing column reported on its class
+    generator with both coordinate tuples, every column counted."""
+    n, cc, hom_cx = data.n, data.mu_cc.source, data.mu_cc.target
+    gsign = sign_formula("cardy_global", n=n)
+    violations, checked = [], 0
+    for k in cc.degrees():
+        hs, ht = cc.homology_data(k), hom_cx.homology_data(k + n)
+        lhs = ht.induced(data.mu_cc.matrix(k), hs)
+        rhs = ht.induced(combination([(gsign, data.co_oc.matrix(k))], cc.ring), hs)
+        checked += lhs.cols
+        for j, (col1, col2) in enumerate(zip(coordinate_columns(lhs), coordinate_columns(rhs))):
+            if col1 != col2:
+                chain = {w: c for w, c in zip(cc.basis[k], hs.class_generator(j)) if c}
+                violations.append(Violation((k, chain), {"lhs": col1, "rhs": col2}))
+    return VerificationReport(checked=checked, violations=violations)
 
 
 def zero_class(hd) -> tuple[int, ...]:

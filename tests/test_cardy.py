@@ -3,16 +3,24 @@ homology-level comparison."""
 
 from __future__ import annotations
 
+import contextlib
+import io
+import json
+from collections import Counter
+
 import pytest
 from helpers import (
     callback_map,
+    cardy_comparison_oracle,
     column,
     coordinate_columns,
     homotopy_residuals,
     induced_by_generators,
     shipped_morphism,
+    shipped_raw,
     zero_map,
 )
+from test_golden_stdout import CONE_CARDY_SECTION
 
 from ainfcat import cardy, cli, intlinalg
 from ainfcat.bimodules import (
@@ -35,7 +43,7 @@ from ainfcat.cardy import (
 from ainfcat.complexes import GradedMap
 from ainfcat.core import with_ring
 from ainfcat.fixtures import SHIPPED_MORPHISMS, ground_ring
-from ainfcat.hochschild import cc_of_delta, truncated_cc
+from ainfcat.hochschild import ChainMapViolation, cc_of_delta, truncated_cc
 from ainfcat.intlinalg import RationalOnly, Unsolvable
 from ainfcat.strata import sign_formula
 
@@ -118,6 +126,53 @@ def test_open_closed_data_rejects_non_chain_map():
             oc=zero_map(cc, hom_cx, 0),
             co=callback_map(source=hom_cx, target=hom_cx, shift=0, apply=broken),
         )
+
+
+def one_term_map(phi, cc, tcx, word: str, gen: str) -> GradedMap:
+    """A map with the endpoints and degree of mu o CC(phi) and one term,
+    the cyclic word spelled `word` to the generator `gen`."""
+    hom_cx = mu_cc_map(phi, cc, tcx).target
+    (g,) = [g for gens in hom_cx.basis.values() for g in gens if g.name == gen]
+    def apply(w):
+        return {g: 1} if "".join(x.name for x in w) == word else {}
+
+    return callback_map(cc, hom_cx, phi.n, apply, name="mu o CC")
+
+
+@pytest.mark.parametrize("telescoping", [True, False])
+def test_open_closed_data_rejects_a_non_chain_mu_cc(telescoping):
+    """On cone_algebra at n = 1, the map (v) -> p is not a chain map: b
+    sends (p, v) to a multiple of (v).  Both configurations name
+    mu o CC(phi) and that word, the telescoping one also when its OC, the
+    same map, would be checked next."""
+    phi, cat, K, cc, tcx = setup("cone_algebra", 1, 2)
+    broken = one_term_map(phi, cc, tcx, "v", "p")
+    hom_cx = broken.target
+    with pytest.raises(ChainMapViolation, match=r"^mu o CC\(phi\) map is not a chain map on ") as err:
+        if telescoping:
+            telescoping_data(cat, broken)
+        else:
+            OpenClosedData(cat=cat, mu_cc=broken, oc=zero_map(cc, hom_cx, 1), co=zero_map(hom_cx, hom_cx, 0))
+    assert err.value.culprit is broken
+    assert [x.name for x in err.value.witness] == ["p", "v"]
+
+
+@pytest.mark.parametrize(
+    "tables,morphism,word,gen", [(False, "coproduct_n1", "v", "p"), (True, "coproduct_n2", "vv", "v")]
+)
+def test_cli_cardy_exits_1_on_a_non_chain_mu_cc(tmp_path, monkeypatch, capsys, tables, morphism, word, gen):
+    """mu o CC(phi) is built from the category and phi, not read from the
+    cardy section, so a failure of its chain-map check is a failing
+    verdict (exit 1), not an input error, with the chain maps read from
+    the file or not."""
+    raw = shipped_raw("cone_algebra")
+    if tables:
+        raw["cardy"] = CONE_CARDY_SECTION
+    path = tmp_path / "cone.json"
+    path.write_text(json.dumps(raw))
+    monkeypatch.setattr(cli, "mu_cc_map", lambda phi, cc, tcx: one_term_map(phi, cc, tcx, word, gen))
+    assert cli.main(["cardy", str(path), "--morphism", morphism, "--max-length", "2"]) == 1
+    assert "error: mu o CC(phi) map is not a chain map on " in capsys.readouterr().err
 
 
 def test_open_closed_data_rejects_maps_off_mu_cc():
@@ -277,32 +332,98 @@ def test_induced_on_homology_matches_the_per_generator_oracle(fixture, n):
             assert coordinate_columns(ht.induced(f.matrix(k), hs)) == expected
 
 
-def test_cardy_comparison_factors_each_spot_once(monkeypatch):
-    """One HomologyData per complex and degree: the cyclic complex at k and
-    hom(K, K) at k + n, shared by both induced matrices.  Each spot's
-    presentation is two Smith forms, the kernel's (V only) and the
-    relations' (U only); nothing reads a group, so no unit-reduced spot is
-    factored besides."""
-    built, sides = [], []
-    init, original = intlinalg.HomologyData.__init__, intlinalg.smith_normal_form
-
-    def counting(self, d_out, d_in, composite=None):
-        built.append((d_out, d_in))
-        init(self, d_out, d_in, composite)
+def recording_smith_forms(monkeypatch) -> list[tuple[bool, bool]]:
+    """The (left, right) transforms of every Smith form run from here on."""
+    sides, original = [], intlinalg.smith_normal_form
 
     def recording(A, left=True, right=True):
         sides.append((left, right))
         return original(A, left, right)
 
+    monkeypatch.setattr(intlinalg, "smith_normal_form", recording)
+    return sides
+
+
+def test_cardy_comparison_factors_nothing_where_the_difference_is_zero(monkeypatch):
+    """cone_algebra n = 1 with co_sign -1: the signed CO o OC is
+    mu o CC(phi) itself, so in every degree their difference is 0 and
+    induces zero with no presentation factored.  One HomologyData per
+    complex and degree is built; the groups read only divisors, so no
+    Smith form tracks a transform."""
+    built = []
+    init = intlinalg.HomologyData.__init__
+
+    def counting(self, d_out, d_in, composite=None):
+        built.append((d_out, d_in))
+        init(self, d_out, d_in, composite)
+
     phi, cat, K, cc, tcx = setup("cone_algebra", 1)
     data = telescoping_data(cat, mu_cc_map(phi, cc, tcx), co_sign=-1)
     monkeypatch.setattr(intlinalg.HomologyData, "__init__", counting)
-    monkeypatch.setattr(intlinalg, "smith_normal_form", recording)
+    sides = recording_smith_forms(monkeypatch)
     report = verify_cardy_on_homology(data)
-    spots = 2 * len(cc.degrees())
-    assert len(built) == spots
-    assert sorted(sides) == [(False, True)] * spots + [(True, False)] * spots
-    assert report.checked > 0
+    assert report.passed and report.checked > 0
+    assert len(built) == 2 * len(cc.degrees())
+    assert all(side == (False, False) for side in sides)
+    assert report == cardy_comparison_oracle(data)
+
+
+def test_cardy_comparison_presents_only_where_a_witness_is_read(monkeypatch):
+    """even_dual_numbers n = 2 with co_sign 1 fails: the two sides differ
+    by 2 mu o CC(phi).  Only the degrees holding a witness factor their two
+    spots, the cyclic complex at k and hom(K, K) at k + n, each by two
+    Smith forms, the kernel's (V only) and the relations' (U only)."""
+    presented, present = [], intlinalg._present
+
+    def recording(d_out, d_in):
+        presented.append((d_out, d_in))
+        return present(d_out, d_in)
+
+    monkeypatch.setattr(intlinalg, "_present", recording)
+    phi, cat, K, cc, tcx = setup("even_dual_numbers", 2)
+    data = telescoping_data(cat, mu_cc_map(phi, cc, tcx), co_sign=1)
+    sides = recording_smith_forms(monkeypatch)
+    report = verify_cardy_on_homology(data)
+    assert not report.passed
+    witnessed = {v.inputs[0] for v in report.violations}
+    spots = [cx.homology_data(j) for k in witnessed for cx, j in ((cc, k), (data.mu_cc.target, k + 2))]
+    assert Counter(presented) == Counter((hd.d_out, hd.d_in) for hd in spots)
+    tracked = sorted(side for side in sides if side != (False, False))
+    assert tracked == [(False, True)] * len(spots) + [(True, False)] * len(spots)
+    assert report == cardy_comparison_oracle(data)
+
+
+@pytest.mark.parametrize("co_sign", [1, -1])
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+@pytest.mark.parametrize("fixture,n", SHIPPED_MORPHISMS)
+def test_cardy_comparison_matches_the_oracle(fixture, n, N, co_sign):
+    """The report that skips degrees whose difference induces zero is the
+    one that builds both induced matrices everywhere: passed, checked, and
+    each violation's class generator and coordinates."""
+    phi, cat, K, cc, tcx = setup(fixture, n, N)
+    data = telescoping_data(cat, mu_cc_map(phi, cc, tcx), co_sign=co_sign)
+    assert verify_cardy_on_homology(data) == cardy_comparison_oracle(data)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_cardy_comparison_matches_the_oracle_on_a_cardy_section(tmp_path, monkeypatch, N):
+    """The same on cone_cardy_tables.json, whose closed complex, OC and CO
+    are read from the file, through `ainfcat cardy` itself."""
+    reports = []
+
+    def both(data):
+        reports.append((verify_cardy_on_homology(data), cardy_comparison_oracle(data)))
+        return reports[-1][0]
+
+    raw = shipped_raw("cone_algebra")
+    raw["cardy"] = CONE_CARDY_SECTION
+    path = tmp_path / "cone_cardy_tables.json"
+    path.write_text(json.dumps(raw))
+    monkeypatch.setattr(cli, "verify_cardy_on_homology", both)
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main(["cardy", str(path), "--morphism", "coproduct_n2", "--max-length", str(N)])
+    ((report, expected),) = reports
+    assert report == expected
 
 
 # -- the tensor complex one length shorter -------------------------------------

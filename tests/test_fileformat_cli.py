@@ -11,6 +11,7 @@ import sys
 
 import pytest
 from helpers import column, iter_terms, shipped, shipped_morphism, shipped_raw, with_negated_term
+from test_golden_stdout import CONE_CARDY_SECTION
 
 from ainfcat import cli
 from ainfcat.cli import parse_space
@@ -714,8 +715,10 @@ def test_cli_cardy_bad_closed_complex_exit_2(tmp_path, capsys, monkeypatch, clos
     assert cli.main(["validate", str(cat_path)]) == 2
 
 
-def test_cli_cardy_verifies_each_chain_map_once(tmp_path, monkeypatch):
-    # CC(phi), OC and CO are each checked once, however many checks run
+@pytest.mark.parametrize("tables", [False, True])
+def test_cli_cardy_verifies_each_chain_map_once(tmp_path, monkeypatch, tables):
+    # CC(phi), mu o CC(phi), OC and CO are each checked once, however many
+    # checks run; in the telescoping configuration OC is mu o CC(phi)
     from ainfcat import cardy, complexes, hochschild
 
     calls = []
@@ -726,12 +729,15 @@ def test_cli_cardy_verifies_each_chain_map_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(hochschild, "verify_chain_map", counting)
     monkeypatch.setattr(cardy, "verify_chain_map", counting)
+    raw = shipped_raw("cone_algebra", 2 if tables else 1)
+    if tables:
+        raw["cardy"] = dict(CONE_CARDY_SECTION, morphism="m")
     path = tmp_path / "cone.json"
-    path.write_text(json.dumps(shipped_raw("cone_algebra", 1)))
+    path.write_text(json.dumps(raw))
     argv = ["cardy", str(path), "--morphism", "m", "--max-length", "2", "--solve"]
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0
-    assert sorted(calls) == sorted(["CC(morphism)", "mu o CC", "(+-)id"])
+    assert sorted(calls) == sorted(["CC(morphism)", "mu o CC", *(["oc", "co"] if tables else ["(+-)id"])])
 
 
 def _dual_numbers_cardy(closed: dict, chain_maps: dict) -> dict:

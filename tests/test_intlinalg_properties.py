@@ -12,7 +12,10 @@ factorization that tracks one side or none must give the two-sided D and
 the two-sided transforms on the sides it tracks.  Random small
 complexes check the kernel coordinates and the class generators that
 HomologyData reads off those inverses, and the map induced on homology,
-one sparse product, against the per-generator oracle of helpers.py.  The
+one sparse product, against the per-generator oracle of helpers.py;
+induces_zero must agree with that matrix, and say yes unfactored on a
+multiple of the target group's exponent, and solve_integer(A, 0) must
+give 0 with no Smith form.  The
 group HomologyData reads off the spot with its unit pairs cancelled must
 be sympy's and the unreduced spot's, on complexes rich in entries +-1.
 elementary_divisors must give sympy's nonzero invariant factors, and hand
@@ -431,6 +434,51 @@ def test_induced_matches_the_per_generator_oracle(source, target, off_cycles, da
     else:
         with pytest.raises(ValueError):
             ht.induced(F, hs)
+
+
+def scaled(A: IntMatrix, c: int) -> IntMatrix:
+    return IntMatrix([[c * x for x in row] for row in A.data], cols=A.cols)
+
+
+@SETTINGS
+@given(complexes(), complexes(), st.sampled_from([None, 1, -1, 2, 3]), st.data())
+def test_induces_zero_matches_the_induced_matrix(source, target, multiple, data):
+    """A map into the target's cycles plus boundaries, or that map times a
+    multiple of the target group's exponent: induces_zero says whether the
+    induced matrix is zero, and on a multiple of the exponent it says yes
+    without factoring a presentation of either side."""
+    hs, ht = HomologyData(*source), HomologyData(*target)
+    n_s = hs.d_out.cols
+    F = plus(ht.kernel @ small_matrix(data, ht.kernel.cols, n_s), ht.d_in @ small_matrix(data, ht.d_in.cols, n_s))
+    if multiple is not None:
+        g = ht.group  # its exponent: 0 with a free summand, else the last torsion divisor, 1 when trivial
+        F = scaled(F, multiple * (0 if g.free_rank else max(g.torsion, default=1)))
+    expected = ht.induced(F, hs).is_zero()
+    with mock.patch.object(intlinalg, "_present", wraps=_present) as present:
+        assert HomologyData(*target).induces_zero(F, HomologyData(*source)) == expected
+    if multiple is not None:
+        assert expected and present.call_count == 0
+
+
+@pytest.mark.parametrize("c,zero", [(1, False), (2, False), (3, False), (4, True), (-8, True)])
+def test_induces_zero_on_z2_plus_z4(c, zero):
+    """On H = Z/2 + Z/4, c times the identity induces zero iff 4 | c: a
+    multiple of the smaller divisor alone is not enough."""
+    spot = (IntMatrix.zeros(0, 2), IntMatrix([[2, 0], [0, 4]]))
+    F = scaled(IntMatrix.identity(2), c)
+    hd, fresh = HomologyData(*spot), HomologyData(*spot)
+    assert hd.group.torsion == (2, 4)
+    assert hd.induced(F, hd).is_zero() == zero
+    assert fresh.induces_zero(F, fresh) == zero
+
+
+@SETTINGS
+@given(matrices())
+def test_solve_integer_of_zero_factors_nothing(A):
+    """A x = 0 is solved by x = 0, read without a Smith form."""
+    with mock.patch.object(intlinalg, "smith_normal_form", wraps=smith_normal_form) as snf:
+        assert solve_integer(A, [0] * A.rows) == [0] * A.cols
+    assert snf.call_count == 0
 
 
 def test_induced_on_torsion_and_modulus_one():
