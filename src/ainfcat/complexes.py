@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Iterator, Mapping
 
 from .core import RING_F2, VerificationReport, Violation, chain_normalize, parity_sign
-from .intlinalg import HomologyData, HomologyMod2, IntMatrix, NotAComplex
+from .intlinalg import HomologyData, HomologyMod2, IntMatrix, NotAComplex, cancel_unit_pairs
 
 
 def _from_terms(source: BasedComplex, target: BasedComplex, shift: int, terms, name: str) -> dict[int, IntMatrix]:
@@ -101,6 +101,7 @@ class BasedComplex:
             if (M.rows, M.cols) != shape:
                 raise ValueError(f"the degree-{k} matrix is {M.rows}x{M.cols}, its bases need {shape[0]}x{shape[1]}")
         self._composites = dict(composites or {})
+        self._divisors_known = False
 
     @classmethod
     def from_terms(cls, basis: dict[int, list], terms, ring: str = "Z") -> BasedComplex:
@@ -148,9 +149,18 @@ class BasedComplex:
         """The homology at degree k, the one place homology reads the ring:
         over Z with class coordinates (HomologyData), over F2 by ranks alone
         (HomologyMod2).  Both check d o d = 0 there and give `group`,
-        `induces_zero` and `induces_iso`."""
-        homology = HomologyMod2 if self.ring == RING_F2 else HomologyData
-        return homology(self.matrix(k), self.matrix(k - 1), self.composite(k - 1))
+        `induces_zero` and `induces_iso`.  Over Z the first call validates
+        the whole complex and runs cancel_unit_pairs over it; that pass
+        couples neighbouring degrees, so it is sound only on a complex, and
+        a d o d that fails anywhere is refused at every degree."""
+        if self.ring == RING_F2:
+            return HomologyMod2(self.matrix(k), self.matrix(k - 1), self.composite(k - 1))
+        if not self._divisors_known:
+            self.validate()
+            degrees = self.degrees()
+            cancel_unit_pairs([self.matrix(j) for j in range(degrees[0], degrees[-1] + 1)] if degrees else [])
+            self._divisors_known = True
+        return HomologyData(self.matrix(k), self.matrix(k - 1), self.composite(k - 1))
 
 
 class GradedMap:

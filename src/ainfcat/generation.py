@@ -92,6 +92,11 @@ def verify_cohomological_unit(cat: AinfCategory, K: str, e: Mapping) -> UnitRepo
             cx = hom_complex(cat, *pair)
             if not cx.basis:
                 continue
+            try:
+                cx.validate()  # homology, and with it the unit, is read only on a complex
+            except NotAComplex as err:
+                failures.append((L, side, str(err)))
+                continue
             xs = [x for k in cx.degrees() for x in cx.basis[k]]
             if side == "left":
                 # x in hom(K, L): e enters first

@@ -201,8 +201,8 @@ def length_filter(cx: BasedComplex, max_length: int) -> BasedComplex:
     The differential never increases length, so the kept words span a
     subcomplex, whose matrices and products d o d are the parent's
     restricted to the kept rows and columns (where all are kept, the
-    parent's own, so a rank over F2 is taken once); nothing is multiplied
-    or validated again, as the parent's validate() checked d o d.
+    parent's own, so a rank over F2 or the divisors over Z are taken
+    once); nothing is multiplied again.
     """
     keep = {k: [j for j, w in enumerate(words) if len(w) <= max_length] for k, words in cx.basis.items()}
 

@@ -20,22 +20,19 @@ the diagonal), and solve_integer both (U for b, V for x; none if b = 0).
 HomologyMod2 answers the same questions by F2 ranks.
 
 HomologyData checks d o d = 0 when built and factors nothing until an
-answer is read.  Its group comes from a smaller spot with the same
-homology (Kaczynski, Mrozek and Slusarek, "Homology computation by
-reduction of chain complexes", 1998): two basis elements joined by a
-coefficient +-1 span an acyclic summand, and dropping them, with the
-Schur complement of the pivot in its matrix, leaves H^k as it was; the
-rows of d_out may also be divided by their gcd, which keeps its kernel.
-On that spot (out, inn) the group is read off ranks and divisors, with
-no transform tracked: ker(out) is saturated, so
-H^k = Z^(n - rank out - rank inn) + sum of Z/d over the elementary
-divisors d >= 2 of inn.  elementary_divisors cancels units, divides out
+answer is read.  Its group is read off ranks and divisors, with no
+transform tracked: ker(d_out) is saturated, so
+H^k = Z^(n - rank d_out - rank d_in) + sum of Z/d over the elementary
+divisors d >= 2 of d_in.  elementary_divisors cancels units, divides out
 the content and Smith-reduces only what is left (the transform-free
 route of Dumas, Saunders and Villard, "On efficient sparse integer
-matrix Smith normal form computations", 2001).  Class coordinates are in
-the spot's own basis, so the kernel basis and the relation factorization
-that coords, the class generators and induced read are taken from the
-unreduced matrices, once, on first use; the group never reads them.
+matrix Smith normal form computations", 2001); each matrix keeps its
+divisors, and cancel_unit_pairs fills them for a whole complex,
+cancelling each unit once (Kaczynski, Mrozek and Slusarek, "Homology
+computation by reduction of chain complexes", 1998).  Class coordinates
+are in the spot's own basis, so the kernel basis and the relation
+factorization that coords, the class generators and induced read are
+taken from the spot's matrices, once, on first use.
 
 Matrices are stored as sparse rows (a dict from column to nonzero entry
 per row); the dense tuple-of-tuples `IntMatrix.data` is only a view, built
@@ -85,11 +82,11 @@ class IntMatrix:
 
     `entries[i]` maps a column j to the nonzero entry (i, j); zeros are
     never stored.  `data`, the dense tuple of row tuples, the sparse
-    columns that `apply` and `column` read, and the rank over F2 are built
-    on first access.
+    columns that `apply` and `column` read, the rank over F2 and the
+    elementary divisors are built on first access.
     """
 
-    __slots__ = ("rows", "cols", "entries", "_data", "_columns", "_rank_mod_2")
+    __slots__ = ("rows", "cols", "entries", "_data", "_columns", "_rank_mod_2", "_divisors")
 
     def __init__(self, data: Sequence[Sequence[int]], rows: int | None = None, cols: int | None = None):
         rowtuples = [tuple(row) for row in data]
@@ -104,9 +101,7 @@ class IntMatrix:
         self.entries = tuple({j: int(x) for j, x in enumerate(r) if x} for r in rowtuples)
         self.rows = len(rowtuples)
         self.cols = ncols
-        self._data = None
-        self._columns = None
-        self._rank_mod_2 = None
+        self._data = self._columns = self._rank_mod_2 = self._divisors = None
 
     @classmethod
     def from_rows(cls, entries: Sequence[dict], cols: int) -> "IntMatrix":
@@ -116,9 +111,7 @@ class IntMatrix:
         m.entries = tuple(entries)
         m.rows = len(m.entries)
         m.cols = cols
-        m._data = None
-        m._columns = None
-        m._rank_mod_2 = None
+        m._data = m._columns = m._rank_mod_2 = m._divisors = None
         return m
 
     @classmethod
@@ -214,6 +207,12 @@ class IntMatrix:
         if self._rank_mod_2 is None:
             self._rank_mod_2 = f2_rank(self)
         return self._rank_mod_2
+
+    def divisors(self) -> list[int]:
+        """The nonzero elementary divisors (elementary_divisors), taken once."""
+        if self._divisors is None:
+            self._divisors = elementary_divisors(self)
+        return self._divisors
 
 
 def _transposed(rows: Sequence[dict], ncols: int) -> list[dict]:
@@ -494,20 +493,10 @@ class FinAbGroup:
 
 
 def _group_from_divisors(divisors: Iterable[int], free_rank: int) -> FinAbGroup:
-    torsion = tuple(sorted((d for d in divisors if d >= 2), key=lambda d: d))
-    # SNF already yields a divisibility chain; sorting keeps it stable.
-    return FinAbGroup(free_rank=free_rank, torsion=torsion)
+    return FinAbGroup(free_rank=free_rank, torsion=tuple(sorted(d for d in divisors if d >= 2)))
 
 
-def _primitive(row: dict) -> None:
-    """Divide a sparse row by the gcd of its entries, in place."""
-    g = gcd(*row.values())
-    if g > 1:
-        for k in row:
-            row[k] //= g
-
-
-def _cancel_units(rows: list[dict], primitive: bool = False) -> tuple[list[int], set[int]]:
+def _cancel_units(rows: list[dict]) -> tuple[list[int], set[int]]:
     """Gaussian elimination of the entries +-1 of a matrix held as sparse
     rows, in place; returns the rows left and the pivot columns.
 
@@ -516,13 +505,8 @@ def _cancel_units(rows: list[dict], primitive: bool = False) -> tuple[list[int],
     row i: the rows left hold the Schur complement.  Pivots are taken until
     no entry +-1 is left, in passes over the rows shortest first (least
     fill-in), and within a row at the unit column held by the fewest rows,
-    ties to the lowest index.  With `primitive`, each row is divided by
-    the gcd of its entries, first and after each update, which keeps the
-    kernel and makes more entries units.
+    ties to the lowest index.
     """
-    if primitive:
-        for r in rows:
-            _primitive(r)
     at: dict[int, set] = {}
     for i, r in enumerate(rows):
         for j in r:
@@ -552,8 +536,6 @@ def _cancel_units(rows: list[dict], primitive: bool = False) -> tuple[list[int],
                     else:
                         del target[k]
                         at[k].discard(r)
-                if primitive and target:
-                    _primitive(target)
                 changed.add(r)
             for k in row:
                 at[k].discard(i)
@@ -562,6 +544,30 @@ def _cancel_units(rows: list[dict], primitive: bool = False) -> tuple[list[int],
             pivots.add(j)
         todo = changed
     return sorted(alive), pivots
+
+
+def _invariant_factors(rows: list[dict]) -> tuple[list[int], set[int]]:
+    """The nonzero invariant factors of the matrix held as these sparse
+    rows (consumed), and the columns of the pivots +-1 its first unit
+    cancellation took (elementary_divisors)."""
+    kept, units = _cancel_units(rows)
+    divisors = [1] * len(units)
+    scale = 1
+    while True:
+        rows = [rows[i] for i in kept if rows[i]]
+        g = gcd(*(x for r in rows for x in r.values()))
+        if g < 2:
+            break
+        for r in rows:
+            for k in r:
+                r[k] //= g
+        scale *= g
+        kept, pivots = _cancel_units(rows)
+        divisors += [scale] * len(pivots)
+    cols = {j: n for n, j in enumerate(sorted({j for r in rows for j in r}))}
+    rest = IntMatrix.from_rows([{cols[j]: a for j, a in r.items()} for r in rows], len(cols))
+    divisors += [scale * d for d in smith_normal_form(rest, left=False, right=False).diagonal() if d]
+    return divisors, units
 
 
 def elementary_divisors(A: IntMatrix) -> list[int]:
@@ -576,51 +582,29 @@ def elementary_divisors(A: IntMatrix) -> list[int]:
     smith_normal_form reduces whatever is left after that, if only an
     empty matrix.
     """
-    rows = [dict(r) for r in A.entries if r]
-    divisors: list[int] = []
-    scale = 1
-    while True:
-        kept, pivots = _cancel_units(rows)
-        divisors += [scale] * len(pivots)
-        rows = [rows[i] for i in kept if rows[i]]
-        g = gcd(*(x for r in rows for x in r.values()))
-        if g < 2:
-            break
-        for r in rows:
-            for k in r:
-                r[k] //= g
-        scale *= g
-    cols = {j: n for n, j in enumerate(sorted({j for r in rows for j in r}))}
-    rest = IntMatrix.from_rows([{cols[j]: a for j, a in r.items()} for r in rows], len(cols))
-    divisors += [scale * d for d in smith_normal_form(rest, left=False, right=False).diagonal() if d]
-    return divisors
+    return _invariant_factors([dict(r) for r in A.entries if r])[0]
 
 
-def _unit_reduced(d_out: IntMatrix, d_in: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
-    """The spot's two matrices with every unit pair cancelled.
+def cancel_unit_pairs(differentials: Sequence[IntMatrix]) -> None:
+    """Fill divisors() of each differential d_i of a complex (d_(i+1) @
+    d_i == 0, unchecked), cancelling each unit once, top down.
 
-    An entry +-1 of d_out pairs a middle basis element with one of the
-    degree above, an entry +-1 of d_in one of the degree below with a
-    middle one; each pair spans an acyclic summand, so the complex that
-    drops it (the Schur complement of the pivot in its own matrix, the
-    paired middle element's row of d_in or column of d_out deleted in the
-    other) has the same homology at the spot.  d_out is cancelled first,
-    then d_in on the middle elements still unpaired, so none is paired
-    twice; deleting columns of d_out makes no new unit there.  The
-    homology reads d_out only through its kernel, so d_out's rows are kept
-    primitive (_cancel_units) and its zero rows dropped; d_in's image
-    counts, so its entries stay.
+    A pivot +-1 of d_i at (y, x) pairs x below with y above, an acyclic
+    summand: the Schur complement S of d_i still has S @ d_(i-1) == 0, so
+    row y of that product makes row x of d_(i-1) an integer combination
+    of its other rows.  d_(i-1) is cancelled with those rows dropped,
+    which keeps its row lattice and so its divisors (Skoldberg, "Morse
+    theory from an algebraic viewpoint", 2006).  A matrix whose divisors
+    are known (one a truncation shares with its parent) is skipped and
+    pairs nothing.
     """
-    top = [dict(r) for r in d_out.entries]
-    kept_top, paired_above = _cancel_units(top, primitive=True)
-    middle = [j for j in range(d_out.cols) if j not in paired_above]
-    low = [dict(d_in.entries[j]) for j in middle]
-    kept_low, paired_below = _cancel_units(low)
-    mid = {middle[t]: n for n, t in enumerate(kept_low)}
-    below = {j: n for n, j in enumerate(j for j in range(d_in.cols) if j not in paired_below)}
-    out = IntMatrix.from_rows([{mid[j]: a for j, a in top[i].items() if j in mid} for i in kept_top if top[i]], len(mid))
-    inn = IntMatrix.from_rows([{below[j]: a for j, a in low[t].items()} for t in kept_low], len(below))
-    return out, inn
+    paired: set[int] = set()
+    for M in reversed(differentials):
+        if M._divisors is None:
+            rows = [dict(r) for i, r in enumerate(M.entries) if r and i not in paired]
+            M._divisors, paired = _invariant_factors(rows)
+        else:
+            paired = set()
 
 
 @dataclass(frozen=True)
@@ -663,15 +647,14 @@ class HomologyData:
     coordinates agree.
 
     Construction checks d o d = 0 and nothing else; each answer is
-    factored when first asked for.  `group` comes from the spot with its
-    unit pairs cancelled (_unit_reduced), which has the same homology and
-    is usually far smaller, read off the rank of its out matrix and the
-    elementary divisors of its in matrix; no kernel basis is built for
-    it.  The presentation (the kernel basis and coordinates, the relation
-    matrix's U and U_inv, the moduli) serves the coordinates alone: it is
-    in the spot's own basis, so it is factored from the unreduced
-    matrices, on first use by coords, class_generator(s), induced,
-    induces_zero and induces_iso once the groups agree.
+    factored when first asked for.  `group` is read off the elementary
+    divisors of d_out and d_in (IntMatrix.divisors(): filled for a whole
+    complex by cancel_unit_pairs, else taken matrix by matrix), with no
+    kernel basis built.  The presentation (the kernel basis and
+    coordinates, the relation matrix's U and U_inv, the moduli) serves the
+    coordinates alone, factored from the spot's own matrices on first use
+    by coords, class_generator(s), induced, induces_zero and induces_iso
+    once the groups agree.
     """
 
     def __init__(self, d_out: IntMatrix, d_in: IntMatrix, composite: IntMatrix | None = None):
@@ -684,12 +667,10 @@ class HomologyData:
 
     @cached_property
     def group(self) -> FinAbGroup:
-        # ker(out) is a direct summand, so ker(out) / im(inn) has the
-        # torsion of coker(inn) and free rank n - rank out - rank inn
-        out, inn = _unit_reduced(self.d_out, self.d_in)
-        divisors = elementary_divisors(inn)
-        rank_out = len(elementary_divisors(out))
-        return _group_from_divisors(divisors, free_rank=out.cols - rank_out - len(divisors))
+        # ker(d_out) is a direct summand, so ker(d_out) / im(d_in) has the
+        # torsion of coker(d_in) and free rank n - rank d_out - rank d_in
+        divisors = self.d_in.divisors()
+        return _group_from_divisors(divisors, free_rank=self.d_out.cols - len(self.d_out.divisors()) - len(divisors))
 
     @cached_property
     def _presentation(self) -> _Presentation:

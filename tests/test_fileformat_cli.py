@@ -15,7 +15,7 @@ from test_golden_stdout import CONE_CARDY_SECTION
 
 from ainfcat import cli
 from ainfcat.cli import parse_space
-from ainfcat.core import chain_normalize, verify_ainf, with_ring
+from ainfcat.core import AinfCategory, Gen, chain_normalize, verify_ainf, with_ring
 from ainfcat.fileformat import (
     CATEGORY_SCHEMA,
     CERTIFICATE_SCHEMA,
@@ -415,6 +415,29 @@ def test_cli_validate_f2_rejects_half_of_a_unit(tmp_path):
     assert code == 1
     assert payload["checks"]["unit[L]"] == {"passed": False}
     assert payload["checks"]["unit[K]"] == {"passed": True}
+
+
+def mu1_squares_to_c() -> AinfCategory:
+    """One object, e (0), a (0), b (1), c (2), mu^1(a) = b, mu^1(b) = c, e a
+    strict unit: mu^1 o mu^1 (a) = c, and hom(*, *) is not a complex."""
+    e, a, b, c = (Gen("*", "*", name, deg) for name, deg in (("e", 0), ("a", 0), ("b", 1), ("c", 2)))
+    mu2 = {(e, x): {x: 1} for x in (e, a, b, c)}
+    mu2.update({(x, e): {x: (-1) ** x.degree} for x in (a, b, c)})
+    return AinfCategory(
+        objects=["*"], hom={("*", "*"): [e, a, b, c]}, mu={1: {(a,): {b: 1}, (b,): {c: 1}}, 2: mu2}, units={"*": {e: 1}}
+    )
+
+
+@pytest.mark.parametrize("ring", ["Z", "F2"])
+def test_cli_validate_a_unit_on_a_non_complex_fails_without_a_traceback(tmp_path, ring):
+    # the unit check reads homology, which a hom space whose mu^1 does not
+    # square to zero does not have: the unit fails, the run does not crash
+    path = tmp_path / "not_a_complex.json"
+    path.write_bytes(dump(mu1_squares_to_c()))
+    code, payload = _validate_json(path, "--ring", ring)
+    assert code == 1 and payload["verdict"] == "fail"
+    assert payload["checks"]["structure_relations"]["passed"] is False
+    assert payload["checks"]["unit[*]"] == {"passed": False}
 
 
 def test_cli_validate_f2_checks_morphisms_mod_2(tmp_path):

@@ -20,7 +20,7 @@ from helpers import (
     zero_map,
 )
 
-from ainfcat import generation, hochschild, intlinalg
+from ainfcat import complexes, generation, hochschild, intlinalg
 from ainfcat.bimodules import (
     LEFT,
     RIGHT,
@@ -28,6 +28,7 @@ from ainfcat.bimodules import (
     DiagonalBimodule,
     TensorBimodule,
     YonedaModule,
+    hom_complex,
     mu_composition_map,
     tensor_over_category,
 )
@@ -51,7 +52,7 @@ from ainfcat.hochschild import (
     truncated_cc,
     word_degree,
 )
-from ainfcat.intlinalg import FinAbGroup, IntMatrix, NotAComplex, f2_rank
+from ainfcat.intlinalg import FinAbGroup, IntMatrix, NotAComplex, elementary_divisors, f2_rank
 
 ALL_FIXTURES = [
     ground_ring,
@@ -306,10 +307,11 @@ def test_homology_forms_no_d_o_d_on_the_filtered_truncation(monkeypatch, ring):
     assert products and not [(A, B) for A, B in products if id(A) in ours and id(B) in ours]
 
 
-def test_triple_groups_factor_only_unit_reduced_spots(monkeypatch):
+def test_triple_groups_factor_no_matrix_of_either_truncation(monkeypatch):
     # every degree's groups differ between the two truncations, so each
-    # flag is read off the groups, which come from the spots with their
-    # unit pairs cancelled: no factored matrix is either truncation's own
+    # flag is read off the groups, which come from each differential's
+    # divisors: the Smith form sees only what unit cancellation and
+    # division by the content leave, never either truncation's own matrix
     factored, built = [], []
     original, truncated = intlinalg.smith_normal_form, hochschild.truncated_cc
 
@@ -328,6 +330,71 @@ def test_triple_groups_factor_only_unit_reduced_spots(monkeypatch):
     own = [cx.matrix(k) for cx in (big, hochschild.length_filter(big, 4)) for k in cx.degrees()]
     assert not any(res.stable.values())
     assert factored and not [A for A in factored if any(A == M for M in own)]
+
+
+@pytest.mark.parametrize("make, N", [(split_summand_pair, 5), (cone_algebra, 4)])
+def test_each_differential_of_each_truncation_is_cancelled_once(monkeypatch, make, N):
+    # one pass per complex cancels each matrix as the differential it is,
+    # where a spot-by-spot reduction cancels it as a d_out and again as a
+    # d_in; the N - 1 truncation reuses the divisors of every matrix it
+    # shares with the parent, and nothing else cancels a nonempty matrix
+    built, in_pass, cancelled, elsewhere = [], [], [], []
+    truncated, filtered = hochschild.truncated_cc, hochschild.length_filter
+    real_pass, factors = complexes.cancel_unit_pairs, intlinalg._invariant_factors
+
+    def kept(make_complex):
+        def build(*args):
+            built.append(make_complex(*args))
+            return built[-1]
+
+        return build
+
+    def recording_pass(differentials):
+        in_pass.append(True)
+        real_pass(differentials)
+        in_pass.pop()
+
+    def recording_factors(rows):
+        (cancelled if in_pass else elsewhere).append(len(rows))
+        return factors(rows)
+
+    monkeypatch.setattr(hochschild, "truncated_cc", kept(truncated))
+    monkeypatch.setattr(hochschild, "length_filter", kept(filtered))
+    monkeypatch.setattr(complexes, "cancel_unit_pairs", recording_pass)
+    monkeypatch.setattr(intlinalg, "_invariant_factors", recording_factors)
+    hochschild_homology(make(), N)
+    differentials = {id(M): M for cx in built for M in map(cx.matrix, cx.degrees())}
+    assert len(built) == 2 and len(cancelled) == len(differentials)
+    assert all(M._divisors is not None for M in differentials.values())
+    assert not any(elsewhere)  # only zero matrices outside the stored ones
+
+
+def integral_complexes(cat: AinfCategory):
+    """Every integral complex a command reads homology of, at small sizes:
+    truncated_cc at N <= 5 with its N - 1 length filter, the tensor
+    complexes of every pair of objects at N <= 3, and the hom complexes."""
+    for N in range(1, 6):
+        big = truncated_cc(cat, N)
+        yield big
+        yield length_filter(big, N - 1)
+    for K in cat.objects:
+        for X in cat.objects:
+            yield hom_complex(cat, X, K)
+            for N in range(4):
+                yield tensor_over_category(YonedaModule(cat, K, RIGHT), YonedaModule(cat, X, LEFT), N)
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_the_pass_gives_every_fixture_matrix_its_own_divisors(name):
+    # homology_data cancels each complex's units in one top-down pass,
+    # dropping the rows the matrix above paired; every matrix must still
+    # get the divisors elementary_divisors finds in it alone
+    for cx in integral_complexes(FIXTURES[name]()):
+        if cx.degrees():
+            cx.homology_data(cx.degrees()[0])
+        for k in cx.degrees():
+            M = cx.matrix(k)
+            assert M._divisors == elementary_divisors(M), k
 
 
 def test_hochschild_cone_torsion_appears():

@@ -267,6 +267,17 @@ def test_homology_refuses_a_non_complex_on_either_ring(ring):
             HomologyData(d1, d0)
 
 
+def test_homology_over_z_refuses_a_complex_that_fails_anywhere():
+    # d o d fails from degree 0 only, but the unit cancellation couples
+    # neighbouring degrees, so no degree's homology is read, twice over
+    d = {0: IntMatrix([[1]]), 1: IntMatrix([[1]]), 3: IntMatrix([[2]])}
+    C = BasedComplex({k: [f"x{k}"] for k in range(5)}, d)
+    for _ in range(2):
+        for k in range(-1, 6):
+            with pytest.raises(NotAComplex, match="at degree 0 on 'x0'"):
+                C.homology_data(k)
+
+
 @pytest.mark.parametrize("ring, coefficient", [("Z", 1), ("Z", 2), ("F2", 1)])
 def test_not_a_complex_names_the_first_label(ring, coefficient):
     # d o d vanishes on a (two paths cancel, mod 2 as well when doubled)

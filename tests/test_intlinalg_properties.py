@@ -15,9 +15,10 @@ HomologyData reads off those inverses, and the map induced on homology,
 one sparse product, against the per-generator oracle of helpers.py;
 induces_zero must agree with that matrix, and say yes unfactored on a
 multiple of the target group's exponent, and solve_integer(A, 0) must
-give 0 with no Smith form.  The
-group HomologyData reads off the spot with its unit pairs cancelled must
-be sympy's and the unreduced spot's, on complexes rich in entries +-1.
+give 0 with no Smith form.  On chains rich in entries +-1, the one pass
+that cancels each matrix's units once (cancel_unit_pairs) must give every
+matrix the elementary divisors it has alone, and sympy's, and the group
+HomologyData reads off them must be sympy's and the presentation's.
 elementary_divisors must give sympy's nonzero invariant factors, and hand
 smith_normal_form only what unit cancellation and division by the
 content leave.
@@ -50,6 +51,7 @@ from ainfcat.intlinalg import (
     RationalOnly,
     Unsolvable,
     _present,
+    cancel_unit_pairs,
     elementary_divisors,
     f2_rank,
     smith_normal_form,
@@ -356,19 +358,31 @@ def test_homology_group_matches_sympy(pair):
 
 
 @st.composite
-def unit_rich_complexes(draw):
-    """(d_out, d_in) with d_out @ d_in == 0, both at most 6 x 6, most
-    entries +-1: d_in's entries are drawn from 0, +-1 and +-2, and each row
-    of d_out is a sum of the kernel basis of d_in's transpose with
-    coefficients 0 and +-1, so a middle element often carries a unit on
-    both sides and the Schur complements make more."""
-    n0, n1, n2 = (draw(st.integers(min_value=0, max_value=6)) for _ in range(3))
+def unit_rich_chains(draw, length: int):
+    """[d_0, .., d_(length - 1)] with d_(i + 1) @ d_i == 0, each at most
+    6 x 6, most entries +-1: d_0's entries are drawn from 0, +-1 and +-2,
+    and each row of d_(i + 1) is a sum of the kernel basis of d_i's
+    transpose with coefficients 0 and +-1, so a basis element often
+    carries a unit on both sides and the Schur complements make more."""
+    dims = [draw(st.integers(min_value=0, max_value=6)) for _ in range(length + 1)]
     cells = st.sampled_from((0, 0, 1, -1, 1, -1, 2, -2))
-    d_in = IntMatrix(draw(st.lists(st.lists(cells, min_size=n0, max_size=n0), min_size=n1, max_size=n1)), cols=n0)
-    K = kernel_basis(d_in.transpose())
-    signs = st.lists(st.sampled_from((0, 1, -1)), min_size=K.cols, max_size=K.cols)
-    rows = [K.apply(draw(signs)) for _ in range(n2)]
-    return IntMatrix(rows, cols=n1), d_in
+    rows = st.lists(st.lists(cells, min_size=dims[0], max_size=dims[0]), min_size=dims[1], max_size=dims[1])
+    chain = [IntMatrix(draw(rows), cols=dims[0])]
+    for n in dims[2:]:
+        K = kernel_basis(chain[-1].transpose())
+        signs = st.lists(st.sampled_from((0, 1, -1)), min_size=K.cols, max_size=K.cols)
+        chain.append(IntMatrix([K.apply(draw(signs)) for _ in range(n)], cols=chain[-1].rows))
+    return chain
+
+
+def unit_rich_complexes():
+    """(d_out, d_in): a unit-rich chain of two."""
+    return unit_rich_chains(2).map(lambda chain: (chain[1], chain[0]))
+
+
+def fresh(M: IntMatrix) -> IntMatrix:
+    """M's entries, with nothing cached."""
+    return IntMatrix.from_rows(M.entries, M.cols)
 
 
 def identity_spot(n: int) -> tuple[IntMatrix, IntMatrix]:
@@ -388,23 +402,35 @@ def identity_spot(n: int) -> tuple[IntMatrix, IntMatrix]:
 @example(identity_spot(4))
 @example((IntMatrix.zeros(0, 4), IntMatrix.identity(4)))
 def test_unit_cancellation_keeps_the_group(pair):
-    """The group read off the unit-reduced spot is sympy's, the one the
-    unreduced spot's factorization gives and the one its divisors give."""
+    """The group read off the two matrices' divisors, taken matrix by
+    matrix or by one pass that drops the rows of d_in that d_out's units
+    pair, is sympy's and the one the spot's factorization gives."""
     d_out, d_in = pair
+    high, low = fresh(d_out), fresh(d_in)
+    cancel_unit_pairs([low, high])
     assert (
         HomologyData(d_out, d_in).group
+        == HomologyData(high, low).group
         == sympy_group(d_out, d_in)
         == _present(d_out, d_in).group()
-        == divisor_group(d_out, d_in)
     )
 
 
-def divisor_group(d_out: IntMatrix, d_in: IntMatrix) -> FinAbGroup:
-    """The group read off the unreduced spot: Z^(n - rank d_out - rank d_in)
-    and Z/d for each elementary divisor d >= 2 of d_in."""
-    divisors = elementary_divisors(d_in)
-    free = d_out.cols - len(elementary_divisors(d_out)) - len(divisors)
-    return FinAbGroup(free, tuple(d for d in divisors if d >= 2))
+@SETTINGS
+@given(st.integers(min_value=3, max_value=5).flatmap(unit_rich_chains))
+# d_1 pairs column 1 (through row 0): the pass drops row 1 of d_0, a
+# zero row, and keeps the 2
+@example([IntMatrix([[2], [0]]), IntMatrix([[0, 1]]), IntMatrix.zeros(0, 1)])
+# units all the way up: each matrix keeps a unit after the rows paired above are dropped
+@example([IntMatrix([[1], [1]]), IntMatrix([[1, -1], [2, -2]]), IntMatrix([[2, -1]]), IntMatrix.zeros(0, 1)])
+def test_one_pass_gives_each_matrix_its_own_divisors(chain):
+    """One top-down pass over a chain of three or more matrices gives each
+    matrix the elementary divisors it has alone, and sympy's."""
+    alone = [fresh(M) for M in chain]
+    cancel_unit_pairs(chain)
+    for M, A in zip(chain, alone):
+        assert M._divisors is not None  # filled by the pass, not on the read below
+        assert M.divisors() == elementary_divisors(A) == [d for d in sympy_diagonal(A) if d]
 
 
 def small_matrix(data, rows: int, cols: int) -> IntMatrix:
