@@ -44,7 +44,12 @@ containing q, the right action on blocks containing p, the category
 operation on the rest; the block holding both q and p is the full
 collapse (mu_composition_map), not a term.  Its exact d^2 = 0 is the
 package's strongest sign-consistency check and is asserted for every
-shipped fixture.
+shipped fixture.  Built on submodules R' of R and L' of L closed under
+their actions (YonedaModule.submodule), it is the subcomplex of words
+with q in L' and p in R': the left action keeps q in L', mu moves neither
+end letter and the right action keeps p in R'.  Its sorted basis is a
+subsequence of the full one, so each of its matrices is the restriction
+of the full matrix.
 
 The words are built from one table of composable middle paths
 (middle_paths), and the differential's matrices are written term by
@@ -62,9 +67,10 @@ tuple x:
 
 from __future__ import annotations
 
+import copy
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .complexes import BasedComplex, GradedMap
 from .core import (
@@ -168,6 +174,31 @@ class YonedaModule:
 
     def basis(self, obj: str) -> list:
         return self.spaces.get(obj, [])
+
+    def submodule(self, seeds: Iterable[Gen]) -> YonedaModule:
+        """The submodule generated by seeds: the span of the smallest set
+        of generators that holds them and every output of an action whose
+        module slot is in the set, with the action tables cut to the keys
+        whose module slot is in it.  Every object keeps its entry in
+        `spaces`, so the middle letters of tensor words are unchanged."""
+        slot = 0 if self.side == LEFT else -1
+        outputs: dict = {}
+        for table in self.actions.values():
+            for key, chain in table.items():
+                outputs.setdefault(key[slot], []).extend(chain)
+        kept = set(seeds)
+        todo = list(kept)
+        while todo:
+            for g in outputs.get(todo.pop(), ()):
+                if g not in kept:
+                    kept.add(g)
+                    todo.append(g)
+        sub = copy.copy(self)
+        sub.spaces = {obj: [g for g in gens if g in kept] for obj, gens in self.spaces.items()}
+        sub.actions = {
+            d: {key: out for key, out in table.items() if key[slot] in kept} for d, table in self.actions.items()
+        }
+        return sub
 
 
 # ---------------------------------------------------------------------------
@@ -478,13 +509,14 @@ def hom_complex(cat: AinfCategory, source_obj: str, target_obj: str) -> BasedCom
     return BasedComplex.from_terms(basis, terms, ring=cat.ring)
 
 
-def mu_composition_map(cat: AinfCategory, X: str, K: str, tensor_cx: BasedComplex) -> GradedMap:
+def mu_composition_map(right: YonedaModule, X: str, tensor_cx: BasedComplex) -> GradedMap:
     """Full collapse from tensor_cx, a complex R (x)_B L for the Yoneda
-    modules R = hom(-, K) and L = hom(X, -), into hom(X, K): the right
-    action of hom(-, K) on the whole word (q, a_1, .., a_d, p)."""
-    right = YonedaModule(cat, K, RIGHT)
+    modules R = hom(-, K) and L = hom(X, -), into hom(X, K): the action of
+    right, the module hom(-, K), on the whole word (q, a_1, .., a_d, p)."""
+    if right.side != RIGHT:
+        raise ValueError("expected a right module")
     terms = (
         (w, g, c) for words in tensor_cx.basis.values() for w in words
         for g, c in right.act((w.q,) + w.mid + (w.p,)).items()
     )
-    return GradedMap.from_terms(tensor_cx, hom_complex(cat, X, K), 0, terms, name="mu")
+    return GradedMap.from_terms(tensor_cx, hom_complex(right.cat, X, right.K), 0, terms, name="mu")

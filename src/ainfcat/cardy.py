@@ -22,7 +22,9 @@ two connecting maps are checked against it.
 CC(phi) sends a cyclic word of length d to tensor words with at most
 d - 1 middle letters, and the tensor differential never lengthens a word,
 so for cyclic words of length <= N the tensor complex truncated at N - 1
-holds every word the map reaches (`ainfcat cardy` builds it that way).
+holds every word the map reaches.  Those words also end in the letters of
+phi's outputs, so the subcomplex on the submodules they generate
+(generated_submodules) holds them too; `ainfcat cardy` builds that one.
 The homology comparison factors no presentation in a degree where
 mu o CC(phi) - (-1)^(n(n+1)/2) CO o OC is a multiple of the exponent of
 hom(K, K)'s homology (HomologyData.induces_zero); elsewhere it reads one
@@ -37,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .bimodules import BimoduleHom, mu_composition_map
+from .bimodules import BimoduleHom, YonedaModule, mu_composition_map
 from .complexes import BasedComplex, GradedMap, combination, compose, residual_report, table_terms, verify_chain_map
 from .core import RING_F2, AinfCategory, VerificationReport, Violation, parity_sign
 from .hochschild import ChainMapViolation, cc_of_delta
@@ -113,9 +115,18 @@ def mu_cc_map(phi: BimoduleHom, cc: BasedComplex, tensor_cx: BasedComplex) -> Gr
     """mu o CC(phi), from the cyclic complex cc to hom(K, K), where K is
     phi's base object; CC(phi) is verified to be a chain map (cc_of_delta)."""
     f = cc_of_delta(phi, cc, tensor_cx)
-    K = phi.target.left.K
-    mu = mu_composition_map(phi.source.cat, K, K, tensor_cx)
+    mu = mu_composition_map(phi.target.right, phi.target.right.K, tensor_cx)
     return compose(mu, f, name="mu o CC")
+
+
+def generated_submodules(phi: BimoduleHom) -> tuple[YonedaModule, YonedaModule]:
+    """The submodules (R', L') of phi's target modules Y^r_K and Y^l_K
+    that the q and the p of phi's outputs p (x) q generate
+    (YonedaModule.submodule).  The tensor words with end letters in L' and
+    R' span a subcomplex of Y^r_K (x)_B Y^l_K that holds the image of
+    CC(phi)."""
+    outputs = [pg for table in phi.components.values() for chain in table.values() for pg in chain]
+    return phi.target.right.submodule(pg.q for pg in outputs), phi.target.left.submodule(pg.p for pg in outputs)
 
 
 def solve_homotopy(data: OpenClosedData) -> GradedMap | Unsolvable | RationalOnly:

@@ -18,17 +18,15 @@ import time
 
 from . import fixtures as fixture_mod
 from .bimodules import (
-    LEFT,
-    RIGHT,
     DiagonalBimodule,
     PairGen,
-    YonedaModule,
     tensor_over_category,
     verify_bimodule,
     verify_bimodule_hom,
 )
 from .cardy import (
     OpenClosedData,
+    generated_submodules,
     homotopy_map,
     mu_cc_map,
     solve_homotopy,
@@ -269,13 +267,13 @@ def cmd_cardy(args) -> int:
     mr = verify_bimodule_hom(phi, max_inputs=morphism_depth(cat, phi.components))
     if not mr.passed:
         raise CliError(f"morphism {name} fails the bimodule-map equation", code=EXIT_FAIL)
-    K = phi.target.left.K
     cc = truncated_cc(cat, args.max_length)
     # CC(phi) sends a word of length d to tensor words with at most d - 1
-    # middle letters, and the tensor differential never lengthens a word
-    tcx = tensor_over_category(
-        YonedaModule(cat, K, RIGHT), YonedaModule(cat, K, LEFT), max(args.max_length - 1, 0)
-    )
+    # middle letters and end letters from phi's outputs; the tensor
+    # differential never lengthens a word, and the words with end letters
+    # in the submodules those outputs generate span a subcomplex, so this
+    # one holds every word the map reaches
+    tcx = tensor_over_category(*generated_submodules(phi), max(args.max_length - 1, 0))
 
     # mu o CC(phi) is built and its CC(phi) part verified once, here
     mu_cc = mu_cc_map(phi, cc, tcx)

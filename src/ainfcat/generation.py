@@ -140,7 +140,7 @@ def build_universal_complex(cat: AinfCategory, B_objects: Sequence[str], K: str,
             cx = tensor_over_category(yr, YonedaModule(cat, X, LEFT, objects=B_objects), max_length, paths)
         except NotAComplex as err:
             raise MaurerCartanViolation(f"realization against {X} fails: {err}", witness=X) from err
-        report = verify_chain_map(mu_composition_map(cat, X, K, cx))
+        report = verify_chain_map(mu_composition_map(yr, X, cx))
         if not report.passed:
             raise ClosednessViolation(
                 f"evaluation fails to be a chain map against {X}",
@@ -195,7 +195,7 @@ def generation_test(
 
     e = chain_normalize(dict(e), cat.ring)
     cx = build_universal_complex(cat, B_objects, K, max_length)
-    mu = mu_composition_map(cat, K, K, cx)
+    mu = mu_composition_map(YonedaModule(cat, K, RIGHT), K, cx)
     hom_cx = mu.target
 
     tau_basis = cx.basis.get(0, [])

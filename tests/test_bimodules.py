@@ -348,7 +348,7 @@ def test_mu_composition_is_chain_map(make):
         yr = YonedaModule(cat, K, RIGHT)
         for X in cat.objects:
             cx = tensor_over_category(yr, YonedaModule(cat, X, LEFT), 3)
-            report = verify_chain_map(mu_composition_map(cat, X, K, cx))
+            report = verify_chain_map(mu_composition_map(yr, X, cx))
             assert report.passed, (X, K, str(report))
 
 

@@ -4,6 +4,7 @@ homology-level comparison."""
 from __future__ import annotations
 
 import contextlib
+import copy
 import io
 import json
 from collections import Counter
@@ -33,6 +34,7 @@ from ainfcat.bimodules import (
 )
 from ainfcat.cardy import (
     OpenClosedData,
+    generated_submodules,
     homotopy_map,
     mu_cc_map,
     solve_homotopy,
@@ -44,7 +46,7 @@ from ainfcat.complexes import GradedMap
 from ainfcat.core import with_ring
 from ainfcat.fixtures import SHIPPED_MORPHISMS, ground_ring
 from ainfcat.hochschild import ChainMapViolation, cc_of_delta, truncated_cc
-from ainfcat.intlinalg import RationalOnly, Unsolvable
+from ainfcat.intlinalg import IntMatrix, RationalOnly, Unsolvable
 from ainfcat.strata import sign_formula
 
 
@@ -445,10 +447,29 @@ def test_mu_cc_over_the_tensor_complex_one_length_shorter(fixture, n, N):
         assert mu_cc_shorter.matrix(k) == mu_cc.matrix(k)
 
 
+# words of the tensor complex `ainfcat cardy --max-length 3` builds: length
+# 2 on the sub-bimodule phi's outputs generate (the full one has 336 words
+# on cone_algebra, 28 on the dual numbers, 3 on ground_ring, 155 on
+# split_summand_pair)
+CARDY_TENSOR_WORDS = {
+    ("cone_algebra", 0): 336,
+    ("cone_algebra", 1): 84,
+    ("cone_algebra", 2): 168,
+    ("dual_numbers", 0): 28,
+    ("dual_numbers", 1): 28,
+    ("dual_numbers", 2): 7,
+    ("even_dual_numbers", 2): 28,
+    ("ground_ring", 0): 3,
+    ("split_summand_pair", 0): 155,
+}
+
+
 @pytest.mark.parametrize("fixture,n", SHIPPED_MORPHISMS)
 def test_cli_cardy_tensor_complex_holds_the_image_of_cc_phi(tmp_path, monkeypatch, capsys, fixture, n):
-    """The tensor complex `ainfcat cardy` builds and d o d-checks holds
-    every word that CC(phi) reaches: the map into it has every matrix."""
+    """The tensor complex `ainfcat cardy` builds and d o d-checks, on the
+    sub-bimodule phi's outputs generate, has the words CARDY_TENSOR_WORDS
+    counts and holds every word that CC(phi) reaches: the map into it has
+    every matrix."""
     built = []
     monkeypatch.setattr(
         cli, "mu_cc_map", lambda phi, cc, tcx: built.append((phi, cc, tcx)) or mu_cc_map(phi, cc, tcx)
@@ -457,6 +478,7 @@ def test_cli_cardy_tensor_complex_holds_the_image_of_cc_phi(tmp_path, monkeypatc
     cli.main(["fixture", fixture, "-o", str(path)])
     cli.main(["cardy", str(path), "--morphism", f"coproduct_n{n}", "--max-length", "3"])
     ((phi, cc, tcx),) = built
+    assert sum(map(len, tcx.basis.values())) == CARDY_TENSOR_WORDS[(fixture, n)]
     cc_phi = cc_of_delta(phi, cc, tcx)
     for k in cc.degrees():
         cc_phi.matrix(k)
@@ -470,6 +492,89 @@ def test_cc_of_delta_refuses_a_tensor_complex_too_short_for_its_image(fixture, n
     short = tensor_over_category(YonedaModule(cat, K, RIGHT), YonedaModule(cat, K, LEFT), 1)
     with pytest.raises(KeyError, match="CC\\(morphism\\) of .* leaves the declared basis"):
         cc_of_delta(phi, cc, short)
+
+
+# -- the sub-bimodule phi's outputs generate ------------------------------------
+
+
+def kept(module) -> set:
+    return {g for gens in module.spaces.values() for g in gens}
+
+
+def sides(phi):
+    """(side, full module, restricted module, the ends of phi's outputs
+    on that side) for the right and the left side."""
+    right, left = generated_submodules(phi)
+    outputs = [pg for table in phi.components.values() for chain in table.values() for pg in chain]
+    return [
+        (RIGHT, phi.target.right, right, {pg.q for pg in outputs}),
+        (LEFT, phi.target.left, left, {pg.p for pg in outputs}),
+    ]
+
+
+@pytest.mark.parametrize("fixture,n", SHIPPED_MORPHISMS)
+def test_generated_submodules_hold_phi_and_are_closed(fixture, n):
+    """Each side holds the ends of every output of phi, and every action
+    whose module slot it holds is kept whole, with its outputs inside."""
+    for side, full, sub, ends in sides(shipped_morphism(fixture, n)):
+        slot = 0 if side == LEFT else -1
+        inside = kept(sub)
+        assert ends <= inside
+        assert all(set(gens) <= set(full.spaces[obj]) for obj, gens in sub.spaces.items())
+        assert sub.spaces.keys() == full.spaces.keys()
+        for d, table in full.actions.items():
+            assert sub.actions[d] == {key: out for key, out in table.items() if key[slot] in inside}
+            for key, out in sub.actions[d].items():
+                assert set(out) <= inside, (side, key)
+
+
+def test_generated_submodules_of_split_summand_pair_are_all_of_y_k():
+    for side, full, sub, _ in sides(shipped_morphism("split_summand_pair", 0)):
+        assert sub.spaces == full.spaces and sub.actions == full.actions, side
+
+
+def test_generated_submodules_of_cone_coproduct_n1_hold_half_of_y_k():
+    for side, full, sub, _ in sides(shipped_morphism("cone_algebra", 1)):
+        assert (len(kept(sub)), len(kept(full))) == (2, 4), side
+
+
+def test_tensor_complex_refuses_a_submodule_missing_a_generator_its_action_reaches():
+    """cone_algebra's coproduct_n2 has outputs ending in p, u and v on the
+    right, and the closure adds q.  Without q the right action leaves the
+    words, and the tensor complex says so rather than drop the term."""
+    phi = shipped_morphism("cone_algebra", 2)
+    (_, _, right, ends), (_, _, left, _) = sides(phi)
+    (added,) = kept(right) - ends
+    missing = copy.copy(right)
+    missing.spaces = {obj: [g for g in gens if g != added] for obj, gens in right.spaces.items()}
+    missing.actions = {d: {key: out for key, out in table.items() if key[-1] != added} for d, table in right.actions.items()}
+    tensor_over_category(right, left, 3)
+    with pytest.raises(KeyError, match="differential of .* leaves the declared basis"):
+        tensor_over_category(missing, left, 3)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+@pytest.mark.parametrize("fixture,n", SHIPPED_MORPHISMS)
+def test_generated_tensor_complex_is_a_restriction_of_the_full_one(fixture, n, N):
+    """The complex on the generated sub-bimodule: its basis in each degree
+    is a subsequence of the full one, each matrix is the full matrix on
+    the kept rows and columns, and mu o CC(phi) is the same map."""
+    phi = shipped_morphism(fixture, n)
+    cc = truncated_cc(phi.source.cat, N)
+    full = tensor_over_category(phi.target.right, phi.target.left, N - 1)
+    sub = tensor_over_category(*generated_submodules(phi), N - 1)
+    assert set(sub.degrees()) <= set(full.degrees())
+    for k in sub.degrees():
+        at = iter(full.basis[k])
+        assert all(w in at for w in sub.basis[k]), k
+    for k in full.degrees():
+        rows = [full.index[k + 1][w] for w in sub.basis.get(k + 1, [])]
+        cols = {full.index[k][w]: j for j, w in enumerate(sub.basis.get(k, []))}
+        restricted = [{cols[j]: c for j, c in full.matrix(k).entries[i].items() if j in cols} for i in rows]
+        assert sub.matrix(k) == IntMatrix.from_rows(restricted, len(cols)), k
+    on_sub, on_full = mu_cc_map(phi, cc, sub), mu_cc_map(phi, cc, full)
+    for k in cc.degrees():
+        assert on_sub.matrix(k) == on_full.matrix(k), k
 
 
 def test_homology_comparison_refuses_f2_complexes():

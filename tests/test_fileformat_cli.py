@@ -263,7 +263,7 @@ def test_cli_cardy_chain_map_tables(tmp_path):
     cat = phi.source.cat
     cc = truncated_cc(cat, 2)
     tcx = tensor_over_category(YonedaModule(cat, "*", "right"), YonedaModule(cat, "*", "left"), 2)
-    mucc = compose(mu_composition_map(cat, "*", "*", tcx), cc_of_delta(phi, cc, tcx))
+    mucc = compose(mu_composition_map(phi.target.right, "*", tcx), cc_of_delta(phi, cc, tcx))
     hom_cx = hom_complex(cat, "*", "*")
 
     closed = {

@@ -575,7 +575,7 @@ def test_verify_chain_map_matches_the_label_wise_oracle_on_cc_of_delta(key):
         tensor_cx = tensor_over_category(YonedaModule(cat, K, RIGHT), YonedaModule(cat, K, LEFT), N - 1)
         f = cc_of_delta(phi, cc, tensor_cx)
         assert same_report(f).passed
-        assert same_report(compose(mu_composition_map(cat, K, K, tensor_cx), f)).passed
+        assert same_report(compose(mu_composition_map(phi.target.right, K, tensor_cx), f)).passed
 
 
 def test_verify_chain_map_matches_the_label_wise_oracle_on_a_mutant():
